@@ -9,7 +9,7 @@ deterministic synthetic scene simulator and a benchmark harness.
 
 __version__ = "0.1.0"
 
-from .geometry import BBox, BitMask, box_iou, mask_area, mask_iou, mask_to_bbox
+from .geometry import BBox, BitMask, box_iou, mask_iou, mask_to_bbox
 from .membank import DrmConfig, EntryKind, MemoryBank, MemoryEntry
 from .metrics import EvalOutcome, ao_sr, evaluate, precision_metrics, success_auc, vot_qar
 from .motion import KalmanState, MotionConfig, kf_init, kf_predict, kf_update
@@ -28,7 +28,7 @@ from .simulator import MotionSpec, SceneConfig, SequenceRecord, gen_sequence, su
 
 __all__ = [
     "__version__",
-    "BBox", "BitMask", "box_iou", "mask_iou", "mask_to_bbox", "mask_area",
+    "BBox", "BitMask", "box_iou", "mask_iou", "mask_to_bbox",
     "KalmanState", "MotionConfig", "kf_init", "kf_predict", "kf_update",
     "Proposal", "FrameObservation", "FeatureGrid", "Prototype",
     "extract_prototypes", "cosine",

@@ -34,7 +34,6 @@ __all__ = [
     "box_iou",
     "mask_iou",
     "mask_to_bbox",
-    "mask_area",
 ]
 
 
@@ -142,13 +141,10 @@ class BitMask:
         padded = np.zeros((h, w + 2), dtype=np.int8)
         padded[:, 1:-1] = dense.astype(bool)
         edges = np.diff(padded, axis=1)
-        starts = np.argwhere(edges == 1)
-        ends = np.argwhere(edges == -1)
-        # argwhere is row-major sorted, so starts/ends pair up in order
-        runs = tuple(
-            (int(r), int(c), int(ec - c))
-            for (r, c), (_, ec) in zip(starts, ends)
-        )
+        rows, starts = np.nonzero(edges == 1)
+        _, ends = np.nonzero(edges == -1)
+        # nonzero is row-major sorted, so starts/ends pair up in order
+        runs = tuple(zip(rows.tolist(), starts.tolist(), (ends - starts).tolist()))
         return cls(width=w, height=h, runs=runs)
 
     def to_dense(self) -> np.ndarray:
@@ -189,11 +185,6 @@ class BitMask:
                 start_str, _, len_str = item.partition("+")
                 runs.append((row, int(start_str), int(len_str)))
         return cls(width=width, height=height, runs=tuple(runs))
-
-
-def mask_area(m: BitMask) -> int:
-    """Foreground pixel count (0 for an empty mask)."""
-    return m.area
 
 
 def mask_iou(a: BitMask, b: BitMask) -> float:

@@ -44,6 +44,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -552,33 +553,52 @@ def cmd_oracle(out_dir) -> int:
 # --- compare -----------------------------------------------------------------------
 
 
+def _read_metrics_csv(path) -> dict[tuple[str, ...], list[float]]:
+    """Parse a metrics CSV into ``{(suite, family, seed, policy): cells}``.
+
+    Raises ValueError naming the file, line and row (and the column for a
+    cell that is not a number) of the first malformed row.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != CSV_HEADER:
+            raise ValueError("schema mismatch (bad or missing header)")
+        rows = {}
+        for row in reader:
+            where = f"{path}:{reader.line_num}: row {','.join(row[:4])}"
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"{where} has {len(row)} columns, expected {len(CSV_HEADER)}")
+            cells = []
+            for col, cell in zip(CSV_HEADER[4:], row[4:]):
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"{where} column {col}: not a number: {cell!r}") from None
+            rows[tuple(row[:4])] = cells
+    return rows
+
+
 def cmd_compare(baseline_csv, new_csv, tol: float = 0.0) -> int:
-    """Cell-wise diff of two metrics CSVs; 0 ok, 1 diff, 2 schema error."""
+    """Cell-wise diff of two metrics CSVs; 0 ok, 1 diff, 2 schema error.
+
+    NaN differs from every number and equals only NaN.
+    """
     try:
-        with open(baseline_csv, newline="", encoding="utf-8") as fh:
-            base_rows = list(csv.reader(fh))
-        with open(new_csv, newline="", encoding="utf-8") as fh:
-            new_rows = list(csv.reader(fh))
-    except OSError as exc:
+        base_map = _read_metrics_csv(baseline_csv)
+        new_map = _read_metrics_csv(new_csv)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}")
         return 2
-    if not base_rows or not new_rows or base_rows[0] != CSV_HEADER or new_rows[0] != CSV_HEADER:
-        print("error: schema mismatch (bad or missing header)")
-        return 2
-
-    def key(row): return tuple(row[:4])
-
-    base_map = {key(r): r for r in base_rows[1:]}
-    new_map = {key(r): r for r in new_rows[1:]}
     status = 0
     for k in sorted(set(base_map) | set(new_map)):
         if k not in base_map or k not in new_map:
             print(f"diff: row {','.join(k)} present in only one file")
             status = 1
             continue
-        for col, bval, nval in zip(CSV_HEADER[4:], base_map[k][4:], new_map[k][4:]):
-            if abs(float(bval) - float(nval)) > tol:
-                print(f"diff: row {','.join(k)} column {col}: {bval} -> {nval}")
+        for col, bval, nval in zip(CSV_HEADER[4:], base_map[k], new_map[k]):
+            if not (bval == nval or abs(bval - nval) <= tol
+                    or (math.isnan(bval) and math.isnan(nval))):
+                print(f"diff: row {','.join(k)} column {col}: {bval!r} -> {nval!r}")
                 status = 1
     if status == 0:
         print("compare: identical within tolerance")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,8 +31,6 @@ __all__ = [
     "cosine",
     "observation_to_line",
     "observation_from_line",
-    "write_observations",
-    "read_observations",
 ]
 
 PROPOSALS_PER_FRAME = 3
@@ -189,16 +186,3 @@ def observation_from_line(line: str) -> FrameObservation:
         frame_idx=payload["frame"], proposals=proposals, o=payload["o"], features=features
     )
 
-
-def write_observations(path, observations: Iterable[FrameObservation]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for obs in observations:
-            fh.write(observation_to_line(obs) + "\n")
-
-
-def read_observations(path) -> Iterator[FrameObservation]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield observation_from_line(line)

@@ -2,7 +2,8 @@
 
 Everything in here deliberately avoids the library's own code paths:
 box IoU comes from rasterized pixel counting, mask IoU from dense
-arrays, the motion filter from a literal textbook recursion with
+arrays, the simulator's shapes from their per-pixel predicates evaluated
+on the whole grid, the motion filter from a literal textbook recursion with
 explicit matrix inverses, the pathway optimum from full 3^T
 enumeration, and the selection rules from plain argmax loops. When a
 test disagrees with one of these, the library is wrong, not the oracle;
@@ -19,6 +20,8 @@ import numpy as np
 __all__ = [
     "dense_box_iou",
     "dense_mask_iou",
+    "dense_ellipse",
+    "dense_rect",
     "DenseKalmanOracle",
     "exhaustive_best_trajectory",
     "topk_window_oracle",
@@ -60,6 +63,32 @@ def dense_mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     if not a.any() or not b.any():
         return 0.0
     return int((a & b).sum()) / int((a | b).sum())
+
+
+def _pixel_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.arange(width)[None, :] + 0.5, np.arange(height)[:, None] + 0.5
+
+
+def dense_ellipse(box: tuple[float, float, float, float], width: int, height: int
+                  ) -> np.ndarray:
+    """(height, width) boolean grid of the ellipse inscribed in box (x, y, w, h).
+
+    A pixel is inside when its center satisfies the ellipse inequality;
+    semi-axes are clamped to 1e-9 so a zero-size box divides safely.
+    """
+    x, y, w, h = box
+    xx, yy = _pixel_centers(width, height)
+    cx, cy = x + w / 2.0, y + h / 2.0
+    a, b = max(w / 2.0, 1e-9), max(h / 2.0, 1e-9)
+    return ((xx - cx) / a) ** 2 + ((yy - cy) / b) ** 2 <= 1.0
+
+
+def dense_rect(box: tuple[float, float, float, float], width: int, height: int
+               ) -> np.ndarray:
+    """(height, width) boolean grid of the pixels whose centers lie in box (x, y, w, h)."""
+    x, y, w, h = box
+    xx, yy = _pixel_centers(width, height)
+    return (xx >= x) & (xx < x + w) & (yy >= y) & (yy < y + h)
 
 
 class DenseKalmanOracle:

@@ -22,6 +22,15 @@ persist. Feature grids label each cell with the prototype of whichever
 object covers it, so prototype extraction recovers appearance vectors
 whose cosine to the target prototype equals the configured similarity.
 
+Masks are rendered with the full-grid per-pixel predicate (is the pixel
+center inside the shape?), evaluated only on the shape's bounding window
+and encoded there; the window's runs are then shifted into the grid. The
+window is the span of rows and columns whose per-axis predicate term can
+pass, which bounds the shape exactly for any float box, so a mask costs
+its own size rather than the grid's and matches a full-grid render run
+for run (:mod:`trackmem.oracles` keeps that dense reference). Merged
+proposals are unions taken run by run.
+
 Randomness comes from a Philox counter-based generator keyed by the
 scene seed (no global RNG), and all draws happen in a fixed order up
 front, so a config is a pure function of its fields: the same config
@@ -129,22 +138,54 @@ def _pixel_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     return xx, yy
 
 
+def _span(inside: np.ndarray) -> tuple[int, int]:
+    """``[first, last + 1)`` of the True entries of a 1-D array; (0, 0) if none."""
+    idx = np.flatnonzero(inside)
+    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+
+
+def _encode_window(window: np.ndarray, r0: int, c0: int,
+                   width: int, height: int) -> BitMask:
+    """RLE of a dense window whose top-left pixel is (r0, c0) of the grid."""
+    local = BitMask.from_dense(window)
+    return BitMask(width, height, tuple((r + r0, c + c0, n) for r, c, n in local.runs))
+
+
 def _render_ellipse(box: BBox, width: int, height: int) -> BitMask:
     xx, yy = _pixel_centers(width, height)
     cx, cy = box.center
     a, b = max(box.w / 2.0, 1e-9), max(box.h / 2.0, 1e-9)
-    dense = ((xx - cx) / a) ** 2 + ((yy - cy) / b) ** 2 <= 1.0
-    return BitMask.from_dense(dense)
+    tx = ((xx - cx) / a) ** 2
+    ty = ((yy - cy) / b) ** 2
+    # a pixel passes only if its column term does: adding the non-negative
+    # row term can never round the sum below it (likewise for rows)
+    c0, c1 = _span(tx[0] <= 1.0)
+    r0, r1 = _span(ty[:, 0] <= 1.0)
+    return _encode_window(tx[:, c0:c1] + ty[r0:r1] <= 1.0, r0, c0, width, height)
 
 
 def _render_rect(box: BBox, width: int, height: int) -> BitMask:
     xx, yy = _pixel_centers(width, height)
-    dense = (xx >= box.x) & (xx < box.x + box.w) & (yy >= box.y) & (yy < box.y + box.h)
-    return BitMask.from_dense(dense)
+    inside_x = (xx >= box.x) & (xx < box.x + box.w)
+    inside_y = (yy >= box.y) & (yy < box.y + box.h)
+    c0, c1 = _span(inside_x[0])
+    r0, r1 = _span(inside_y[:, 0])
+    return _encode_window(inside_x[:, c0:c1] & inside_y[r0:r1], r0, c0, width, height)
 
 
 def _union(a: BitMask, b: BitMask) -> BitMask:
-    return BitMask.from_dense(a.to_dense() | b.to_dense())
+    """Pixelwise OR of two same-sized masks, merged run by run.
+
+    Overlapping and touching runs of a row coalesce, so runs stay maximal.
+    """
+    runs: list[tuple[int, int, int]] = []
+    for row, start, length in sorted(a.runs + b.runs):
+        if runs and runs[-1][0] == row and start <= runs[-1][1] + runs[-1][2]:
+            _, prev_start, prev_length = runs[-1]
+            runs[-1] = (row, prev_start, max(prev_length, start + length - prev_start))
+        else:
+            runs.append((row, start, length))
+    return BitMask(a.width, a.height, tuple(runs))
 
 
 def _clamp01(v: float) -> float:
@@ -489,6 +530,12 @@ def write_record(record: SequenceRecord, obs_path, gt_path) -> None:
 
 
 def read_record(obs_path, gt_path) -> SequenceRecord:
+    """Read back what :func:`write_record` wrote.
+
+    Raises ValueError naming the GT file (and line) when its frame-0 line
+    is missing or carries no prompt mask, since no session can start
+    without one.
+    """
     observations = []
     with open(obs_path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -502,15 +549,19 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
     with open(gt_path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         config = config_from_dict(header["config"])
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             d = json.loads(line)
             gt_boxes.append(None if d["box"] is None else BBox(*d["box"]))
             gt_visible.append(d["visible"])
-            if d["frame"] == 0 and "mask" in d:
+            if d["frame"] == 0:
+                if "mask" not in d:
+                    raise ValueError(f"{gt_path}:{lineno}: frame-0 line has no prompt mask")
                 init_mask = BitMask.from_text(d["mask"])
+    if init_mask is None:
+        raise ValueError(f"{gt_path}: no frame-0 line, so no prompt mask")
     return SequenceRecord(
         config=config,
         gt_boxes=gt_boxes,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trackmem.geometry import BBox, BitMask, box_iou, mask_area, mask_iou, mask_to_bbox
+from trackmem.geometry import BBox, BitMask, box_iou, mask_iou, mask_to_bbox
 from trackmem.oracles import dense_box_iou, dense_mask_iou
 
 from conftest import empty_mask, random_mask, rect_mask, rng_for
@@ -105,12 +105,12 @@ def test_mask_iou_symmetric_bounded_identity(rng):
 
 
 def test_mask_area():
-    assert mask_area(empty_mask(4, 4)) == 0
-    assert mask_area(rect_mask(4, 4, 0, 0, 4, 4)) == 16
+    assert empty_mask(4, 4).area == 0
+    assert rect_mask(4, 4, 0, 0, 4, 4).area == 16
     rng = rng_for(10)
     for _ in range(100):
         dense = rng.random((16, 16)) < 0.4
-        assert mask_area(BitMask.from_dense(dense)) == int(dense.sum())
+        assert BitMask.from_dense(dense).area == int(dense.sum())
 
 
 def test_mask_to_bbox_single_run():

@@ -239,6 +239,31 @@ def test_compare_schema_mismatch_exits_2(tmp_path):
     assert cmd_compare(tmp_path / "missing.csv", a) == 2
 
 
+def test_compare_nan_cell_is_a_diff(tmp_path, capsys):
+    a = sample_csv(tmp_path, "a.csv", cell="0.5")
+    b = sample_csv(tmp_path, "b.csv", cell="nan")
+    assert cmd_compare(a, b, tol=0.01) == 1
+    assert "success_auc" in capsys.readouterr().out
+    assert cmd_compare(b, b) == 0
+
+
+def test_compare_short_row_exits_2_naming_it(tmp_path, capsys):
+    a = sample_csv(tmp_path, "a.csv")
+    b = tmp_path / "b.csv"
+    b.write_text(",".join(CSV_HEADER) + "\ncustom,tiny,900,samurai_drm,0.5,0.5\n")
+    assert cmd_compare(a, b) == 2
+    out = capsys.readouterr().out
+    assert "custom,tiny,900,samurai_drm" in out and "b.csv:2" in out
+
+
+def test_compare_non_numeric_cell_exits_2_naming_row_and_column(tmp_path, capsys):
+    a = sample_csv(tmp_path, "a.csv")
+    b = sample_csv(tmp_path, "b.csv", cell="n/a")
+    assert cmd_compare(a, b) == 2
+    out = capsys.readouterr().out
+    assert "custom,tiny,900,samurai_drm" in out and "success_auc" in out
+
+
 def test_compare_row_set_mismatch(tmp_path, capsys):
     a = sample_csv(tmp_path, "a.csv")
     b = tmp_path / "b.csv"

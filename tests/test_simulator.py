@@ -1,12 +1,22 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from trackmem.geometry import mask_iou
+from trackmem.geometry import BBox, BitMask, mask_iou
 from trackmem.observation import extract_prototypes, cosine, observation_to_line
+from trackmem.oracles import dense_ellipse, dense_rect
 from trackmem.simulator import (
     MotionSpec,
     SceneConfig,
     _render_ellipse,
+    _render_rect,
+    _union,
     config_from_dict,
     config_to_dict,
     gen_sequence,
@@ -30,11 +40,14 @@ def serialize(record) -> str:
     return "\n".join(parts)
 
 
+def reference_ellipse(box: BBox, width: int, height: int) -> BitMask:
+    return BitMask.from_dense(dense_ellipse((box.x, box.y, box.w, box.h), width, height))
+
+
 def true_iou_p1(record, t):
-    gt_box = record.gt_boxes[t]
     gw, gh = record.config.grid
     return mask_iou(record.observations[t].proposals[0].mask,
-                    _render_ellipse(gt_box, gw, gh))
+                    reference_ellipse(record.gt_boxes[t], gw, gh))
 
 
 # --- construction guarantees ----------------------------------------------------
@@ -99,7 +112,68 @@ def test_frame_zero_cannot_be_occluded():
 def test_init_mask_matches_frame_zero_gt():
     record = gen_sequence(NOISELESS)
     gw, gh = NOISELESS.grid
-    assert record.init_mask == _render_ellipse(record.gt_boxes[0], gw, gh)
+    assert record.init_mask == reference_ellipse(record.gt_boxes[0], gw, gh)
+
+
+# --- windowed rendering and run-level union against dense references ----------------
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+coords = st.one_of(st.floats(-60.0, 100.0), st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(NON_FINITE))
+sizes = st.one_of(st.floats(0.0, 80.0), st.floats(0.0, 1.0), st.just(0.0),
+                  st.floats(min_value=0.0, allow_nan=False), st.sampled_from((math.nan, math.inf)))
+boxes = st.builds(BBox, coords, coords, sizes, sizes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(box=boxes, width=st.integers(1, 40), height=st.integers(1, 40))
+@example(box=BBox(10.3, 5.2, 0.0, 0.0), width=24, height=16)     # zero size: 1e-9 clamp
+@example(box=BBox(3.2, 4.6, 0.3, 0.2), width=24, height=16)      # sub-pixel
+@example(box=BBox(-5.5, 10.25, 20.0, 13.0), width=24, height=16)  # partly off the grid
+@example(box=BBox(-50.0, 40.0, 10.0, 10.0), width=24, height=16)  # wholly off the grid
+@example(box=BBox(-1.0, -1.0, 30.0, 30.0), width=24, height=16)   # covers the grid
+@example(box=BBox(2.0, 3.0, math.inf, 4.0), width=24, height=16)  # open-ended rect
+def test_windowed_render_matches_dense_reference(box, width, height):
+    xywh = (box.x, box.y, box.w, box.h)
+    with np.errstate(all="ignore"):
+        assert _render_ellipse(box, width, height) == \
+            BitMask.from_dense(dense_ellipse(xywh, width, height))
+        assert _render_rect(box, width, height) == \
+            BitMask.from_dense(dense_rect(xywh, width, height))
+
+
+def test_non_finite_box_renders_empty_without_raising():
+    for slot in range(4):
+        for bad in NON_FINITE:
+            fields = [4.0, 5.0, 6.0, 7.0]
+            fields[slot] = bad
+            if slot >= 2 and bad < 0:
+                continue  # BBox rejects a negative size
+            box = BBox(*fields)
+            with np.errstate(all="ignore"):
+                assert _render_ellipse(box, 16, 16).is_empty, box
+                # a rect of infinite size is open-ended, as on the full grid
+                if not (slot >= 2 and bad == math.inf):
+                    assert _render_rect(box, 16, 16).is_empty, box
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_union_matches_dense_or(data):
+    height, width = data.draw(st.integers(0, 10)), data.draw(st.integers(0, 16))
+    a = data.draw(arrays(bool, (height, width)))
+    b = data.draw(arrays(bool, (height, width)))
+    assert _union(BitMask.from_dense(a), BitMask.from_dense(b)) == BitMask.from_dense(a | b)
+
+
+def test_union_coalesces_touching_runs_and_keeps_empty_operands():
+    left = BitMask(8, 2, ((0, 0, 3), (1, 5, 2)))
+    right = BitMask(8, 2, ((0, 3, 2), (1, 1, 2)))
+    assert _union(left, right).runs == ((0, 0, 5), (1, 1, 2), (1, 5, 2))
+    empty = BitMask(8, 2)
+    assert _union(left, empty) == left
+    assert _union(empty, right) == right
+    assert _union(empty, empty) == empty
 
 
 # --- score calibration --------------------------------------------------------------
@@ -132,7 +206,7 @@ def test_target_proposal_has_highest_true_overlap_per_family():
         for t in range(family_cfg.frames):
             if not record.gt_visible[t]:
                 continue
-            gt_mask = _render_ellipse(record.gt_boxes[t], gw, gh)
+            gt_mask = reference_ellipse(record.gt_boxes[t], gw, gh)
             ious = [mask_iou(p.mask, gt_mask) for p in record.observations[t].proposals]
             d12.append(ious[0] - ious[1])
             d13.append(ious[0] - ious[2])
@@ -207,3 +281,21 @@ def test_record_file_roundtrip(tmp_path):
         [observation_to_line(o) for o in record.observations]
     for a, b in zip(back.gt_boxes, record.gt_boxes):
         assert a == b
+
+
+def test_read_record_rejects_gt_without_prompt_mask(tmp_path):
+    cfg = SceneConfig(seed=14, frames=4, grid=(32, 32),
+                      target_motion=MotionSpec(size=(8.0, 6.0)), proto_dim=4)
+    obs_path, gt_path = tmp_path / "seq.obs.jsonl", tmp_path / "seq.gt.jsonl"
+    write_record(gen_sequence(cfg), obs_path, gt_path)
+    lines = gt_path.read_text().splitlines()
+    frame0 = json.loads(lines[1])
+    del frame0["mask"]
+    lines[1] = json.dumps(frame0)
+    gt_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{gt_path}:2: frame-0 line has no prompt mask")):
+        read_record(obs_path, gt_path)
+    gt_path.write_text("\n".join([lines[0]] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match="no frame-0 line"):
+        read_record(obs_path, gt_path)
