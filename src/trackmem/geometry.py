@@ -7,6 +7,10 @@ their IoU is computed analytically; masks are stored as row-major RLE so
 memory entries stay small, with dense-array conversion kept around for
 test oracles and rendering.
 
+A mask's area is summed once, at construction, in the same pass that
+validates its runs. Mask IoU is a single two-pointer walk over both masks'
+sorted runs, so it costs the two run counts and never touches pixels.
+
 IoU involving a zero-area box, an empty mask, or two empty masks is
 defined as 0: "no agreement" is the semantics every gate in the tracker
 wants, and it avoids 0/0.
@@ -24,7 +28,7 @@ fully empty mask is just ``"W H"``. Runs are sorted and non-overlapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -32,6 +36,7 @@ __all__ = [
     "BBox",
     "BitMask",
     "box_iou",
+    "dense_runs",
     "mask_iou",
     "mask_to_bbox",
 ]
@@ -99,6 +104,7 @@ class BitMask:
         if self.width < 0 or self.height < 0:
             raise ValueError("mask dimensions must be non-negative")
         prev_row, prev_end = -1, -1
+        area = 0
         for row, start, length in self.runs:
             if length < 1:
                 raise ValueError(f"run length must be >= 1, got {length}")
@@ -111,6 +117,8 @@ class BitMask:
             if row == prev_row and start < prev_end:
                 raise ValueError("runs within a row must be sorted and disjoint")
             prev_row, prev_end = row, start + length
+            area += length
+        object.__setattr__(self, "_area", area)
 
     @property
     def is_empty(self) -> bool:
@@ -119,32 +127,15 @@ class BitMask:
     @property
     def area(self) -> int:
         """Foreground pixel count."""
-        return sum(length for _, _, length in self.runs)
-
-    @cached_property
-    def _rows(self) -> dict[int, list[tuple[int, int]]]:
-        # row -> [(start, end_exclusive), ...] sorted, for interval math
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for row, start, length in self.runs:
-            rows.setdefault(row, []).append((start, start + length))
-        return rows
+        return self._area
 
     # --- dense conversion (rendering + test oracles) ---
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMask":
         """Encode a (height, width) boolean/0-1 array into RLE runs."""
-        dense = np.asarray(dense)
-        if dense.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {dense.shape}")
-        h, w = dense.shape
-        padded = np.zeros((h, w + 2), dtype=np.int8)
-        padded[:, 1:-1] = dense.astype(bool)
-        edges = np.diff(padded, axis=1)
-        rows, starts = np.nonzero(edges == 1)
-        _, ends = np.nonzero(edges == -1)
-        # nonzero is row-major sorted, so starts/ends pair up in order
-        runs = tuple(zip(rows.tolist(), starts.tolist(), (ends - starts).tolist()))
+        runs = dense_runs(dense)
+        h, w = np.shape(dense)
         return cls(width=w, height=h, runs=runs)
 
     def to_dense(self) -> np.ndarray:
@@ -157,14 +148,19 @@ class BitMask:
     # --- text form (fixture serialization) ---
 
     def to_text(self) -> str:
-        """Serialize to the ``W H; row:start+len,...`` text form."""
-        parts = [f"{self.width} {self.height}"]
-        row_groups: dict[int, list[str]] = {}
-        for row, start, length in self.runs:
-            row_groups.setdefault(row, []).append(f"{start}+{length}")
-        for row in sorted(row_groups):
-            parts.append(f"{row}:" + ",".join(row_groups[row]))
-        return "; ".join(parts)
+        """Serialize to the ``W H; row:start+len,...`` text form.
+
+        The text is encoded on the first call and kept on the mask.
+        """
+        text = self.__dict__.get("_text")
+        if text is None:
+            rows = (
+                f"{row}:" + ",".join(f"{start}+{length}" for _, start, length in runs)
+                for row, runs in groupby(self.runs, key=lambda run: run[0])
+            )
+            text = "; ".join([f"{self.width} {self.height}", *rows])
+            object.__setattr__(self, "_text", text)
+        return text
 
     @classmethod
     def from_text(cls, text: str) -> "BitMask":
@@ -187,36 +183,66 @@ class BitMask:
         return cls(width=width, height=height, runs=tuple(runs))
 
 
+def dense_runs(dense: np.ndarray, row0: int = 0, col0: int = 0
+               ) -> tuple[tuple[int, int, int], ...]:
+    """Maximal (row, start, length) runs of a 2-D array's nonzero entries.
+
+    Rows and starts are offset by (row0, col0), so a window cut from a
+    larger grid encodes straight into that grid's coordinates.
+    """
+    dense = np.asarray(dense)
+    if dense.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {dense.shape}")
+    h, w = dense.shape
+    padded = np.zeros((h, w + 2), dtype=np.int8)
+    padded[:, 1:-1] = dense.astype(bool)
+    edges = np.diff(padded, axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    _, ends = np.nonzero(edges == -1)
+    # nonzero is row-major sorted, so starts/ends pair up in order
+    return tuple(zip((rows + row0).tolist(), (starts + col0).tolist(),
+                     (ends - starts).tolist()))
+
+
 def mask_iou(a: BitMask, b: BitMask) -> float:
     """IoU of two same-sized masks; 0 if either (or both) is empty.
 
+    One merge walk over both sorted run lists: runs of the same row add
+    their overlap, and whichever run ends first (or sits on the earlier
+    row) advances. Masks whose row ranges are disjoint return at once.
     Raises ValueError on a dimension mismatch, which is a caller bug.
     """
     if (a.width, a.height) != (b.width, b.height):
         raise ValueError(
             f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    area_a, area_b = a.area, b.area
-    if area_a == 0 or area_b == 0:
+    runs_a, runs_b = a.runs, b.runs
+    if not runs_a or not runs_b or runs_a[-1][0] < runs_b[0][0] \
+            or runs_b[-1][0] < runs_a[0][0]:
         return 0.0
     inter = 0
-    rows_b = b._rows
-    for row, intervals_a in a._rows.items():
-        intervals_b = rows_b.get(row)
-        if not intervals_b:
-            continue
-        i = j = 0
-        while i < len(intervals_a) and j < len(intervals_b):
-            sa, ea = intervals_a[i]
-            sb, eb = intervals_b[j]
-            lo, hi = max(sa, sb), min(ea, eb)
-            if hi > lo:
-                inter += hi - lo
-            if ea <= eb:
+    i = j = 0
+    n_a, n_b = len(runs_a), len(runs_b)
+    while i < n_a and j < n_b:
+        row_a, start_a, len_a = runs_a[i]
+        row_b, start_b, len_b = runs_b[j]
+        if row_a < row_b:
+            i += 1
+        elif row_b < row_a:
+            j += 1
+        else:
+            # conditional expressions, not min/max: this loop is the hot path
+            lo = start_a if start_a > start_b else start_b
+            end_a, end_b = start_a + len_a, start_b + len_b
+            if end_a <= end_b:
                 i += 1
+                if end_a > lo:
+                    inter += end_a - lo
             else:
                 j += 1
-    return inter / (area_a + area_b - inter)
+                if end_b > lo:
+                    inter += end_b - lo
+    return inter / (a.area + b.area - inter)
 
 
 def mask_to_bbox(m: BitMask) -> BBox | None:

@@ -154,6 +154,14 @@ def load_config(path) -> dict:
 
 
 def _validate_config(cfg: dict, origin: str) -> None:
+    unknown = sorted(set(cfg) - set(default_config()) - {"scenes"})
+    if unknown:
+        raise ConfigError(f"{origin}: unknown key(s) {', '.join(map(repr, unknown))}")
+    for key, lowest in (("k_ram", 1), ("k_drm", 0), ("n_seeds", 1)):
+        value = cfg.get(key, lowest)
+        if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
+            raise ConfigError(f"{origin}: {key!r} must be an integer >= {lowest}, "
+                              f"got {value!r}")
     for name in cfg.get("policies", []):
         if name not in ALL_POLICY_NAMES:
             raise ConfigError(
@@ -166,6 +174,16 @@ def _validate_config(cfg: dict, origin: str) -> None:
             raise ConfigError(f"{origin}: bad {section!r} section: {exc}") from exc
     if cfg.get("suite", "standard") != "standard" and "scenes" not in cfg:
         raise ConfigError(f"{origin}: unknown suite {cfg['suite']!r} and no scenes given")
+    scenes = cfg.get("scenes", [])
+    if not isinstance(scenes, list):
+        raise ConfigError(f"{origin}: 'scenes' must be a list of scene objects")
+    for i, scene in enumerate(scenes):
+        if not isinstance(scene, dict):
+            raise ConfigError(f"{origin}: scene {i} is not an object")
+        try:
+            config_from_dict(scene)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{origin}: bad scene {i}: {exc!s}") from exc
 
 
 def apply_overrides(cfg: dict, sets: list[str]) -> dict:
@@ -181,8 +199,11 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
             value = raw
         node = out
         parts = key.split(".")
-        for part in parts[:-1]:
+        for depth, part in enumerate(parts[:-1], start=1):
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {key}: {'.'.join(parts[:depth])!r} "
+                                  f"is not a section")
         node[parts[-1]] = value
     _validate_config(out, "--set override")
     return out
@@ -310,6 +331,11 @@ def run_benchmark(cfg: dict, out_dir, policy_filter: list[str] | None = None,
             if name not in ALL_POLICY_NAMES:
                 raise ConfigError(f"unknown policy {name!r}; valid: "
                                   f"{', '.join(ALL_POLICY_NAMES)}")
+    for name in policy_names:
+        try:
+            tracker_config_from(cfg, name)
+        except ValueError as exc:
+            raise ConfigError(f"policy {name!r}: {exc}") from exc
     scenes = scene_list(cfg)
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))

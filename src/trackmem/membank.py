@@ -12,13 +12,17 @@ target and the distractor apart.
 
 DRM admission requires all four gates to pass:
 
-1. disagreement: the minimum pairwise mask IoU among the frame's three
-   proposals is below ``tau_div``;
-2. quality: the chosen proposal's ``s_mask`` is at least ``tau_q``;
+1. quality: the chosen proposal's ``s_mask`` is at least ``tau_q``;
+2. sparsity: at least ``min_gap`` frames since the last DRM admission;
 3. area consistency: chosen mask area over the median RAM mask area lies
    inside ``[area_lo, area_hi]`` (waived while RAM is empty; fails when
    the median is zero, since no ratio can be formed);
-4. sparsity: at least ``min_gap`` frames since the last DRM admission.
+4. disagreement: the minimum pairwise mask IoU among the frame's three
+   proposals is below ``tau_div``.
+
+The gates are pure and admission is their AND, so they are checked
+cheapest first: the three pairwise IoUs are computed only on frames that
+pass the other three gates.
 
 DRM eviction, when the cap is reached, is FIFO over DRM slots.
 """
@@ -26,9 +30,8 @@ DRM eviction, when the cap is reached, is FIFO over DRM slots.
 from __future__ import annotations
 
 import enum
+import statistics
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .geometry import BBox, BitMask, mask_iou, mask_to_bbox
 from .observation import FrameObservation, Proposal, Prototype
@@ -97,25 +100,21 @@ def drm_gates_pass(
     last_drm_frame: int,
     cfg: DrmConfig,
 ) -> bool:
-    """Evaluate the four DRM admission gates (no bank mutation)."""
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    min_pair_iou = min(
-        mask_iou(obs.proposals[i].mask, obs.proposals[j].mask) for i, j in pairs
-    )
-    if min_pair_iou >= cfg.tau_div:
-        return False
+    """Evaluate the four DRM admission gates, cheapest first (no bank mutation)."""
     if chosen.s_mask < cfg.tau_q:
         return False
+    if obs.frame_idx - last_drm_frame < cfg.min_gap:
+        return False
     if ram_areas:
-        median = float(np.median(ram_areas))
+        median = float(statistics.median(ram_areas))
         if median == 0.0:
             return False
         ratio = chosen.mask.area / median
         if not (cfg.area_lo <= ratio <= cfg.area_hi):
             return False
-    if obs.frame_idx - last_drm_frame < cfg.min_gap:
-        return False
-    return True
+    masks = [p.mask for p in obs.proposals]
+    min_pair_iou = min(mask_iou(masks[i], masks[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    return min_pair_iou < cfg.tau_div
 
 
 class MemoryBank:
@@ -144,8 +143,7 @@ class MemoryBank:
         self.last_drm_frame: int = NEVER
 
     @classmethod
-    def new(cls, init_mask: BitMask, k_ram: int, k_drm: int,
-            fg_prototype: Prototype | None = None) -> "MemoryBank":
+    def new(cls, init_mask: BitMask, k_ram: int, k_drm: int) -> "MemoryBank":
         """Fresh bank holding only the frame-0 initialization prompt."""
         if init_mask.is_empty:
             raise ValueError("initialization prompt requires a non-empty mask")
@@ -155,7 +153,6 @@ class MemoryBank:
             s_mask=1.0,
             kind=EntryKind.INIT,
             bbox=mask_to_bbox(init_mask),
-            fg_prototype=fg_prototype,
         )
         return cls(init, k_ram, k_drm)
 
@@ -202,7 +199,6 @@ class MemoryBank:
         self.last_ram_frame = entries[-1].frame_idx if entries else NEVER
 
     def consider_drm(self, obs: FrameObservation, chosen: Proposal, cfg: DrmConfig,
-                     fg_prototype: Prototype | None = None,
                      ram_areas: list[int] | None = None) -> bool:
         """Run the DRM gates; on admission store the chosen proposal.
 
@@ -218,8 +214,7 @@ class MemoryBank:
             ram_areas = [e.mask.area for e in self.ram]
         if not drm_gates_pass(obs, chosen, ram_areas, self.last_drm_frame, cfg):
             return False
-        entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.DRM,
-                                          fg_prototype=fg_prototype)
+        entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.DRM)
         self.drm.append(entry)
         if len(self.drm) > self.k_drm:
             del self.drm[0]

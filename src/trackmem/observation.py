@@ -16,7 +16,8 @@ golden-fixture format used by the regression tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +39,14 @@ PROPOSALS_PER_FRAME = 3
 
 @dataclass(frozen=True)
 class Prototype:
-    """Pooled appearance vector; zero vector when pooled over nothing."""
+    """Pooled appearance vector; zero vector when pooled over nothing.
+
+    ``norm`` is the vector's Euclidean norm, computed once here; treat
+    ``vec`` as read-only.
+    """
 
     vec: np.ndarray
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vec", np.asarray(self.vec, dtype=float))
@@ -48,6 +54,7 @@ class Prototype:
             raise ValueError("prototype must be a 1-D vector")
         if not np.all(np.isfinite(self.vec)):
             raise ValueError("prototype must be finite")
+        object.__setattr__(self, "norm", np.linalg.norm(self.vec))
 
     @property
     def dim(self) -> int:
@@ -92,6 +99,8 @@ class Proposal:
     def __post_init__(self) -> None:
         if not (0.0 <= self.s_mask <= 1.0):
             raise ValueError(f"s_mask must lie in [0, 1], got {self.s_mask}")
+        if not math.isfinite(self.s_obj):
+            raise ValueError(f"s_obj must be finite, got {self.s_obj}")
 
     @classmethod
     def from_mask(cls, mask: BitMask, s_mask: float, s_obj: float) -> "Proposal":
@@ -100,7 +109,11 @@ class Proposal:
 
 @dataclass(frozen=True)
 class FrameObservation:
-    """Decoder output for one frame: 3 proposals plus presence score."""
+    """Decoder output for one frame: 3 proposals plus presence score.
+
+    The proposals' masks share one size and ``o`` is finite; anything else
+    is rejected here, naming the frame.
+    """
 
     frame_idx: int
     proposals: tuple[Proposal, Proposal, Proposal]
@@ -114,6 +127,14 @@ class FrameObservation:
             raise ValueError(
                 f"expected exactly {PROPOSALS_PER_FRAME} proposals, got {len(self.proposals)}"
             )
+        sizes = {(p.mask.width, p.mask.height) for p in self.proposals}
+        if len(sizes) > 1:
+            raise ValueError(
+                f"frame {self.frame_idx}: proposal masks differ in size: "
+                + ", ".join(f"{p.mask.width}x{p.mask.height}" for p in self.proposals)
+            )
+        if not math.isfinite(self.o):
+            raise ValueError(f"frame {self.frame_idx}: o must be finite, got {self.o}")
 
 
 def extract_prototypes(f: FeatureGrid, m: BitMask) -> tuple[Prototype, Prototype]:
@@ -139,8 +160,7 @@ def cosine(a: Prototype, b: Prototype) -> float:
     """Cosine similarity in [-1, 1]; 0 when either vector has zero norm."""
     if a.dim != b.dim:
         raise ValueError(f"prototype dims differ: {a.dim} vs {b.dim}")
-    na = np.linalg.norm(a.vec)
-    nb = np.linalg.norm(b.vec)
+    na, nb = a.norm, b.norm
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a.vec, b.vec) / (na * nb))

@@ -65,10 +65,8 @@ class AdmissionReason(enum.Enum):
     BELOW_OBJ_THR = "below_obj_thr"
     BELOW_KF_THR = "below_kf_thr"
     GAP_NOT_ELAPSED = "gap_not_elapsed"
-    NOT_ON_BEST_PATHWAY = "not_on_best_pathway"
     BELOW_IOU_THR = "below_iou_thr"
     BELOW_CONF_THR = "below_conf_thr"
-    NOT_TOP_K = "not_top_k"
 
 
 @dataclass(frozen=True)

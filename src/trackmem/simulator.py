@@ -24,7 +24,7 @@ whose cosine to the target prototype equals the configured similarity.
 
 Masks are rendered with the full-grid per-pixel predicate (is the pixel
 center inside the shape?), evaluated only on the shape's bounding window
-and encoded there; the window's runs are then shifted into the grid. The
+and encoded there, each run shifted straight into grid coordinates. The
 window is the span of rows and columns whose per-axis predicate term can
 pass, which bounds the shape exactly for any float box, so a mask costs
 its own size rather than the grid's and matches a full-grid render run
@@ -40,11 +40,11 @@ always yields a byte-identical sequence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import BBox, BitMask, mask_iou
+from .geometry import BBox, BitMask, dense_runs, mask_iou
 from .observation import (
     FeatureGrid,
     FrameObservation,
@@ -147,8 +147,7 @@ def _span(inside: np.ndarray) -> tuple[int, int]:
 def _encode_window(window: np.ndarray, r0: int, c0: int,
                    width: int, height: int) -> BitMask:
     """RLE of a dense window whose top-left pixel is (r0, c0) of the grid."""
-    local = BitMask.from_dense(window)
-    return BitMask(width, height, tuple((r + r0, c + c0, n) for r, c, n in local.runs))
+    return BitMask(width, height, dense_runs(window, r0, c0))
 
 
 def _render_ellipse(box: BBox, width: int, height: int) -> BitMask:
@@ -483,8 +482,21 @@ def config_to_dict(cfg: SceneConfig) -> dict:
     return d
 
 
+def _check_keys(d: dict, cls: type, what: str) -> None:
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}")
+
+
 def config_from_dict(d: dict) -> SceneConfig:
+    """Inverse of :func:`config_to_dict`; missing keys take their defaults.
+
+    Unknown keys in the scene or its ``target_motion`` raise ValueError,
+    so a misspelt field cannot silently fall back to its default.
+    """
+    _check_keys(d, SceneConfig, "scene")
     motion = d.get("target_motion", {})
+    _check_keys(motion, MotionSpec, "target_motion")
     return SceneConfig(
         seed=d["seed"],
         frames=d.get("frames", 110),
@@ -532,16 +544,22 @@ def write_record(record: SequenceRecord, obs_path, gt_path) -> None:
 def read_record(obs_path, gt_path) -> SequenceRecord:
     """Read back what :func:`write_record` wrote.
 
-    Raises ValueError naming the GT file (and line) when its frame-0 line
-    is missing or carries no prompt mask, since no session can start
-    without one.
+    Raises ValueError naming the observation file and line when a frame
+    does not parse or is malformed (mismatched mask sizes, non-finite
+    scores), and naming the GT file (and line) when its frame-0 line is
+    missing or carries no prompt mask, since no session can start without
+    one.
     """
     observations = []
     with open(obs_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 observations.append(observation_from_line(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{obs_path}:{lineno}: {exc}") from exc
     gt_boxes: list[BBox | None] = []
     gt_visible: list[bool] = []
     init_mask = None

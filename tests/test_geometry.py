@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, BitMask, box_iou, mask_iou, mask_to_bbox
 from trackmem.oracles import dense_box_iou, dense_mask_iou
@@ -149,6 +151,57 @@ def test_mask_to_bbox_tightness(rng):
         x0, y0, w, h = int(box.x), int(box.y), int(box.w), int(box.h)
         assert dense[y0, :].any() and dense[y0 + h - 1, :].any()
         assert dense[:, x0].any() and dense[:, x0 + w - 1].any()
+
+
+@st.composite
+def run_masks(draw, width: int, height: int) -> BitMask:
+    """Runs drawn directly (not via from_dense) inside a random band of rows.
+
+    Runs of a row may touch (gap 0) and may be a single pixel; the band
+    may be empty, so empty masks and disjoint row ranges come up often.
+    """
+    lo = draw(st.integers(0, height))
+    hi = draw(st.integers(lo, height))
+    runs = []
+    for row in range(lo, hi):
+        col = draw(st.integers(0, width))
+        while col < width and draw(st.booleans()):
+            length = draw(st.integers(1, width - col))
+            runs.append((row, col, length))
+            col += length + draw(st.integers(0, 3))
+    return BitMask(width, height, tuple(runs))
+
+
+@st.composite
+def mask_pairs(draw) -> tuple[BitMask, BitMask]:
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return draw(run_masks(width, height)), draw(run_masks(width, height))
+
+
+@given(mask_pairs())
+@example((BitMask(4, 4, ((0, 0, 2),)), BitMask(4, 4, ((3, 0, 2),))))   # disjoint rows
+@example((BitMask(4, 1, ((0, 0, 2),)), BitMask(4, 1, ((0, 2, 2),))))   # touching runs
+@example((BitMask(4, 4, ((2, 1, 1),)), BitMask(4, 4, ((2, 1, 1),))))   # one pixel
+@example((BitMask(4, 4, ()), BitMask(4, 4, ((1, 0, 4),))))             # empty operand
+@example((BitMask(4, 4, ((0, 0, 2), (0, 2, 2))), BitMask(4, 4, ((0, 1, 2),))))
+def test_mask_iou_matches_dense_oracle_on_run_masks(pair):
+    a, b = pair
+    want = dense_mask_iou(a.to_dense(), b.to_dense())
+    assert mask_iou(a, b) == want
+    assert mask_iou(b, a) == want
+
+
+@given(st.integers(1, 12).flatmap(lambda w: run_masks(w, 9)))
+def test_area_counts_dense_pixels(m):
+    assert m.area == int(m.to_dense().sum())
+
+
+@given(st.integers(1, 12).flatmap(lambda w: run_masks(w, 9)))
+def test_rle_text_round_trip_and_memo(m):
+    text = m.to_text()
+    assert BitMask.from_text(text) == m
+    assert m.to_text() is text  # kept on the mask
+    assert BitMask(m.width, m.height, m.runs).to_text() == text  # a fresh encode
 
 
 # --- RLE text form ----------------------------------------------------------------

@@ -91,6 +91,46 @@ def test_apply_overrides_validates():
         apply_overrides(default_config(), ['policies=["bogus"]'])
 
 
+def test_dotted_set_through_a_value_names_the_key():
+    with pytest.raises(ConfigError, match="k_ram.x.*'k_ram' is not a section"):
+        apply_overrides(default_config(), ["k_ram.x=1"])
+
+
+@pytest.mark.parametrize("item, key", [
+    ("k_ram=0", "k_ram"), ("k_ram=2.5", "k_ram"), ("k_drm=-1", "k_drm"),
+    ('n_seeds="a"', "n_seeds"), ("n_seeds=0", "n_seeds"), ("k_drm=true", "k_drm"),
+])
+def test_capacities_and_seed_count_are_validated(item, key):
+    with pytest.raises(ConfigError, match=f"'{key}' must be an integer"):
+        apply_overrides(default_config(), [item])
+
+
+def test_unknown_top_level_key_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="unknown key.*'k_rm'"):
+        apply_overrides(default_config(), ["k_rm=3"])
+    path = tmp_path / "c.json"
+    path.write_text('{"k_rm": 3}')
+    with pytest.raises(ConfigError, match="'k_rm'"):
+        load_config(path)
+
+
+def test_unknown_scene_key_exits_2(tmp_path, capsys):
+    scene = dict(TINY_SCENES[0], n_distractor=2)
+    path = tiny_config(tmp_path, scenes=[scene])
+    assert cmd_run(path, tmp_path / "out") == 2
+    assert "bad scene 0" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+def test_policy_that_rejects_the_capacities_exits_2(tmp_path, capsys):
+    # the prototype-calibrated policy needs two RAM slots for its anchors
+    path = tiny_config(tmp_path, k_ram=1)
+    assert cmd_run(path, tmp_path / "out") == 2
+    assert "'samite_drm': the prototype-calibrated policy needs k_ram >= 2" \
+        in capsys.readouterr().out
+    assert cmd_run(path, tmp_path / "out", policy_filter=["dam4sam"]) == 0
+
+
 def test_config_digest_stable_under_field_reordering():
     a = {"x": 1, "y": {"a": [1, 2], "b": 0.5}}
     b = {"y": {"b": 0.5, "a": [1, 2]}, "x": 1}

@@ -1,7 +1,19 @@
+import statistics
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from trackmem.membank import NEVER, DrmConfig, EntryKind, MemoryBank, MemoryEntry
+from trackmem.geometry import BitMask, mask_iou
+from trackmem.membank import (
+    NEVER,
+    DrmConfig,
+    EntryKind,
+    MemoryBank,
+    MemoryEntry,
+    drm_gates_pass,
+)
 from trackmem.oracles import dense_mask_iou
 
 from conftest import empty_mask, obs, prop, random_mask, rect_mask, rng_for
@@ -156,6 +168,70 @@ def test_drm_randomized_gate_sweep_matches_predicate_oracle(rng):
             assert admitted == gates
             if admitted:
                 last_drm = frame
+
+
+def gates_in_written_order(obs, chosen, ram_areas, last_drm_frame, cfg) -> bool:
+    """The gates as first written: disagreement first, numpy median."""
+    min_pair_iou = min(mask_iou(obs.proposals[i].mask, obs.proposals[j].mask)
+                       for i, j in ((0, 1), (0, 2), (1, 2)))
+    if min_pair_iou >= cfg.tau_div:
+        return False
+    if chosen.s_mask < cfg.tau_q:
+        return False
+    if ram_areas:
+        median = float(np.median(ram_areas))
+        if median == 0.0:
+            return False
+        ratio = chosen.mask.area / median
+        if not (cfg.area_lo <= ratio <= cfg.area_hi):
+            return False
+    if obs.frame_idx - last_drm_frame < cfg.min_gap:
+        return False
+    return True
+
+
+@st.composite
+def gate_cases(draw):
+    dense = st.lists(st.lists(st.booleans(), min_size=6, max_size=6),
+                     min_size=5, max_size=5)
+    # proposals drawn with repeats from three random masks and the union of
+    # two, so every pair can be the one that decides the disagreement gate
+    pool = [np.array(draw(dense)) for _ in range(3)]
+    pool.append(pool[0] | pool[1])
+    masks = [BitMask.from_dense(pool[draw(st.integers(0, 3))]) for _ in range(3)]
+    scores = st.sampled_from([0.0, 0.3, 0.69, 0.7, 0.71, 1.0])
+    frame = draw(st.integers(0, 40))
+    o = drm_obs(frame, masks, [draw(scores) for _ in range(3)])
+    chosen = o.proposals[draw(st.integers(0, 2))]
+    ram_areas = draw(st.lists(st.integers(0, 30), max_size=6))
+    last_drm = draw(st.sampled_from([NEVER, 0, frame - 5, frame - 4, frame]))
+    cfg = DrmConfig(tau_div=draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+                    tau_q=draw(scores),
+                    area_lo=draw(st.sampled_from([0.25, 0.5, 1.0])),
+                    area_hi=draw(st.sampled_from([1.5, 2.0, 4.0])),
+                    min_gap=draw(st.integers(1, 6)))
+    return o, chosen, ram_areas, last_drm, cfg
+
+
+@given(gate_cases())
+def test_drm_gates_match_written_order(case):
+    assert drm_gates_pass(*case) == gates_in_written_order(*case)
+
+
+@pytest.mark.parametrize("union_at", [0, 1, 2])
+def test_each_proposal_pair_can_decide_disagreement(union_at):
+    # two disjoint halves and their union: only the pair of halves disagrees
+    left, right = rect_mask(32, 32, 0, 0, 8, 8), rect_mask(32, 32, 8, 0, 8, 8)
+    masks = [left, right]
+    masks.insert(union_at, BitMask.from_dense(left.to_dense() | right.to_dense()))
+    o = drm_obs(10, masks, [0.9, 0.9, 0.9])
+    assert drm_gates_pass(o, o.proposals[0], [], NEVER, DrmConfig(tau_div=0.4))
+    assert not drm_gates_pass(o, o.proposals[0], [], NEVER, DrmConfig(tau_div=0.0))
+
+
+@given(st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=9))
+def test_statistics_median_matches_numpy_on_integers(areas):
+    assert float(statistics.median(areas)) == float(np.median(areas))
 
 
 def test_drm_fifo_eviction_and_min_gap():

@@ -130,6 +130,26 @@ def test_proposal_validation():
         Proposal.from_mask(empty_mask(), s_mask=1.5, s_obj=0.0)
 
 
+@pytest.mark.parametrize("s_obj", [float("nan"), float("inf"), -float("inf")])
+def test_proposal_rejects_non_finite_object_score(s_obj):
+    with pytest.raises(ValueError, match="s_obj must be finite"):
+        Proposal.from_mask(empty_mask(), s_mask=0.5, s_obj=s_obj)
+
+
+def test_observation_rejects_mismatched_mask_sizes():
+    small = prop(rect_mask(8, 8, 0, 0, 2, 2), 0.5)
+    large = prop(rect_mask(16, 16, 0, 0, 2, 2), 0.5)
+    with pytest.raises(ValueError, match="frame 7: proposal masks differ in size"):
+        FrameObservation(frame_idx=7, proposals=(small, large, small), o=1.0)
+
+
+@pytest.mark.parametrize("o", [float("nan"), float("inf")])
+def test_observation_rejects_non_finite_presence(o):
+    p = prop(rect_mask(8, 8, 0, 0, 2, 2), 0.5)
+    with pytest.raises(ValueError, match="frame 3: o must be finite"):
+        FrameObservation(frame_idx=3, proposals=(p, p, p), o=o)
+
+
 def test_observation_needs_three_proposals():
     p = prop(rect_mask(8, 8, 0, 0, 2, 2), 0.5)
     with pytest.raises(ValueError):

@@ -299,3 +299,30 @@ def test_read_record_rejects_gt_without_prompt_mask(tmp_path):
     gt_path.write_text("\n".join([lines[0]] + lines[2:]) + "\n")
     with pytest.raises(ValueError, match="no frame-0 line"):
         read_record(obs_path, gt_path)
+
+
+@pytest.mark.parametrize("pattern, replacement, message", [
+    (r'"o":[^,]+', '"o":NaN', "frame 2: o must be finite"),
+    (r'"s_obj":[^,}]+', '"s_obj":Infinity', "s_obj must be finite"),
+    (r'"mask":"[^"]*"', '"mask":"16 16"', "frame 2: proposal masks differ in size"),
+])
+def test_read_record_names_the_observation_line_it_rejects(tmp_path, pattern,
+                                                           replacement, message):
+    cfg = SceneConfig(seed=14, frames=4, grid=(32, 32),
+                      target_motion=MotionSpec(size=(8.0, 6.0)), proto_dim=4)
+    obs_path, gt_path = tmp_path / "seq.obs.jsonl", tmp_path / "seq.gt.jsonl"
+    write_record(gen_sequence(cfg), obs_path, gt_path)
+    lines = obs_path.read_text().splitlines()
+    lines[2] = re.sub(pattern, replacement, lines[2], count=1)
+    obs_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{obs_path}:3: {message}")):
+        read_record(obs_path, gt_path)
+
+
+@pytest.mark.parametrize("where, key", [("scene", "n_distractor"),
+                                        ("target_motion", "sped")])
+def test_config_from_dict_rejects_unknown_keys(where, key):
+    d = config_to_dict(SceneConfig(seed=5))
+    (d if where == "scene" else d["target_motion"])[key] = 1
+    with pytest.raises(ValueError, match=f"unknown {where} key.*{key}"):
+        config_from_dict(d)
