@@ -5,10 +5,11 @@ disagreement, evaluation overlap) reduces to the IoU algebra in this
 module. Boxes are real-valued with a top-left (x, y, w, h) convention and
 their IoU is computed analytically; masks are stored as row-major RLE so
 memory entries stay small, with dense-array conversion kept around for
-test oracles and rendering.
+test oracles.
 
-A mask's area is summed once, at construction, in the same pass that
-validates its runs. Mask IoU is a single two-pointer walk over both masks'
+A mask's area and its column bounds are taken once, at construction, in
+the same pass that validates its runs, so neither its area nor its box
+walks the runs again. Mask IoU is a single two-pointer walk over both masks'
 sorted runs, so it costs the two run counts and never touches pixels.
 
 IoU involving a zero-area box, an empty mask, or two empty masks is
@@ -36,7 +37,6 @@ __all__ = [
     "BBox",
     "BitMask",
     "box_iou",
-    "dense_runs",
     "mask_iou",
     "mask_to_bbox",
 ]
@@ -105,20 +105,27 @@ class BitMask:
             raise ValueError("mask dimensions must be non-negative")
         prev_row, prev_end = -1, -1
         area = 0
+        col0, col1 = self.width, 0
         for row, start, length in self.runs:
+            end = start + length
             if length < 1:
                 raise ValueError(f"run length must be >= 1, got {length}")
             if not (0 <= row < self.height):
                 raise ValueError(f"run row {row} outside height {self.height}")
-            if start < 0 or start + length > self.width:
-                raise ValueError(f"run [{start}, {start + length}) outside width {self.width}")
+            if start < 0 or end > self.width:
+                raise ValueError(f"run [{start}, {end}) outside width {self.width}")
             if row < prev_row:
                 raise ValueError("runs must be sorted by row")
             if row == prev_row and start < prev_end:
                 raise ValueError("runs within a row must be sorted and disjoint")
-            prev_row, prev_end = row, start + length
+            prev_row, prev_end = row, end
             area += length
+            if start < col0:
+                col0 = start
+            if end > col1:
+                col1 = end
         object.__setattr__(self, "_area", area)
+        object.__setattr__(self, "_cols", (col0, col1))
 
     @property
     def is_empty(self) -> bool:
@@ -133,9 +140,18 @@ class BitMask:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMask":
-        """Encode a (height, width) boolean/0-1 array into RLE runs."""
-        runs = dense_runs(dense)
-        h, w = np.shape(dense)
+        """Encode a (height, width) boolean/0-1 array into maximal RLE runs."""
+        dense = np.asarray(dense)
+        if dense.ndim != 2:
+            raise ValueError(f"expected a 2-D array, got shape {dense.shape}")
+        h, w = dense.shape
+        padded = np.zeros((h, w + 2), dtype=np.int8)
+        padded[:, 1:-1] = dense.astype(bool)
+        edges = np.diff(padded, axis=1)
+        rows, starts = np.nonzero(edges == 1)
+        _, ends = np.nonzero(edges == -1)
+        # nonzero is row-major sorted, so starts/ends pair up in order
+        runs = tuple(zip(rows.tolist(), starts.tolist(), (ends - starts).tolist()))
         return cls(width=w, height=h, runs=runs)
 
     def to_dense(self) -> np.ndarray:
@@ -183,27 +199,6 @@ class BitMask:
         return cls(width=width, height=height, runs=tuple(runs))
 
 
-def dense_runs(dense: np.ndarray, row0: int = 0, col0: int = 0
-               ) -> tuple[tuple[int, int, int], ...]:
-    """Maximal (row, start, length) runs of a 2-D array's nonzero entries.
-
-    Rows and starts are offset by (row0, col0), so a window cut from a
-    larger grid encodes straight into that grid's coordinates.
-    """
-    dense = np.asarray(dense)
-    if dense.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {dense.shape}")
-    h, w = dense.shape
-    padded = np.zeros((h, w + 2), dtype=np.int8)
-    padded[:, 1:-1] = dense.astype(bool)
-    edges = np.diff(padded, axis=1)
-    rows, starts = np.nonzero(edges == 1)
-    _, ends = np.nonzero(edges == -1)
-    # nonzero is row-major sorted, so starts/ends pair up in order
-    return tuple(zip((rows + row0).tolist(), (starts + col0).tolist(),
-                     (ends - starts).tolist()))
-
-
 def mask_iou(a: BitMask, b: BitMask) -> float:
     """IoU of two same-sized masks; 0 if either (or both) is empty.
 
@@ -249,8 +244,7 @@ def mask_to_bbox(m: BitMask) -> BBox | None:
     """Tightest axis-aligned box covering all foreground; None when empty."""
     if m.is_empty:
         return None
-    x0 = min(start for _, start, _ in m.runs)
-    x1 = max(start + length for _, start, length in m.runs)
+    x0, x1 = m._cols
     y0 = m.runs[0][0]
     y1 = m.runs[-1][0] + 1
     return BBox(float(x0), float(y0), float(x1 - x0), float(y1 - y0))

@@ -78,17 +78,20 @@ def _visible_ious(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
     ])
 
 
-def success_curve(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
-    """Success rate at each overlap threshold of the 21-point grid.
-
-    IoU >= t at positive thresholds; strictly positive IoU at t = 0.
-    """
-    ious = _visible_ious(pred, gt)
+def _success_rates(ious: np.ndarray) -> np.ndarray:
     if ious.size == 0:
         return np.zeros_like(SUCCESS_THRESHOLDS)
     rates = (ious[None, :] >= SUCCESS_THRESHOLDS[:, None]).mean(axis=1)
     rates[0] = (ious > 0.0).mean()
     return rates
+
+
+def success_curve(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
+    """Success rate at each overlap threshold of the 21-point grid.
+
+    IoU >= t at positive thresholds; strictly positive IoU at t = 0.
+    """
+    return _success_rates(_visible_ious(pred, gt))
 
 
 def success_auc(pred: list[BBox | None], gt: list[BBox | None]) -> float:
@@ -121,12 +124,15 @@ def precision_metrics(pred: list[BBox | None], gt: list[BBox | None]) -> tuple[f
     return p20, np_auc
 
 
-def ao_sr(pred: list[BBox | None], gt: list[BBox | None]) -> tuple[float, float, float]:
-    """(average overlap, success rate above 0.5, above 0.75)."""
-    ious = _visible_ious(pred, gt)
+def _ao_sr(ious: np.ndarray) -> tuple[float, float, float]:
     if ious.size == 0:
         return 0.0, 0.0, 0.0
     return float(ious.mean()), float((ious > 0.5).mean()), float((ious > 0.75).mean())
+
+
+def ao_sr(pred: list[BBox | None], gt: list[BBox | None]) -> tuple[float, float, float]:
+    """(average overlap, success rate above 0.5, above 0.75)."""
+    return _ao_sr(_visible_ious(pred, gt))
 
 
 def vot_qar(
@@ -154,15 +160,20 @@ def evaluate(
     gt: list[BBox | None],
     gt_visible: list[bool],
 ) -> EvalOutcome:
-    """All columns for one sequence of per-frame predictions."""
+    """All columns for one sequence of per-frame predictions.
+
+    Each frame's box IoU is computed once; the success, overlap and
+    quality metrics all read that one list.
+    """
     _check_lengths(pred, gt)
-    s = success_auc(pred, gt)
-    p20, np_auc = precision_metrics(pred, gt)
-    ao, sr50, sr75 = ao_sr(pred, gt)
     pred_iou = [
         box_iou(p, g) if (p is not None and g is not None) else 0.0
         for p, g in zip(pred, gt)
     ]
+    visible_ious = np.array([iou for iou, g in zip(pred_iou, gt) if g is not None])
+    s = float(_success_rates(visible_ious).mean())
+    p20, np_auc = precision_metrics(pred, gt)
+    ao, sr50, sr75 = _ao_sr(visible_ious)
     q, acc, rob = vot_qar(pred_present, pred_iou, gt_visible)
     return EvalOutcome(
         success_auc=s, precision_at_20=p20, norm_precision_auc=np_auc,

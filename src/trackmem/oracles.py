@@ -3,7 +3,8 @@
 Everything in here deliberately avoids the library's own code paths:
 box IoU comes from rasterized pixel counting, mask IoU from dense
 arrays, the simulator's shapes from their per-pixel predicates evaluated
-on the whole grid, the motion filter from a literal textbook recursion with
+on the whole grid, its feature grids from a cell-by-cell labeling of one
+frame, the motion filter from a literal textbook recursion with
 explicit matrix inverses, the pathway optimum from full 3^T
 enumeration, and the selection rules from plain argmax loops. When a
 test disagrees with one of these, the library is wrong, not the oracle;
@@ -22,6 +23,7 @@ __all__ = [
     "dense_mask_iou",
     "dense_ellipse",
     "dense_rect",
+    "feature_grid_labels",
     "DenseKalmanOracle",
     "exhaustive_best_trajectory",
     "topk_window_oracle",
@@ -89,6 +91,45 @@ def dense_rect(box: tuple[float, float, float, float], width: int, height: int
     x, y, w, h = box
     xx, yy = _pixel_centers(width, height)
     return (xx >= x) & (xx < x + w) & (yy >= y) & (yy < y + h)
+
+
+def feature_grid_labels(
+    grid: tuple[int, int],
+    cells: tuple[int, int],
+    target_center: tuple[float, float] | None,
+    target_size: tuple[float, float],
+    distractors: list[tuple[tuple[float, float], tuple[float, float]]],
+    distractor_protos: list[np.ndarray],
+    target_proto: np.ndarray,
+    background: np.ndarray,
+) -> np.ndarray:
+    """One frame's (cells_h, cells_w, dim) feature grid, labeled cell by cell.
+
+    ``grid`` is (width, height) in pixels, ``cells`` (cells_w, cells_h);
+    cell (i, j) has its center at ((j + 0.5) * width / cells_w,
+    (i + 0.5) * height / cells_h). A cell takes the background vector,
+    then the prototype of the last distractor (center, size) whose box
+    contains its center, then the target prototype when the target is
+    visible (``target_center`` not None) and its inscribed ellipse
+    contains the center.
+    """
+    (gw, gh), (cells_w, cells_h) = grid, cells
+    out = np.empty((cells_h, cells_w, len(background)))
+    for i in range(cells_h):
+        y = (i + 0.5) * (gh / cells_h)
+        for j in range(cells_w):
+            x = (j + 0.5) * (gw / cells_w)
+            label = background
+            for ((dcx, dcy), (dw, dh)), proto in zip(distractors, distractor_protos):
+                if abs(x - dcx) <= dw / 2.0 and abs(y - dcy) <= dh / 2.0:
+                    label = proto
+            if target_center is not None:
+                ex = (x - target_center[0]) / (target_size[0] / 2.0)
+                ey = (y - target_center[1]) / (target_size[1] / 2.0)
+                if ex * ex + ey * ey <= 1.0:
+                    label = target_proto
+            out[i, j] = label
+    return out
 
 
 class DenseKalmanOracle:

@@ -23,13 +23,19 @@ object covers it, so prototype extraction recovers appearance vectors
 whose cosine to the target prototype equals the configured similarity.
 
 Masks are rendered with the full-grid per-pixel predicate (is the pixel
-center inside the shape?), evaluated only on the shape's bounding window
-and encoded there, each run shifted straight into grid coordinates. The
-window is the span of rows and columns whose per-axis predicate term can
-pass, which bounds the shape exactly for any float box, so a mask costs
-its own size rather than the grid's and matches a full-grid render run
-for run (:mod:`trackmem.oracles` keeps that dense reference). Merged
-proposals are unions taken run by run.
+center inside the shape?), and every shape row yields one run in grid
+coordinates. The window is the span of rows and columns whose per-axis
+predicate term can pass, which bounds the shape exactly for any float box.
+A rectangle is that window, so its runs come straight from the two spans.
+An ellipse evaluates the predicate on the window only and reads each
+row's single run off it (a row's passing pixels are contiguous, since
+each float step of the predicate is monotone on either side of the
+center). A mask thus costs its own size rather than the grid's and matches
+a full-grid render run for run (:mod:`trackmem.oracles` keeps that dense
+reference). Merged proposals are unions taken run by run. Work that does
+not depend on the rendered masks runs once per scene on (frames, ...)
+arrays: the feature grids of all frames and each frame's nearest
+distractor.
 
 Randomness comes from a Philox counter-based generator keyed by the
 scene seed (no global RNG), and all draws happen in a fixed order up
@@ -39,12 +45,14 @@ always yields a byte-identical sequence.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import BBox, BitMask, dense_runs, mask_iou
+from .geometry import BBox, BitMask, mask_iou
 from .observation import (
     FeatureGrid,
     FrameObservation,
@@ -132,44 +140,52 @@ class SequenceRecord:
 # --- rendering helpers -------------------------------------------------------
 
 
-def _pixel_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    yy = np.arange(height)[:, None] + 0.5
-    xx = np.arange(width)[None, :] + 0.5
-    return xx, yy
+@functools.lru_cache(maxsize=None)
+def _centers(n: int) -> np.ndarray:
+    """Center coordinates ``i + 0.5`` of the ``n`` pixels along one axis.
+
+    Built once per size and shared, so the array is read-only.
+    """
+    centers = np.arange(n) + 0.5
+    centers.flags.writeable = False
+    return centers
 
 
 def _span(inside: np.ndarray) -> tuple[int, int]:
     """``[first, last + 1)`` of the True entries of a 1-D array; (0, 0) if none."""
-    idx = np.flatnonzero(inside)
+    idx = inside.nonzero()[0]
     return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
 
 
-def _encode_window(window: np.ndarray, r0: int, c0: int,
-                   width: int, height: int) -> BitMask:
-    """RLE of a dense window whose top-left pixel is (r0, c0) of the grid."""
-    return BitMask(width, height, dense_runs(window, r0, c0))
-
-
 def _render_ellipse(box: BBox, width: int, height: int) -> BitMask:
-    xx, yy = _pixel_centers(width, height)
     cx, cy = box.center
     a, b = max(box.w / 2.0, 1e-9), max(box.h / 2.0, 1e-9)
-    tx = ((xx - cx) / a) ** 2
-    ty = ((yy - cy) / b) ** 2
+    tx = ((_centers(width) - cx) / a) ** 2
+    ty = ((_centers(height) - cy) / b) ** 2
     # a pixel passes only if its column term does: adding the non-negative
     # row term can never round the sum below it (likewise for rows)
-    c0, c1 = _span(tx[0] <= 1.0)
-    r0, r1 = _span(ty[:, 0] <= 1.0)
-    return _encode_window(tx[:, c0:c1] + ty[r0:r1] <= 1.0, r0, c0, width, height)
+    c0, c1 = _span(tx <= 1.0)
+    r0, r1 = _span(ty <= 1.0)
+    if c0 == c1 or r0 == r1:
+        return BitMask(width, height)
+    window = tx[c0:c1] + ty[r0:r1, None] <= 1.0
+    # every float step of a row's sum is monotone on each side of the
+    # center, so the row's passing pixels are one contiguous run
+    lengths = window.sum(axis=1)
+    starts = window.argmax(axis=1) + c0
+    rows = lengths.nonzero()[0]
+    return BitMask(width, height, tuple(zip(
+        (rows + r0).tolist(), starts[rows].tolist(), lengths[rows].tolist())))
 
 
 def _render_rect(box: BBox, width: int, height: int) -> BitMask:
-    xx, yy = _pixel_centers(width, height)
-    inside_x = (xx >= box.x) & (xx < box.x + box.w)
-    inside_y = (yy >= box.y) & (yy < box.y + box.h)
-    c0, c1 = _span(inside_x[0])
-    r0, r1 = _span(inside_y[:, 0])
-    return _encode_window(inside_x[:, c0:c1] & inside_y[r0:r1], r0, c0, width, height)
+    xs, ys = _centers(width), _centers(height)
+    # each axis term is an AND of two monotone tests, so its span is exact
+    c0, c1 = _span((xs >= box.x) & (xs < box.x + box.w))
+    r0, r1 = _span((ys >= box.y) & (ys < box.y + box.h))
+    if c0 == c1:
+        return BitMask(width, height)
+    return BitMask(width, height, tuple((row, c0, c1 - c0) for row in range(r0, r1)))
 
 
 def _union(a: BitMask, b: BitMask) -> BitMask:
@@ -276,6 +292,48 @@ def _feature_cells(grid: tuple[int, int]) -> tuple[int, int]:
     return max(4, gw // 16), max(4, gh // 16)
 
 
+def _nearest_distractors(target_centers: np.ndarray,
+                         distractors: list[tuple[np.ndarray, tuple[float, float]]]
+                         ) -> list[int]:
+    """Per frame, the index of the distractor whose center is nearest the
+    target's (the first on ties); empty when there are none."""
+    if not distractors:
+        return []
+    d_centers = np.stack([centers for centers, _ in distractors])  # (n, frames, 2)
+    dists = np.hypot(d_centers[:, :, 0] - target_centers[:, 0],
+                     d_centers[:, :, 1] - target_centers[:, 1])
+    return np.argmin(dists, axis=0).tolist()
+
+
+def _feature_grids(cfg: SceneConfig, target_centers: np.ndarray, occluded: np.ndarray,
+                   distractors: list[tuple[np.ndarray, tuple[float, float]]],
+                   distractor_protos: list[np.ndarray], target_proto: np.ndarray,
+                   background: np.ndarray) -> np.ndarray:
+    """All frames' feature grids, shape (frames, cells_h, cells_w, proto_dim).
+
+    Each cell center is labeled by the covering object: the background,
+    overwritten by each distractor's box in order, then by the target's
+    ellipse on frames where it is visible.
+    """
+    gw, gh = cfg.grid
+    tw, th = cfg.target_motion.size
+    cells_w, cells_h = _feature_cells(cfg.grid)
+    cell_cx = _centers(cells_w) * (gw / cells_w)             # (cells_w,), pixel coords
+    cell_cy = _centers(cells_h)[:, None] * (gh / cells_h)    # (cells_h, 1)
+    feats = np.broadcast_to(
+        background, (cfg.frames, cells_h, cells_w, cfg.proto_dim)).copy()
+    for (d_centers, d_size), proto in zip(distractors, distractor_protos):
+        dcx, dcy = d_centers[:, 0, None, None], d_centers[:, 1, None, None]
+        inside = (np.abs(cell_cx - dcx) <= d_size[0] / 2.0) & \
+                 (np.abs(cell_cy - dcy) <= d_size[1] / 2.0)
+        feats[inside] = proto
+    cx, cy = target_centers[:, 0, None, None], target_centers[:, 1, None, None]
+    inside = ((cell_cx - cx) / (tw / 2.0)) ** 2 + \
+             ((cell_cy - cy) / (th / 2.0)) ** 2 <= 1.0
+    feats[inside & ~occluded[:, None, None]] = target_proto
+    return feats
+
+
 # --- generation ----------------------------------------------------------------
 
 
@@ -313,10 +371,9 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
         occluded[start:end] = True
 
     tw, th = cfg.target_motion.size
-    cells_w, cells_h = _feature_cells(cfg.grid)
-    cell_xx, cell_yy = _pixel_centers(cells_w, cells_h)
-    cell_cx = cell_xx * (gw / cells_w)   # cell centers in pixel coords
-    cell_cy = cell_yy * (gh / cells_h)
+    nearest_idx = _nearest_distractors(target_centers, distractors)
+    features = _feature_grids(cfg, target_centers, occluded, distractors,
+                              distractor_protos, u, background)
 
     gt_boxes: list[BBox | None] = []
     gt_visible: list[bool] = []
@@ -336,10 +393,8 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
         # nearest distractor this frame (if any)
         nearest = None
         if distractors:
-            dists = [np.hypot(c[t, 0] - cx, c[t, 1] - cy) for c, _ in distractors]
-            j = int(np.argmin(dists))
-            d_centers, d_size = distractors[j]
-            nearest = (j, BBox.from_center(d_centers[t, 0], d_centers[t, 1], *d_size))
+            d_centers, d_size = distractors[nearest_idx[t]]
+            nearest = BBox.from_center(d_centers[t, 0], d_centers[t, 1], *d_size)
 
         # proposal 1: target-aligned, jitter scaled by the score noise
         jit_cx = cx + jitter[t, 0] * 40.0 * sigma
@@ -360,7 +415,7 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
         # proposal 2: nearest-distractor-aligned (or a shifted off-target
         # filler when the scene has no distractors)
         if nearest is not None:
-            mask2 = _render_rect(nearest[1], gw, gh)
+            mask2 = _render_rect(nearest, gw, gh)
             s2 = _clamp01(sim * _clamp01(true_iou1 + score_eps[t, 1] * sigma)
                           + (1.0 - sim) * 0.1)
         else:
@@ -390,18 +445,6 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
             else -0.2 + sobj_eps[t, 0] * 0.1
         s_obj3 = 0.3 + sobj_eps[t, 1] * 0.2
 
-        # feature grid: cell centers labeled by the covering object
-        feats = np.broadcast_to(background, (cells_h, cells_w, cfg.proto_dim)).copy()
-        for (d_centers, d_size), proto in zip(distractors, distractor_protos):
-            dcx, dcy = d_centers[t]
-            inside = (np.abs(cell_cx - dcx) <= d_size[0] / 2.0) & \
-                     (np.abs(cell_cy - dcy) <= d_size[1] / 2.0)
-            feats[inside] = proto
-        if visible:
-            inside = ((cell_cx - cx) / (tw / 2.0)) ** 2 + \
-                     ((cell_cy - cy) / (th / 2.0)) ** 2 <= 1.0
-            feats[inside] = u
-
         observations.append(FrameObservation(
             frame_idx=t,
             proposals=(
@@ -410,7 +453,7 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
                 Proposal.from_mask(mask3, s3, float(s_obj3)),
             ),
             o=float(o),
-            features=FeatureGrid(feats),
+            features=FeatureGrid(features[t]),
         ))
 
     return SequenceRecord(
@@ -541,14 +584,52 @@ def write_record(record: SequenceRecord, obs_path, gt_path) -> None:
             fh.write(json.dumps(line, separators=(",", ":")) + "\n")
 
 
+def _located(path, lineno: int, exc: Exception) -> ValueError:
+    """``exc`` as a ValueError that names the file and line it came from."""
+    what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"{path}:{lineno}: {what}")
+
+
+def _gt_frame(d, frame: int) -> tuple[BBox | None, bool, BitMask | None]:
+    """Parse the GT line of ``frame``: (box or None, visible, prompt mask on frame 0)."""
+    if not isinstance(d, dict):
+        raise ValueError("GT line must be a JSON object")
+    got = d["frame"]
+    if type(got) is not int or got != frame:
+        if frame == 0:
+            raise ValueError(f"no frame-0 line, so no prompt mask (got frame {got!r})")
+        raise ValueError(f"frame {got!r} out of order, expected {frame}")
+    visible = d["visible"]
+    if not isinstance(visible, bool):
+        raise ValueError(f"'visible' must be true or false, got {visible!r}")
+    box = d["box"]
+    if box is not None:
+        if not (isinstance(box, list) and len(box) == 4 and all(
+                type(v) in (int, float) and math.isfinite(v) for v in box)):
+            raise ValueError(f"'box' must be null or 4 finite numbers, got {box!r}")
+        box = BBox(*box)
+    mask = None
+    if frame == 0:
+        if "mask" not in d:
+            raise ValueError("frame-0 line has no prompt mask")
+        if not isinstance(d["mask"], str):
+            raise ValueError(f"'mask' must be RLE text, got {d['mask']!r}")
+        mask = BitMask.from_text(d["mask"])
+    return box, visible, mask
+
+
 def read_record(obs_path, gt_path) -> SequenceRecord:
     """Read back what :func:`write_record` wrote.
 
-    Raises ValueError naming the observation file and line when a frame
-    does not parse or is malformed (mismatched mask sizes, non-finite
-    scores), and naming the GT file (and line) when its frame-0 line is
-    missing or carries no prompt mask, since no session can start without
-    one.
+    Raises ValueError naming the file and line of the first bad line. In
+    the observations that is a frame that does not parse or is malformed
+    (mismatched mask sizes, non-finite scores). In the GT sidecar it is a
+    line that is not JSON, a header whose config does not load, a frame
+    line missing ``frame``, ``visible`` or ``box``, a box that is not four
+    finite numbers of non-negative size, frame numbers that do not run 0,
+    1, 2, ... in order, or a frame-0 line without the prompt mask. A GT
+    file with no frame lines at all is rejected too, since no session can
+    start without a prompt.
     """
     observations = []
     with open(obs_path, "r", encoding="utf-8") as fh:
@@ -559,25 +640,28 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
             try:
                 observations.append(observation_from_line(line))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{obs_path}:{lineno}: {exc}") from exc
+                raise _located(obs_path, lineno, exc) from exc
     gt_boxes: list[BBox | None] = []
     gt_visible: list[bool] = []
     init_mask = None
     config = None
     with open(gt_path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        config = config_from_dict(header["config"])
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            if not line and lineno > 1:
                 continue
-            d = json.loads(line)
-            gt_boxes.append(None if d["box"] is None else BBox(*d["box"]))
-            gt_visible.append(d["visible"])
-            if d["frame"] == 0:
-                if "mask" not in d:
-                    raise ValueError(f"{gt_path}:{lineno}: frame-0 line has no prompt mask")
-                init_mask = BitMask.from_text(d["mask"])
+            try:
+                d = json.loads(line)
+                if lineno == 1:
+                    config = config_from_dict(d["config"])
+                    continue
+                box, visible, mask = _gt_frame(d, len(gt_boxes))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _located(gt_path, lineno, exc) from exc
+            gt_boxes.append(box)
+            gt_visible.append(visible)
+            if mask is not None:
+                init_mask = mask
     if init_mask is None:
         raise ValueError(f"{gt_path}: no frame-0 line, so no prompt mask")
     return SequenceRecord(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, BitMask, box_iou, mask_iou, mask_to_bbox
 from trackmem.oracles import dense_box_iou, dense_mask_iou
+from trackmem.simulator import _union
 
 from conftest import empty_mask, random_mask, rect_mask, rng_for
 
@@ -202,6 +203,24 @@ def test_rle_text_round_trip_and_memo(m):
     assert BitMask.from_text(text) == m
     assert m.to_text() is text  # kept on the mask
     assert BitMask(m.width, m.height, m.runs).to_text() == text  # a fresh encode
+
+
+def dense_scan_bbox(m: BitMask) -> BBox | None:
+    ys, xs = np.nonzero(m.to_dense())
+    if not ys.size:
+        return None
+    return BBox(float(xs.min()), float(ys.min()),
+                float(xs.max() - xs.min() + 1), float(ys.max() - ys.min() + 1))
+
+
+@given(mask_pairs(), st.booleans())
+@example((BitMask(9, 3, ((1, 0, 2), (1, 5, 4))), BitMask(9, 3)), False)  # two runs, one row
+@example((BitMask(9, 3, ((0, 4, 2), (2, 0, 1))), BitMask(9, 3)), False)  # widest run not first
+@example((BitMask(9, 3), BitMask(9, 3)), True)                           # empty union
+@example((BitMask(9, 3, ((0, 6, 3),)), BitMask(9, 3, ((2, 0, 2),))), True)
+def test_mask_to_bbox_matches_dense_scan_on_run_masks(pair, union):
+    m = _union(*pair) if union else pair[0]
+    assert mask_to_bbox(m) == dense_scan_bbox(m)
 
 
 # --- RLE text form ----------------------------------------------------------------

@@ -2,7 +2,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from trackmem.geometry import BitMask, mask_iou
@@ -316,3 +316,94 @@ def test_fuzzed_admissions_never_violate_invariants(rng):
             assert all(b > a for a, b in zip(ram_frames, ram_frames[1:]))
             assert all(b - a >= cfg.min_gap for a, b in zip(drm_frames, drm_frames[1:]))
             assert bank.init is init_before
+
+
+PALETTE = [empty_mask(), rect_mask(32, 32, 1, 1, 6, 6), rect_mask(32, 32, 2, 2, 6, 6),
+           rect_mask(32, 32, 20, 20, 6, 6), rect_mask(32, 32, 0, 0, 12, 12),
+           rect_mask(32, 32, 5, 3, 3, 9)]
+
+
+def bank_state(bank: MemoryBank):
+    return list(bank.ram), list(bank.drm), bank.last_ram_frame, bank.last_drm_frame, bank.init
+
+
+def assert_bank_invariants(bank: MemoryBank, init: MemoryEntry) -> None:
+    assert len(bank.ram) <= bank.k_ram and len(bank.drm) <= bank.k_drm
+    for entries in (bank.ram, bank.drm):
+        frames = [e.frame_idx for e in entries]
+        assert all(b > a for a, b in zip(frames, frames[1:])), frames
+    assert all(e.kind is EntryKind.RAM for e in bank.ram)
+    assert all(e.kind is EntryKind.DRM for e in bank.drm)
+    assert bank.init is init and bank.init == MemoryEntry(
+        frame_idx=0, mask=INIT, s_mask=1.0, kind=EntryKind.INIT, bbox=init.bbox)
+    assert bank.last_ram_frame == (bank.ram[-1].frame_idx if bank.ram else NEVER)
+    assert bank.last_drm_frame == (bank.drm[-1].frame_idx if bank.drm else NEVER)
+
+
+@settings(max_examples=120, deadline=None)
+@given(k_ram=st.integers(1, 5), k_drm=st.integers(0, 3), min_gap=st.integers(1, 4),
+       data=st.data())
+def test_bank_invariants_hold_under_arbitrary_operation_streams(k_ram, k_drm, min_gap, data):
+    """insert_ram, replace_ram, consider_drm and copy in any order, any frames.
+
+    Rejected calls (a stale RAM insert, a RAM rebuild over capacity) must
+    leave the bank exactly as it was; a copy must share no state with its
+    source in either direction.
+    """
+    cfg = DrmConfig(tau_div=0.5, tau_q=0.5, min_gap=min_gap)
+    bank = MemoryBank.new(INIT, k_ram, k_drm)
+    init = bank.init
+    clock = 0
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        clock += data.draw(st.integers(1, 3), label="advance")
+        op = data.draw(st.sampled_from(["insert", "stale", "replace", "drm", "copy"]), label="op")
+        if op == "insert":
+            bank.insert_ram(entry(clock, mask=data.draw(st.sampled_from(PALETTE[1:]))))
+            assert bank.ram[-1].frame_idx == clock
+        elif op == "stale" and bank.ram:
+            before = bank_state(bank)
+            with pytest.raises(ValueError, match="out-of-order"):
+                bank.insert_ram(entry(data.draw(st.integers(1, bank.ram[-1].frame_idx))))
+            assert bank_state(bank) == before
+        elif op == "replace":
+            frames = sorted(data.draw(st.sets(st.integers(1, clock), max_size=k_ram + 1)))
+            entries = [entry(f) for f in frames]
+            if len(entries) > k_ram:
+                before = bank_state(bank)
+                with pytest.raises(ValueError, match="capacity"):
+                    bank.replace_ram(entries)
+                assert bank_state(bank) == before
+            else:
+                bank.replace_ram(entries)
+                assert [e.frame_idx for e in bank.ram] == frames
+        elif op == "drm":
+            # any frame, past ones included: the gap gate keeps DRM chronological
+            frame = data.draw(st.integers(1, clock), label="frame")
+            masks = data.draw(st.lists(st.sampled_from(PALETTE), min_size=3, max_size=3))
+            scores = data.draw(st.lists(st.sampled_from([0.2, 0.6, 0.9]), min_size=3,
+                                        max_size=3))
+            o = obs(frame, [prop(m, s) for m, s in zip(masks, scores)])
+            before = bank_state(bank)
+            admitted = bank.consider_drm(o, o.proposals[data.draw(st.integers(0, 2))], cfg)
+            ram, drm, last_ram, last_drm, _ = bank_state(bank)
+            assert (ram, last_ram) == (before[0], before[2])
+            if admitted:
+                event("admitted")
+                assert drm[-1].frame_idx == frame
+                assert drm == (before[1] + drm[-1:])[-bank.k_drm:]
+            else:
+                assert (drm, last_drm) == (before[1], before[3])
+        elif op == "copy":
+            dup = bank.copy()
+            assert dup is not bank and bank_state(dup) == bank_state(bank)
+            changed, other = (dup, bank) if data.draw(st.booleans()) else (bank, dup)
+            before = bank_state(other)
+            changed.insert_ram(entry(clock))
+            far = obs(clock, [prop(PALETTE[1], 0.9), prop(PALETTE[3], 0.9),
+                              prop(PALETTE[1], 0.9)])
+            changed.consider_drm(far, far.proposals[0], cfg, ram_areas=[])
+            changed.replace_ram(changed.ram[-1:])
+            assert bank_state(other) == before
+            assert_bank_invariants(other, init)
+            bank = changed if data.draw(st.booleans()) else other
+        assert_bank_invariants(bank, init)

@@ -215,3 +215,24 @@ def test_outcome_fields_bounded(rng):
                   "ao", "sr50", "sr75", "q", "acc", "rob"):
         assert 0.0 <= getattr(out, field) <= 1.0
     assert out.sr75 <= out.sr50
+
+
+def test_evaluate_equals_the_separate_metrics_bit_for_bit(rng):
+    # one IoU pass inside evaluate; each column must still equal the
+    # metric computed on its own, including occluded and absent frames
+    for n in (0, 1, 7, 60):
+        gt = [b if rng.random() < 0.75 else None for b in boxes(n, rng)]
+        pred = [BBox(b.x + float(rng.normal(0, 3)), b.y, b.w, b.h)
+                if rng.random() < 0.8 else None for b in boxes(n, rng, 10.0, 30.0)]
+        present = [p is not None for p in pred]
+        visible = [g is not None for g in gt]
+        out = evaluate(pred, present, gt, visible)
+        ao, sr50, sr75 = ao_sr(pred, gt)
+        p20, np_auc = precision_metrics(pred, gt)
+        pred_iou = [box_iou(p, g) if p is not None and g is not None else 0.0
+                    for p, g in zip(pred, gt)]
+        q, acc, rob = vot_qar(present, pred_iou, visible)
+        assert (out.success_auc, out.ao, out.sr50, out.sr75) == \
+            (success_auc(pred, gt), ao, sr50, sr75)
+        assert (out.precision_at_20, out.norm_precision_auc, out.q, out.acc, out.rob) == \
+            (p20, np_auc, q, acc, rob)

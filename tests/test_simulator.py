@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from trackmem.geometry import BBox, BitMask, mask_iou
 from trackmem.observation import extract_prototypes, cosine, observation_to_line
-from trackmem.oracles import dense_ellipse, dense_rect
+from trackmem import simulator
+from trackmem.oracles import dense_ellipse, dense_rect, feature_grid_labels
 from trackmem.simulator import (
     MotionSpec,
     SceneConfig,
@@ -176,6 +178,73 @@ def test_union_coalesces_touching_runs_and_keeps_empty_operands():
     assert _union(empty, empty) == empty
 
 
+# --- per-scene arrays against per-frame references ------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_distractors=st.integers(0, 4),
+       occluded=st.booleans(), kind=st.sampled_from(["linear", "sinusoid", "random_walk"]),
+       grid=st.sampled_from([(64, 48), (40, 100), (128, 128)]))
+def test_feature_grids_match_per_frame_labeller(seed, n_distractors, occluded, kind, grid):
+    cfg = SceneConfig(seed=seed, frames=12, grid=grid,
+                      target_motion=MotionSpec(kind=kind, size=(14.0, 10.0)),
+                      n_distractors=n_distractors, distractor_similarity=0.7,
+                      occlusions=((3, 7),) if occluded else (), proto_dim=4)
+    with mock.patch.object(simulator, "_feature_grids",
+                           wraps=simulator._feature_grids) as spy:
+        record = gen_sequence(cfg)
+    spy.assert_called_once()
+    _, centers, hidden, distractors, protos, target_proto, background = spy.call_args.args
+    gw, gh = grid
+    cells = (max(4, gw // 16), max(4, gh // 16))
+    size = cfg.target_motion.size
+    for t, obs in enumerate(record.observations):
+        assert hidden[t] == (not record.gt_visible[t])
+        visible_center = None
+        if record.gt_visible[t]:
+            # the grids were labeled from the same path as the ground truth
+            assert BBox.from_center(*centers[t], *size) == record.gt_boxes[t]
+            visible_center = tuple(centers[t])
+        want = feature_grid_labels(grid, cells, visible_center, size,
+                                   [(tuple(c[t]), d_size) for c, d_size in distractors],
+                                   protos, target_proto, background)
+        assert np.array_equal(obs.features.values, want), t
+
+
+def test_feature_grids_label_cells_on_shape_boundaries():
+    # 4 x 4 cells with centers at 8, 24, 40, 56 px: cells sit exactly on the
+    # distractor's box edge and on the target ellipse, and both count as inside
+    cfg = SceneConfig(seed=0, frames=2, grid=(64, 64), proto_dim=2,
+                      target_motion=MotionSpec(size=(32.0, 32.0)), occlusions=((1, 2),))
+    centers = np.array([[40.0, 40.0], [40.0, 40.0]])
+    distractors = [(np.array([[16.0, 16.0], [16.0, 16.0]]), (16.0, 16.0))]
+    protos = [np.array([0.0, 1.0])]
+    target, background = np.array([1.0, 0.0]), np.array([0.5, 0.5])
+    grids = simulator._feature_grids(cfg, centers, np.array([False, True]), distractors,
+                                     protos, target, background)
+    for t, visible_center in enumerate([(40.0, 40.0), None]):
+        want = feature_grid_labels(cfg.grid, (4, 4), visible_center, (32.0, 32.0),
+                                   [((16.0, 16.0), (16.0, 16.0))], protos, target,
+                                   background)
+        assert np.array_equal(grids[t], want)
+    labels = grids[0, :, :, 0].tolist()
+    assert labels[0][:2] == [0.0, 0.0] and labels[1][:2] == [0.0, 0.0]  # distractor box
+    assert labels[2][2] == labels[3][2] == labels[2][3] == 1.0          # ellipse edge
+    assert labels[3][3] == 0.5 and grids[1, 3, 2, 0] == 0.5            # outside; hidden
+
+
+def test_nearest_distractor_matches_per_frame_argmin():
+    rng = rng_for(77)
+    target = rng.uniform(0, 50, size=(30, 2))
+    paths = [(rng.uniform(0, 50, size=(30, 2)), (8.0, 6.0)) for _ in range(4)]
+    paths.append((paths[1][0].copy(), (4.0, 4.0)))  # a tie: the first index wins
+    want = [min(range(len(paths)), key=lambda j: (
+        math.hypot(paths[j][0][t, 0] - target[t, 0], paths[j][0][t, 1] - target[t, 1]), j))
+        for t in range(30)]
+    assert simulator._nearest_distractors(target, paths) == want
+    assert simulator._nearest_distractors(target, []) == []
+
+
 # --- score calibration --------------------------------------------------------------
 
 
@@ -326,3 +395,66 @@ def test_config_from_dict_rejects_unknown_keys(where, key):
     (d if where == "scene" else d["target_motion"])[key] = 1
     with pytest.raises(ValueError, match=f"unknown {where} key.*{key}"):
         config_from_dict(d)
+
+
+def _edited_gt(tmp_path, edit):
+    """Write a 4-frame record, apply ``edit`` to its GT lines, return both paths."""
+    cfg = SceneConfig(seed=14, frames=4, grid=(32, 32),
+                      target_motion=MotionSpec(size=(8.0, 6.0)), proto_dim=4,
+                      occlusions=((2, 3),))
+    obs_path, gt_path = tmp_path / "seq.obs.jsonl", tmp_path / "seq.gt.jsonl"
+    write_record(gen_sequence(cfg), obs_path, gt_path)
+    lines = gt_path.read_text().splitlines()
+    edit(lines)
+    gt_path.write_text("\n".join(lines) + "\n")
+    return obs_path, gt_path
+
+
+def _set_line(lineno, change):
+    """An edit that rewrites GT line ``lineno`` (1-based) as JSON through ``change``."""
+    def edit(lines):
+        d = json.loads(lines[lineno - 1])
+        change(d)
+        lines[lineno - 1] = json.dumps(d)
+    return edit
+
+
+def _raw_line(lineno, text):
+    """An edit that replaces GT line ``lineno`` (1-based) by ``text`` as is."""
+    def edit(lines):
+        lines[lineno - 1] = text
+    return edit
+
+
+def _swap_frames(lines):
+    lines[2], lines[3] = lines[3], lines[2]
+
+
+@pytest.mark.parametrize("edit, lineno, message", [
+    (_raw_line(3, '{"frame":1,'), 3, "Expecting"),
+    (_set_line(3, lambda d: d.pop("frame")), 3, "missing key 'frame'"),
+    (_set_line(3, lambda d: d.pop("visible")), 3, "missing key 'visible'"),
+    (_set_line(3, lambda d: d.pop("box")), 3, "missing key 'box'"),
+    (_set_line(3, lambda d: d.update(visible="yes")), 3, "'visible' must be true or false"),
+    (_set_line(3, lambda d: d.update(box=[1.0, 2.0, 3.0])), 3, "'box' must be null or 4"),
+    (_set_line(3, lambda d: d.update(box=[1.0, "2", 3.0, 4.0])), 3, "'box' must be null or 4"),
+    (_set_line(3, lambda d: d.update(box=[1.0, 2.0, -3.0, 4.0])), 3,
+     "box size must be non-negative"),
+    (_swap_frames, 3, "frame 2 out of order, expected 1"),
+    (_set_line(4, lambda d: d.update(frame=1)), 4, "frame 1 out of order, expected 2"),
+    (_set_line(4, lambda d: d.update(frame=3)), 4, "frame 3 out of order, expected 2"),
+    (_set_line(2, lambda d: d.update(mask=7)), 2, "'mask' must be RLE text"),
+    (_raw_line(1, "not json"), 1, "Expecting value"),
+    (_set_line(1, lambda d: d.pop("config")), 1, "missing key 'config'"),
+    (_set_line(1, lambda d: d["config"].pop("seed")), 1, "missing key 'seed'"),
+    (_set_line(1, lambda d: d["config"].update(frames=0)), 1, "at least one frame"),
+    (_set_line(1, lambda d: d["config"].update(grid=5)), 1, "not iterable"),
+], ids=["not-json", "no-frame", "no-visible", "no-box", "visible-not-bool", "box-3-numbers",
+        "box-string", "box-negative-size", "frames-swapped", "frame-repeated", "frame-skipped",
+        "mask-not-text", "header-not-json", "header-no-config", "config-no-seed",
+        "config-invalid", "config-bad-type"])
+def test_read_record_names_the_gt_line_it_rejects(tmp_path, edit, lineno, message):
+    obs_path, gt_path = _edited_gt(tmp_path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"{gt_path}:{lineno}: ") + ".*"
+                       + re.escape(message)):
+        read_record(obs_path, gt_path)
