@@ -29,7 +29,6 @@ fully empty mask is just ``"W H"``. Runs are sorted and non-overlapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -170,11 +169,15 @@ class BitMask:
         """
         text = self.__dict__.get("_text")
         if text is None:
-            rows = (
-                f"{row}:" + ",".join(f"{start}+{length}" for _, start, length in runs)
-                for row, runs in groupby(self.runs, key=lambda run: run[0])
-            )
-            text = "; ".join([f"{self.width} {self.height}", *rows])
+            parts = [f"{self.width} {self.height}"]
+            last_row = -1
+            for row, start, length in self.runs:
+                if row == last_row:
+                    parts.append(f",{start}+{length}")
+                else:
+                    parts.append(f"; {row}:{start}+{length}")
+                    last_row = row
+            text = "".join(parts)
             object.__setattr__(self, "_text", text)
         return text
 

@@ -147,6 +147,9 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object, "
+                          f"got {type(loaded).__name__}")
     cfg = default_config()
     cfg.update(loaded)
     _validate_config(cfg, str(path))
@@ -162,7 +165,11 @@ def _validate_config(cfg: dict, origin: str) -> None:
         if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
             raise ConfigError(f"{origin}: {key!r} must be an integer >= {lowest}, "
                               f"got {value!r}")
-    for name in cfg.get("policies", []):
+    policies = cfg.get("policies", [])
+    if not isinstance(policies, list):
+        raise ConfigError(f"{origin}: 'policies' must be a list of policy names, "
+                          f"got {policies!r}")
+    for name in policies:
         if name not in ALL_POLICY_NAMES:
             raise ConfigError(
                 f"{origin}: unknown policy {name!r}; valid: {', '.join(ALL_POLICY_NAMES)}")
@@ -336,9 +343,17 @@ def run_benchmark(cfg: dict, out_dir, policy_filter: list[str] | None = None,
             tracker_config_from(cfg, name)
         except ValueError as exc:
             raise ConfigError(f"policy {name!r}: {exc}") from exc
-    scenes = scene_list(cfg)
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    elif workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    scenes = scene_list(cfg)
 
     jobs = [(config_to_dict(s), cfg, policy_names) for s in scenes]
     if workers > 1:

@@ -22,7 +22,11 @@ DRM admission requires all four gates to pass:
 
 The gates are pure and admission is their AND, so they are checked
 cheapest first: the three pairwise IoUs are computed only on frames that
-pass the other three gates.
+pass the other three gates. Their minimum depends on the observation
+alone, not on the bank or the thresholds, so it is computed at most once
+per observation and kept on it (the value, not the verdict, since
+``tau_div`` varies by config): every policy stepping over the same
+observation reuses it.
 
 DRM eviction, when the cap is reached, is FIFO over DRM slots.
 """
@@ -89,6 +93,8 @@ class DrmConfig:
             raise ValueError("tau_div and tau_q must lie in [0, 1]")
         if not (0 < self.area_lo < self.area_hi):
             raise ValueError("need 0 < area_lo < area_hi")
+        if isinstance(self.min_gap, bool) or not isinstance(self.min_gap, int):
+            raise ValueError(f"min_gap must be an integer, got {self.min_gap!r}")
         if self.min_gap < 1:
             raise ValueError("min_gap must be >= 1")
 
@@ -112,9 +118,17 @@ def drm_gates_pass(
         ratio = chosen.mask.area / median
         if not (cfg.area_lo <= ratio <= cfg.area_hi):
             return False
-    masks = [p.mask for p in obs.proposals]
-    min_pair_iou = min(mask_iou(masks[i], masks[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
-    return min_pair_iou < cfg.tau_div
+    return _min_pair_iou(obs) < cfg.tau_div
+
+
+def _min_pair_iou(obs: FrameObservation) -> float:
+    """Minimum pairwise mask IoU of the frame's proposals, kept on ``obs``."""
+    value = obs._min_pair_iou
+    if value is None:
+        masks = [p.mask for p in obs.proposals]
+        value = min(mask_iou(masks[i], masks[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+        object.__setattr__(obs, "_min_pair_iou", value)
+    return value
 
 
 class MemoryBank:

@@ -27,10 +27,15 @@ __all__ = ["KalmanState", "MotionConfig", "kf_init", "kf_predict", "kf_update"]
 
 _DIM = 8  # [cx, cy, w, h, vcx, vcy, vw, vh]
 
+_EYE4 = np.eye(4)
+_EYE = np.eye(_DIM)
 _F = np.eye(_DIM)
-_F[:4, 4:] = np.eye(4)
+_F[:4, 4:] = _EYE4
 _H = np.zeros((4, _DIM))
-_H[:4, :4] = np.eye(4)
+_H[:4, :4] = _EYE4
+for _const in (_EYE4, _EYE, _F, _H):
+    _const.flags.writeable = False
+del _const
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,8 @@ class MotionConfig:
     def __post_init__(self) -> None:
         if self.process_noise <= 0 or self.measurement_noise <= 0 or self.initial_cov_scale <= 0:
             raise ValueError("motion noise parameters must be strictly positive")
+        if isinstance(self.n_lost, bool) or not isinstance(self.n_lost, int):
+            raise ValueError(f"n_lost must be an integer, got {self.n_lost!r}")
         if self.n_lost < 1:
             raise ValueError("n_lost must be >= 1")
 
@@ -64,10 +71,10 @@ class KalmanState:
 
     def predicted_box(self) -> BBox:
         """Current mean as a box, center converted to top-left, size clamped."""
-        cx, cy, w, h = self.mean[:4]
-        w = max(float(w), 1e-6)
-        h = max(float(h), 1e-6)
-        return BBox(float(cx) - w / 2.0, float(cy) - h / 2.0, w, h)
+        cx, cy, w, h = self.mean[:4].tolist()
+        w = max(w, 1e-6)
+        h = max(h, 1e-6)
+        return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
 def _box_to_measurement(b: BBox) -> np.ndarray:
@@ -92,7 +99,7 @@ def kf_init(b0: BBox, cfg: MotionConfig, frame_idx: int = 0) -> KalmanState:
 def kf_predict(s: KalmanState) -> tuple[KalmanState, BBox]:
     """One constant-velocity step: returns the prior state and its box."""
     mean = _F @ s.mean
-    cov = _F @ s.cov @ _F.T + s.config.process_noise * np.eye(_DIM)
+    cov = _F @ s.cov @ _F.T + s.config.process_noise * _EYE
     cov = (cov + cov.T) / 2.0  # keep symmetric against fp drift
     out = KalmanState(mean=mean, cov=cov, config=s.config,
                       last_update_frame=s.last_update_frame)
@@ -107,12 +114,14 @@ def kf_update(s: KalmanState, z: BBox, frame_idx: int | None = None) -> KalmanSt
     """
     if z.area == 0.0:
         return s
-    r = s.config.measurement_noise * np.eye(4)
-    innovation = _box_to_measurement(z) - _H @ s.mean
-    innovation_cov = _H @ s.cov @ _H.T + r
-    gain = np.linalg.solve(innovation_cov.T, (s.cov @ _H.T).T).T
+    # H selects the four measured components, so H @ x, H @ P @ H.T and
+    # P @ H.T are the slices below exactly: the 0/1 products add only zeros
+    r = s.config.measurement_noise * _EYE4
+    innovation = _box_to_measurement(z) - s.mean[:4]
+    innovation_cov = s.cov[:4, :4] + r
+    gain = np.linalg.solve(innovation_cov.T, s.cov[:, :4].T).T
     mean = s.mean + gain @ innovation
-    cov = (np.eye(_DIM) - gain @ _H) @ s.cov
+    cov = (_EYE - gain @ _H) @ s.cov
     cov = (cov + cov.T) / 2.0
     return KalmanState(
         mean=mean,

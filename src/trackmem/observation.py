@@ -15,6 +15,7 @@ golden-fixture format used by the regression tests.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -113,12 +114,19 @@ class FrameObservation:
 
     The proposals' masks share one size and ``o`` is finite; anything else
     is rejected here, naming the frame.
+
+    ``_min_pair_iou`` is the minimum pairwise IoU of the three proposal
+    masks, a pure function of the observation; :mod:`trackmem.membank`
+    fills it in the first time a DRM gate needs it, so every policy
+    stepping over the same observation shares one computation.
     """
 
     frame_idx: int
     proposals: tuple[Proposal, Proposal, Proposal]
     o: float
     features: FeatureGrid | None = None
+    _min_pair_iou: float | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
         if self.frame_idx < 0:
@@ -137,23 +145,29 @@ class FrameObservation:
             raise ValueError(f"frame {self.frame_idx}: o must be finite, got {self.o}")
 
 
-def extract_prototypes(f: FeatureGrid, m: BitMask) -> tuple[Prototype, Prototype]:
-    """Mean feature vectors over foreground and background cells.
+@functools.lru_cache(maxsize=None)
+def _cell_pixels(grid_h: int, grid_w: int, mask_h: int, mask_w: int) -> np.ndarray:
+    """Row-major flat index of the mask pixel nearest each grid cell's center.
+
+    Built once per (grid, mask) size and shared, so the array is read-only.
+    """
+    rows = np.minimum((np.arange(grid_h) * 2 + 1) * mask_h // (2 * grid_h), mask_h - 1)
+    cols = np.minimum((np.arange(grid_w) * 2 + 1) * mask_w // (2 * grid_w), mask_w - 1)
+    flat = (rows[:, None] * mask_w + cols[None, :]).reshape(-1)
+    flat.flags.writeable = False
+    return flat
+
+
+def extract_prototypes(f: FeatureGrid, m: BitMask) -> Prototype:
+    """Mean feature vector over the foreground cells.
 
     The mask is resampled to the grid resolution by nearest neighbor; a
-    side with no cells yields the zero vector.
+    mask that covers no cell yields the zero vector.
     """
-    gh, gw = f.height, f.width
-    rows = np.minimum((np.arange(gh) * 2 + 1) * m.height // (2 * gh), m.height - 1)
-    cols = np.minimum((np.arange(gw) * 2 + 1) * m.width // (2 * gw), m.width - 1)
-    dense = m.to_dense()
-    cell_fg = dense[np.ix_(rows, cols)]
-    flat = f.values.reshape(gh * gw, f.dim)
-    sel = cell_fg.reshape(-1)
-    zero = np.zeros(f.dim)
-    fg = flat[sel].mean(axis=0) if sel.any() else zero
-    bg = flat[~sel].mean(axis=0) if (~sel).any() else zero
-    return Prototype(fg), Prototype(bg)
+    sel = m.to_dense().reshape(-1)[_cell_pixels(f.height, f.width, m.height, m.width)]
+    if not sel.any():
+        return Prototype(np.zeros(f.dim))
+    return Prototype(f.values.reshape(f.height * f.width, f.dim)[sel].mean(axis=0))
 
 
 def cosine(a: Prototype, b: Prototype) -> float:

@@ -9,6 +9,12 @@ explicit matrix inverses, the pathway optimum from full 3^T
 enumeration, and the selection rules from plain argmax loops. When a
 test disagrees with one of these, the library is wrong, not the oracle;
 oracle outputs are never regenerated to match the code under test.
+
+A few references are the library's own earlier, slower forms, kept so
+that a rewrite can be held to the same bits: the RLE text encoder that
+groups runs by row, the motion filter with its full measurement-matrix
+products, and the prototype calibration that recomputes both anchor
+cosines for every window frame.
 """
 
 from __future__ import annotations
@@ -25,6 +31,11 @@ __all__ = [
     "dense_rect",
     "feature_grid_labels",
     "DenseKalmanOracle",
+    "rle_text_by_row",
+    "matrix_kf_predict",
+    "matrix_kf_update",
+    "matrix_kf_box",
+    "samite_calibrate_recomputed",
     "exhaustive_best_trajectory",
     "topk_window_oracle",
     "samurai_choice_oracle",
@@ -168,6 +179,68 @@ class DenseKalmanOracle:
         gain = self.P @ self.H.T @ np.linalg.inv(s)
         self.x = self.x + gain @ innovation
         self.P = (np.eye(8) - gain @ self.H) @ self.P
+
+
+def rle_text_by_row(width: int, height: int, runs) -> str:
+    """The ``W H; row:start+len,...`` text, built by grouping runs by row."""
+    rows = (
+        f"{row}:" + ",".join(f"{start}+{length}" for _, start, length in row_runs)
+        for row, row_runs in itertools.groupby(runs, key=lambda run: run[0])
+    )
+    return "; ".join([f"{width} {height}", *rows])
+
+
+_KF_F = np.eye(8)
+_KF_F[:4, 4:] = np.eye(4)
+_KF_H = np.zeros((4, 8))
+_KF_H[:4, :4] = np.eye(4)
+
+
+def matrix_kf_predict(mean: np.ndarray, cov: np.ndarray, process_noise: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Constant-velocity prediction with the full transition products."""
+    mean = _KF_F @ mean
+    cov = _KF_F @ cov @ _KF_F.T + process_noise * np.eye(8)
+    return mean, (cov + cov.T) / 2.0
+
+
+def matrix_kf_update(mean: np.ndarray, cov: np.ndarray,
+                     z: tuple[float, float, float, float], measurement_noise: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Correction with measurement ``z = (cx, cy, w, h)``, every product with H spelled out."""
+    r = measurement_noise * np.eye(4)
+    innovation = np.array(z, dtype=float) - _KF_H @ mean
+    innovation_cov = _KF_H @ cov @ _KF_H.T + r
+    gain = np.linalg.solve(innovation_cov.T, (cov @ _KF_H.T).T).T
+    mean = mean + gain @ innovation
+    cov = (np.eye(8) - gain @ _KF_H) @ cov
+    return mean, (cov + cov.T) / 2.0
+
+
+def matrix_kf_box(mean: np.ndarray) -> tuple[float, float, float, float]:
+    """Top-left (x, y, w, h) of a state mean, size clamped to 1e-6."""
+    cx, cy, w, h = mean[:4]
+    w = max(float(w), 1e-6)
+    h = max(float(h), 1e-6)
+    return (float(cx) - w / 2.0, float(cy) - h / 2.0, w, h)
+
+
+def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+def samite_calibrate_recomputed(
+    window: list[tuple[int, np.ndarray]], anchor_first: np.ndarray,
+    anchor_prev: np.ndarray, alpha: float,
+) -> list[tuple[int, float]]:
+    """(frame, (1 - alpha) * cos(P, P_first) + alpha * cos(P, P_prev)) per window frame."""
+    return [
+        (frame, (1.0 - alpha) * _cosine(vec, anchor_first) + alpha * _cosine(vec, anchor_prev))
+        for frame, vec in window
+    ]
 
 
 def exhaustive_best_trajectory(

@@ -49,6 +49,7 @@ __all__ = [
     "samurai_score",
     "samurai_admit",
     "sam2long_admit",
+    "samite_anchor_first",
     "samite_calibrate",
     "samite_select_ram",
     "him_stage1",
@@ -115,6 +116,10 @@ class PolicyConfig:
     beam_width: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("window_m", "delta_ram", "beam_width"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0
                 and 0.0 <= self.alpha_him <= 1.0):
             raise ValueError("weights must lie in [0, 1]")
@@ -193,20 +198,34 @@ def sam2long_admit(obs: FrameObservation, chosen: Proposal,
 # --- prototype-calibrated ----------------------------------------------------
 
 
+def samite_anchor_first(proto: Prototype, anchor_first: Prototype | None) -> float:
+    """cos(P, P_first) of one pool entry, taken once when the entry joins the pool.
+
+    Neither the entry nor the first-frame anchor changes afterwards, so the
+    term is kept beside the entry. A first anchor without a prototype counts
+    as the zero vector, whose cosine is 0.0.
+    """
+    if anchor_first is None:
+        anchor_first = Prototype([0.0] * proto.dim)
+    return cosine(proto, anchor_first)
+
+
 def samite_calibrate(
-    window: Sequence[tuple[int, Prototype]],
-    anchor_first: Prototype,
+    window: Sequence[tuple[int, Prototype, float]],
     anchor_prev: Prototype,
     alpha: float,
 ) -> list[tuple[int, float]]:
     """Score window frames against the first- and previous-frame anchors.
 
     score = (1 - alpha) * cos(P, P_first) + alpha * cos(P, P_prev)
+
+    Each window item is ``(frame_idx, P, cos(P, P_first))``, its first-anchor
+    term from :func:`samite_anchor_first`; only the previous-anchor term,
+    whose anchor moves every frame, is computed here.
     """
     return [
-        (frame_idx,
-         (1.0 - alpha) * cosine(proto, anchor_first) + alpha * cosine(proto, anchor_prev))
-        for frame_idx, proto in window
+        (frame_idx, (1.0 - alpha) * cos_first + alpha * cosine(proto, anchor_prev))
+        for frame_idx, proto, cos_first in window
     ]
 
 

@@ -41,6 +41,7 @@ from .policies import (
     him_stage1,
     motion_consistency,
     sam2long_admit,
+    samite_anchor_first,
     samite_calibrate,
     samite_select_ram,
     samurai_admit,
@@ -106,6 +107,10 @@ class FrameResult:
     used_fine: bool = False
 
 
+# one encoder for every line: json.dumps with separators builds a new one per call
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def frame_result_to_line(res: FrameResult) -> str:
     """Serialize a result to one JSON line (the golden-trace format).
 
@@ -129,7 +134,7 @@ def frame_result_to_line(res: FrameResult) -> str:
         "reason": res.decision.reason.value,
         "drm": res.drm_admitted,
     }
-    return json.dumps(payload, separators=(",", ":"))
+    return _LINE_ENCODER.encode(payload)
 
 
 # --- per-frame choice rules --------------------------------------------------
@@ -216,9 +221,10 @@ class TrackerSession:
         self._uses_motion = cfg.policy in (PolicyKind.SAMURAI_DRM, PolicyKind.HIM2SAM_DRM)
         # two-stage fine estimator state: last two accepted (frame, box)
         self._accepted_boxes: list[tuple[int, BBox]] = []
-        # prototype-calibrated state: frame-0 anchor entry and stored pool
+        # prototype-calibrated state: frame-0 anchor entry and the stored
+        # pool, each entry beside its first-anchor term cos(P, P_first)
         self._samite_first: MemoryEntry | None = None
-        self._samite_pool: list[MemoryEntry] = []
+        self._samite_pool: list[tuple[MemoryEntry, float]] = []
         # multi-pathway state
         self._pathways: PathwaySet | None = None
         if cfg.policy is PolicyKind.SAM2LONG_DRM:
@@ -296,8 +302,7 @@ class TrackerSession:
     def _prototype_for(self, obs: FrameObservation, mask: BitMask) -> Prototype | None:
         if obs.features is None or mask.is_empty:
             return None
-        fg, _ = extract_prototypes(obs.features, mask)
-        return fg
+        return extract_prototypes(obs.features, mask)
 
     def _consider_drm(self, obs: FrameObservation, chosen: Proposal | None,
                       present: bool, ram_areas: list[int] | None = None) -> bool:
@@ -393,34 +398,31 @@ class TrackerSession:
         if present and proto is not None:
             entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM,
                                               fg_prototype=proto)
-            self._samite_pool.append(entry)
+            cos_first = samite_anchor_first(proto, self._samite_first.fg_prototype)
+            self._samite_pool.append((entry, cos_first))
             decision = RamPolicyDecision.admitted()
         else:
             decision = RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
         # entries older than the sliding window can never be selected again
         horizon = obs.frame_idx - cfg.window_m
-        self._samite_pool = [e for e in self._samite_pool if e.frame_idx >= horizon]
+        self._samite_pool = [item for item in self._samite_pool
+                             if item[0].frame_idx >= horizon]
 
         first = self._samite_first
-        prev = self._samite_pool[-1] if self._samite_pool else None
-        window = [
-            e for e in self._samite_pool
-            if e is not prev and e.frame_idx >= obs.frame_idx + 1 - cfg.window_m
-        ]
+        prev = self._samite_pool[-1][0] if self._samite_pool else None
+        start = obs.frame_idx + 1 - cfg.window_m
+        window = [(e, cos_first) for e, cos_first in self._samite_pool
+                  if e is not prev and e.frame_idx >= start]
         if window:
-            zero = Prototype([0.0] * window[0].fg_prototype.dim)
             scored = samite_calibrate(
-                [(e.frame_idx, e.fg_prototype) for e in window],
-                first.fg_prototype if first.fg_prototype is not None else zero,
-                prev.fg_prototype if prev is not None and prev.fg_prototype is not None
-                else zero,
-                cfg.alpha,
+                [(e.frame_idx, e.fg_prototype, cos_first) for e, cos_first in window],
+                prev.fg_prototype, cfg.alpha,
             )
         else:
             scored = []
-        by_frame = dict(scored)
         ram = samite_select_ram(
-            [(e, by_frame[e.frame_idx]) for e in window], self.cfg.k_ram, first, prev,
+            [(e, score) for (e, _), (_, score) in zip(window, scored)],
+            self.cfg.k_ram, first, prev,
         )
         self.bank.replace_ram(ram)
         return FrameResult(

@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, BitMask, box_iou, mask_iou, mask_to_bbox
-from trackmem.oracles import dense_box_iou, dense_mask_iou
+from trackmem.oracles import dense_box_iou, dense_mask_iou, rle_text_by_row
 from trackmem.simulator import _union
 
 from conftest import empty_mask, random_mask, rect_mask, rng_for
@@ -203,6 +203,15 @@ def test_rle_text_round_trip_and_memo(m):
     assert BitMask.from_text(text) == m
     assert m.to_text() is text  # kept on the mask
     assert BitMask(m.width, m.height, m.runs).to_text() == text  # a fresh encode
+
+
+@given(st.integers(1, 12).flatmap(lambda w: run_masks(w, 9)))
+@example(BitMask(9, 3, ((1, 0, 2), (1, 3, 1), (1, 5, 4))))   # multi-run row
+@example(BitMask(9, 3, ((0, 4, 1), (2, 8, 1))))              # single-pixel runs
+@example(BitMask(9, 3))                                      # empty mask
+@example(BitMask(0, 0))
+def test_rle_text_matches_row_grouping_encoder(m):
+    assert m.to_text() == rle_text_by_row(m.width, m.height, m.runs)
 
 
 def dense_scan_bbox(m: BitMask) -> BBox | None:

@@ -6,6 +6,7 @@ import pytest
 from trackmem.harness import (
     ALL_POLICY_NAMES,
     CSV_HEADER,
+    WORKERS_ENV,
     ConfigError,
     apply_overrides,
     cmd_compare,
@@ -129,6 +130,51 @@ def test_policy_that_rejects_the_capacities_exits_2(tmp_path, capsys):
     assert "'samite_drm': the prototype-calibrated policy needs k_ram >= 2" \
         in capsys.readouterr().out
     assert cmd_run(path, tmp_path / "out", policy_filter=["dam4sam"]) == 0
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("policy", "beam_width", 2.5), ("policy", "window_m", 16.5),
+    ("policy", "delta_ram", 5.5), ("policy", "delta_ram", True),
+    ("drm", "min_gap", True), ("motion", "n_lost", 2.5),
+])
+def test_integer_fields_exit_2_naming_the_key(tmp_path, capsys, section, key, value):
+    path = tiny_config(tmp_path, **{section: {key: value}})
+    assert cmd_run(path, tmp_path / "out") == 2
+    out = capsys.readouterr().out
+    assert f"{path}: bad {section!r} section: {key} must be an integer, got {value!r}" in out
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_whose_top_level_is_an_array_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('[{"k_ram": 3}]')
+    assert cmd_run(path, tmp_path / "out") == 2
+    assert f"{path}: the top level must be a JSON object, got list" \
+        in capsys.readouterr().out
+
+
+def test_policies_given_as_a_string_exits_2(tmp_path, capsys):
+    path = tiny_config(tmp_path, policies="sam2_fifo")
+    assert cmd_run(path, tmp_path / "out") == 2
+    assert "'policies' must be a list of policy names, got 'sam2_fifo'" \
+        in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "2.5", "0", "-1"])
+def test_bad_worker_variable_exits_2_naming_it(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv(WORKERS_ENV, raw)
+    assert cmd_run(tiny_config(tmp_path), tmp_path / "out") == 2
+    assert f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_worker_flag_below_one_exits_2(tmp_path, capsys, workers):
+    code = cli_main(["run", "--config", str(tiny_config(tmp_path)),
+                     "--out", str(tmp_path / "out"), "--workers", workers])
+    assert code == 2
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_digest_stable_under_field_reordering():

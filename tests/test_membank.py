@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from trackmem import membank
 from trackmem.geometry import BitMask, mask_iou
 from trackmem.membank import (
     NEVER,
@@ -15,6 +16,8 @@ from trackmem.membank import (
     drm_gates_pass,
 )
 from trackmem.oracles import dense_mask_iou
+from trackmem.selection import PolicyKind, TrackerConfig, TrackerSession
+from trackmem.simulator import MotionSpec, SceneConfig, gen_sequence
 
 from conftest import empty_mask, obs, prop, random_mask, rect_mask, rng_for
 
@@ -190,6 +193,9 @@ def gates_in_written_order(obs, chosen, ram_areas, last_drm_frame, cfg) -> bool:
     return True
 
 
+GATE_SCORES = st.sampled_from([0.0, 0.3, 0.69, 0.7, 0.71, 1.0])
+
+
 @st.composite
 def gate_cases(draw):
     dense = st.lists(st.lists(st.booleans(), min_size=6, max_size=6),
@@ -199,23 +205,65 @@ def gate_cases(draw):
     pool = [np.array(draw(dense)) for _ in range(3)]
     pool.append(pool[0] | pool[1])
     masks = [BitMask.from_dense(pool[draw(st.integers(0, 3))]) for _ in range(3)]
-    scores = st.sampled_from([0.0, 0.3, 0.69, 0.7, 0.71, 1.0])
     frame = draw(st.integers(0, 40))
-    o = drm_obs(frame, masks, [draw(scores) for _ in range(3)])
+    o = drm_obs(frame, masks, [draw(GATE_SCORES) for _ in range(3)])
+    return (o, *draw(gate_contexts(o)))
+
+
+@st.composite
+def gate_contexts(draw, o):
+    """Everything a gate call takes besides the observation."""
+    frame = o.frame_idx
     chosen = o.proposals[draw(st.integers(0, 2))]
     ram_areas = draw(st.lists(st.integers(0, 30), max_size=6))
     last_drm = draw(st.sampled_from([NEVER, 0, frame - 5, frame - 4, frame]))
     cfg = DrmConfig(tau_div=draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
-                    tau_q=draw(scores),
+                    tau_q=draw(GATE_SCORES),
                     area_lo=draw(st.sampled_from([0.25, 0.5, 1.0])),
                     area_hi=draw(st.sampled_from([1.5, 2.0, 4.0])),
                     min_gap=draw(st.integers(1, 6)))
-    return o, chosen, ram_areas, last_drm, cfg
+    return chosen, ram_areas, last_drm, cfg
 
 
 @given(gate_cases())
 def test_drm_gates_match_written_order(case):
     assert drm_gates_pass(*case) == gates_in_written_order(*case)
+
+
+@given(st.data())
+def test_gates_called_again_on_one_observation_match_written_order(data):
+    # the disagreement IoU is kept on the observation after the first call
+    # that needs it; later calls with other choices, RAM, gaps and
+    # thresholds must decide as if it were recomputed
+    case = data.draw(gate_cases())
+    o = case[0]
+    for _ in range(5):
+        assert drm_gates_pass(*case) == gates_in_written_order(*case)
+        case = (o, *data.draw(gate_contexts(o)))
+
+
+def test_sessions_of_one_scene_share_each_observations_disagreement(monkeypatch):
+    scene = SceneConfig(seed=5, frames=60, grid=(96, 96),
+                        target_motion=MotionSpec(size=(18.0, 14.0)),
+                        n_distractors=2, distractor_similarity=0.9,
+                        occlusions=((20, 26),), proto_dim=4)
+    record = gen_sequence(scene)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mask_iou(a, b)
+
+    monkeypatch.setattr(membank, "mask_iou", counted)
+    sessions = [TrackerSession(TrackerConfig(policy=kind), record.init_mask)
+                for kind in PolicyKind]
+    per_observation = []
+    for o in record.observations:
+        before = len(calls)
+        for session in sessions:
+            session.step(o)
+        per_observation.append(len(calls) - before)
+    assert max(per_observation) == 3  # the disagreement gate was reached
 
 
 @pytest.mark.parametrize("union_at", [0, 1, 2])

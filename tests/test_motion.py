@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, box_iou
 from trackmem.motion import MotionConfig, kf_init, kf_predict, kf_update
-from trackmem.oracles import DenseKalmanOracle
+from trackmem.oracles import (
+    DenseKalmanOracle,
+    matrix_kf_box,
+    matrix_kf_predict,
+    matrix_kf_update,
+)
 
 from conftest import rng_for
 
@@ -139,3 +146,42 @@ def test_config_validation():
         MotionConfig(process_noise=0.0)
     with pytest.raises(ValueError):
         MotionConfig(n_lost=0)
+
+
+# --- bit-exact against the matrix form --------------------------------------------
+
+
+finite = st.floats(-200.0, 200.0, allow_nan=False)
+sizes = st.floats(0.0, 80.0, allow_nan=False)
+noise = st.floats(1e-6, 50.0, allow_nan=False)
+
+
+@given(
+    st.tuples(finite, finite, st.floats(0.5, 80.0), st.floats(0.5, 80.0)),
+    noise, noise, noise,
+    st.lists(st.one_of(st.none(), st.tuples(finite, finite, sizes, sizes)),
+             min_size=1, max_size=25),
+)
+def test_filter_equals_matrix_form_bit_for_bit(b0, q, r, scale, ops):
+    """Predict every step and update on the drawn boxes (None: predict only).
+
+    Zero-size boxes are drawn too: the filter skips them as missing, so the
+    reference does as well.
+    """
+    cfg = MotionConfig(process_noise=q, measurement_noise=r, initial_cov_scale=scale)
+    state = kf_init(BBox(*b0), cfg)
+    mean, cov = state.mean.copy(), state.cov.copy()
+    for op in ops:
+        state, box = kf_predict(state)
+        mean, cov = matrix_kf_predict(mean, cov, q)
+        assert np.array_equal(state.mean, mean) and np.array_equal(state.cov, cov)
+        assert (box.x, box.y, box.w, box.h) == matrix_kf_box(mean)
+        if op is None:
+            continue
+        z = BBox(*op)
+        state = kf_update(state, z)
+        if z.area != 0.0:
+            mean, cov = matrix_kf_update(mean, cov, (*z.center, z.w, z.h), r)
+        assert np.array_equal(state.mean, mean) and np.array_equal(state.cov, cov)
+        box = state.predicted_box()
+        assert (box.x, box.y, box.w, box.h) == matrix_kf_box(mean)

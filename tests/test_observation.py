@@ -25,23 +25,20 @@ def grid_from(values) -> FeatureGrid:
 
 def test_uniform_grid_gives_uniform_prototypes():
     f = grid_from(np.full((4, 4, 3), 2.5))
-    fg, bg = extract_prototypes(f, rect_mask(4, 4, 1, 1, 2, 2))
+    fg = extract_prototypes(f, rect_mask(4, 4, 1, 1, 2, 2))
     assert np.array_equal(fg.vec, [2.5, 2.5, 2.5])
-    assert np.array_equal(bg.vec, [2.5, 2.5, 2.5])
 
 
-def test_full_mask_gives_zero_background():
+def test_full_mask_gives_full_foreground():
     f = grid_from(np.ones((4, 4, 2)))
-    fg, bg = extract_prototypes(f, rect_mask(4, 4, 0, 0, 4, 4))
+    fg = extract_prototypes(f, rect_mask(4, 4, 0, 0, 4, 4))
     assert np.array_equal(fg.vec, [1.0, 1.0])
-    assert np.array_equal(bg.vec, [0.0, 0.0])
 
 
 def test_empty_mask_gives_zero_foreground():
     f = grid_from(np.ones((4, 4, 2)))
-    fg, bg = extract_prototypes(f, empty_mask(4, 4))
+    fg = extract_prototypes(f, empty_mask(4, 4))
     assert np.array_equal(fg.vec, [0.0, 0.0])
-    assert np.array_equal(bg.vec, [1.0, 1.0])
 
 
 def test_prototypes_match_per_cell_loop_oracle():
@@ -50,12 +47,12 @@ def test_prototypes_match_per_cell_loop_oracle():
         gh, gw, dim = 6, 5, 4
         f = grid_from(rng.normal(size=(gh, gw, dim)))
         mask = random_mask(rng, w=20, h=18, density=0.4)
-        fg, bg = extract_prototypes(f, mask)
+        fg = extract_prototypes(f, mask)
 
         # loop-and-accumulate oracle with explicit nearest-neighbor sampling
         dense = mask.to_dense()
-        fg_acc, bg_acc = np.zeros(dim), np.zeros(dim)
-        fg_n = bg_n = 0
+        fg_acc = np.zeros(dim)
+        fg_n = 0
         for gy in range(gh):
             for gx in range(gw):
                 my = min(mask.height - 1, (2 * gy + 1) * mask.height // (2 * gh))
@@ -63,13 +60,8 @@ def test_prototypes_match_per_cell_loop_oracle():
                 if dense[my, mx]:
                     fg_acc += f.values[gy, gx]
                     fg_n += 1
-                else:
-                    bg_acc += f.values[gy, gx]
-                    bg_n += 1
         want_fg = fg_acc / fg_n if fg_n else np.zeros(dim)
-        want_bg = bg_acc / bg_n if bg_n else np.zeros(dim)
         assert np.all(np.abs(fg.vec - want_fg) < 1e-12)
-        assert np.all(np.abs(bg.vec - want_bg) < 1e-12)
 
 
 def test_prototypes_permutation_invariant_and_linear():
@@ -79,17 +71,14 @@ def test_prototypes_permutation_invariant_and_linear():
     mask = BitMask.from_dense(dense)
 
     perm = rng.permutation(6)
-    fg, bg = extract_prototypes(grid_from(values), mask)
-    fg_p, bg_p = extract_prototypes(grid_from(values[perm]),
-                                    BitMask.from_dense(dense[perm]))
+    fg = extract_prototypes(grid_from(values), mask)
+    fg_p = extract_prototypes(grid_from(values[perm]), BitMask.from_dense(dense[perm]))
     assert np.allclose(fg.vec, fg_p.vec, atol=1e-12)
-    assert np.allclose(bg.vec, bg_p.vec, atol=1e-12)
 
     other = rng.normal(size=(6, 6, 3))
-    fg_sum, bg_sum = extract_prototypes(grid_from(values + other), mask)
-    fg_o, bg_o = extract_prototypes(grid_from(other), mask)
+    fg_sum = extract_prototypes(grid_from(values + other), mask)
+    fg_o = extract_prototypes(grid_from(other), mask)
     assert np.allclose(fg_sum.vec, fg.vec + fg_o.vec, atol=1e-12)
-    assert np.allclose(bg_sum.vec, bg.vec + bg_o.vec, atol=1e-12)
 
 
 # --- cosine -----------------------------------------------------------------

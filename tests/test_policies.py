@@ -20,6 +20,7 @@ from trackmem.policies import (
     him_stage2,
     motion_consistency,
     sam2long_admit,
+    samite_anchor_first,
     samite_calibrate,
     samite_select_ram,
     samurai_admit,
@@ -162,7 +163,8 @@ def test_sam2long_admit_gates():
 
 def test_calibrate_equal_prototypes_score_one():
     p = Prototype([1.0, 2.0, 3.0])
-    scores = samite_calibrate([(3, p), (4, p)], p, p, alpha=0.3)
+    scores = samite_calibrate([(3, p, samite_anchor_first(p, p)),
+                               (4, p, samite_anchor_first(p, p))], p, alpha=0.3)
     assert scores == [(3, 1.0), (4, 1.0)]
 
 
@@ -172,7 +174,8 @@ def test_calibrate_alpha_zero_ranks_by_first_anchor():
     close_to_first = Prototype([0.9, 0.1])
     close_to_prev = Prototype([0.1, 0.9])
     scores = dict(samite_calibrate(
-        [(3, close_to_first), (4, close_to_prev)], first, prev, alpha=0.0))
+        [(3, close_to_first, samite_anchor_first(close_to_first, first)),
+         (4, close_to_prev, samite_anchor_first(close_to_prev, first))], prev, alpha=0.0))
     assert scores[3] > scores[4]
 
 
@@ -184,7 +187,9 @@ def test_calibrate_matches_high_precision_oracle(rng):
         first = Prototype(rng.normal(size=dim))
         prev = Prototype(rng.normal(size=dim))
         alpha = float(rng.uniform(0, 1))
-        got = samite_calibrate(window, first, prev, alpha)
+        got = samite_calibrate(
+            [(f, proto, samite_anchor_first(proto, first)) for f, proto in window],
+            prev, alpha)
 
         def mp_cos(a, b):
             a = [mpmath.mpf(float(v)) for v in a]
@@ -199,6 +204,12 @@ def test_calibrate_matches_high_precision_oracle(rng):
                 + mpmath.mpf(alpha) * mp_cos(proto.vec, prev.vec)
             assert fg == f
             assert abs(sg - float(want)) < 1e-12
+
+
+def test_anchor_first_without_prototype_is_zero():
+    p = Prototype([1.0, 2.0, 3.0])
+    assert samite_anchor_first(p, None) == 0.0
+    assert samite_anchor_first(p, None) == samite_anchor_first(p, Prototype([0.0] * 3))
 
 
 def make_entry(f, proto=None):

@@ -1,10 +1,24 @@
+import dataclasses
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, box_iou
-from trackmem.membank import EntryKind
+from trackmem.membank import EntryKind, MemoryEntry
 from trackmem.observation import Proposal
-from trackmem.oracles import him_choice_oracle, samurai_choice_oracle
-from trackmem.policies import PolicyConfig, RamPolicyDecision
+from trackmem.oracles import (
+    him_choice_oracle,
+    samite_calibrate_recomputed,
+    samurai_choice_oracle,
+)
+from trackmem.policies import (
+    AdmissionReason,
+    PolicyConfig,
+    RamPolicyDecision,
+    samite_select_ram,
+)
 from trackmem.selection import (
     FrameResult,
     PolicyKind,
@@ -256,6 +270,81 @@ def test_samite_session_holds_anchors():
     assert frames[-1] == last_stored  # previous-frame anchor
     protos = [e.fg_prototype for e in session.bank.ram]
     assert all(p is not None for p in protos)
+
+
+class RecomputingSamiteSession(TrackerSession):
+    """The prototype-calibrated step as first written: both anchor cosines
+    recomputed for every window entry on every frame, and a first anchor
+    without a prototype replaced by the zero vector."""
+
+    def _step_samite(self, obs):
+        cfg = self.cfg.policy_cfg
+        chosen, present = select_default(obs)
+        drm_admitted = self._consider_drm(obs, chosen, present)
+        proto = self._prototype_for(obs, chosen.mask) if present else None
+        if present and proto is not None:
+            self._samite_pool.append(MemoryEntry.from_proposal(
+                obs.frame_idx, chosen, EntryKind.RAM, fg_prototype=proto))
+            decision = RamPolicyDecision.admitted()
+        else:
+            decision = RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
+        horizon = obs.frame_idx - cfg.window_m
+        self._samite_pool = [e for e in self._samite_pool if e.frame_idx >= horizon]
+        first = self._samite_first
+        prev = self._samite_pool[-1] if self._samite_pool else None
+        window = [e for e in self._samite_pool
+                  if e is not prev and e.frame_idx >= obs.frame_idx + 1 - cfg.window_m]
+        scored = []
+        if window:
+            zero = np.zeros(window[0].fg_prototype.dim)
+            scored = samite_calibrate_recomputed(
+                [(e.frame_idx, e.fg_prototype.vec) for e in window],
+                first.fg_prototype.vec if first.fg_prototype is not None else zero,
+                prev.fg_prototype.vec, cfg.alpha)
+        by_frame = dict(scored)
+        self.bank.replace_ram(samite_select_ram(
+            [(e, by_frame[e.frame_idx]) for e in window], self.cfg.k_ram, first, prev))
+        return FrameResult(
+            frame_idx=obs.frame_idx, chosen=chosen if present else None,
+            present=present, decision=decision, drm_admitted=drm_admitted,
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    frames=st.integers(2, 40),
+    n_distractors=st.integers(0, 2),
+    similarity=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    occlusion=st.one_of(st.none(), st.tuples(st.integers(1, 20), st.integers(1, 12))),
+    window_m=st.integers(3, 8),
+    k_ram=st.integers(2, 6),
+    alpha=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    first_without_features=st.booleans(),
+)
+def test_samite_session_matches_recomputing_reference(
+        seed, frames, n_distractors, similarity, occlusion, window_m, k_ram, alpha,
+        first_without_features):
+    occlusions = ()
+    if occlusion is not None and occlusion[0] < frames - 1:
+        start = occlusion[0]
+        occlusions = ((start, min(frames, start + occlusion[1])),)
+    record = gen_sequence(SceneConfig(
+        seed=seed, frames=frames, grid=(48, 40),
+        target_motion=MotionSpec(size=(12.0, 10.0)), n_distractors=n_distractors,
+        distractor_similarity=similarity, occlusions=occlusions, proto_dim=3))
+    observations = list(record.observations)
+    if first_without_features:
+        # the first anchor then has no prototype: its term is cos(P, 0) = 0
+        observations[0] = dataclasses.replace(observations[0], features=None)
+    cfg = config(PolicyKind.SAMITE_DRM, k_ram=k_ram,
+                 policy_cfg=PolicyConfig(alpha=alpha, beta=0.0, window_m=window_m))
+    session = TrackerSession(cfg, record.init_mask)
+    reference = RecomputingSamiteSession(cfg, record.init_mask)
+    for o in observations:
+        assert frame_result_to_line(session.step(o)) == frame_result_to_line(reference.step(o))
+        assert [e.frame_idx for e in session.bank.ram] == \
+            [e.frame_idx for e in reference.bank.ram]
 
 
 def test_sam2long_session_composes_shared_drm_with_best_ram():

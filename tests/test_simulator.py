@@ -293,8 +293,8 @@ def test_distractor_prototype_similarity_is_configured():
                       n_distractors=1, distractor_similarity=0.9)
     record = gen_sequence(cfg)
     obs = record.observations[0]
-    fg_target, _ = extract_prototypes(obs.features, obs.proposals[0].mask)
-    fg_distr, _ = extract_prototypes(obs.features, obs.proposals[1].mask)
+    fg_target = extract_prototypes(obs.features, obs.proposals[0].mask)
+    fg_distr = extract_prototypes(obs.features, obs.proposals[1].mask)
     assert cosine(fg_target, fg_distr) == pytest.approx(0.9, abs=0.08)
 
 
