@@ -37,6 +37,7 @@ import enum
 import statistics
 from dataclasses import dataclass, replace
 
+from .checks import check_numbers
 from .geometry import BBox, BitMask, mask_iou, mask_to_bbox
 from .observation import FrameObservation, Proposal, Prototype
 
@@ -89,12 +90,11 @@ class DrmConfig:
     min_gap: int = 5
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if not (0.0 <= self.tau_div <= 1.0 and 0.0 <= self.tau_q <= 1.0):
             raise ValueError("tau_div and tau_q must lie in [0, 1]")
         if not (0 < self.area_lo < self.area_hi):
             raise ValueError("need 0 < area_lo < area_hi")
-        if isinstance(self.min_gap, bool) or not isinstance(self.min_gap, int):
-            raise ValueError(f"min_gap must be an integer, got {self.min_gap!r}")
         if self.min_gap < 1:
             raise ValueError("min_gap must be >= 1")
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_numbers
 from .geometry import BBox
 
 __all__ = ["KalmanState", "MotionConfig", "kf_init", "kf_predict", "kf_update"]
@@ -52,10 +53,9 @@ class MotionConfig:
     n_lost: int = 30
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.process_noise <= 0 or self.measurement_noise <= 0 or self.initial_cov_scale <= 0:
             raise ValueError("motion noise parameters must be strictly positive")
-        if isinstance(self.n_lost, bool) or not isinstance(self.n_lost, int):
-            raise ValueError(f"n_lost must be an integer, got {self.n_lost!r}")
         if self.n_lost < 1:
             raise ValueError("n_lost must be >= 1")
 

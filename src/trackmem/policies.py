@@ -2,7 +2,8 @@
 
 Six policies share one decision contract. Each returns a
 :class:`RamPolicyDecision` whose reason names the first gate that failed,
-so traces are auditable after the fact:
+so traces are auditable after the fact (:mod:`trackmem.selection` holds
+the policy objects that apply these rules):
 
 - plain FIFO: every frame is stored, reliability ignored;
 - gated-sparse: store only when the target is predicted present and a
@@ -33,8 +34,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
+from .checks import check_numbers
 from .geometry import BBox, box_iou
 from .membank import MemoryEntry
 from .observation import FrameObservation, Proposal, Prototype, cosine
@@ -43,7 +45,6 @@ __all__ = [
     "AdmissionReason",
     "RamPolicyDecision",
     "PolicyConfig",
-    "fifo_admit",
     "dam_admit",
     "motion_consistency",
     "samurai_score",
@@ -116,10 +117,7 @@ class PolicyConfig:
     beam_width: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("window_m", "delta_ram", "beam_width"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_numbers(self)
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0
                 and 0.0 <= self.alpha_him <= 1.0):
             raise ValueError("weights must lie in [0, 1]")
@@ -135,12 +133,7 @@ class PolicyConfig:
             raise ValueError("beam_width must be >= 1")
 
 
-# --- FIFO and gated-sparse -------------------------------------------------
-
-
-def fifo_admit(obs: FrameObservation, chosen: Proposal) -> RamPolicyDecision:
-    """Baseline policy: store every frame, reliability ignored."""
-    return RamPolicyDecision.admitted()
+# --- gated-sparse ------------------------------------------------------------
 
 
 def dam_admit(obs: FrameObservation, chosen: Proposal, last_ram_frame: int,
@@ -249,8 +242,7 @@ def samite_select_ram(
     candidates = [(e, s) for e, s in scored_window if e.frame_idx not in anchor_frames]
     candidates.sort(key=lambda item: (-item[1], -item[0].frame_idx))
     picked = [e for e, _ in candidates[: k_ram - 2]]
-    ram = sorted(anchors + picked, key=lambda e: e.frame_idx)
-    return ram
+    return sorted(anchors + picked, key=lambda e: e.frame_idx)
 
 
 # --- two-stage motion confidence ---------------------------------------------
@@ -268,7 +260,7 @@ def him_stage2(s_coarse: float, s_fine: float, s_iou: float, cfg: PolicyConfig) 
 
 def him_confidence(
     s_coarse: Sequence[float],
-    s_fine: Sequence[float],
+    s_fine: Callable[[], Sequence[float]],
     s_iou: Sequence[float],
     cfg: PolicyConfig,
 ) -> tuple[list[float], bool]:
@@ -276,12 +268,13 @@ def him_confidence(
 
     Computes the coarse-stage confidences first; when their maximum falls
     below ``tau_conf`` the fine stage replaces them for every proposal.
-    Returns the final confidences and whether the fine stage was used.
+    ``s_fine`` returns the fine-stage motion scores and is called only
+    then. Returns the final confidences and whether the fine stage was used.
     """
     stage1 = [him_stage1(c, i, cfg) for c, i in zip(s_coarse, s_iou)]
     if max(stage1) >= cfg.tau_conf:
         return stage1, False
-    stage2 = [him_stage2(c, f, i, cfg) for c, f, i in zip(s_coarse, s_fine, s_iou)]
+    stage2 = [him_stage2(c, f, i, cfg) for c, f, i in zip(s_coarse, s_fine(), s_iou)]
     return stage2, True
 
 

@@ -1,20 +1,29 @@
-"""Per-frame output selection and the tracker session orchestrator.
+"""Per-frame output selection, the policy objects, and the tracker session.
 
-:class:`TrackerSession` is the glue: it owns the memory bank, the motion
-filter, and any per-policy state, and advances them one observation at a
-time. The per-frame pipeline order is fixed as
+Each :class:`PolicyKind` has one policy class, registered in
+:data:`POLICIES` (the one place to add a policy). A policy owns its state
+(a motion filter, an anchor pool, memory pathways); ``select(obs)``
+returns the frame's output and whether the target is present (any scores
+it computed stay on the policy for the frame's result), ``admit`` applies
+its RAM rule, and ``ram`` is its RAM view: the bank's, or the best
+pathway's.
 
-    predict -> select -> DRM-consider -> RAM-admit -> motion-update
+:class:`TrackerSession.step` is the one pipeline for every policy:
 
-so that a frame's own RAM copy can never shift the RAM-area median used
-by its DRM gate. Every step returns an audited :class:`FrameResult`; a
-replayed (config, observation) pair reproduces the result sequence
-byte-for-byte in serialized form.
+    select -> DRM-consider -> RAM-admit
+
+Motion filters predict and update inside ``select``. RAM is admitted
+after the DRM gate, so a frame's own RAM copy can never shift the RAM-area
+median used by its DRM gate. A present target is offered once to the
+session bank's DRM gates, with the policy's RAM view for the area gate;
+the FIFO baseline has no DRM. Every step returns an audited
+:class:`FrameResult`; a replayed (config, observation) pair reproduces the
+result sequence byte-for-byte in serialized form.
 
 Frame 0 is the prompt: the initialization mask is the output, lands in
-the reserved init slot, and seeds the motion filter. Target-absent frames
-report ``present=False`` and are fed to metrics as empty predictions;
-no policy admits them to RAM except the unconditional FIFO baseline.
+the reserved init slot, and seeds the policy's state. Target-absent
+frames report ``present=False`` and are fed to metrics as empty
+predictions; no policy admits them to RAM except the FIFO baseline.
 """
 
 from __future__ import annotations
@@ -22,23 +31,21 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .geometry import BBox, BitMask
 from .membank import DrmConfig, EntryKind, MemoryBank, MemoryEntry
-from .motion import KalmanState, MotionConfig, kf_init, kf_predict, kf_update
+from .motion import MotionConfig, kf_init, kf_predict, kf_update
 from .observation import FrameObservation, Proposal, Prototype, extract_prototypes
-from .pathways import PathwaySet, pathway_best, pathway_expand, pathway_init, pathway_prune
+from .pathways import pathway_best, pathway_expand, pathway_init, pathway_prune
 from .policies import (
     AdmissionReason,
     PolicyConfig,
     RamPolicyDecision,
     dam_admit,
-    fifo_admit,
     him_admit,
     him_confidence,
-    him_stage1,
     motion_consistency,
     sam2long_admit,
     samite_anchor_first,
@@ -52,6 +59,8 @@ __all__ = [
     "PolicyKind",
     "TrackerConfig",
     "FrameResult",
+    "Policy",
+    "POLICIES",
     "TrackerSession",
     "select_default",
     "select_samurai",
@@ -71,14 +80,9 @@ class PolicyKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Everything a session needs: policy choice plus all knobs.
-
-    The FIFO baseline never carries a DRM, so ``drm_enabled`` is forced
-    off for it.
-    """
+    """Everything a session needs: policy choice plus all knobs."""
 
     policy: PolicyKind
-    drm_enabled: bool = True
     k_ram: int = 6
     k_drm: int = 3
     policy_cfg: PolicyConfig = field(default_factory=PolicyConfig)
@@ -86,8 +90,6 @@ class TrackerConfig:
     drm_cfg: DrmConfig = field(default_factory=DrmConfig)
 
     def __post_init__(self) -> None:
-        if self.policy is PolicyKind.SAM2_FIFO and self.drm_enabled:
-            object.__setattr__(self, "drm_enabled", False)
         if self.policy is PolicyKind.SAMITE_DRM and self.k_ram < 2:
             raise ValueError(
                 "the prototype-calibrated policy needs k_ram >= 2 for its anchors")
@@ -182,20 +184,236 @@ def select_him(
     chosen is None when the winning mask is empty and the frame-level
     presence score is non-positive.
     """
+    def s_fine() -> list[float]:
+        fine_box = fine_pred()
+        return [motion_consistency(fine_box, p) for p in obs.proposals]
+
     s_iou = [p.s_mask for p in obs.proposals]
     s_coarse = [motion_consistency(coarse_pred, p) for p in obs.proposals]
-    stage1 = [him_stage1(c, i, cfg) for c, i in zip(s_coarse, s_iou)]
-    if max(stage1) >= cfg.tau_conf:
-        confs, used_fine = stage1, False
-    else:
-        fine_box = fine_pred()
-        s_fine = [motion_consistency(fine_box, p) for p in obs.proposals]
-        confs, used_fine = him_confidence(s_coarse, s_fine, s_iou, cfg)
+    confs, used_fine = him_confidence(s_coarse, s_fine, s_iou, cfg)
     best = max(range(len(confs)), key=lambda i: (confs[i], -i))
     chosen = obs.proposals[best]
     if chosen.mask.is_empty and obs.o <= 0.0:
         return None, None, used_fine
     return chosen, confs[best], used_fine
+
+
+# --- the policies ----------------------------------------------------------------
+
+
+def _prototype(obs: FrameObservation, mask: BitMask) -> Prototype | None:
+    if obs.features is None or mask.is_empty:
+        return None
+    return extract_prototypes(obs.features, mask)
+
+
+_ABSENT = RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
+
+
+class Policy:
+    """One memory policy: its state, its selection and its RAM rule.
+
+    It is given the session's bank and config, never the session, so a
+    finished session is freed as soon as its last reference goes.
+    """
+
+    uses_drm = True
+    # scores of the last selection, reported in the frame's result
+    s_kf: float | None = None
+    s_conf: float | None = None
+    used_fine = False
+
+    def __init__(self, bank: MemoryBank, cfg: TrackerConfig):
+        self.bank = bank
+        self.cfg = cfg
+
+    @property
+    def ram(self) -> list[MemoryEntry]:
+        return self.bank.ram
+
+    def prompt(self, obs: FrameObservation) -> None:
+        """Seed any state that needs the frame-0 observation."""
+
+    def select(self, obs: FrameObservation) -> tuple[Proposal | None, bool]:
+        return select_default(obs)
+
+    def admit(self, obs: FrameObservation, chosen: Proposal | None,
+              present: bool) -> RamPolicyDecision:
+        """Insert the chosen proposal into RAM when :meth:`gate` admits it."""
+        decision = self.gate(obs, chosen, present)
+        if decision.admit:
+            self.bank.insert_ram(MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM))
+        return decision
+
+    def gate(self, obs: FrameObservation, chosen: Proposal | None,
+             present: bool) -> RamPolicyDecision:
+        """The RAM rule: admit or reject this frame's chosen proposal."""
+        raise NotImplementedError
+
+
+class FifoPolicy(Policy):
+    """Store every frame, reliability ignored; no DRM."""
+
+    uses_drm = False
+
+    def gate(self, obs, chosen, present) -> RamPolicyDecision:
+        return RamPolicyDecision.admitted()
+
+
+class DamPolicy(Policy):
+    """Gated-sparse: store a present target once the store gap has elapsed."""
+
+    def gate(self, obs, chosen, present) -> RamPolicyDecision:
+        return dam_admit(obs, chosen, self.bank.last_ram_frame, self.cfg.policy_cfg)
+
+
+class _MotionPolicy(Policy):
+    """A policy with a Kalman filter on the target box, seeded from the prompt box,
+    updated on every confirmed box, and re-seeded from the next one after
+    ``n_lost`` frames without."""
+
+    def __init__(self, bank: MemoryBank, cfg: TrackerConfig):
+        super().__init__(bank, cfg)
+        self.kf = kf_init(bank.init.bbox, cfg.motion_cfg, frame_idx=0)
+        self.absent_streak = 0
+
+    def predict(self) -> BBox:
+        self.kf, box = kf_predict(self.kf)
+        return box
+
+    def observe(self, frame_idx: int, chosen: Proposal | None) -> None:
+        box = None if chosen is None else chosen.bbox
+        if box is None or box.area == 0.0:
+            self.absent_streak += 1
+            return
+        if self.absent_streak >= self.cfg.motion_cfg.n_lost:
+            self.kf = kf_init(box, self.cfg.motion_cfg, frame_idx=frame_idx)
+        else:
+            self.kf = kf_update(self.kf, box, frame_idx=frame_idx)
+        self.absent_streak = 0
+
+
+class SamuraiPolicy(_MotionPolicy):
+    """Motion-gated: blended motion+affinity choice, three-threshold store."""
+
+    def select(self, obs: FrameObservation) -> tuple[Proposal | None, bool]:
+        chosen, self.s_kf = select_samurai(obs, self.predict(), self.cfg.policy_cfg)
+        self.observe(obs.frame_idx, chosen)
+        return chosen, chosen is not None
+
+    def gate(self, obs, chosen, present) -> RamPolicyDecision:
+        if not present:
+            return _ABSENT
+        return samurai_admit(chosen, self.s_kf, self.cfg.policy_cfg)
+
+
+class Sam2LongPolicy(Policy):
+    """Best of ``beam_width`` memory pathways; RAM lives in the pathways' banks."""
+
+    def __init__(self, bank: MemoryBank, cfg: TrackerConfig):
+        super().__init__(bank, cfg)
+        self.pathways = pathway_init(MemoryBank(bank.init, cfg.k_ram, 0), cfg.policy_cfg.beam_width)
+
+    @property
+    def ram(self) -> list[MemoryEntry]:
+        return pathway_best(self.pathways).bank.ram
+
+    def select(self, obs: FrameObservation) -> tuple[Proposal | None, bool]:
+        cfg = self.cfg.policy_cfg
+        candidates = pathway_expand(self.pathways, obs, cfg.epsilon)
+        self.pathways = pathway_prune(self.pathways, candidates, obs, cfg)
+        chosen = obs.proposals[pathway_best(self.pathways).trajectory[-1][1]]
+        return chosen, not (obs.o <= 0.0 and chosen.mask.is_empty)
+
+    def admit(self, obs, chosen, present) -> RamPolicyDecision:
+        # the survivors' banks were advanced while pruning
+        return sam2long_admit(obs, chosen, self.cfg.policy_cfg)
+
+
+class SamitePolicy(Policy):
+    """Prototype-calibrated: rebuild RAM every frame from anchors and a window.
+
+    The pool holds each stored entry beside its first-anchor term
+    cos(P, P_first), taken once when the entry joins it.
+    """
+
+    def prompt(self, obs: FrameObservation) -> None:
+        init = self.bank.init
+        self.first = replace(init, kind=EntryKind.RAM, fg_prototype=_prototype(obs, init.mask))
+        self.pool: list[tuple[MemoryEntry, float]] = []
+
+    def admit(self, obs, chosen, present) -> RamPolicyDecision:
+        cfg = self.cfg.policy_cfg
+        proto = _prototype(obs, chosen.mask) if present else None
+        if proto is not None:
+            entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM,
+                                              fg_prototype=proto)
+            self.pool.append((entry, samite_anchor_first(proto, self.first.fg_prototype)))
+            decision = RamPolicyDecision.admitted()
+        else:
+            decision = _ABSENT
+        # entries older than the sliding window can never be selected again
+        horizon = obs.frame_idx - cfg.window_m
+        self.pool = [item for item in self.pool if item[0].frame_idx >= horizon]
+        prev = self.pool[-1][0] if self.pool else None
+        window = [(e, cos_first) for e, cos_first in self.pool
+                  if e is not prev and e.frame_idx > horizon]
+        scored = samite_calibrate(
+            [(e.frame_idx, e.fg_prototype, cos_first) for e, cos_first in window],
+            prev.fg_prototype, cfg.alpha,
+        ) if window else []
+        self.bank.replace_ram(samite_select_ram(
+            [(e, score) for (e, _), (_, score) in zip(window, scored)],
+            self.cfg.k_ram, self.first, prev,
+        ))
+        return decision
+
+
+class HimPolicy(_MotionPolicy):
+    """Two-stage motion confidence; the fine stage extrapolates accepted boxes."""
+
+    def __init__(self, bank: MemoryBank, cfg: TrackerConfig):
+        super().__init__(bank, cfg)
+        self.accepted_boxes: list[tuple[int, BBox]] = [(0, bank.init.bbox)]  # the last two
+
+    def select(self, obs: FrameObservation) -> tuple[Proposal | None, bool]:
+        chosen, self.s_conf, self.used_fine = select_him(
+            obs, self.predict(), lambda: self._fine_box(obs.frame_idx), self.cfg.policy_cfg)
+        self.observe(obs.frame_idx, chosen)
+        return chosen, chosen is not None
+
+    def gate(self, obs, chosen, present) -> RamPolicyDecision:
+        if not present:
+            return _ABSENT
+        decision = him_admit(chosen, self.s_conf, self.cfg.policy_cfg)
+        if decision.admit and chosen.bbox is not None:
+            self.accepted_boxes = (self.accepted_boxes + [(obs.frame_idx, chosen.bbox)])[-2:]
+        return decision
+
+    def _fine_box(self, frame_idx: int) -> BBox:
+        """Extrapolate the last two accepted boxes to ``frame_idx``, or repeat the only one."""
+        if len(self.accepted_boxes) == 1:
+            return self.accepted_boxes[0][1]
+        (t0, b0), (t1, b1) = self.accepted_boxes
+        scale = (frame_idx - t1) / (t1 - t0)
+        cx0, cy0 = b0.center
+        cx1, cy1 = b1.center
+        return BBox.from_center(
+            cx1 + (cx1 - cx0) * scale,
+            cy1 + (cy1 - cy0) * scale,
+            max(b1.w + (b1.w - b0.w) * scale, 1e-6),
+            max(b1.h + (b1.h - b0.h) * scale, 1e-6),
+        )
+
+
+POLICIES: dict[PolicyKind, type[Policy]] = {
+    PolicyKind.SAM2_FIFO: FifoPolicy,
+    PolicyKind.DAM4SAM: DamPolicy,
+    PolicyKind.SAMURAI_DRM: SamuraiPolicy,
+    PolicyKind.SAM2LONG_DRM: Sam2LongPolicy,
+    PolicyKind.SAMITE_DRM: SamitePolicy,
+    PolicyKind.HIM2SAM_DRM: HimPolicy,
+}
 
 
 # --- the session ---------------------------------------------------------------
@@ -215,37 +433,12 @@ class TrackerSession:
         self.cfg = cfg
         self.init_mask = init_mask
         self.bank = MemoryBank.new(init_mask, cfg.k_ram, cfg.k_drm)
+        self.policy = POLICIES[cfg.policy](self.bank, cfg)
         self._last_frame = -1
-        self._kf: KalmanState | None = None
-        self._absent_streak = 0
-        self._uses_motion = cfg.policy in (PolicyKind.SAMURAI_DRM, PolicyKind.HIM2SAM_DRM)
-        # two-stage fine estimator state: last two accepted (frame, box)
-        self._accepted_boxes: list[tuple[int, BBox]] = []
-        # prototype-calibrated state: frame-0 anchor entry and the stored
-        # pool, each entry beside its first-anchor term cos(P, P_first)
-        self._samite_first: MemoryEntry | None = None
-        self._samite_pool: list[tuple[MemoryEntry, float]] = []
-        # multi-pathway state
-        self._pathways: PathwaySet | None = None
-        if cfg.policy is PolicyKind.SAM2LONG_DRM:
-            self._pathways = pathway_init(
-                MemoryBank.new(init_mask, cfg.k_ram, 0), cfg.policy_cfg.beam_width
-            )
-
-    # -- public views --
 
     def memory_entries(self) -> list[MemoryEntry]:
-        """Composed conditioning set: init, DRM, RAM, in that order.
-
-        For the multi-pathway policy the RAM belongs to the current best
-        pathway while the DRM is session-shared.
-        """
-        if self._pathways is not None:
-            best = pathway_best(self._pathways)
-            return [self.bank.init, *self.bank.drm, *best.bank.ram]
-        return self.bank.compose()
-
-    # -- stepping --
+        """Composed conditioning set: init, DRM, RAM, in that order."""
+        return [self.bank.init, *self.bank.drm, *self.policy.ram]
 
     def step(self, obs: FrameObservation) -> FrameResult:
         if obs.frame_idx <= self._last_frame:
@@ -256,219 +449,25 @@ class TrackerSession:
         if self._last_frame < 0 and obs.frame_idx != 0:
             raise ValueError("the first observation must be frame 0 (the prompt frame)")
         self._last_frame = obs.frame_idx
+        policy = self.policy
 
         if obs.frame_idx == 0:
-            return self._step_prompt(obs)
+            policy.prompt(obs)
+            return FrameResult(
+                frame_idx=0, chosen=Proposal.from_mask(self.init_mask, 1.0, 1.0),
+                present=True, decision=RamPolicyDecision.admitted(), drm_admitted=False,
+            )
 
-        policy = self.cfg.policy
-        if policy is PolicyKind.SAM2_FIFO:
-            return self._step_fifo(obs)
-        if policy is PolicyKind.DAM4SAM:
-            return self._step_dam(obs)
-        if policy is PolicyKind.SAMURAI_DRM:
-            return self._step_samurai(obs)
-        if policy is PolicyKind.SAM2LONG_DRM:
-            return self._step_sam2long(obs)
-        if policy is PolicyKind.SAMITE_DRM:
-            return self._step_samite(obs)
-        if policy is PolicyKind.HIM2SAM_DRM:
-            return self._step_him(obs)
-        raise AssertionError(f"unhandled policy {policy}")
+        chosen, present = policy.select(obs)
+        drm_admitted = policy.uses_drm and present and self.bank.consider_drm(
+            obs, chosen, self.cfg.drm_cfg, ram_areas=[e.mask.area for e in policy.ram])
+        decision = policy.admit(obs, chosen, present)
+        return FrameResult(
+            frame_idx=obs.frame_idx, chosen=chosen if present else None, present=present,
+            decision=decision, drm_admitted=drm_admitted,
+            s_kf=policy.s_kf, s_conf=policy.s_conf, used_fine=policy.used_fine,
+        )
 
     def run(self, observations) -> list[FrameResult]:
         """Step through a whole observation sequence."""
         return [self.step(obs) for obs in observations]
-
-    # -- frame 0: the prompt --
-
-    def _step_prompt(self, obs: FrameObservation) -> FrameResult:
-        prompt = Proposal.from_mask(self.init_mask, 1.0, 1.0)
-        if self._uses_motion:
-            self._kf = kf_init(prompt.bbox, self.cfg.motion_cfg, frame_idx=0)
-            self._accepted_boxes = [(0, prompt.bbox)]
-        if self.cfg.policy is PolicyKind.SAMITE_DRM:
-            proto = self._prototype_for(obs, self.init_mask)
-            self._samite_first = MemoryEntry(
-                frame_idx=0, mask=self.init_mask, s_mask=1.0, kind=EntryKind.RAM,
-                bbox=prompt.bbox, fg_prototype=proto,
-            )
-        return FrameResult(
-            frame_idx=0, chosen=prompt, present=True,
-            decision=RamPolicyDecision.admitted(), drm_admitted=False,
-        )
-
-    # -- shared helpers --
-
-    def _prototype_for(self, obs: FrameObservation, mask: BitMask) -> Prototype | None:
-        if obs.features is None or mask.is_empty:
-            return None
-        return extract_prototypes(obs.features, mask)
-
-    def _consider_drm(self, obs: FrameObservation, chosen: Proposal | None,
-                      present: bool, ram_areas: list[int] | None = None) -> bool:
-        if not (self.cfg.drm_enabled and present and chosen is not None):
-            return False
-        return self.bank.consider_drm(obs, chosen, self.cfg.drm_cfg, ram_areas=ram_areas)
-
-    def _motion_predict(self) -> BBox | None:
-        if self._kf is None:
-            return None
-        self._kf, box = kf_predict(self._kf)
-        return box
-
-    def _motion_observe(self, frame_idx: int, present: bool, box: BBox | None) -> None:
-        """Update on confirmed boxes; re-initialize after a long absence."""
-        if not self._uses_motion:
-            return
-        if not present or box is None or box.area == 0.0:
-            self._absent_streak += 1
-            return
-        if self._absent_streak >= self.cfg.motion_cfg.n_lost or self._kf is None:
-            self._kf = kf_init(box, self.cfg.motion_cfg, frame_idx=frame_idx)
-        else:
-            self._kf = kf_update(self._kf, box, frame_idx=frame_idx)
-        self._absent_streak = 0
-
-    def _ram_entry(self, obs: FrameObservation, chosen: Proposal,
-                   with_prototype: bool = False) -> MemoryEntry:
-        proto = self._prototype_for(obs, chosen.mask) if with_prototype else None
-        return MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM,
-                                         fg_prototype=proto)
-
-    # -- policy steps --
-
-    def _step_fifo(self, obs: FrameObservation) -> FrameResult:
-        chosen, present = select_default(obs)
-        decision = fifo_admit(obs, chosen)
-        self.bank.insert_ram(self._ram_entry(obs, chosen))
-        return FrameResult(
-            frame_idx=obs.frame_idx, chosen=chosen if present else None,
-            present=present, decision=decision, drm_admitted=False,
-        )
-
-    def _step_dam(self, obs: FrameObservation) -> FrameResult:
-        chosen, present = select_default(obs)
-        drm_admitted = self._consider_drm(obs, chosen, present)
-        decision = dam_admit(obs, chosen, self.bank.last_ram_frame, self.cfg.policy_cfg)
-        if decision.admit:
-            self.bank.insert_ram(self._ram_entry(obs, chosen))
-        return FrameResult(
-            frame_idx=obs.frame_idx, chosen=chosen if present else None,
-            present=present, decision=decision, drm_admitted=drm_admitted,
-        )
-
-    def _step_samurai(self, obs: FrameObservation) -> FrameResult:
-        kf_box = self._motion_predict()
-        chosen, s_kf = select_samurai(obs, kf_box, self.cfg.policy_cfg)
-        present = chosen is not None
-        drm_admitted = self._consider_drm(obs, chosen, present)
-        if present:
-            decision = samurai_admit(chosen, s_kf, self.cfg.policy_cfg)
-            if decision.admit:
-                self.bank.insert_ram(self._ram_entry(obs, chosen))
-        else:
-            decision = RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
-        self._motion_observe(obs.frame_idx, present, chosen.bbox if chosen else None)
-        return FrameResult(
-            frame_idx=obs.frame_idx, chosen=chosen, present=present,
-            decision=decision, drm_admitted=drm_admitted, s_kf=s_kf,
-        )
-
-    def _step_sam2long(self, obs: FrameObservation) -> FrameResult:
-        cfg = self.cfg.policy_cfg
-        candidates = pathway_expand(self._pathways, obs, cfg.epsilon)
-        self._pathways = pathway_prune(self._pathways, candidates, obs, cfg)
-        best = pathway_best(self._pathways)
-        chosen = obs.proposals[best.trajectory[-1][1]]
-        present = not (obs.o <= 0.0 and chosen.mask.is_empty)
-        decision = sam2long_admit(obs, chosen, cfg)
-        ram_areas = [e.mask.area for e in best.bank.ram]
-        drm_admitted = self._consider_drm(obs, chosen, present, ram_areas=ram_areas)
-        return FrameResult(
-            frame_idx=obs.frame_idx, chosen=chosen if present else None,
-            present=present, decision=decision, drm_admitted=drm_admitted,
-        )
-
-    def _step_samite(self, obs: FrameObservation) -> FrameResult:
-        cfg = self.cfg.policy_cfg
-        chosen, present = select_default(obs)
-        drm_admitted = self._consider_drm(obs, chosen, present)
-
-        proto = self._prototype_for(obs, chosen.mask) if present else None
-        if present and proto is not None:
-            entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM,
-                                              fg_prototype=proto)
-            cos_first = samite_anchor_first(proto, self._samite_first.fg_prototype)
-            self._samite_pool.append((entry, cos_first))
-            decision = RamPolicyDecision.admitted()
-        else:
-            decision = RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
-        # entries older than the sliding window can never be selected again
-        horizon = obs.frame_idx - cfg.window_m
-        self._samite_pool = [item for item in self._samite_pool
-                             if item[0].frame_idx >= horizon]
-
-        first = self._samite_first
-        prev = self._samite_pool[-1][0] if self._samite_pool else None
-        start = obs.frame_idx + 1 - cfg.window_m
-        window = [(e, cos_first) for e, cos_first in self._samite_pool
-                  if e is not prev and e.frame_idx >= start]
-        if window:
-            scored = samite_calibrate(
-                [(e.frame_idx, e.fg_prototype, cos_first) for e, cos_first in window],
-                prev.fg_prototype, cfg.alpha,
-            )
-        else:
-            scored = []
-        ram = samite_select_ram(
-            [(e, score) for (e, _), (_, score) in zip(window, scored)],
-            self.cfg.k_ram, first, prev,
-        )
-        self.bank.replace_ram(ram)
-        return FrameResult(
-            frame_idx=obs.frame_idx, chosen=chosen if present else None,
-            present=present, decision=decision, drm_admitted=drm_admitted,
-        )
-
-    def _step_him(self, obs: FrameObservation) -> FrameResult:
-        cfg = self.cfg.policy_cfg
-        coarse_box = self._motion_predict()
-        chosen, s_conf, used_fine = select_him(obs, coarse_box, self._fine_extrapolation, cfg)
-        present = chosen is not None
-        drm_admitted = self._consider_drm(obs, chosen, present)
-        if present:
-            decision = him_admit(chosen, s_conf, cfg)
-            if decision.admit:
-                self.bank.insert_ram(self._ram_entry(obs, chosen))
-                if chosen.bbox is not None:
-                    self._accepted_boxes = (self._accepted_boxes + [(obs.frame_idx, chosen.bbox)])[-2:]
-        else:
-            decision = RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
-        self._motion_observe(obs.frame_idx, present, chosen.bbox if chosen else None)
-        return FrameResult(
-            frame_idx=obs.frame_idx, chosen=chosen, present=present,
-            decision=decision, drm_admitted=drm_admitted,
-            s_conf=s_conf, used_fine=used_fine,
-        )
-
-    def _fine_extrapolation(self) -> BBox | None:
-        """Short-window estimate: extrapolate the last two accepted boxes.
-
-        Falls back to the single accepted box (no velocity) and to None
-        when nothing has been accepted yet.
-        """
-        if not self._accepted_boxes:
-            return None
-        if len(self._accepted_boxes) == 1:
-            return self._accepted_boxes[0][1]
-        (t0, b0), (t1, b1) = self._accepted_boxes
-        gap = self._last_frame - t1
-        scale = gap / (t1 - t0)
-        cx0, cy0 = b0.center
-        cx1, cy1 = b1.center
-        return BBox.from_center(
-            cx1 + (cx1 - cx0) * scale,
-            cy1 + (cy1 - cy0) * scale,
-            max(b1.w + (b1.w - b0.w) * scale, 1e-6),
-            max(b1.h + (b1.h - b0.h) * scale, 1e-6),
-        )

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .checks import check_numbers
 from .geometry import BBox, BitMask, mask_iou
 from .observation import (
     FeatureGrid,
@@ -86,6 +87,7 @@ class MotionSpec:
     size: tuple[float, float] = (36.0, 28.0)
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.kind not in ("linear", "sinusoid", "random_walk"):
             raise ValueError(f"unknown motion kind {self.kind!r}")
         if self.size[0] <= 0 or self.size[1] <= 0:
@@ -108,8 +110,13 @@ class SceneConfig:
     family: str = "custom"
 
     def __post_init__(self) -> None:
+        check_numbers(self)
+        if not 0 <= self.seed < 2 ** 128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed!r}")
         if self.frames < 1:
             raise ValueError("need at least one frame")
+        if min(self.grid) < 1:
+            raise ValueError(f"grid must have sides >= 1, got {self.grid!r}")
         if self.score_noise < 0:
             raise ValueError("score noise must be >= 0")
         if not (0.0 <= self.distractor_similarity <= 1.0):
@@ -118,7 +125,11 @@ class SceneConfig:
             raise ValueError("n_distractors must be >= 0")
         if self.proto_dim < 2:
             raise ValueError("proto_dim must be >= 2")
-        for start, end in self.occlusions:
+        for interval in self.occlusions:
+            if not (isinstance(interval, tuple) and len(interval) == 2
+                    and all(type(v) is int for v in interval)):
+                raise ValueError(f"occlusions must be pairs of integers, got {interval!r}")
+            start, end = interval
             if not (1 <= start < end <= self.frames):
                 raise ValueError(
                     f"occlusion [{start}, {end}) must lie within [1, frames);"
@@ -531,6 +542,11 @@ def _check_keys(d: dict, cls: type, what: str) -> None:
         raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}")
 
 
+def _tuple(value):
+    """A JSON array as a tuple; anything else is left for the config checks."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 def config_from_dict(d: dict) -> SceneConfig:
     """Inverse of :func:`config_to_dict`; missing keys take their defaults.
 
@@ -540,21 +556,25 @@ def config_from_dict(d: dict) -> SceneConfig:
     _check_keys(d, SceneConfig, "scene")
     motion = d.get("target_motion", {})
     _check_keys(motion, MotionSpec, "target_motion")
-    return SceneConfig(
-        seed=d["seed"],
-        frames=d.get("frames", 110),
-        grid=tuple(d.get("grid", (256, 256))),
-        target_motion=MotionSpec(
+    try:
+        target_motion = MotionSpec(
             kind=motion.get("kind", "linear"),
             speed=motion.get("speed", 2.0),
             amplitude=motion.get("amplitude", 48.0),
             frequency=motion.get("frequency", 0.05),
             step_sigma=motion.get("step_sigma", 2.5),
-            size=tuple(motion.get("size", (36.0, 28.0))),
-        ),
+            size=_tuple(motion.get("size", (36.0, 28.0))),
+        )
+    except ValueError as exc:
+        raise ValueError(f"target_motion: {exc}") from exc
+    return SceneConfig(
+        seed=d["seed"],
+        frames=d.get("frames", 110),
+        grid=_tuple(d.get("grid", (256, 256))),
+        target_motion=target_motion,
         n_distractors=d.get("n_distractors", 0),
         distractor_similarity=d.get("distractor_similarity", 0.0),
-        occlusions=tuple(tuple(iv) for iv in d.get("occlusions", ())),
+        occlusions=tuple(_tuple(iv) for iv in _tuple(d.get("occlusions", ()))),
         score_noise=d.get("score_noise", 0.05),
         proto_dim=d.get("proto_dim", 8),
         family=d.get("family", "custom"),

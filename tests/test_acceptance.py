@@ -240,8 +240,7 @@ def test_criterion_6_bank_invariants_under_fuzzing():
 
     def check(session, cfg, init_entry):
         bank = session.bank
-        ram = bank.ram if session._pathways is None \
-            else pathway_best(session._pathways).bank.ram
+        ram = session.policy.ram
         assert len(ram) <= cfg.k_ram and len(bank.drm) <= cfg.k_drm
         prev = -1
         for e in ram:

@@ -145,6 +145,43 @@ def test_integer_fields_exit_2_naming_the_key(tmp_path, capsys, section, key, va
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("item, section, key, value", [
+    ("drm.tau_q=true", "drm", "tau_q", True),
+    ("policy.alpha=true", "policy", "alpha", True),
+    ('policy.alpha="0.5"', "policy", "alpha", "0.5"),
+    ("motion.process_noise=Infinity", "motion", "process_noise", float("inf")),
+    ("drm.area_hi=NaN", "drm", "area_hi", float("nan")),
+])
+def test_float_fields_exit_2_naming_the_key(tmp_path, capsys, item, section, key, value):
+    assert cmd_run(tiny_config(tmp_path), tmp_path / "out", sets=[item]) == 2
+    out = capsys.readouterr().out
+    assert f"bad {section!r} section: {key} must be a finite real number, got {value!r}" in out
+    assert not (tmp_path / "out").exists()
+
+
+def test_float_fields_take_json_integers():
+    cfg = apply_overrides(default_config(), ["policy.alpha=0", "drm.tau_q=1",
+                                             "motion.process_noise=1"])
+    tc = tracker_config_from(cfg, "samurai_drm")
+    assert (tc.policy_cfg.alpha, tc.drm_cfg.tau_q, tc.motion_cfg.process_noise) == (0, 1, 1)
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"grid": [0, 0]}, "grid"), ({"grid": [64]}, "grid"), ({"grid": [64.5, 64]}, "grid"),
+    ({"frames": 12.5}, "frames"), ({"frames": True}, "frames"),
+    ({"seed": "a"}, "seed"), ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+    ({"n_distractors": 1.5}, "n_distractors"), ({"proto_dim": 4.5}, "proto_dim"),
+    ({"target_motion": {"speed": float("nan")}}, "target_motion: speed"),
+    ({"score_noise": float("inf")}, "score_noise"),
+    ({"occlusions": [[6.5, 10]]}, "occlusions"),
+])
+def test_bad_scene_values_exit_2_naming_scene_and_key(tmp_path, capsys, change, key):
+    scenes = [TINY_SCENES[0], dict(TINY_SCENES[1], **change)]
+    assert cmd_run(tiny_config(tmp_path, scenes=scenes), tmp_path / "out") == 2
+    assert f"bad scene 1: {key} must " in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_whose_top_level_is_an_array_exits_2(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text('[{"k_ram": 3}]')

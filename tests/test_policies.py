@@ -13,7 +13,6 @@ from trackmem.policies import (
     PolicyConfig,
     RamPolicyDecision,
     dam_admit,
-    fifo_admit,
     him_admit,
     him_confidence,
     him_stage1,
@@ -59,14 +58,7 @@ def test_policy_config_validation():
         PolicyConfig(beam_width=0)
 
 
-# --- FIFO / gated-sparse --------------------------------------------------------
-
-
-def test_fifo_always_admits():
-    o = frame()
-    assert fifo_admit(o, o.proposals[0]).admit
-    o_empty = frame(masks=[empty_mask(16, 16)] * 3, o=-1.0)
-    assert fifo_admit(o_empty, o_empty.proposals[0]).admit
+# --- gated-sparse ----------------------------------------------------------------
 
 
 def test_dam_gate_order_and_reasons():
@@ -258,10 +250,10 @@ def test_select_ram_contains_anchors_and_respects_capacity(rng):
 
 def test_him_alpha_one_is_pure_coarse():
     cfg = PolicyConfig(alpha_him=1.0, beta=0.0)
-    confs, used_fine = him_confidence([0.3, 0.6, 0.1], [0.9, 0.9, 0.9],
+    confs, used_fine = him_confidence([0.3, 0.6, 0.1], lambda: [0.9, 0.9, 0.9],
                                       [0.5, 0.5, 0.5], cfg)
     assert confs == [0.3, 0.6, 0.1]
-    confs2, _ = him_confidence([0.3, 0.6, 0.1], [0.0, 0.0, 0.0], [0.5, 0.5, 0.5],
+    confs2, _ = him_confidence([0.3, 0.6, 0.1], lambda: [0.0, 0.0, 0.0], [0.5, 0.5, 0.5],
                                PolicyConfig(alpha_him=1.0, beta=0.0, tau_conf=0.99))
     assert confs2 == confs  # fine stage cannot change pure-coarse values
 
@@ -269,7 +261,8 @@ def test_him_alpha_one_is_pure_coarse():
 def test_him_stage1_used_verbatim_above_threshold():
     cfg = PolicyConfig(alpha_him=0.4, beta=0.3, tau_conf=0.5)
     s_coarse, s_iou = [0.9, 0.2, 0.1], [0.8, 0.3, 0.2]
-    confs, used_fine = him_confidence(s_coarse, [0.0, 0.0, 0.0], s_iou, cfg)
+    confs, used_fine = him_confidence(s_coarse, lambda: pytest.fail("fine stage evaluated"),
+                                      s_iou, cfg)
     assert not used_fine
     assert confs == [him_stage1(c, i, cfg) for c, i in zip(s_coarse, s_iou)]
 
@@ -277,7 +270,7 @@ def test_him_stage1_used_verbatim_above_threshold():
 def test_him_refined_exact_value():
     # 0.4*0.5 + 0.3*0.9 + 0.3*0.6 = 0.65, from the arbitrary-precision oracle
     cfg = PolicyConfig(alpha_him=0.4, beta=0.3, tau_conf=0.99)
-    confs, used_fine = him_confidence([0.5] * 3, [0.9] * 3, [0.6] * 3, cfg)
+    confs, used_fine = him_confidence([0.5] * 3, lambda: [0.9] * 3, [0.6] * 3, cfg)
     assert used_fine
     want = Fraction(2, 5) * Fraction(1, 2) + Fraction(3, 10) * Fraction(9, 10) \
         + Fraction(3, 10) * Fraction(3, 5)

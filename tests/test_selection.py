@@ -19,11 +19,14 @@ from trackmem.policies import (
     RamPolicyDecision,
     samite_select_ram,
 )
+from trackmem.pathways import pathway_best
 from trackmem.selection import (
     FrameResult,
     PolicyKind,
+    SamitePolicy,
     TrackerConfig,
     TrackerSession,
+    _prototype,
     frame_result_to_line,
     select_default,
     select_him,
@@ -170,11 +173,6 @@ def test_select_him_matches_brute_force(rng):
 # --- session basics ---------------------------------------------------------------
 
 
-def test_sam2fifo_config_forces_drm_off():
-    cfg = config(PolicyKind.SAM2_FIFO, drm_enabled=True)
-    assert cfg.drm_enabled is False
-
-
 def test_frame_zero_is_the_prompt():
     session = TrackerSession(config(PolicyKind.DAM4SAM), INIT)
     res = session.step(frame(0))
@@ -207,6 +205,16 @@ def test_fifo_bank_is_init_plus_last_k():
     assert all(r.decision.admit for r in results[1:])
 
 
+def test_fifo_always_admits():
+    session = TrackerSession(config(PolicyKind.SAM2_FIFO), INIT)
+    session.step(frame(0))
+    results = [session.step(frame(1)),
+               session.step(frame(2, masks=[empty_mask(32, 32)] * 3, o=-1.0))]
+    assert not results[1].present
+    assert all(r.decision.admit and not r.drm_admitted for r in results)
+    assert [e.frame_idx for e in session.bank.ram] == [1, 2]
+
+
 def test_absent_frames_mutate_ram_only_for_fifo():
     record = scene_record(seed=105, occlusions=((10, 40),), n_distractors=0)
     for policy in PolicyKind:
@@ -220,6 +228,7 @@ def test_absent_frames_mutate_ram_only_for_fifo():
             if not res.present and policy is not PolicyKind.SAM2_FIFO:
                 assert o.frame_idx not in after, (policy, o.frame_idx)
             if res.frame_idx > 0 and policy is PolicyKind.SAM2_FIFO:
+                assert res.decision.admit, o.frame_idx
                 assert before != after or len(before) == session.cfg.k_ram
 
 
@@ -272,27 +281,26 @@ def test_samite_session_holds_anchors():
     assert all(p is not None for p in protos)
 
 
-class RecomputingSamiteSession(TrackerSession):
-    """The prototype-calibrated step as first written: both anchor cosines
+class RecomputingSamite(SamitePolicy):
+    """The prototype-calibrated RAM rule as first written: both anchor cosines
     recomputed for every window entry on every frame, and a first anchor
-    without a prototype replaced by the zero vector."""
+    without a prototype replaced by the zero vector. Its pool holds bare
+    entries."""
 
-    def _step_samite(self, obs):
+    def admit(self, obs, chosen, present):
         cfg = self.cfg.policy_cfg
-        chosen, present = select_default(obs)
-        drm_admitted = self._consider_drm(obs, chosen, present)
-        proto = self._prototype_for(obs, chosen.mask) if present else None
+        proto = _prototype(obs, chosen.mask) if present else None
         if present and proto is not None:
-            self._samite_pool.append(MemoryEntry.from_proposal(
+            self.pool.append(MemoryEntry.from_proposal(
                 obs.frame_idx, chosen, EntryKind.RAM, fg_prototype=proto))
             decision = RamPolicyDecision.admitted()
         else:
             decision = RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
         horizon = obs.frame_idx - cfg.window_m
-        self._samite_pool = [e for e in self._samite_pool if e.frame_idx >= horizon]
-        first = self._samite_first
-        prev = self._samite_pool[-1] if self._samite_pool else None
-        window = [e for e in self._samite_pool
+        self.pool = [e for e in self.pool if e.frame_idx >= horizon]
+        first = self.first
+        prev = self.pool[-1] if self.pool else None
+        window = [e for e in self.pool
                   if e is not prev and e.frame_idx >= obs.frame_idx + 1 - cfg.window_m]
         scored = []
         if window:
@@ -304,10 +312,15 @@ class RecomputingSamiteSession(TrackerSession):
         by_frame = dict(scored)
         self.bank.replace_ram(samite_select_ram(
             [(e, by_frame[e.frame_idx]) for e in window], self.cfg.k_ram, first, prev))
-        return FrameResult(
-            frame_idx=obs.frame_idx, chosen=chosen if present else None,
-            present=present, decision=decision, drm_admitted=drm_admitted,
-        )
+        return decision
+
+
+class RecomputingSamiteSession(TrackerSession):
+    """A samite session whose policy is the recomputing reference above."""
+
+    def __init__(self, cfg, init_mask):
+        super().__init__(cfg, init_mask)
+        self.policy = RecomputingSamite(self.bank, cfg)
 
 
 @settings(max_examples=25, deadline=None)
@@ -360,8 +373,11 @@ def test_sam2long_session_composes_shared_drm_with_best_ram():
     drm_frames = [e.frame_idx for e in entries if e.kind is EntryKind.DRM]
     admitted = [r.frame_idx for r in results if r.drm_admitted]
     assert drm_frames == admitted[-cfg.k_drm:]
-    # pathway banks themselves never hold DRM entries
-    for p in session._pathways.pathways:
+    # the RAM view is the best pathway's; pathway banks never hold DRM entries
+    pathways = session.policy.pathways
+    assert session.policy.ram is pathway_best(pathways).bank.ram
+    assert entries[1 + len(session.bank.drm):] == session.policy.ram
+    for p in pathways.pathways:
         assert p.bank.drm == []
 
 

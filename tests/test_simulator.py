@@ -448,7 +448,7 @@ def _swap_frames(lines):
     (_set_line(1, lambda d: d.pop("config")), 1, "missing key 'config'"),
     (_set_line(1, lambda d: d["config"].pop("seed")), 1, "missing key 'seed'"),
     (_set_line(1, lambda d: d["config"].update(frames=0)), 1, "at least one frame"),
-    (_set_line(1, lambda d: d["config"].update(grid=5)), 1, "not iterable"),
+    (_set_line(1, lambda d: d["config"].update(grid=5)), 1, "grid must be a pair of integers"),
 ], ids=["not-json", "no-frame", "no-visible", "no-box", "visible-not-bool", "box-3-numbers",
         "box-string", "box-negative-size", "frames-swapped", "frame-repeated", "frame-skipped",
         "mask-not-text", "header-not-json", "header-no-config", "config-no-seed",
