@@ -10,6 +10,11 @@ enumeration, and the selection rules from plain argmax loops. When a
 test disagrees with one of these, the library is wrong, not the oracle;
 oracle outputs are never regenerated to match the code under test.
 
+The one exception is :func:`dense_gen_sequence`, the simulator's
+per-frame loop with every mask a dense grid: it shares the scene's
+random draws and feature grids with :mod:`trackmem.simulator`, so that
+it checks only what the simulator computes from them.
+
 A few references are the library's own earlier, slower forms, kept so
 that a rewrite can be held to the same bits: the RLE text encoder that
 groups runs by row, the motion filter with its full measurement-matrix
@@ -24,12 +29,17 @@ import math
 
 import numpy as np
 
+from . import simulator
+from .geometry import BBox, BitMask
+from .observation import FeatureGrid, FrameObservation, Proposal
+
 __all__ = [
     "dense_box_iou",
     "dense_mask_iou",
     "dense_ellipse",
     "dense_rect",
     "feature_grid_labels",
+    "dense_gen_sequence",
     "DenseKalmanOracle",
     "rle_text_by_row",
     "matrix_kf_predict",
@@ -141,6 +151,87 @@ def feature_grid_labels(
                     label = target_proto
             out[i, j] = label
     return out
+
+
+def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
+    """The simulator's scene, one frame at a time, every mask a dense grid.
+
+    Same draws and formulas as :func:`trackmem.simulator.gen_sequence`;
+    shapes come from :func:`dense_ellipse` and :func:`dense_rect`, the merged
+    proposal is a dense OR, and scores use :func:`dense_mask_iou`.
+    """
+    d = simulator._draw_scene(cfg)
+    clamp01 = simulator._clamp01
+    gw, gh = cfg.grid
+    tw, th = cfg.target_motion.size
+    sigma = cfg.score_noise
+    sim = cfg.distractor_similarity
+    nearest_idx = simulator._nearest_distractors(d.target_centers, d.distractors)
+    features = simulator._feature_grids(cfg, d.target_centers, d.occluded, d.distractors,
+                                        d.distractor_protos, d.target_proto, d.background)
+
+    def box(cx, cy, w, h):
+        return (cx - w / 2.0, cy - h / 2.0, w, h)
+
+    gt_boxes, gt_visible, observations, init_mask = [], [], [], None
+    for t in range(cfg.frames):
+        cx, cy = d.target_centers[t]
+        visible = not d.occluded[t]
+        gt_boxes.append(BBox(*box(cx, cy, tw, th)) if visible else None)
+        gt_visible.append(visible)
+        gt = dense_ellipse(box(cx, cy, tw, th), gw, gh) if visible else None
+        if t == 0:
+            init_mask = BitMask.from_dense(gt)
+
+        jit_cx = cx + d.jitter[t, 0] * 40.0 * sigma
+        jit_cy = cy + d.jitter[t, 1] * 40.0 * sigma
+        jit_w = max(tw * (1.0 + d.jitter[t, 2] * 0.5 * sigma), 2.0)
+        jit_h = max(th * (1.0 + d.jitter[t, 3] * 0.5 * sigma), 2.0)
+        if visible:
+            mask1 = dense_ellipse(box(jit_cx, jit_cy, jit_w, jit_h), gw, gh)
+            true_iou1 = dense_mask_iou(mask1, gt)
+            s1 = clamp01(true_iou1 + d.score_eps[t, 0] * sigma)
+        else:
+            mask1 = dense_ellipse(box(jit_cx, jit_cy, jit_w * 0.4, jit_h * 0.4), gw, gh)
+            true_iou1 = 0.85
+            s1 = clamp01(0.15 + d.score_eps[t, 0] * max(sigma, 0.05))
+
+        if d.distractors:
+            d_centers, d_size = d.distractors[nearest_idx[t]]
+            mask2 = dense_rect(box(d_centers[t, 0], d_centers[t, 1], *d_size), gw, gh)
+            s2 = clamp01(sim * clamp01(true_iou1 + d.score_eps[t, 1] * sigma)
+                          + (1.0 - sim) * 0.1)
+            mask3 = mask1 | mask2
+        else:
+            mask2 = dense_ellipse(box(jit_cx + tw * 0.75, jit_cy + th * 0.5, tw, th), gw, gh)
+            s2 = clamp01(0.1 + d.score_eps[t, 1] * sigma)
+            mask3 = dense_ellipse(box(jit_cx, jit_cy, jit_w * 1.6, jit_h * 1.6), gw, gh)
+        if visible:
+            s3 = clamp01(dense_mask_iou(mask3, gt) + d.score_eps[t, 2] * sigma)
+        else:
+            s3 = clamp01(0.2 + d.score_eps[t, 2] * sigma)
+
+        if visible:
+            o = 1.0 + d.o_eps[t] * 0.25
+        elif d.occ_u[t] < 0.8:
+            o = -0.5 - abs(d.occ_eps[t, 0]) * 0.3
+        else:
+            o = 0.2 + abs(d.occ_eps[t, 1]) * 0.2
+        s_obj2 = 0.8 + d.sobj_eps[t, 0] * 0.2 if d.distractors \
+            else -0.2 + d.sobj_eps[t, 0] * 0.1
+        s_obj3 = 0.3 + d.sobj_eps[t, 1] * 0.2
+        observations.append(FrameObservation(
+            frame_idx=t,
+            proposals=(
+                Proposal.from_mask(BitMask.from_dense(mask1), s1, float(o)),
+                Proposal.from_mask(BitMask.from_dense(mask2), s2, float(s_obj2)),
+                Proposal.from_mask(BitMask.from_dense(mask3), s3, float(s_obj3)),
+            ),
+            o=float(o),
+            features=FeatureGrid(features[t]),
+        ))
+    return simulator.SequenceRecord(config=cfg, gt_boxes=gt_boxes, gt_visible=gt_visible,
+                                    observations=observations, init_mask=init_mask)
 
 
 class DenseKalmanOracle:

@@ -23,19 +23,28 @@ object covers it, so prototype extraction recovers appearance vectors
 whose cosine to the target prototype equals the configured similarity.
 
 Masks are rendered with the full-grid per-pixel predicate (is the pixel
-center inside the shape?), and every shape row yields one run in grid
-coordinates. The window is the span of rows and columns whose per-axis
-predicate term can pass, which bounds the shape exactly for any float box.
-A rectangle is that window, so its runs come straight from the two spans.
-An ellipse evaluates the predicate on the window only and reads each
-row's single run off it (a row's passing pixels are contiguous, since
-each float step of the predicate is monotone on either side of the
-center). A mask thus costs its own size rather than the grid's and matches
-a full-grid render run for run (:mod:`trackmem.oracles` keeps that dense
-reference). Merged proposals are unions taken run by run. Work that does
-not depend on the rendered masks runs once per scene on (frames, ...)
-arrays: the feature grids of all frames and each frame's nearest
-distractor.
+center inside the shape?), and every shape row yields at most one run in
+grid coordinates. A scene renders each kind of mask for all its frames at
+once: one call of the ellipse kernel per set of boxes (ground truth, the
+target-aligned proposals, and the no-distractor fillers), and one call of
+the rectangle kernel for the nearest-distractor proposals. Per box, the
+kernels hold one term per grid column and one per grid row, never a
+frame's pixels. A rectangle's runs come straight from the spans of its
+two per-axis tests. An ellipse row passes where the column term plus the
+row term is at most 1; that sum falls and then rises along the row (each
+float step is monotone on either side of the center), so the row's
+passing pixels form one run around its least column term, and a
+vectorized binary search finds both ends. The merged proposal is the
+union of two such masks, merged row by row, and both ground-truth IoUs
+count the pixels shared on each row where both masks have a run, then
+divide as :func:`trackmem.geometry.mask_iou` does. These steps work on the
+runs alone, never on a (frames, rows) array. Every mask matches a
+full-grid render run for run, and the whole sequence matches a per-frame
+dense render (:mod:`trackmem.oracles` keeps both references). Only the
+masks a record exposes become :class:`~trackmem.geometry.BitMask`
+objects: the three proposals of every frame and the frame-0 prompt. The
+feature grids of all frames and each frame's nearest distractor are
+computed on (frames, ...) arrays too.
 
 Randomness comes from a Philox counter-based generator keyed by the
 scene seed (no global RNG), and all draws happen in a fixed order up
@@ -49,11 +58,15 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .checks import check_numbers
-from .geometry import BBox, BitMask, mask_iou
+from .geometry import BBox, BitMask
+# Generation no longer calls mask_iou, but the benchmark's instrumentation
+# (perfbench/workloads.py) wraps the name in this module's namespace.
+from .geometry import mask_iou  # noqa: F401
 from .observation import (
     FeatureGrid,
     FrameObservation,
@@ -117,6 +130,20 @@ class SceneConfig:
             raise ValueError("need at least one frame")
         if min(self.grid) < 1:
             raise ValueError(f"grid must have sides >= 1, got {self.grid!r}")
+        # a side under 2 px can render an empty prompt (a 1 x 1 ellipse between
+        # pixel centers)
+        size = self.target_motion.size
+        if min(size) < 2.0:
+            raise ValueError(f"target_motion.size must have sides >= 2, got {size!r}")
+        # the paths keep each box 1 px inside the grid: the target, and the
+        # distractors, scaled by up to 1.2 (same float steps as the paths)
+        scale = 1.2 if self.n_distractors > 0 else 1.0
+        for side, extent in zip(self.grid, size):
+            half = extent * scale / 2.0
+            if side - half - 1.0 < half + 1.0:
+                raise ValueError(
+                    f"grid must exceed target_motion.size{' x 1.2' * (scale > 1.0)} by 2 px"
+                    f" per side, got grid {self.grid!r} and target_motion.size {size!r}")
         if self.score_noise < 0:
             raise ValueError("score noise must be >= 0")
         if not (0.0 <= self.distractor_similarity <= 1.0):
@@ -150,6 +177,11 @@ class SequenceRecord:
 
 # --- rendering helpers -------------------------------------------------------
 
+# A batch of masks as runs: (mask, row, start, end) arrays, one run per entry
+# in mask-then-row order, each covering columns [start, end). A span is a run
+# that may be empty (end <= start).
+Runs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 
 @functools.lru_cache(maxsize=None)
 def _centers(n: int) -> np.ndarray:
@@ -162,56 +194,126 @@ def _centers(n: int) -> np.ndarray:
     return centers
 
 
-def _span(inside: np.ndarray) -> tuple[int, int]:
-    """``[first, last + 1)`` of the True entries of a 1-D array; (0, 0) if none."""
-    idx = inside.nonzero()[0]
-    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+def _ellipse_runs(x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray,
+                  width: int, height: int) -> Runs:
+    """The ellipses inscribed in boxes (x, y, w, h), given as (n,) arrays."""
+    cx, cy = x + w / 2.0, y + h / 2.0
+    # np.maximum as max(): both keep a NaN half-size
+    a, b = np.maximum(w / 2.0, 1e-9), np.maximum(h / 2.0, 1e-9)
+    tx = ((_centers(width) - cx[:, None]) / a[:, None]) ** 2    # (n, width)
+    ty = ((_centers(height) - cy[:, None]) / b[:, None]) ** 2   # (n, height)
+    # each float step of tx + ty is monotone on either side of the center, so
+    # along a row the sum falls to the column of least tx and then rises: the
+    # row's passing pixels are one run around that column, if it passes
+    low = tx.argmin(axis=1)
+    masks, rows = np.nonzero(tx[np.arange(len(low)), low, None] + ty <= 1.0)
+    row_term = ty[masks, rows]
+    flat, base = tx.ravel(), masks * width
+
+    def passes(col: np.ndarray) -> np.ndarray:
+        return flat[base + col] + row_term <= 1.0
+
+    # binary searches that keep a passing column at one end of the interval:
+    # the run's first column lies in [lo, first], its last in [last, hi]
+    first = last = low[masks]
+    lo, hi = np.zeros_like(first), np.full_like(last, width - 1)
+    for _ in range(width.bit_length()):
+        mid = (lo + first) >> 1
+        ok = passes(mid)
+        first, lo = np.where(ok, mid, first), np.where(ok, lo, mid + 1)
+        mid = (last + hi + 1) >> 1
+        ok = passes(mid)
+        last, hi = np.where(ok, mid, last), np.where(ok, hi, mid - 1)
+    return masks, rows, first, last + 1
 
 
-def _render_ellipse(box: BBox, width: int, height: int) -> BitMask:
-    cx, cy = box.center
-    a, b = max(box.w / 2.0, 1e-9), max(box.h / 2.0, 1e-9)
-    tx = ((_centers(width) - cx) / a) ** 2
-    ty = ((_centers(height) - cy) / b) ** 2
-    # a pixel passes only if its column term does: adding the non-negative
-    # row term can never round the sum below it (likewise for rows)
-    c0, c1 = _span(tx <= 1.0)
-    r0, r1 = _span(ty <= 1.0)
-    if c0 == c1 or r0 == r1:
-        return BitMask(width, height)
-    window = tx[c0:c1] + ty[r0:r1, None] <= 1.0
-    # every float step of a row's sum is monotone on each side of the
-    # center, so the row's passing pixels are one contiguous run
-    lengths = window.sum(axis=1)
-    starts = window.argmax(axis=1) + c0
-    rows = lengths.nonzero()[0]
-    return BitMask(width, height, tuple(zip(
-        (rows + r0).tolist(), starts[rows].tolist(), lengths[rows].tolist())))
+def _cover(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per box, the first of the ``n`` pixels whose centers c satisfy
+    ``lo <= c < hi``, and how many there are (they are contiguous)."""
+    centers = _centers(n)
+    inside = (centers >= lo[:, None]) & (centers < hi[:, None])
+    return inside.argmax(axis=1), inside.sum(axis=1)
 
 
-def _render_rect(box: BBox, width: int, height: int) -> BitMask:
-    xs, ys = _centers(width), _centers(height)
-    # each axis term is an AND of two monotone tests, so its span is exact
-    c0, c1 = _span((xs >= box.x) & (xs < box.x + box.w))
-    r0, r1 = _span((ys >= box.y) & (ys < box.y + box.h))
-    if c0 == c1:
-        return BitMask(width, height)
-    return BitMask(width, height, tuple((row, c0, c1 - c0) for row in range(r0, r1)))
+def _rect_runs(x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray,
+               width: int, height: int) -> Runs:
+    """The pixels whose centers lie in boxes (x, y, w, h), given as (n,) arrays."""
+    col0, n_cols = _cover(x, x + w, width)
+    row0, n_rows = _cover(y, y + h, height)
+    n_rows = np.where(n_cols > 0, n_rows, 0)
+    masks = np.repeat(np.arange(len(x)), n_rows)
+    first_run = np.cumsum(n_rows) - n_rows
+    rows = row0[masks] + np.arange(len(masks)) - first_run[masks]
+    return masks, rows, col0[masks], (col0 + n_cols)[masks]
 
 
-def _union(a: BitMask, b: BitMask) -> BitMask:
-    """Pixelwise OR of two same-sized masks, merged run by run.
+def _common(a: Runs, b: Runs, height: int) -> Runs:
+    """The spans two batches share on each row where both have a run.
 
-    Overlapping and touching runs of a row coalesce, so runs stay maximal.
+    Each batch has at most one run per row. The result is in ``b``'s order
+    and has one span per such row, empty where the two runs miss each other.
     """
-    runs: list[tuple[int, int, int]] = []
-    for row, start, length in sorted(a.runs + b.runs):
-        if runs and runs[-1][0] == row and start <= runs[-1][1] + runs[-1][2]:
-            _, prev_start, prev_length = runs[-1]
-            runs[-1] = (row, prev_start, max(prev_length, start + length - prev_start))
-        else:
-            runs.append((row, start, length))
-    return BitMask(a.width, a.height, tuple(runs))
+    key_a, key_b = a[0] * height + a[1], b[0] * height + b[1]
+    at = np.searchsorted(key_a, key_b)
+    hit = at < len(key_a)
+    hit[hit] = key_a[at[hit]] == key_b[hit]
+    ia, ib = at[hit], hit.nonzero()[0]
+    return b[0][ib], b[1][ib], np.maximum(a[2][ia], b[2][ib]), np.minimum(a[3][ia], b[3][ib])
+
+
+def _pixels(spans: Runs, n: int) -> np.ndarray:
+    """Per mask of ``n``, the pixels its spans cover, as exact float counts."""
+    return np.bincount(spans[0], weights=np.maximum(spans[3] - spans[2], 0), minlength=n)
+
+
+def _ratio(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """``inter / union`` per mask, the division :func:`~trackmem.geometry.mask_iou`
+    makes; 0 when both masks are empty (then both counts are 0)."""
+    return inter / np.maximum(union, 1.0)
+
+
+def _iou(a: Runs, b: Runs, n: int, height: int) -> np.ndarray:
+    """Per mask, the IoU of two batches of at most one run per row."""
+    inter = _pixels(_common(a, b, height), n)
+    return _ratio(inter, _pixels(a, n) + _pixels(b, n) - inter)
+
+
+def _union_iou(gt: Runs, a: Runs, b: Runs, n: int, height: int) -> np.ndarray:
+    """Per mask, the IoU of ``gt`` with the union of ``a`` and ``b``.
+
+    Per row, ``gt`` meets the union in what it shares with ``a``, plus what it
+    shares with ``b``, less what it shares with their common span.
+    """
+    shared = _common(a, b, height)
+    inter = (_pixels(_common(gt, a, height), n) + _pixels(_common(gt, b, height), n)
+             - _pixels(_common(gt, shared, height), n))
+    union_area = _pixels(a, n) + _pixels(b, n) - _pixels(shared, n)
+    return _ratio(inter, _pixels(gt, n) + union_area - inter)
+
+
+def _union_runs(a: Runs, b: Runs, width: int, height: int) -> Runs:
+    """Pixelwise OR of two batches of at most one run per row.
+
+    A row's two runs merge when they overlap or touch, so runs stay maximal.
+    """
+    masks, rows, start, end = (np.concatenate(pair) for pair in zip(a, b))
+    order = np.argsort((masks * height + rows) * (width + 1) + start)
+    masks, rows, start, end = masks[order], rows[order], start[order], end[order]
+    # a row has at most two runs: the right one joins the left one when it
+    # starts no later than the left one ends
+    joins = (masks[1:] == masks[:-1]) & (rows[1:] == rows[:-1]) & (start[1:] <= end[:-1])
+    end[:-1][joins] = np.maximum(end[:-1], end[1:])[joins]
+    keep = np.ones(len(masks), dtype=bool)
+    keep[1:] = ~joins
+    return masks[keep], rows[keep], start[keep], end[keep]
+
+
+def _masks(runs: Runs, n: int, width: int, height: int) -> list[BitMask]:
+    """The first ``n`` masks of a batch, as BitMasks."""
+    masks, rows, start, end = runs
+    triples = list(zip(rows.tolist(), start.tolist(), (end - start).tolist()))
+    cuts = np.searchsorted(masks, np.arange(n + 1)).tolist()
+    return [BitMask(width, height, tuple(triples[i:j])) for i, j in zip(cuts, cuts[1:])]
 
 
 def _clamp01(v: float) -> float:
@@ -348,11 +450,26 @@ def _feature_grids(cfg: SceneConfig, target_centers: np.ndarray, occluded: np.nd
 # --- generation ----------------------------------------------------------------
 
 
-def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
-    """Generate the full scenario; a pure function of the config."""
+class _SceneDraws(NamedTuple):
+    """Every random draw of a scene, made in a fixed order up front."""
+
+    target_proto: np.ndarray
+    distractor_protos: list[np.ndarray]
+    background: np.ndarray
+    target_centers: np.ndarray                                # (frames, 2)
+    distractors: list[tuple[np.ndarray, tuple[float, float]]]  # (centers, size)
+    jitter: np.ndarray     # (frames, 4): dx, dy, dw, dh
+    score_eps: np.ndarray  # (frames, 3)
+    o_eps: np.ndarray      # (frames,)
+    occ_u: np.ndarray      # (frames,)
+    occ_eps: np.ndarray    # (frames, 2)
+    sobj_eps: np.ndarray   # (frames, 2)
+    occluded: np.ndarray   # (frames,) bool
+
+
+def _draw_scene(cfg: SceneConfig) -> _SceneDraws:
+    """The scene's draws from a Philox generator keyed by its seed."""
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    gw, gh = cfg.grid
-    sigma = cfg.score_noise
     sim = cfg.distractor_similarity
 
     # appearance prototypes: target, per-distractor at the configured
@@ -370,7 +487,7 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
     distractors = _distractor_paths(cfg, rng)
 
     # fixed-order noise draws so branches never shift the stream
-    jitter = rng.normal(0.0, 1.0, size=(cfg.frames, 4))  # dx, dy, dw, dh
+    jitter = rng.normal(0.0, 1.0, size=(cfg.frames, 4))
     score_eps = rng.normal(0.0, 1.0, size=(cfg.frames, 3))
     o_eps = rng.normal(0.0, 1.0, size=cfg.frames)
     occ_u = rng.random(cfg.frames)
@@ -380,81 +497,103 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
     occluded = np.zeros(cfg.frames, dtype=bool)
     for start, end in cfg.occlusions:
         occluded[start:end] = True
+    return _SceneDraws(u, distractor_protos, background, target_centers, distractors,
+                       jitter, score_eps, o_eps, occ_u, occ_eps, sobj_eps, occluded)
 
+
+def _render(cfg: SceneConfig, d: _SceneDraws, gt_x: np.ndarray, gt_y: np.ndarray
+            ) -> tuple[BitMask, list[list[BitMask]], np.ndarray, np.ndarray]:
+    """The prompt mask, each proposal's masks and proposals 1 and 3's true IoUs.
+
+    The IoUs are (frames,) arrays; the run arrays behind the masks die on return.
+    """
+    frames = cfg.frames
+    gw, gh = cfg.grid
     tw, th = cfg.target_motion.size
-    nearest_idx = _nearest_distractors(target_centers, distractors)
-    features = _feature_grids(cfg, target_centers, occluded, distractors,
-                              distractor_protos, u, background)
+    sigma = cfg.score_noise
+    cx, cy = d.target_centers[:, 0], d.target_centers[:, 1]
+    jit_cx = cx + d.jitter[:, 0] * 40.0 * sigma
+    jit_cy = cy + d.jitter[:, 1] * 40.0 * sigma
+    # np.maximum as max(): the jitter is finite, so no NaN reaches it
+    jit_w = np.maximum(tw * (1.0 + d.jitter[:, 2] * 0.5 * sigma), 2.0)
+    jit_h = np.maximum(th * (1.0 + d.jitter[:, 3] * 0.5 * sigma), 2.0)
+    # proposal 1: target-aligned, jitter scaled by the score noise; while
+    # occluded, a shrunken footprint at the hidden position
+    w1 = np.where(d.occluded, jit_w * 0.4, jit_w)
+    h1 = np.where(d.occluded, jit_h * 0.4, jit_h)
+    tws, ths = np.full(frames, tw), np.full(frames, th)
+
+    gt = _ellipse_runs(gt_x, gt_y, tws, ths, gw, gh)
+    runs1 = _ellipse_runs(jit_cx - w1 / 2.0, jit_cy - h1 / 2.0, w1, h1, gw, gh)
+    iou1 = _iou(gt, runs1, frames, gh)
+    if d.distractors:
+        # proposal 2: the nearest distractor's box; proposal 3: its union
+        # with proposal 1
+        nearest = np.asarray(_nearest_distractors(d.target_centers, d.distractors))
+        centers = np.stack([c for c, _ in d.distractors])[nearest, np.arange(frames)]
+        dw, dh = np.array([size for _, size in d.distractors])[nearest].T
+        runs2 = _rect_runs(centers[:, 0] - dw / 2.0, centers[:, 1] - dh / 2.0, dw, dh, gw, gh)
+        runs3 = _union_runs(runs1, runs2, gw, gh)
+        iou3 = _union_iou(gt, runs1, runs2, frames, gh)
+    else:
+        # proposal 2: a shifted off-target filler; proposal 3: an inflated target
+        x2, y2 = (jit_cx + tw * 0.75) - tw / 2.0, (jit_cy + th * 0.5) - th / 2.0
+        runs2 = _ellipse_runs(x2, y2, tws, ths, gw, gh)
+        w3, h3 = jit_w * 1.6, jit_h * 1.6
+        runs3 = _ellipse_runs(jit_cx - w3 / 2.0, jit_cy - h3 / 2.0, w3, h3, gw, gh)
+        iou3 = _iou(gt, runs3, frames, gh)
+    masks = [_masks(runs, frames, gw, gh) for runs in (runs1, runs2, runs3)]
+    return _masks(gt, 1, gw, gh)[0], masks, iou1, iou3
+
+
+def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
+    """Generate the full scenario; a pure function of the config."""
+    d = _draw_scene(cfg)
+    tw, th = cfg.target_motion.size
+    sigma = cfg.score_noise
+    sim = cfg.distractor_similarity
+    gt_x = d.target_centers[:, 0] - tw / 2.0
+    gt_y = d.target_centers[:, 1] - th / 2.0
+    # the masks before the feature grids, so that the grids and the arrays
+    # the masks are rendered from are never held at once
+    init_mask, masks, iou1, iou3 = _render(cfg, d, gt_x, gt_y)
+    features = _feature_grids(cfg, d.target_centers, d.occluded, d.distractors,
+                              d.distractor_protos, d.target_proto, d.background)
 
     gt_boxes: list[BBox | None] = []
     gt_visible: list[bool] = []
     observations: list[FrameObservation] = []
-    init_mask: BitMask | None = None
-
-    for t in range(cfg.frames):
-        cx, cy = target_centers[t]
-        gt_box = BBox.from_center(cx, cy, tw, th)
-        visible = not occluded[t]
-        gt_boxes.append(gt_box if visible else None)
+    for t, (x, y, mask1, mask2, mask3) in enumerate(zip(gt_x.tolist(), gt_y.tolist(), *masks)):
+        visible = not d.occluded[t]
+        gt_boxes.append(BBox(x, y, tw, th) if visible else None)
         gt_visible.append(visible)
-        gt_mask = _render_ellipse(gt_box, gw, gh) if visible else None
-        if t == 0:
-            init_mask = gt_mask
+        eps = d.score_eps[t]
 
-        # nearest distractor this frame (if any)
-        nearest = None
-        if distractors:
-            d_centers, d_size = distractors[nearest_idx[t]]
-            nearest = BBox.from_center(d_centers[t, 0], d_centers[t, 1], *d_size)
-
-        # proposal 1: target-aligned, jitter scaled by the score noise
-        jit_cx = cx + jitter[t, 0] * 40.0 * sigma
-        jit_cy = cy + jitter[t, 1] * 40.0 * sigma
-        jit_w = max(tw * (1.0 + jitter[t, 2] * 0.5 * sigma), 2.0)
-        jit_h = max(th * (1.0 + jitter[t, 3] * 0.5 * sigma), 2.0)
         if visible:
-            mask1 = _render_ellipse(BBox.from_center(jit_cx, jit_cy, jit_w, jit_h), gw, gh)
-            true_iou1 = mask_iou(mask1, gt_mask)
-            s1 = _clamp01(true_iou1 + score_eps[t, 0] * sigma)
+            true_iou1 = iou1[t]
+            s1 = _clamp01(true_iou1 + eps[0] * sigma)
         else:
-            # degraded: shrunken footprint at the hidden position, low score
-            mask1 = _render_ellipse(
-                BBox.from_center(jit_cx, jit_cy, jit_w * 0.4, jit_h * 0.4), gw, gh)
             true_iou1 = 0.85  # stand-in level for the distractor score pull
-            s1 = _clamp01(0.15 + score_eps[t, 0] * max(sigma, 0.05))
-
-        # proposal 2: nearest-distractor-aligned (or a shifted off-target
-        # filler when the scene has no distractors)
-        if nearest is not None:
-            mask2 = _render_rect(nearest, gw, gh)
-            s2 = _clamp01(sim * _clamp01(true_iou1 + score_eps[t, 1] * sigma)
-                          + (1.0 - sim) * 0.1)
+            s1 = _clamp01(0.15 + eps[0] * max(sigma, 0.05))
+        if d.distractors:
+            s2 = _clamp01(sim * _clamp01(true_iou1 + eps[1] * sigma) + (1.0 - sim) * 0.1)
         else:
-            mask2 = _render_ellipse(
-                BBox.from_center(jit_cx + tw * 0.75, jit_cy + th * 0.5, tw, th), gw, gh)
-            s2 = _clamp01(0.1 + score_eps[t, 1] * sigma)
-
-        # proposal 3: merged with the distractor, or inflated when alone
-        if nearest is not None:
-            mask3 = _union(mask1, mask2)
-        else:
-            mask3 = _render_ellipse(
-                BBox.from_center(jit_cx, jit_cy, jit_w * 1.6, jit_h * 1.6), gw, gh)
+            s2 = _clamp01(0.1 + eps[1] * sigma)
         if visible:
-            s3 = _clamp01(mask_iou(mask3, gt_mask) + score_eps[t, 2] * sigma)
+            s3 = _clamp01(iou3[t] + eps[2] * sigma)
         else:
-            s3 = _clamp01(0.2 + score_eps[t, 2] * sigma)
+            s3 = _clamp01(0.2 + eps[2] * sigma)
 
         # frame presence score and per-proposal object scores
         if visible:
-            o = 1.0 + o_eps[t] * 0.25
-        elif occ_u[t] < 0.8:
-            o = -0.5 - abs(occ_eps[t, 0]) * 0.3
+            o = 1.0 + d.o_eps[t] * 0.25
+        elif d.occ_u[t] < 0.8:
+            o = -0.5 - abs(d.occ_eps[t, 0]) * 0.3
         else:
-            o = 0.2 + abs(occ_eps[t, 1]) * 0.2
-        s_obj2 = 0.8 + sobj_eps[t, 0] * 0.2 if nearest is not None \
-            else -0.2 + sobj_eps[t, 0] * 0.1
-        s_obj3 = 0.3 + sobj_eps[t, 1] * 0.2
+            o = 0.2 + abs(d.occ_eps[t, 1]) * 0.2
+        s_obj2 = 0.8 + d.sobj_eps[t, 0] * 0.2 if d.distractors \
+            else -0.2 + d.sobj_eps[t, 0] * 0.1
+        s_obj3 = 0.3 + d.sobj_eps[t, 1] * 0.2
 
         observations.append(FrameObservation(
             frame_idx=t,
@@ -555,7 +694,12 @@ def config_from_dict(d: dict) -> SceneConfig:
     """
     _check_keys(d, SceneConfig, "scene")
     motion = d.get("target_motion", {})
+    if not isinstance(motion, dict):
+        raise ValueError(f"target_motion must be a JSON object, got {motion!r}")
     _check_keys(motion, MotionSpec, "target_motion")
+    occlusions = _tuple(d.get("occlusions", ()))
+    if not isinstance(occlusions, tuple):
+        raise ValueError(f"occlusions must be an array of [start, end] pairs, got {occlusions!r}")
     try:
         target_motion = MotionSpec(
             kind=motion.get("kind", "linear"),
@@ -574,7 +718,7 @@ def config_from_dict(d: dict) -> SceneConfig:
         target_motion=target_motion,
         n_distractors=d.get("n_distractors", 0),
         distractor_similarity=d.get("distractor_similarity", 0.0),
-        occlusions=tuple(_tuple(iv) for iv in _tuple(d.get("occlusions", ()))),
+        occlusions=tuple(_tuple(iv) for iv in occlusions),
         score_noise=d.get("score_noise", 0.05),
         proto_dim=d.get("proto_dim", 8),
         family=d.get("family", "custom"),

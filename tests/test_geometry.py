@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, BitMask, box_iou, mask_iou, mask_to_bbox
 from trackmem.oracles import dense_box_iou, dense_mask_iou, rle_text_by_row
-from trackmem.simulator import _union
 
 from conftest import empty_mask, random_mask, rect_mask, rng_for
 
@@ -228,7 +227,7 @@ def dense_scan_bbox(m: BitMask) -> BBox | None:
 @example((BitMask(9, 3), BitMask(9, 3)), True)                           # empty union
 @example((BitMask(9, 3, ((0, 6, 3),)), BitMask(9, 3, ((2, 0, 2),))), True)
 def test_mask_to_bbox_matches_dense_scan_on_run_masks(pair, union):
-    m = _union(*pair) if union else pair[0]
+    m = BitMask.from_dense(pair[0].to_dense() | pair[1].to_dense()) if union else pair[0]
     assert mask_to_bbox(m) == dense_scan_bbox(m)
 
 

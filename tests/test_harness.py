@@ -174,6 +174,9 @@ def test_float_fields_take_json_integers():
     ({"target_motion": {"speed": float("nan")}}, "target_motion: speed"),
     ({"score_noise": float("inf")}, "score_noise"),
     ({"occlusions": [[6.5, 10]]}, "occlusions"),
+    ({"occlusions": 5}, "occlusions"), ({"target_motion": 3}, "target_motion"),
+    ({"grid": [2, 3], "n_distractors": 0}, "grid"),
+    ({"target_motion": {"size": [1.0, 8.0]}}, "target_motion.size"),
 ])
 def test_bad_scene_values_exit_2_naming_scene_and_key(tmp_path, capsys, change, key):
     scenes = [TINY_SCENES[0], dict(TINY_SCENES[1], **change)]

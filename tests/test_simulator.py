@@ -5,20 +5,28 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from trackmem.geometry import BBox, BitMask, mask_iou
 from trackmem.observation import extract_prototypes, cosine, observation_to_line
 from trackmem import simulator
-from trackmem.oracles import dense_ellipse, dense_rect, feature_grid_labels
+from trackmem.oracles import (
+    dense_ellipse,
+    dense_gen_sequence,
+    dense_mask_iou,
+    dense_rect,
+    feature_grid_labels,
+)
 from trackmem.simulator import (
     MotionSpec,
     SceneConfig,
-    _render_ellipse,
-    _render_rect,
-    _union,
+    _ellipse_runs,
+    _masks,
+    _iou,
+    _rect_runs,
+    _union_iou,
+    _union_runs,
     config_from_dict,
     config_to_dict,
     gen_sequence,
@@ -106,6 +114,48 @@ def test_occlusion_degrades_target_proposal():
     assert areas_occ < 0.5 * areas_vis
 
 
+@settings(max_examples=60, deadline=None)
+@given(size=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
+       extra=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       kind=st.sampled_from(["linear", "sinusoid", "random_walk"]),
+       n_distractors=st.integers(0, 2), seed=st.integers(0, 2**16))
+@example(size=(2.0, 2.0), extra=(0, 0), kind="linear", n_distractors=0, seed=0)
+def test_every_accepted_small_scene_has_a_prompt(size, extra, kind, n_distractors, seed):
+    # grid sides at and around the smallest that holds the target (or the
+    # largest distractor) with a 1 px margin
+    scale = 1.2 if n_distractors else 1.0
+    grid = tuple(int(side * scale) + 2 + more for side, more in zip(size, extra))
+    try:
+        cfg = SceneConfig(seed=seed, frames=3, grid=grid, proto_dim=2,
+                          target_motion=MotionSpec(kind=kind, size=size),
+                          n_distractors=n_distractors)
+    except ValueError as exc:
+        assert re.match(r"(grid|target_motion\.size) must ", str(exc)), exc
+        assume(False)
+    assert not gen_sequence(cfg).init_mask.is_empty
+
+
+@pytest.mark.parametrize("grid, size, n_distractors, key", [
+    ((2, 3), (36.0, 28.0), 0, "grid"),
+    ((37, 64), (36.0, 28.0), 0, "grid"),
+    ((64, 29), (36.0, 28.0), 0, "grid"),
+    ((38, 30), (36.0, 28.0), 0, None),  # 1 px on each side
+    ((45, 64), (36.0, 28.0), 1, "grid"),
+    ((46, 36), (36.0, 28.0), 1, None),  # 1.2 x the size needs 45.2 x 35.6
+    ((64, 64), (1.5, 8.0), 0, "target_motion.size"),
+])
+def test_grid_must_hold_the_target_with_a_margin(grid, size, n_distractors, key):
+    def scene():
+        return SceneConfig(seed=1, grid=grid, target_motion=MotionSpec(size=size),
+                           n_distractors=n_distractors)
+
+    if key is None:
+        scene()
+        return
+    with pytest.raises(ValueError, match=re.escape(key) + " must .*" + re.escape(f"{size!r}")):
+        scene()
+
+
 def test_frame_zero_cannot_be_occluded():
     with pytest.raises(ValueError):
         SceneConfig(seed=1, frames=10, occlusions=((0, 3),))
@@ -127,21 +177,32 @@ sizes = st.one_of(st.floats(0.0, 80.0), st.floats(0.0, 1.0), st.just(0.0),
 boxes = st.builds(BBox, coords, coords, sizes, sizes)
 
 
-@settings(max_examples=400, deadline=None)
-@given(box=boxes, width=st.integers(1, 40), height=st.integers(1, 40))
-@example(box=BBox(10.3, 5.2, 0.0, 0.0), width=24, height=16)     # zero size: 1e-9 clamp
-@example(box=BBox(3.2, 4.6, 0.3, 0.2), width=24, height=16)      # sub-pixel
-@example(box=BBox(-5.5, 10.25, 20.0, 13.0), width=24, height=16)  # partly off the grid
-@example(box=BBox(-50.0, 40.0, 10.0, 10.0), width=24, height=16)  # wholly off the grid
-@example(box=BBox(-1.0, -1.0, 30.0, 30.0), width=24, height=16)   # covers the grid
-@example(box=BBox(2.0, 3.0, math.inf, 4.0), width=24, height=16)  # open-ended rect
-def test_windowed_render_matches_dense_reference(box, width, height):
-    xywh = (box.x, box.y, box.w, box.h)
+def render(kernel, batch, width, height):
+    """A batch of boxes through a kernel, as BitMasks."""
+    fields = [np.array([getattr(box, name) for box in batch], dtype=float) for name in "xywh"]
+    return _masks(kernel(*fields, width, height), len(batch), width, height)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=st.lists(boxes, min_size=1, max_size=4), width=st.integers(1, 40),
+       height=st.integers(1, 40))
+@example(batch=[BBox(10.3, 5.2, 0.0, 0.0)], width=24, height=16)     # zero size: 1e-9 clamp
+@example(batch=[BBox(3.2, 4.6, 0.3, 0.2)], width=24, height=16)      # sub-pixel
+@example(batch=[BBox(-5.5, 10.25, 20.0, 13.0)], width=24, height=16)  # partly off the grid
+@example(batch=[BBox(-50.0, 40.0, 10.0, 10.0)], width=24, height=16)  # wholly off the grid
+@example(batch=[BBox(-1.0, -1.0, 30.0, 30.0)], width=24, height=16)   # covers the grid
+@example(batch=[BBox(2.0, 3.0, math.inf, 4.0)], width=24, height=16)  # open-ended rect
+@example(batch=[BBox(0.5, 0.5, 4.0, 4.0)], width=8, height=8)  # pixel centers on the rim
+@example(batch=[BBox(3.2, 4.6, 0.3, 0.2), BBox(-1.0, -1.0, 30.0, 30.0),
+                BBox(-50.0, 40.0, 10.0, 10.0), BBox(5.0, 2.0, 9.0, 7.0)], width=24, height=16)
+def test_windowed_render_matches_dense_reference(batch, width, height):
     with np.errstate(all="ignore"):
-        assert _render_ellipse(box, width, height) == \
-            BitMask.from_dense(dense_ellipse(xywh, width, height))
-        assert _render_rect(box, width, height) == \
-            BitMask.from_dense(dense_rect(xywh, width, height))
+        ellipses = render(_ellipse_runs, batch, width, height)
+        rects = render(_rect_runs, batch, width, height)
+        for box, ellipse, rect in zip(batch, ellipses, rects):
+            xywh = (box.x, box.y, box.w, box.h)
+            assert ellipse == BitMask.from_dense(dense_ellipse(xywh, width, height))
+            assert rect == BitMask.from_dense(dense_rect(xywh, width, height))
 
 
 def test_non_finite_box_renders_empty_without_raising():
@@ -153,29 +214,92 @@ def test_non_finite_box_renders_empty_without_raising():
                 continue  # BBox rejects a negative size
             box = BBox(*fields)
             with np.errstate(all="ignore"):
-                assert _render_ellipse(box, 16, 16).is_empty, box
+                assert render(_ellipse_runs, [box], 16, 16)[0].is_empty, box
                 # a rect of infinite size is open-ended, as on the full grid
                 if not (slot >= 2 and bad == math.inf):
-                    assert _render_rect(box, 16, 16).is_empty, box
+                    assert render(_rect_runs, [box], 16, 16)[0].is_empty, box
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_union_matches_dense_or(data):
-    height, width = data.draw(st.integers(0, 10)), data.draw(st.integers(0, 16))
-    a = data.draw(arrays(bool, (height, width)))
-    b = data.draw(arrays(bool, (height, width)))
-    assert _union(BitMask.from_dense(a), BitMask.from_dense(b)) == BitMask.from_dense(a | b)
+@st.composite
+def row_run_masks(draw, n, width, height):
+    """(n, height, width) dense masks with at most one run per row."""
+    dense = np.zeros((n, height, width), dtype=bool)
+    for i in range(n):
+        for row in range(height):
+            start = draw(st.integers(0, width))
+            dense[i, row, start:draw(st.integers(start, width))] = True
+    return dense
+
+
+def as_runs(dense):
+    """(n, height, width) dense masks as the kernels' runs."""
+    runs = [(i, row, start, start + length)
+            for i in range(len(dense)) for row, start, length in BitMask.from_dense(dense[i]).runs]
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*runs)) if runs \
+        else (np.zeros(0, dtype=np.int64),) * 4
+
+
+def span_mask(*spans, width=8):
+    """A (1, rows, width) mask whose row i covers columns [start, end) of spans[i]."""
+    dense = np.zeros((1, len(spans), width), dtype=bool)
+    for row, (start, end) in enumerate(spans):
+        dense[0, row, start:end] = True
+    return dense
+
+
+# row 0 touches, row 1 is disjoint, row 2 overlaps, row 3 has one operand, row 4 none
+TOUCH = span_mask((0, 3), (5, 7), (1, 5), (2, 4), (0, 0))
+OTHER = span_mask((3, 5), (1, 3), (3, 8), (0, 0), (0, 0))
+
+
+def dims(max_n=4):
+    return st.tuples(st.integers(1, max_n), st.integers(1, 12), st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), shape=dims())
+@example(data=None, shape=None)
+def test_union_matches_dense_or(data, shape):
+    if data is None:  # touching, disjoint and empty rows, and an empty operand
+        pairs = [(TOUCH, OTHER), (OTHER, TOUCH), (TOUCH, TOUCH), (TOUCH, np.zeros_like(TOUCH))]
+    else:
+        n, width, height = shape
+        pairs = [(data.draw(row_run_masks(n, width, height)), data.draw(row_run_masks(n, width, height)))]
+    for a, b in pairs:
+        n, height, width = a.shape
+        union = _masks(_union_runs(as_runs(a), as_runs(b), width, height), n, width, height)
+        assert union == [BitMask.from_dense(a[i] | b[i]) for i in range(n)]
 
 
 def test_union_coalesces_touching_runs_and_keeps_empty_operands():
-    left = BitMask(8, 2, ((0, 0, 3), (1, 5, 2)))
-    right = BitMask(8, 2, ((0, 3, 2), (1, 1, 2)))
-    assert _union(left, right).runs == ((0, 0, 5), (1, 1, 2), (1, 5, 2))
-    empty = BitMask(8, 2)
-    assert _union(left, empty) == left
-    assert _union(empty, right) == right
-    assert _union(empty, empty) == empty
+    left, right = as_runs(TOUCH[:, :2]), as_runs(OTHER[:, :2])
+    empty = as_runs(np.zeros_like(TOUCH[:, :2]))
+
+    def union(a, b):
+        return _masks(_union_runs(a, b, 8, 2), 1, 8, 2)[0]
+
+    assert union(left, right).runs == ((0, 0, 5), (1, 1, 2), (1, 5, 2))
+    assert union(left, empty) == BitMask.from_dense(TOUCH[0, :2])
+    assert union(empty, right) == BitMask.from_dense(OTHER[0, :2])
+    assert union(empty, empty) == BitMask(8, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), shape=dims())
+@example(data=None, shape=None)
+def test_row_overlap_iou_matches_dense_oracle(data, shape):
+    if data is None:  # the union's operands touch, miss and overlap; an empty truth
+        triples = [(OTHER, TOUCH, OTHER), (TOUCH, TOUCH, OTHER), (0 * TOUCH, TOUCH, OTHER)]
+    else:
+        n, width, height = shape
+        triples = [tuple(data.draw(row_run_masks(n, width, height)) for _ in range(3))]
+    for gt, a, b in triples:
+        n, height, _ = gt.shape
+        ious = _iou(as_runs(gt), as_runs(a), n, height)
+        union_ious = _union_iou(as_runs(gt), as_runs(a), as_runs(b), n, height)
+        for i in range(n):
+            assert ious[i] == dense_mask_iou(gt[i], a[i])
+            assert union_ious[i] == dense_mask_iou(gt[i], a[i] | b[i])
 
 
 # --- per-scene arrays against per-frame references ------------------------------------
@@ -209,6 +333,26 @@ def test_feature_grids_match_per_frame_labeller(seed, n_distractors, occluded, k
                                    [(tuple(c[t]), d_size) for c, d_size in distractors],
                                    protos, target_proto, background)
         assert np.array_equal(obs.features.values, want), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_distractors=st.integers(0, 4),
+       occluded=st.booleans(), kind=st.sampled_from(["linear", "sinusoid", "random_walk"]),
+       grid=st.sampled_from([(48, 32), (30, 64), (64, 64)]),
+       size=st.tuples(st.floats(2.0, 16.0), st.floats(2.0, 16.0)),
+       noise=st.sampled_from([0.0, 0.05, 0.4]))
+@example(seed=1, n_distractors=0, occluded=True, kind="linear", grid=(48, 32),
+         size=(12.0, 9.0), noise=0.05)
+def test_sequence_matches_per_frame_dense_generator(seed, n_distractors, occluded, kind,
+                                                     grid, size, noise):
+    cfg = SceneConfig(seed=seed, frames=8, grid=grid,
+                      target_motion=MotionSpec(kind=kind, size=size),
+                      n_distractors=n_distractors, distractor_similarity=0.6,
+                      occlusions=((2, 5),) if occluded else (), score_noise=noise,
+                      proto_dim=3)
+    record, want = gen_sequence(cfg), dense_gen_sequence(cfg)
+    assert serialize(record) == serialize(want)
+    assert record.init_mask == want.init_mask
 
 
 def test_feature_grids_label_cells_on_shape_boundaries():
