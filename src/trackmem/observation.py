@@ -62,30 +62,73 @@ class Prototype:
         return self.vec.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FeatureGrid:
-    """Dense (height, width, dim) feature map at cell resolution."""
+    """A (height, width, dim) feature map at cell resolution, as a palette.
 
-    values: np.ndarray
+    ``palette`` is a (k, dim) float64 array of cell vectors and ``labels`` a
+    (height, width) array, of the smallest unsigned integer type that can
+    index k rows, naming each cell's row; ``values`` is ``palette[labels]``.
+    A scene's cells take only a few distinct vectors, so a grid costs one
+    small integer per cell, and the frames of a scene can share one palette.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 3:
+    ``FeatureGrid(values)`` factorizes a dense array on the exact bytes of
+    its cells, so ``values`` gives back the same bits (``-0.0`` stays apart
+    from ``0.0``); :meth:`from_labels` takes the two arrays as they are.
+    Treat both arrays as read-only.
+    """
+
+    palette: np.ndarray
+    labels: np.ndarray
+
+    def __init__(self, values) -> None:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 3:
             raise ValueError("feature grid must have shape (height, width, dim)")
-        if not np.all(np.isfinite(self.values)):
+        height, width, dim = values.shape
+        if dim < 1:
+            raise ValueError("feature grid must have dim >= 1")
+        cells = np.ascontiguousarray(values).reshape(height * width, dim)
+        keys = cells.view(np.dtype((np.void, cells.itemsize * dim))).reshape(-1)
+        _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
+        label_type = np.min_scalar_type(max(len(first) - 1, 0))
+        self._set(cells[first], labels.astype(label_type).reshape(height, width))
+
+    @classmethod
+    def from_labels(cls, palette, labels) -> "FeatureGrid":
+        """The grid whose cell (i, j) holds ``palette[labels[i, j]]``."""
+        grid = cls.__new__(cls)
+        grid._set(np.asarray(palette, dtype=float), np.asarray(labels))
+        return grid
+
+    def _set(self, palette: np.ndarray, labels: np.ndarray) -> None:
+        if palette.ndim != 2 or palette.shape[1] < 1:
+            raise ValueError("feature palette must have shape (k, dim) with dim >= 1")
+        if not np.all(np.isfinite(palette)):
             raise ValueError("feature grid must be finite")
+        if labels.ndim != 2 or labels.dtype.kind != "u":
+            raise ValueError("feature labels must be a (height, width) unsigned integer array")
+        if labels.size and labels.max() >= len(palette):
+            raise ValueError(f"feature label {labels.max()} outside a palette of {len(palette)}")
+        object.__setattr__(self, "palette", palette)
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense (height, width, dim) array, built on each call."""
+        return self.palette[self.labels]
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.labels.shape[0]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.labels.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.values.shape[2]
+        return self.palette.shape[1]
 
 
 @dataclass(frozen=True)
@@ -146,28 +189,37 @@ class FrameObservation:
 
 
 @functools.lru_cache(maxsize=None)
-def _cell_pixels(grid_h: int, grid_w: int, mask_h: int, mask_w: int) -> np.ndarray:
-    """Row-major flat index of the mask pixel nearest each grid cell's center.
+def _cell_spans(grid_h: int, grid_w: int, mask_h: int, mask_w: int
+                ) -> tuple[list[int], list[int]]:
+    """Where each grid cell samples the mask: the pixel nearest its center.
 
-    Built once per (grid, mask) size and shared, so the array is read-only.
+    Sample rows and columns never decrease along the grid, so the grid rows
+    that sample mask row r are ``rows[r]:rows[r + 1]``, and the grid columns
+    whose sample falls in mask columns [a, b) are ``cols[a]:cols[b]``. Built
+    once per (grid, mask) size and shared, so the lists are read-only.
     """
-    rows = np.minimum((np.arange(grid_h) * 2 + 1) * mask_h // (2 * grid_h), mask_h - 1)
-    cols = np.minimum((np.arange(grid_w) * 2 + 1) * mask_w // (2 * grid_w), mask_w - 1)
-    flat = (rows[:, None] * mask_w + cols[None, :]).reshape(-1)
-    flat.flags.writeable = False
-    return flat
+    sample_rows = np.minimum((np.arange(grid_h) * 2 + 1) * mask_h // (2 * grid_h), mask_h - 1)
+    sample_cols = np.minimum((np.arange(grid_w) * 2 + 1) * mask_w // (2 * grid_w), mask_w - 1)
+    return (np.searchsorted(sample_rows, np.arange(mask_h + 1)).tolist(),
+            np.searchsorted(sample_cols, np.arange(mask_w + 1)).tolist())
 
 
 def extract_prototypes(f: FeatureGrid, m: BitMask) -> Prototype:
     """Mean feature vector over the foreground cells.
 
-    The mask is resampled to the grid resolution by nearest neighbor; a
-    mask that covers no cell yields the zero vector.
+    The mask is resampled to the grid resolution by nearest neighbor, read
+    straight from its runs; a mask that covers no cell yields the zero
+    vector.
     """
-    sel = m.to_dense().reshape(-1)[_cell_pixels(f.height, f.width, m.height, m.width)]
+    rows, cols = _cell_spans(f.height, f.width, m.height, m.width)
+    sel = np.zeros((f.height, f.width), dtype=bool)
+    for row, start, length in m.runs:
+        if rows[row] < rows[row + 1]:
+            sel[rows[row]:rows[row + 1], cols[start]:cols[start + length]] = True
+    sel = sel.reshape(-1)
     if not sel.any():
         return Prototype(np.zeros(f.dim))
-    return Prototype(f.values.reshape(f.height * f.width, f.dim)[sel].mean(axis=0))
+    return Prototype(f.palette[f.labels.reshape(-1)[sel]].mean(axis=0))
 
 
 def cosine(a: Prototype, b: Prototype) -> float:
@@ -203,6 +255,40 @@ def observation_to_line(obs: FrameObservation) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _finite(v: int | float) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+def _features_from(fobj) -> FeatureGrid:
+    """The ``features`` object of a JSON line as a grid; errors name the key."""
+    if not isinstance(fobj, dict):
+        raise ValueError(f"features must be a JSON object, got {type(fobj).__name__}")
+    shape = []
+    for key in ("height", "width", "dim"):
+        if key not in fobj:
+            raise ValueError(f"features.{key} is missing")
+        v = fobj[key]
+        if type(v) is not int or v < 1:
+            raise ValueError(f"features.{key} must be an integer >= 1, got {v!r}")
+        shape.append(v)
+    if "values" not in fobj:
+        raise ValueError("features.values is missing")
+    values = fobj["values"]
+    n = shape[0] * shape[1] * shape[2]
+    if not isinstance(values, list) or len(values) != n:
+        got = f"{len(values)} items" if isinstance(values, list) else type(values).__name__
+        raise ValueError(f"features.values must be a flat list of height*width*dim = {n}"
+                         f" numbers, got {got}")
+    bad = next((i for i, v in enumerate(values)
+                if type(v) not in (int, float) or not _finite(v)), None)
+    if bad is not None:
+        raise ValueError(f"features.values[{bad}] must be a finite number, got {values[bad]!r}")
+    return FeatureGrid(np.array(values, dtype=float).reshape(shape))
+
+
 def observation_from_line(line: str) -> FrameObservation:
     payload = json.loads(line)
     proposals = tuple(
@@ -211,12 +297,7 @@ def observation_from_line(line: str) -> FrameObservation:
     )
     features = None
     if payload.get("features") is not None:
-        fobj = payload["features"]
-        values = np.array(fobj["values"], dtype=float).reshape(
-            fobj["height"], fobj["width"], fobj["dim"]
-        )
-        features = FeatureGrid(values)
+        features = _features_from(payload["features"])
     return FrameObservation(
         frame_idx=payload["frame"], proposals=proposals, o=payload["o"], features=features
     )
-

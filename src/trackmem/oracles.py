@@ -11,9 +11,10 @@ test disagrees with one of these, the library is wrong, not the oracle;
 oracle outputs are never regenerated to match the code under test.
 
 The one exception is :func:`dense_gen_sequence`, the simulator's
-per-frame loop with every mask a dense grid: it shares the scene's
-random draws and feature grids with :mod:`trackmem.simulator`, so that
-it checks only what the simulator computes from them.
+per-frame loop with every mask a dense grid and every feature grid
+labeled cell by cell: it shares the scene's random draws with
+:mod:`trackmem.simulator`, so that it checks only what the simulator
+computes from them.
 
 A few references are the library's own earlier, slower forms, kept so
 that a rewrite can be held to the same bits: the RLE text encoder that
@@ -158,7 +159,8 @@ def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
 
     Same draws and formulas as :func:`trackmem.simulator.gen_sequence`;
     shapes come from :func:`dense_ellipse` and :func:`dense_rect`, the merged
-    proposal is a dense OR, and scores use :func:`dense_mask_iou`.
+    proposal is a dense OR, scores use :func:`dense_mask_iou`, and feature
+    grids come from :func:`feature_grid_labels`.
     """
     d = simulator._draw_scene(cfg)
     clamp01 = simulator._clamp01
@@ -167,8 +169,7 @@ def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
     sigma = cfg.score_noise
     sim = cfg.distractor_similarity
     nearest_idx = simulator._nearest_distractors(d.target_centers, d.distractors)
-    features = simulator._feature_grids(cfg, d.target_centers, d.occluded, d.distractors,
-                                        d.distractor_protos, d.target_proto, d.background)
+    cells = (max(4, gw // 16), max(4, gh // 16))
 
     def box(cx, cy, w, h):
         return (cx - w / 2.0, cy - h / 2.0, w, h)
@@ -228,7 +229,10 @@ def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
                 Proposal.from_mask(BitMask.from_dense(mask3), s3, float(s_obj3)),
             ),
             o=float(o),
-            features=FeatureGrid(features[t]),
+            features=FeatureGrid(feature_grid_labels(
+                cfg.grid, cells, (cx, cy) if visible else None, (tw, th),
+                [((c[t, 0], c[t, 1]), size) for c, size in d.distractors],
+                d.distractor_protos, d.target_proto, d.background)),
         ))
     return simulator.SequenceRecord(config=cfg, gt_boxes=gt_boxes, gt_visible=gt_visible,
                                     observations=observations, init_mask=init_mask)

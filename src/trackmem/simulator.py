@@ -21,6 +21,10 @@ goes non-positive with probability 0.8, while distractor proposals
 persist. Feature grids label each cell with the prototype of whichever
 object covers it, so prototype extraction recovers appearance vectors
 whose cosine to the target prototype equals the configured similarity.
+A scene's cells take only its ``n_distractors + 2`` prototypes, so its
+grids are one (frames, cells_h, cells_w) array of small integer labels
+into one shared palette of those vectors, and each frame's
+:class:`~trackmem.observation.FeatureGrid` is a view of it.
 
 Masks are rendered with the full-grid per-pixel predicate (is the pixel
 center inside the shape?), and every shape row yields at most one run in
@@ -42,8 +46,9 @@ runs alone, never on a (frames, rows) array. Every mask matches a
 full-grid render run for run, and the whole sequence matches a per-frame
 dense render (:mod:`trackmem.oracles` keeps both references). Only the
 masks a record exposes become :class:`~trackmem.geometry.BitMask`
-objects: the three proposals of every frame and the frame-0 prompt. The
-feature grids of all frames and each frame's nearest distractor are
+objects: the three proposals of every frame and the frame-0 prompt, and
+equal (row, start, length) triples within a scene are one tuple. The
+feature labels of all frames and each frame's nearest distractor are
 computed on (frames, ...) arrays too.
 
 Randomness comes from a Philox counter-based generator keyed by the
@@ -308,10 +313,17 @@ def _union_runs(a: Runs, b: Runs, width: int, height: int) -> Runs:
     return masks[keep], rows[keep], start[keep], end[keep]
 
 
-def _masks(runs: Runs, n: int, width: int, height: int) -> list[BitMask]:
-    """The first ``n`` masks of a batch, as BitMasks."""
+def _masks(runs: Runs, n: int, width: int, height: int,
+           shared: dict[tuple[int, int, int], tuple[int, int, int]]) -> list[BitMask]:
+    """The first ``n`` masks of a batch, as BitMasks.
+
+    Equal (row, start, length) triples become one object through ``shared``,
+    one dict per scene: the union repeats its operands' runs, and a box that
+    moves less than a pixel covers the same runs in the next frame.
+    """
     masks, rows, start, end = runs
-    triples = list(zip(rows.tolist(), start.tolist(), (end - start).tolist()))
+    triples = [shared.setdefault(t, t)
+               for t in zip(rows.tolist(), start.tolist(), (end - start).tolist())]
     cuts = np.searchsorted(masks, np.arange(n + 1)).tolist()
     return [BitMask(width, height, tuple(triples[i:j])) for i, j in zip(cuts, cuts[1:])]
 
@@ -421,9 +433,12 @@ def _nearest_distractors(target_centers: np.ndarray,
 def _feature_grids(cfg: SceneConfig, target_centers: np.ndarray, occluded: np.ndarray,
                    distractors: list[tuple[np.ndarray, tuple[float, float]]],
                    distractor_protos: list[np.ndarray], target_proto: np.ndarray,
-                   background: np.ndarray) -> np.ndarray:
-    """All frames' feature grids, shape (frames, cells_h, cells_w, proto_dim).
+                   background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All frames' feature grids as ``(labels, palette)``.
 
+    ``palette`` stacks ``[background, *distractor_protos, target_proto]``;
+    ``labels`` has shape (frames, cells_h, cells_w) and names each cell's
+    palette row, as uint8 unless the scene has more than 254 distractors.
     Each cell center is labeled by the covering object: the background,
     overwritten by each distractor's box in order, then by the target's
     ellipse on frames where it is visible.
@@ -433,18 +448,19 @@ def _feature_grids(cfg: SceneConfig, target_centers: np.ndarray, occluded: np.nd
     cells_w, cells_h = _feature_cells(cfg.grid)
     cell_cx = _centers(cells_w) * (gw / cells_w)             # (cells_w,), pixel coords
     cell_cy = _centers(cells_h)[:, None] * (gh / cells_h)    # (cells_h, 1)
-    feats = np.broadcast_to(
-        background, (cfg.frames, cells_h, cells_w, cfg.proto_dim)).copy()
-    for (d_centers, d_size), proto in zip(distractors, distractor_protos):
+    palette = np.stack([background, *distractor_protos, target_proto])
+    labels = np.zeros((cfg.frames, cells_h, cells_w),
+                      dtype=np.min_scalar_type(len(palette) - 1))
+    for label, (d_centers, d_size) in enumerate(distractors, start=1):
         dcx, dcy = d_centers[:, 0, None, None], d_centers[:, 1, None, None]
         inside = (np.abs(cell_cx - dcx) <= d_size[0] / 2.0) & \
                  (np.abs(cell_cy - dcy) <= d_size[1] / 2.0)
-        feats[inside] = proto
+        labels[inside] = label
     cx, cy = target_centers[:, 0, None, None], target_centers[:, 1, None, None]
     inside = ((cell_cx - cx) / (tw / 2.0)) ** 2 + \
              ((cell_cy - cy) / (th / 2.0)) ** 2 <= 1.0
-    feats[inside & ~occluded[:, None, None]] = target_proto
-    return feats
+    labels[inside & ~occluded[:, None, None]] = len(palette) - 1
+    return labels, palette
 
 
 # --- generation ----------------------------------------------------------------
@@ -542,8 +558,9 @@ def _render(cfg: SceneConfig, d: _SceneDraws, gt_x: np.ndarray, gt_y: np.ndarray
         w3, h3 = jit_w * 1.6, jit_h * 1.6
         runs3 = _ellipse_runs(jit_cx - w3 / 2.0, jit_cy - h3 / 2.0, w3, h3, gw, gh)
         iou3 = _iou(gt, runs3, frames, gh)
-    masks = [_masks(runs, frames, gw, gh) for runs in (runs1, runs2, runs3)]
-    return _masks(gt, 1, gw, gh)[0], masks, iou1, iou3
+    shared: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    masks = [_masks(runs, frames, gw, gh, shared) for runs in (runs1, runs2, runs3)]
+    return _masks(gt, 1, gw, gh, shared)[0], masks, iou1, iou3
 
 
 def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
@@ -557,8 +574,8 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
     # the masks before the feature grids, so that the grids and the arrays
     # the masks are rendered from are never held at once
     init_mask, masks, iou1, iou3 = _render(cfg, d, gt_x, gt_y)
-    features = _feature_grids(cfg, d.target_centers, d.occluded, d.distractors,
-                              d.distractor_protos, d.target_proto, d.background)
+    labels, palette = _feature_grids(cfg, d.target_centers, d.occluded, d.distractors,
+                                     d.distractor_protos, d.target_proto, d.background)
 
     gt_boxes: list[BBox | None] = []
     gt_visible: list[bool] = []
@@ -603,7 +620,7 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
                 Proposal.from_mask(mask3, s3, float(s_obj3)),
             ),
             o=float(o),
-            features=FeatureGrid(features[t]),
+            features=FeatureGrid.from_labels(palette, labels[t]),
         ))
 
     return SequenceRecord(

@@ -1,5 +1,10 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trackmem.geometry import BitMask
 from trackmem.observation import (
@@ -41,27 +46,34 @@ def test_empty_mask_gives_zero_foreground():
     assert np.array_equal(fg.vec, [0.0, 0.0])
 
 
-def test_prototypes_match_per_cell_loop_oracle():
-    rng = rng_for(31)
-    for _ in range(50):
-        gh, gw, dim = 6, 5, 4
-        f = grid_from(rng.normal(size=(gh, gw, dim)))
-        mask = random_mask(rng, w=20, h=18, density=0.4)
-        fg = extract_prototypes(f, mask)
+@settings(max_examples=200, deadline=None)
+@given(grid=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       mask_size=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+       seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.2, 0.4, 1.0]))
+@example(grid=(6, 5), mask_size=(20, 18), seed=31, density=0.4)
+@example(grid=(9, 7), mask_size=(4, 3), seed=0, density=0.4)   # grid larger than the mask
+@example(grid=(12, 2), mask_size=(3, 20), seed=1, density=0.4)  # larger along one axis only
+def test_prototypes_match_per_cell_loop_oracle(grid, mask_size, seed, density):
+    rng = rng_for(seed)
+    f = grid_from(rng.normal(size=(grid[0], grid[1], 4)))
+    mask = random_mask(rng, w=mask_size[0], h=mask_size[1], density=density)
+    fg = extract_prototypes(f, mask)
 
-        # loop-and-accumulate oracle with explicit nearest-neighbor sampling
-        dense = mask.to_dense()
-        fg_acc = np.zeros(dim)
-        fg_n = 0
-        for gy in range(gh):
-            for gx in range(gw):
-                my = min(mask.height - 1, (2 * gy + 1) * mask.height // (2 * gh))
-                mx = min(mask.width - 1, (2 * gx + 1) * mask.width // (2 * gw))
-                if dense[my, mx]:
-                    fg_acc += f.values[gy, gx]
-                    fg_n += 1
-        want_fg = fg_acc / fg_n if fg_n else np.zeros(dim)
-        assert np.all(np.abs(fg.vec - want_fg) < 1e-12)
+    # loop-and-accumulate oracle with explicit nearest-neighbor sampling
+    gh, gw, dim = f.height, f.width, f.dim
+    dense = mask.to_dense()
+    values = f.values
+    fg_acc = np.zeros(dim)
+    fg_n = 0
+    for gy in range(gh):
+        for gx in range(gw):
+            my = min(mask.height - 1, (2 * gy + 1) * mask.height // (2 * gh))
+            mx = min(mask.width - 1, (2 * gx + 1) * mask.width // (2 * gw))
+            if dense[my, mx]:
+                fg_acc += values[gy, gx]
+                fg_n += 1
+    want_fg = fg_acc / fg_n if fg_n else np.zeros(dim)
+    assert np.all(np.abs(fg.vec - want_fg) < 1e-12)
 
 
 def test_prototypes_permutation_invariant_and_linear():
@@ -168,3 +180,119 @@ def test_observation_jsonl_roundtrip():
         assert got.bbox == want.bbox
     # serialization itself is deterministic
     assert observation_to_line(back) == line
+
+
+# --- feature grids as a palette plus labels -----------------------------------------
+
+
+@st.composite
+def repetitive_grids(draw):
+    """Grids whose cells repeat a few vectors, ``0.0`` and ``-0.0`` among them."""
+    h, w, dim = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(size=(draw(st.integers(1, 5)), dim))
+    vectors[0] = 0.0
+    if len(vectors) > 1:
+        vectors[1] = -0.0
+    return vectors[rng.integers(0, len(vectors), size=(h, w))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(repetitive_grids())
+def test_feature_grid_values_round_trip_bit_for_bit(values):
+    grid = FeatureGrid(values)
+    assert grid.values.tobytes() == values.tobytes()
+    assert (grid.height, grid.width, grid.dim) == values.shape
+    assert grid.labels.dtype == np.uint8 and len(grid.palette) <= 5
+    assert len({row.tobytes() for row in grid.palette}) == len(grid.palette)
+
+
+def test_feature_grid_labels_take_the_smallest_unsigned_type():
+    values = np.arange(257 * 2, dtype=float).reshape(1, 257, 2)
+    grid = FeatureGrid(values)
+    assert grid.labels.dtype == np.uint16 and grid.values.tobytes() == values.tobytes()
+    assert FeatureGrid(values[:, :256]).labels.dtype == np.uint8
+
+
+@pytest.mark.parametrize("palette, labels, message", [
+    ([[0.0, np.nan]], np.zeros((1, 1), dtype=np.uint8), "feature grid must be finite"),
+    ([[0.0, 1.0]], np.array([[0, 1]], dtype=np.uint8), "feature label 1 outside a palette of 1"),
+    ([[0.0, 1.0]], np.zeros((1, 1), dtype=np.int64), "unsigned integer"),
+    ([[0.0, 1.0]], np.zeros(1, dtype=np.uint8), "unsigned integer"),
+    ([0.0, 1.0], np.zeros((1, 1), dtype=np.uint8), "feature palette must have shape"),
+])
+def test_feature_grid_from_labels_checks_palette_and_labels(palette, labels, message):
+    with pytest.raises(ValueError, match=message):
+        FeatureGrid.from_labels(palette, labels)
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.ones((2, 2)), "shape"),
+    (np.ones((2, 2, 0)), "dim >= 1"),
+    (np.full((1, 2, 1), np.inf), "finite"),
+])
+def test_feature_grid_rejects_bad_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        FeatureGrid(values)
+
+
+def test_observation_line_writes_the_dense_values():
+    rng = rng_for(35)
+    palette = rng.normal(size=(3, 2))
+    palette[0] = -0.0
+    labels = rng.integers(0, 3, size=(4, 5)).astype(np.uint8)
+    mask = random_mask(rng, 16, 16)
+    original = obs(2, [prop(mask, 0.5)] * 3, features=FeatureGrid.from_labels(palette, labels))
+    dense = palette[labels]
+    want = json.dumps({
+        "frame": 2, "o": 1.0,
+        "proposals": [{"mask": mask.to_text(), "s_mask": 0.5, "s_obj": 1.0}] * 3,
+        "features": {"height": 4, "width": 5, "dim": 2, "values": dense.reshape(-1).tolist()},
+    }, separators=(",", ":"))
+    assert observation_to_line(original) == want
+    assert observation_to_line(obs(2, [prop(mask, 0.5)] * 3, features=FeatureGrid(dense))) == want
+    assert observation_to_line(observation_from_line(want)) == want
+
+
+def _line_with(features) -> str:
+    line = json.loads(observation_to_line(obs(0, [prop(empty_mask(4, 4), 0.5)] * 3)))
+    line["features"] = features
+    return json.dumps(line)
+
+
+@pytest.mark.parametrize("features, message", [
+    ("grid", "features must be a JSON object, got str"),
+    ({"height": -1, "width": 1, "dim": 1, "values": [0.0, 1.0]},
+     "features.height must be an integer >= 1, got -1"),
+    ({"height": 1, "width": 0, "dim": 1, "values": []}, "features.width must be an integer"),
+    ({"height": 1, "width": 1, "dim": 0, "values": []}, "features.dim must be an integer"),
+    ({"height": 1, "width": 1.0, "dim": 1, "values": [0.0]}, "features.width must be an integer"),
+    ({"height": True, "width": 1, "dim": 1, "values": [0.0]},
+     "features.height must be an integer >= 1, got True"),
+    ({"height": 1, "width": 1, "dim": False, "values": [0.0]},
+     "features.dim must be an integer >= 1, got False"),
+    ({"height": 1, "width": 1, "values": [0.0]}, "features.dim is missing"),
+    ({"height": 1, "width": 1, "dim": 1}, "features.values is missing"),
+    ({"height": 1, "width": 1, "dim": 2, "values": [0.0]},
+     "features.values must be a flat list of height*width*dim = 2 numbers, got 1 items"),
+    ({"height": 1, "width": 1, "dim": 2, "values": {"a": 1}},
+     "features.values must be a flat list of height*width*dim = 2 numbers, got dict"),
+    ({"height": 1, "width": 1, "dim": 2, "values": [0.0, [1.0]]},
+     "features.values[1] must be a finite number, got [1.0]"),
+    ({"height": 1, "width": 1, "dim": 2, "values": [True, 1.0]},
+     "features.values[0] must be a finite number, got True"),
+    ({"height": 1, "width": 1, "dim": 2, "values": [0.0, float("nan")]},
+     "features.values[1] must be a finite number, got nan"),
+    ({"height": 1, "width": 1, "dim": 2, "values": [0.0, 10 ** 400]},
+     "features.values[1] must be a finite number"),
+], ids=["not-object", "negative-height", "zero-width", "zero-dim", "float-width", "bool-height",
+        "bool-dim", "no-dim", "no-values", "short-values", "values-object", "nested-value",
+        "bool-value", "nan-value", "huge-int-value"])
+def test_observation_line_rejects_bad_features_naming_the_key(features, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        observation_from_line(_line_with(features))
+
+
+def test_observation_line_accepts_integer_feature_values():
+    back = observation_from_line(_line_with({"height": 1, "width": 2, "dim": 1, "values": [3, -1]}))
+    assert back.features.values.tobytes() == np.array([[[3.0], [-1.0]]]).tobytes()

@@ -180,7 +180,7 @@ boxes = st.builds(BBox, coords, coords, sizes, sizes)
 def render(kernel, batch, width, height):
     """A batch of boxes through a kernel, as BitMasks."""
     fields = [np.array([getattr(box, name) for box in batch], dtype=float) for name in "xywh"]
-    return _masks(kernel(*fields, width, height), len(batch), width, height)
+    return _masks(kernel(*fields, width, height), len(batch), width, height, {})
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,7 +267,7 @@ def test_union_matches_dense_or(data, shape):
         pairs = [(data.draw(row_run_masks(n, width, height)), data.draw(row_run_masks(n, width, height)))]
     for a, b in pairs:
         n, height, width = a.shape
-        union = _masks(_union_runs(as_runs(a), as_runs(b), width, height), n, width, height)
+        union = _masks(_union_runs(as_runs(a), as_runs(b), width, height), n, width, height, {})
         assert union == [BitMask.from_dense(a[i] | b[i]) for i in range(n)]
 
 
@@ -276,7 +276,7 @@ def test_union_coalesces_touching_runs_and_keeps_empty_operands():
     empty = as_runs(np.zeros_like(TOUCH[:, :2]))
 
     def union(a, b):
-        return _masks(_union_runs(a, b, 8, 2), 1, 8, 2)[0]
+        return _masks(_union_runs(a, b, 8, 2), 1, 8, 2, {})[0]
 
     assert union(left, right).runs == ((0, 0, 5), (1, 1, 2), (1, 5, 2))
     assert union(left, empty) == BitMask.from_dense(TOUCH[0, :2])
@@ -364,8 +364,11 @@ def test_feature_grids_label_cells_on_shape_boundaries():
     distractors = [(np.array([[16.0, 16.0], [16.0, 16.0]]), (16.0, 16.0))]
     protos = [np.array([0.0, 1.0])]
     target, background = np.array([1.0, 0.0]), np.array([0.5, 0.5])
-    grids = simulator._feature_grids(cfg, centers, np.array([False, True]), distractors,
-                                     protos, target, background)
+    labels, palette = simulator._feature_grids(cfg, centers, np.array([False, True]),
+                                               distractors, protos, target, background)
+    assert labels.dtype == np.uint8 and labels.shape == (2, 4, 4)
+    assert np.array_equal(palette, [background, protos[0], target])
+    grids = palette[labels]
     for t, visible_center in enumerate([(40.0, 40.0), None]):
         want = feature_grid_labels(cfg.grid, (4, 4), visible_center, (32.0, 32.0),
                                    [((16.0, 16.0), (16.0, 16.0))], protos, target,
@@ -375,6 +378,30 @@ def test_feature_grids_label_cells_on_shape_boundaries():
     assert labels[0][:2] == [0.0, 0.0] and labels[1][:2] == [0.0, 0.0]  # distractor box
     assert labels[2][2] == labels[3][2] == labels[2][3] == 1.0          # ellipse edge
     assert labels[3][3] == 0.5 and grids[1, 3, 2, 0] == 0.5            # outside; hidden
+
+
+def test_record_grids_share_one_label_array_and_one_palette():
+    record = gen_sequence(suite_standard(1)[2])  # 4 distractors
+    grids = [obs.features for obs in record.observations]
+    base = grids[0].labels.base
+    assert base is not None and base.dtype == np.uint8
+    assert base.shape == (record.config.frames, grids[0].height, grids[0].width)
+    for t, grid in enumerate(grids):
+        assert grid.labels.base is base and grid.palette is grids[0].palette
+        assert np.shares_memory(grid.labels, base[t])
+    assert grids[0].palette.shape == (record.config.n_distractors + 2, record.config.proto_dim)
+
+
+def test_equal_run_triples_within_a_record_are_one_object():
+    record = gen_sequence(suite_standard(1)[2])
+    masks = [record.init_mask] + [p.mask for obs in record.observations for p in obs.proposals]
+    seen: dict = {}
+    repeats = 0
+    for mask in masks:
+        for run in mask.runs:
+            repeats += run in seen
+            assert seen.setdefault(run, run) is run
+    assert repeats > len(seen)  # the union alone repeats its operands' runs
 
 
 def test_nearest_distractor_matches_per_frame_argmin():
@@ -518,6 +545,11 @@ def test_read_record_rejects_gt_without_prompt_mask(tmp_path):
     (r'"o":[^,]+', '"o":NaN', "frame 2: o must be finite"),
     (r'"s_obj":[^,}]+', '"s_obj":Infinity', "s_obj must be finite"),
     (r'"mask":"[^"]*"', '"mask":"16 16"', "frame 2: proposal masks differ in size"),
+    (r'"features":', '"features":[1.0],"old":', "features must be a JSON object, got list"),
+    (r'"height":\d+', '"height":-1', "features.height must be an integer >= 1, got -1"),
+    (r'"height":\d+', '"height":true', "features.height must be an integer >= 1, got True"),
+    (r'"dim":\d+', '"dim":0', "features.dim must be an integer >= 1, got 0"),
+    (r'"values":\[', '"values":[[0.0],', "features.values must be a flat list of"),
 ])
 def test_read_record_names_the_observation_line_it_rejects(tmp_path, pattern,
                                                            replacement, message):
