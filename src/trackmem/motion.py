@@ -1,10 +1,35 @@
-"""Constant-velocity Kalman filter over bounding-box state.
+"""Constant-velocity Kalman filter over bounding-box state, in closed form.
 
 SORT-style box filtering: the state is [cx, cy, w, h] plus per-component
 velocities, dt = 1 frame, transition F = [[I, I], [0, I]], process noise
-Q = sigma_p^2 * I, measurement noise R = sigma_m^2 * I on the four
-measured components. The predicted box feeds the motion-consistency
-scores used by selection and admission gating.
+Q = q * I, measurement noise R = r * I on the four measured components
+(H = [I, 0]). The predicted box feeds the motion-consistency scores used
+by selection and admission gating.
+
+The filter starts from cov = c * I, and F, Q, R and H treat the four box
+components alike and separately. So the 8x8 covariance always holds one
+2x2 (position, velocity) block [[a, b], [b, d]], the same for all four
+components, and exact zeros everywhere else: the filter is four decoupled
+scalar (position, velocity) pairs sharing one block, and runs on Python
+floats:
+
+    predict:  pos += vel
+              (a, b, d) <- (((a + b) + (b + d)) + q,  b + d,  d + q)
+    update:   inv = 1 / (a + r),  k1 = a * inv,  k2 = b * inv
+              pos += k1 * e,  vel += k2 * e        (e: the innovation)
+              m = 1 - k1
+              (a, b, d) <- (m * a,  (m * b + (b - k2 * a)) / 2,  d - k2 * b)
+
+These give the same bits as the 8x8 matrix form (``oracles.matrix_kf_predict``
+and ``matrix_kf_update``). Every entry of the matrix products is a sum of
+at most two nonzero terms (the others add exact zeros), so it takes the
+same roundings as the scalar expression, parenthesised as written; the
+symmetrizing (P + P.T) / 2 leaves the diagonal as it is and averages the
+two cross terms. The innovation covariance is exactly diagonal, and the
+OpenBLAS bundled with numpy (0.3.31) solves a diagonal system as
+b * (1 / s), not b / s, so the gain is a product with the reciprocal.
+Python floats round the same on every platform, so the filter's bits do
+not depend on the BLAS build; the matrix form's do.
 
 Missed detections are handled by the caller: predict every frame, update
 only on frames that pass selection, and re-initialize from the next
@@ -26,17 +51,10 @@ from .geometry import BBox
 
 __all__ = ["KalmanState", "MotionConfig", "kf_init", "kf_predict", "kf_update"]
 
-_DIM = 8  # [cx, cy, w, h, vcx, vcy, vw, vh]
+_POS = np.arange(4)
+_VEL = _POS + 4
 
-_EYE4 = np.eye(4)
-_EYE = np.eye(_DIM)
-_F = np.eye(_DIM)
-_F[:4, 4:] = _EYE4
-_H = np.zeros((4, _DIM))
-_H[:4, :4] = _EYE4
-for _const in (_EYE4, _EYE, _F, _H):
-    _const.flags.writeable = False
-del _const
+Quad = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -60,26 +78,51 @@ class MotionConfig:
             raise ValueError("n_lost must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KalmanState:
-    """Gaussian box-motion belief: 8-vector mean and 8x8 covariance."""
+    """Gaussian box-motion belief: positions ``pos`` = (cx, cy, w, h), their
+    per-frame velocities ``vel``, and the (position, velocity) covariance
+    block [[a, b], [b, d]] every component shares.
 
-    mean: np.ndarray
-    cov: np.ndarray
+    ``mean`` and ``cov`` give the 8-vector and 8x8 matrix form.
+    """
+
+    pos: Quad
+    vel: Quad
+    a: float
+    b: float
+    d: float
     config: MotionConfig
     last_update_frame: int
 
+    @property
+    def mean(self) -> np.ndarray:
+        """[cx, cy, w, h, vcx, vcy, vw, vh], built on each access, read-only."""
+        mean = np.array(self.pos + self.vel)
+        mean.flags.writeable = False
+        return mean
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The 8x8 covariance [[a I, b I], [b I, d I]], built on each access, read-only."""
+        cov = np.zeros((8, 8))
+        cov[_POS, _POS] = self.a
+        cov[_POS, _VEL] = cov[_VEL, _POS] = self.b
+        cov[_VEL, _VEL] = self.d
+        cov.flags.writeable = False
+        return cov
+
     def predicted_box(self) -> BBox:
         """Current mean as a box, center converted to top-left, size clamped."""
-        cx, cy, w, h = self.mean[:4].tolist()
+        cx, cy, w, h = self.pos
         w = max(w, 1e-6)
         h = max(h, 1e-6)
         return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
-def _box_to_measurement(b: BBox) -> np.ndarray:
+def _measurement(b: BBox) -> Quad:
     cx, cy = b.center
-    return np.array([cx, cy, b.w, b.h], dtype=float)
+    return (float(cx), float(cy), float(b.w), float(b.h))
 
 
 def kf_init(b0: BBox, cfg: MotionConfig, frame_idx: int = 0) -> KalmanState:
@@ -90,19 +133,17 @@ def kf_init(b0: BBox, cfg: MotionConfig, frame_idx: int = 0) -> KalmanState:
     """
     if b0.area == 0.0:
         raise ValueError("cannot initialize motion from a zero-area box")
-    mean = np.zeros(_DIM)
-    mean[:4] = _box_to_measurement(b0)
-    cov = cfg.initial_cov_scale * np.eye(_DIM)
-    return KalmanState(mean=mean, cov=cov, config=cfg, last_update_frame=frame_idx)
+    c = float(cfg.initial_cov_scale)
+    return KalmanState(_measurement(b0), (0.0, 0.0, 0.0, 0.0), c, 0.0, c, cfg, frame_idx)
 
 
 def kf_predict(s: KalmanState) -> tuple[KalmanState, BBox]:
     """One constant-velocity step: returns the prior state and its box."""
-    mean = _F @ s.mean
-    cov = _F @ s.cov @ _F.T + s.config.process_noise * _EYE
-    cov = (cov + cov.T) / 2.0  # keep symmetric against fp drift
-    out = KalmanState(mean=mean, cov=cov, config=s.config,
-                      last_update_frame=s.last_update_frame)
+    (cx, cy, w, h), (vcx, vcy, vw, vh) = s.pos, s.vel
+    a, b, d = s.a, s.b, s.d
+    q = s.config.process_noise
+    out = KalmanState((cx + vcx, cy + vcy, w + vw, h + vh), s.vel,
+                      ((a + b) + (b + d)) + q, b + d, d + q, s.config, s.last_update_frame)
     return out, out.predicted_box()
 
 
@@ -114,18 +155,17 @@ def kf_update(s: KalmanState, z: BBox, frame_idx: int | None = None) -> KalmanSt
     """
     if z.area == 0.0:
         return s
-    # H selects the four measured components, so H @ x, H @ P @ H.T and
-    # P @ H.T are the slices below exactly: the 0/1 products add only zeros
-    r = s.config.measurement_noise * _EYE4
-    innovation = _box_to_measurement(z) - s.mean[:4]
-    innovation_cov = s.cov[:4, :4] + r
-    gain = np.linalg.solve(innovation_cov.T, s.cov[:, :4].T).T
-    mean = s.mean + gain @ innovation
-    cov = (_EYE - gain @ _H) @ s.cov
-    cov = (cov + cov.T) / 2.0
+    (cx, cy, w, h), (vcx, vcy, vw, vh) = s.pos, s.vel
+    zcx, zcy, zw, zh = _measurement(z)
+    ecx, ecy, ew, eh = zcx - cx, zcy - cy, zw - w, zh - h
+    a, b, d = s.a, s.b, s.d
+    inv = 1.0 / (a + s.config.measurement_noise)
+    k1, k2 = a * inv, b * inv
+    m = 1.0 - k1
     return KalmanState(
-        mean=mean,
-        cov=cov,
-        config=s.config,
-        last_update_frame=s.last_update_frame if frame_idx is None else frame_idx,
+        (cx + k1 * ecx, cy + k1 * ecy, w + k1 * ew, h + k1 * eh),
+        (vcx + k2 * ecx, vcy + k2 * ecy, vw + k2 * ew, vh + k2 * eh),
+        m * a, (m * b + (b - k2 * a)) / 2.0, d - k2 * b,
+        s.config,
+        s.last_update_frame if frame_idx is None else frame_idx,
     )

@@ -75,7 +75,8 @@ class FeatureGrid:
     ``FeatureGrid(values)`` factorizes a dense array on the exact bytes of
     its cells, so ``values`` gives back the same bits (``-0.0`` stays apart
     from ``0.0``); :meth:`from_labels` takes the two arrays as they are.
-    Treat both arrays as read-only.
+    Grids compare equal when their ``values`` are bit-identical. Treat both
+    arrays as read-only.
     """
 
     palette: np.ndarray
@@ -117,6 +118,14 @@ class FeatureGrid:
     def values(self) -> np.ndarray:
         """The dense (height, width, dim) array, built on each call."""
         return self.palette[self.labels]
+
+    def __eq__(self, other) -> bool:
+        """Equal when the dense ``values`` are, bit for bit: palette order does
+        not matter, and ``-0.0`` differs from ``0.0``."""
+        if not isinstance(other, FeatureGrid):
+            return NotImplemented
+        return (self.labels.shape == other.labels.shape and self.dim == other.dim
+                and self.values.tobytes() == other.values.tobytes())
 
     @property
     def height(self) -> int:
@@ -262,6 +271,9 @@ def _finite(v: int | float) -> bool:
         return False
 
 
+_NUMBER = (int, float)
+
+
 def _features_from(fobj) -> FeatureGrid:
     """The ``features`` object of a JSON line as a grid; errors name the key."""
     if not isinstance(fobj, dict):
@@ -283,21 +295,52 @@ def _features_from(fobj) -> FeatureGrid:
         raise ValueError(f"features.values must be a flat list of height*width*dim = {n}"
                          f" numbers, got {got}")
     bad = next((i for i, v in enumerate(values)
-                if type(v) not in (int, float) or not _finite(v)), None)
+                if type(v) not in _NUMBER or not _finite(v)), None)
     if bad is not None:
         raise ValueError(f"features.values[{bad}] must be a finite number, got {values[bad]!r}")
     return FeatureGrid(np.array(values, dtype=float).reshape(shape))
 
 
+def _field(obj: dict, key: str, want: tuple[type, ...], what: str, prefix: str = ""):
+    """``obj[key]`` if its type is one of ``want`` (a bool is not an int);
+    errors name the key as ``prefix + key``."""
+    name = prefix + key
+    if key not in obj:
+        raise ValueError(f"{name} is missing")
+    v = obj[key]
+    if type(v) not in want or (type(v) is int and not _finite(v)):
+        raise ValueError(f"{name} must be {what}, got {v!r}")
+    return v
+
+
+def _proposal_from(pobj, i: int) -> Proposal:
+    """Entry ``i`` of a line's ``proposals``; errors name ``proposals[i].<key>``."""
+    prefix = f"proposals[{i}]."
+    if not isinstance(pobj, dict):
+        raise ValueError(f"proposals[{i}] must be a JSON object, got {type(pobj).__name__}")
+    text = _field(pobj, "mask", (str,), "a mask string", prefix)
+    try:
+        mask = BitMask.from_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}mask: {exc}") from exc
+    return Proposal.from_mask(mask, _field(pobj, "s_mask", _NUMBER, "a number", prefix),
+                              _field(pobj, "s_obj", _NUMBER, "a number", prefix))
+
+
 def observation_from_line(line: str) -> FrameObservation:
+    """Parse one JSON line; a malformed field raises ValueError naming its key.
+
+    Numbers must be JSON numbers (bools are refused) and ``frame`` an
+    integer; score ranges and mask sizes are checked by the dataclasses.
+    """
     payload = json.loads(line)
-    proposals = tuple(
-        Proposal.from_mask(BitMask.from_text(p["mask"]), p["s_mask"], p["s_obj"])
-        for p in payload["proposals"]
-    )
+    if not isinstance(payload, dict):
+        raise ValueError(f"observation line must be a JSON object, got {type(payload).__name__}")
+    frame = _field(payload, "frame", (int,), "an integer")
+    o = _field(payload, "o", _NUMBER, "a number")
+    pobjs = _field(payload, "proposals", (list,), "a JSON array")
+    proposals = tuple(_proposal_from(p, i) for i, p in enumerate(pobjs))
     features = None
     if payload.get("features") is not None:
         features = _features_from(payload["features"])
-    return FrameObservation(
-        frame_idx=payload["frame"], proposals=proposals, o=payload["o"], features=features
-    )
+    return FrameObservation(frame_idx=frame, proposals=proposals, o=o, features=features)

@@ -73,6 +73,12 @@ class AdmissionReason(enum.Enum):
 
 @dataclass(frozen=True)
 class RamPolicyDecision:
+    """A RAM admission outcome; ``admit`` is true exactly for ``ADMITTED``.
+
+    :meth:`admitted` and :meth:`rejected` return one shared instance per
+    reason.
+    """
+
     admit: bool
     reason: AdmissionReason
 
@@ -82,11 +88,17 @@ class RamPolicyDecision:
 
     @classmethod
     def admitted(cls) -> "RamPolicyDecision":
-        return cls(True, AdmissionReason.ADMITTED)
+        return _DECISIONS[AdmissionReason.ADMITTED]
 
     @classmethod
     def rejected(cls, reason: AdmissionReason) -> "RamPolicyDecision":
-        return cls(False, reason)
+        if reason is AdmissionReason.ADMITTED:
+            raise ValueError("admit flag must match reason")
+        return _DECISIONS[reason]
+
+
+_DECISIONS = {reason: RamPolicyDecision(reason is AdmissionReason.ADMITTED, reason)
+              for reason in AdmissionReason}
 
 
 @dataclass(frozen=True)

@@ -804,7 +804,8 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
 
     Raises ValueError naming the file and line of the first bad line. In
     the observations that is a frame that does not parse or is malformed
-    (mismatched mask sizes, non-finite scores). In the GT sidecar it is a
+    (a field missing or of the wrong type, named by its key; mismatched
+    mask sizes, non-finite scores). In the GT sidecar it is a
     line that is not JSON, a header whose config does not load, a frame
     line missing ``frame``, ``visible`` or ``box``, a box that is not four
     finite numbers of non-negative size, frame numbers that do not run 0,

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, box_iou
@@ -59,9 +61,7 @@ def test_predict_zero_velocity_keeps_box():
 
 def test_predict_extrapolates_velocity():
     s = kf_init(BBox.from_center(0, 0, 2, 2), CFG)
-    mean = s.mean.copy()
-    mean[4] = 1.0  # vcx = 1 px/frame
-    s = type(s)(mean=mean, cov=s.cov, config=s.config, last_update_frame=0)
+    s = dataclasses.replace(s, vel=(1.0, 0.0, 0.0, 0.0))  # vcx = 1 px/frame
     _, box = kf_predict(s)
     assert box.center == (1.0, 0.0)
 
@@ -185,3 +185,21 @@ def test_filter_equals_matrix_form_bit_for_bit(b0, q, r, scale, ops):
         assert np.array_equal(state.mean, mean) and np.array_equal(state.cov, cov)
         box = state.predicted_box()
         assert (box.x, box.y, box.w, box.h) == matrix_kf_box(mean)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), noise, noise, noise)
+def test_filter_equals_matrix_form_bit_for_bit_on_long_traces(seed, q, r, scale):
+    """The check above over 200-400 steps, long enough for the covariance to settle
+    and, on predict-only stretches, to grow far from its start."""
+    rng = rng_for(seed)
+
+    def draw_box():
+        x, y = rng.uniform(-200.0, 200.0, 2)
+        w, h = rng.uniform(0.0, 80.0, 2) * (rng.random(2) > 0.05)  # some zero-size
+        return (float(x), float(y), float(w), float(h))
+
+    ops = [None if rng.random() < 0.3 else draw_box() for _ in range(rng.integers(200, 401))]
+    b0 = draw_box()
+    b0 = (b0[0], b0[1], max(b0[2], 0.5), max(b0[3], 0.5))
+    test_filter_equals_matrix_form_bit_for_bit.hypothesis.inner_test(b0, q, r, scale, ops)

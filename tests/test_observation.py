@@ -236,6 +236,45 @@ def test_feature_grid_rejects_bad_values(values, message):
         FeatureGrid(values)
 
 
+def test_feature_grids_compare_their_dense_values_bit_for_bit():
+    rng = rng_for(36)
+    palette = rng.normal(size=(3, 2))
+    labels = rng.integers(0, 3, size=(4, 5)).astype(np.uint8)
+    grid = FeatureGrid.from_labels(palette, labels)
+    values = grid.values
+    assert grid == FeatureGrid(values.copy())
+    # the same cells through a permuted palette
+    perm = np.array([2, 0, 1])
+    relabel = np.argsort(perm).astype(np.uint8)
+    assert grid == FeatureGrid.from_labels(palette[perm], relabel[labels])
+    changed = values.copy()
+    changed[3, 4, 1] = np.nextafter(changed[3, 4, 1], np.inf)
+    assert grid != FeatureGrid(changed)
+    # the same bytes in another shape
+    assert grid != FeatureGrid(values.reshape(5, 4, 2))
+    assert grid != FeatureGrid(values.reshape(4, 10, 1))
+    assert not grid == "grid"
+
+
+def test_feature_grids_keep_signed_zeros_apart():
+    zeros = np.zeros((1, 2, 1))
+    signed = np.array([[[0.0], [-0.0]]])
+    assert FeatureGrid(zeros) == FeatureGrid(zeros.copy())
+    assert FeatureGrid(zeros) != FeatureGrid(signed)
+    assert FeatureGrid(signed) == FeatureGrid(signed.copy())
+
+
+def test_observations_with_feature_grids_compare():
+    rng = rng_for(37)
+    values = rng.normal(size=(3, 3, 2))
+    proposals = [prop(random_mask(rng, 8, 8), 0.5) for _ in range(3)]
+    with_grid = obs(4, proposals, features=FeatureGrid(values))
+    assert with_grid == obs(4, proposals, features=FeatureGrid(values.copy()))
+    assert with_grid != obs(4, proposals, features=FeatureGrid(values + 1.0))
+    assert with_grid != obs(4, proposals)
+    assert observation_from_line(observation_to_line(with_grid)) == with_grid
+
+
 def test_observation_line_writes_the_dense_values():
     rng = rng_for(35)
     palette = rng.normal(size=(3, 2))
@@ -296,3 +335,38 @@ def test_observation_line_rejects_bad_features_naming_the_key(features, message)
 def test_observation_line_accepts_integer_feature_values():
     back = observation_from_line(_line_with({"height": 1, "width": 2, "dim": 1, "values": [3, -1]}))
     assert back.features.values.tobytes() == np.array([[[3.0], [-1.0]]]).tobytes()
+
+
+def _frame_line() -> dict:
+    return json.loads(observation_to_line(obs(2, [prop(rect_mask(4, 4, 0, 0, 2, 2), 0.5)] * 3)))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(frame="a"), "frame must be an integer, got 'a'"),
+    (lambda d: d.update(frame=True), "frame must be an integer, got True"),
+    (lambda d: d.pop("frame"), "frame is missing"),
+    (lambda d: d.update(o=True), "o must be a number, got True"),
+    (lambda d: d.update(o=10 ** 400), "o must be a number, got 1000"),
+    (lambda d: d.update(proposals=5), "proposals must be a JSON array, got 5"),
+    (lambda d: d["proposals"].__setitem__(1, 3), "proposals[1] must be a JSON object, got int"),
+    (lambda d: d["proposals"][1].update(mask=5), "proposals[1].mask must be a mask string, got 5"),
+    (lambda d: d["proposals"][0].update(mask="4 x"), "proposals[0].mask: bad mask header '4 x'"),
+    (lambda d: d["proposals"][2].update(s_mask="x"),
+     "proposals[2].s_mask must be a number, got 'x'"),
+    (lambda d: d["proposals"][2].pop("s_mask"), "proposals[2].s_mask is missing"),
+    (lambda d: d["proposals"][0].update(s_obj=True), "proposals[0].s_obj must be a number, got True"),
+], ids=["str-frame", "bool-frame", "no-frame", "bool-o", "huge-int-o", "int-proposals",
+        "int-proposal", "int-mask", "bad-mask-text", "str-s_mask", "no-s_mask", "bool-s_obj"])
+def test_observation_line_rejects_bad_fields_naming_the_key(edit, message):
+    line = _frame_line()
+    edit(line)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        observation_from_line(json.dumps(line))
+
+
+def test_observation_line_accepts_integer_scores():
+    line = _frame_line()
+    line["o"] = 1
+    line["proposals"][0].update(s_mask=1, s_obj=-2)
+    back = observation_from_line(json.dumps(line))
+    assert (back.o, back.proposals[0].s_mask, back.proposals[0].s_obj) == (1, 1, -2)

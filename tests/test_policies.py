@@ -47,6 +47,19 @@ def test_decision_consistency_enforced():
         RamPolicyDecision(admit=False, reason=AdmissionReason.ADMITTED)
 
 
+def test_decisions_are_shared_per_reason():
+    assert RamPolicyDecision.admitted() is RamPolicyDecision.admitted()
+    assert RamPolicyDecision.admitted() == RamPolicyDecision(True, AdmissionReason.ADMITTED)
+    for reason in AdmissionReason:
+        if reason is AdmissionReason.ADMITTED:
+            continue
+        decision = RamPolicyDecision.rejected(reason)
+        assert decision is RamPolicyDecision.rejected(reason)
+        assert decision == RamPolicyDecision(False, reason)
+    with pytest.raises(ValueError):
+        RamPolicyDecision.rejected(AdmissionReason.ADMITTED)
+
+
 def test_policy_config_validation():
     with pytest.raises(ValueError):
         PolicyConfig(alpha=0.8, beta=0.4)

@@ -2,14 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from trackmem.geometry import BBox, box_iou
+from trackmem.geometry import BBox, BitMask, box_iou
 from trackmem.membank import EntryKind, MemoryEntry
+from trackmem.motion import MotionConfig
 from trackmem.observation import Proposal
 from trackmem.oracles import (
     him_choice_oracle,
+    matrix_kf_box,
+    matrix_kf_predict,
+    matrix_kf_update,
     samite_calibrate_recomputed,
     samurai_choice_oracle,
 )
@@ -22,8 +26,10 @@ from trackmem.policies import (
 from trackmem.pathways import pathway_best
 from trackmem.selection import (
     FrameResult,
+    HimPolicy,
     PolicyKind,
     SamitePolicy,
+    SamuraiPolicy,
     TrackerConfig,
     TrackerSession,
     _prototype,
@@ -392,6 +398,118 @@ def test_him_session_tracks_accepted_boxes():
     for e in session.bank.ram:
         r = next(x for x in results if x.frame_idx == e.frame_idx)
         assert r.decision.admit and r.s_conf >= cfg.policy_cfg.tau_mem
+
+
+# --- motion policies against the matrix-form filter -------------------------------
+
+
+class MatrixMotion:
+    """Mixin for a motion policy: the filter held as (mean, cov) arrays and stepped
+    with the 8x8 matrix form in ``oracles.py``; ``reseeds`` counts re-seeds."""
+
+    reseeds = 0
+
+    def __init__(self, bank, cfg):
+        super().__init__(bank, cfg)
+        self.kf = self.seed(bank.init.bbox)
+
+    def seed(self, box):
+        return (np.array([*box.center, box.w, box.h, 0.0, 0.0, 0.0, 0.0]),
+                self.cfg.motion_cfg.initial_cov_scale * np.eye(8))
+
+    def predict(self):
+        self.kf = matrix_kf_predict(*self.kf, self.cfg.motion_cfg.process_noise)
+        return BBox(*matrix_kf_box(self.kf[0]))
+
+    def observe(self, frame_idx, chosen):
+        box = None if chosen is None else chosen.bbox
+        if box is None or box.area == 0.0:
+            self.absent_streak += 1
+            return
+        if self.absent_streak >= self.cfg.motion_cfg.n_lost:
+            self.kf = self.seed(box)
+            self.reseeds += 1
+        else:
+            self.kf = matrix_kf_update(*self.kf, (*box.center, box.w, box.h),
+                                       self.cfg.motion_cfg.measurement_noise)
+        self.absent_streak = 0
+
+
+MATRIX_POLICIES = {
+    PolicyKind.SAMURAI_DRM: type("MatrixSamurai", (MatrixMotion, SamuraiPolicy), {}),
+    PolicyKind.HIM2SAM_DRM: type("MatrixHim", (MatrixMotion, HimPolicy), {}),
+}
+
+
+class MatrixMotionSession(TrackerSession):
+    """A samurai or him session whose filter is the matrix-form reference above."""
+
+    def __init__(self, cfg, init_mask):
+        super().__init__(cfg, init_mask)
+        self.policy = MATRIX_POLICIES[cfg.policy](self.bank, cfg)
+
+
+def lose_target(observations, start, stop):
+    """``observations`` with frames [start, stop) blanked: three empty masks, every
+    object and presence score negative, so a motion policy loses the target."""
+    def lost(o):
+        empty = BitMask(o.proposals[0].mask.width, o.proposals[0].mask.height, ())
+        return dataclasses.replace(o, proposals=(Proposal.from_mask(empty, 0.0, -1.0),) * 3,
+                                   o=-1.0)
+    return [lost(o) if start <= o.frame_idx < stop else o for o in observations]
+
+
+def matrix_session_reseeds(init_mask, observations, cfg) -> int:
+    """Step a session and its matrix-form reference in lockstep, requiring the same
+    result lines and filter bits; returns how often the reference re-seeded."""
+    session = TrackerSession(cfg, init_mask)
+    reference = MatrixMotionSession(cfg, init_mask)
+    for o in observations:
+        assert frame_result_to_line(session.step(o)) == frame_result_to_line(reference.step(o))
+        mean, cov = reference.policy.kf
+        assert session.policy.kf.mean.tobytes() == mean.tobytes()
+        assert session.policy.kf.cov.tobytes() == cov.tobytes()
+    return reference.policy.reseeds
+
+
+motion_policies = st.sampled_from([PolicyKind.SAMURAI_DRM, PolicyKind.HIM2SAM_DRM])
+noise = st.floats(1e-6, 50.0)
+window = st.one_of(st.none(), st.tuples(st.integers(1, 30), st.integers(1, 15)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy=motion_policies, seed=st.integers(0, 2**16), frames=st.integers(2, 50),
+       n_distractors=st.integers(0, 2), occlusion=window,
+       lost=st.tuples(st.integers(0, 48), st.integers(0, 15)),
+       q=noise, r=noise, scale=noise, n_lost=st.integers(1, 8))
+def test_motion_session_matches_matrix_form_reference(policy, seed, frames, n_distractors,
+                                                      occlusion, lost, q, r, scale, n_lost):
+    occlusions = ()
+    if occlusion is not None and occlusion[0] < frames - 1:
+        occlusions = ((occlusion[0], min(frames, occlusion[0] + occlusion[1])),)
+    record = gen_sequence(SceneConfig(
+        seed=seed, frames=frames, grid=(48, 40), target_motion=MotionSpec(size=(12.0, 10.0)),
+        n_distractors=n_distractors, distractor_similarity=0.8, occlusions=occlusions,
+        proto_dim=3))
+    start = 1 + lost[0] % (frames - 1)  # a stretch of lost frames, maybe empty
+    observations = lose_target(record.observations, start, start + lost[1])
+    motion_cfg = MotionConfig(process_noise=q, measurement_noise=r, initial_cov_scale=scale,
+                              n_lost=n_lost)
+    reseeds = matrix_session_reseeds(record.init_mask, observations,
+                                     config(policy, motion_cfg=motion_cfg))
+    event("re-seeded" if reseeds else "no re-seed")
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.SAMURAI_DRM, PolicyKind.HIM2SAM_DRM])
+def test_motion_session_reseeds_like_matrix_form_reference(policy):
+    record = scene_record(seed=314, frames=80)
+    # the target lost for longer than n_lost twice, so the filter is re-seeded twice
+    observations = lose_target(lose_target(record.observations, 35, 45), 60, 66)
+    motion_cfg = MotionConfig(process_noise=0.5, measurement_noise=2.0, initial_cov_scale=3.0,
+                              n_lost=4)
+    cfg = config(policy, motion_cfg=motion_cfg)
+    assert matrix_session_reseeds(record.init_mask, observations, cfg) == 2
+    assert matrix_session_reseeds(record.init_mask, record.observations, config(policy)) == 0
 
 
 def test_frame_result_line_is_stable():

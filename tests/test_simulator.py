@@ -550,6 +550,12 @@ def test_read_record_rejects_gt_without_prompt_mask(tmp_path):
     (r'"height":\d+', '"height":true', "features.height must be an integer >= 1, got True"),
     (r'"dim":\d+', '"dim":0', "features.dim must be an integer >= 1, got 0"),
     (r'"values":\[', '"values":[[0.0],', "features.values must be a flat list of"),
+    (r'"frame":\d+', '"frame":"a"', "frame must be an integer, got 'a'"),
+    (r'"o":[^,]+', '"o":true', "o must be a number, got True"),
+    (r'"proposals":\[', '"proposals":5,"old":[', "proposals must be a JSON array, got 5"),
+    (r'"mask":"[^"]*"', '"mask":5', "proposals[0].mask must be a mask string, got 5"),
+    (r'"s_mask":[^,}]+', '"s_mask":"x"', "proposals[0].s_mask must be a number, got 'x'"),
+    (r'"s_obj":[^,}]+', '"s_obj":true', "proposals[0].s_obj must be a number, got True"),
 ])
 def test_read_record_names_the_observation_line_it_rejects(tmp_path, pattern,
                                                            replacement, message):
