@@ -26,7 +26,7 @@ for t in range(1, 25):
     print(f"{t:2d}   {s_kf_target:16.3f}  {s_kf_distr:21.3f}  "
           f"{state.cov.trace():9.2f}{tag}")
     if not occluded:
-        state = kf_update(state, truth(t), frame_idx=t)
+        state = kf_update(state, truth(t))
 
 # After the gap the prediction still overlaps the true track, so the
 # motion score keeps selecting the target over the distractor.

@@ -1,18 +1,20 @@
-"""Type checks for the numeric fields of the config dataclasses.
+"""The JSON boundary of the config dataclasses, and their number checks.
 
-Configs arrive as JSON, where ``true`` is not a number, ``1.5`` is not a
-count and ``Infinity``/``NaN`` parse as floats. Each config's
-``__post_init__`` calls :func:`check_numbers` before its range checks, so
-a wrong value fails naming its field instead of passing silently or
-failing later with a message about something else.
+:func:`from_json` builds a config dataclass from a JSON object and
+:func:`to_json` writes one back, so the dataclass is the only place that
+states a field, its default and its checks. In JSON, ``true`` is not a
+number, ``1.5`` is not a count, ``Infinity``/``NaN`` parse as floats and
+an integer may lie beyond float range, so each config's ``__post_init__``
+calls :func:`check_numbers` before its range checks: a wrong value fails
+naming its field. :func:`finite` is the one rule for a finite number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 
-__all__ = ["check_numbers"]
+__all__ = ["check_numbers", "finite", "from_json", "to_json"]
 
 _NOUNS = {
     "int": "an integer",
@@ -22,12 +24,20 @@ _NOUNS = {
 }
 
 
+def finite(v: int | float) -> bool:
+    """``math.isfinite``, where an integer beyond float range is not finite."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _is_kind(value, kind: str) -> bool:
     if isinstance(value, bool):
         return False
     if kind == "int":
         return isinstance(value, int)
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, (int, float)) and finite(value)
 
 
 def check_numbers(obj) -> None:
@@ -49,3 +59,60 @@ def check_numbers(obj) -> None:
             ok = _is_kind(value, f.type)
         if not ok:
             raise ValueError(f"{f.name} must be {_NOUNS[f.type]}, got {value!r}")
+
+
+def _tuples(value):
+    """JSON arrays as tuples, nested arrays included; anything else as is."""
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    return value
+
+
+def _arguments(cls: type, obj, where: str) -> dict:
+    """The constructor arguments of ``cls`` that JSON object ``obj`` gives."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}")
+    args = {}
+    for f in fields(cls):
+        if f.name not in obj:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise KeyError(f.name)
+            continue
+        value = obj[f.name]
+        if is_dataclass(f.default_factory):
+            inner = _arguments(f.default_factory, value, f.name)
+            try:
+                value = f.default_factory(**inner)
+            except ValueError as exc:
+                raise ValueError(f"{f.name}: {exc}") from exc
+        args[f.name] = _tuples(value)
+    return args
+
+
+def from_json(cls: type, obj, where: str):
+    """Config dataclass ``cls`` from JSON object ``obj``; missing keys take their defaults.
+
+    Raises ValueError for a non-object or a key ``cls`` has no field for
+    (``unknown {where} key(s) ...``), KeyError naming a missing field
+    without a default, and whatever the dataclass's checks raise. A field
+    whose ``default_factory`` is a config dataclass is built from its own
+    object, its checks' errors prefixed with the field's name.
+    """
+    return cls(**_arguments(cls, obj, where))
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return to_json(value)
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def to_json(obj) -> dict:
+    """Config dataclass ``obj`` as a JSON object: fields in declaration order,
+    tuples as arrays, nested configs as objects. :func:`from_json` inverts it."""
+    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}

@@ -53,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .checks import from_json, to_json
 from .geometry import BitMask
 from .membank import DrmConfig
 from .metrics import SUCCESS_THRESHOLDS, evaluate, success_curve
@@ -176,8 +177,8 @@ def _validate_config(cfg: dict, origin: str) -> None:
     for section, cls in (("policy", PolicyConfig), ("motion", MotionConfig),
                          ("drm", DrmConfig)):
         try:
-            cls(**cfg.get(section, {}))
-        except (TypeError, ValueError) as exc:
+            from_json(cls, cfg.get(section, {}), section)
+        except ValueError as exc:
             raise ConfigError(f"{origin}: bad {section!r} section: {exc}") from exc
     if cfg.get("suite", "standard") != "standard" and "scenes" not in cfg:
         raise ConfigError(f"{origin}: unknown suite {cfg['suite']!r} and no scenes given")
@@ -185,8 +186,6 @@ def _validate_config(cfg: dict, origin: str) -> None:
     if not isinstance(scenes, list):
         raise ConfigError(f"{origin}: 'scenes' must be a list of scene objects")
     for i, scene in enumerate(scenes):
-        if not isinstance(scene, dict):
-            raise ConfigError(f"{origin}: scene {i} is not an object")
         try:
             config_from_dict(scene)
         except (KeyError, TypeError, ValueError) as exc:
@@ -233,9 +232,9 @@ def tracker_config_from(cfg: dict, policy_name: str) -> TrackerConfig:
         policy=PolicyKind(policy_name),
         k_ram=cfg.get("k_ram", 6),
         k_drm=cfg.get("k_drm", 3),
-        policy_cfg=PolicyConfig(**cfg.get("policy", {})),
-        motion_cfg=MotionConfig(**cfg.get("motion", {})),
-        drm_cfg=DrmConfig(**cfg.get("drm", {})),
+        policy_cfg=from_json(PolicyConfig, cfg.get("policy", {}), "policy"),
+        motion_cfg=from_json(MotionConfig, cfg.get("motion", {}), "motion"),
+        drm_cfg=from_json(DrmConfig, cfg.get("drm", {}), "drm"),
     )
 
 
@@ -288,17 +287,15 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _format_row(row: dict) -> list[str]:
-    o = row["outcome"]
-    return [
-        row["suite"], row["family"], str(row["seed"]), row["policy"],
-        repr(o.success_auc), repr(o.norm_precision_auc), repr(o.precision_at_20),
-        repr(o.ao), repr(o.sr50), repr(o.sr75), repr(o.q), repr(o.acc), repr(o.rob),
-    ]
-
-
+# the EvalOutcome fields of CSV_HEADER's metric columns, in its order
 _METRIC_FIELDS = ["success_auc", "norm_precision_auc", "precision_at_20",
                   "ao", "sr50", "sr75", "q", "acc", "rob"]
+
+
+def _format_row(row: dict) -> list[str]:
+    o = row["outcome"]
+    return [row["suite"], row["family"], str(row["seed"]), row["policy"],
+            *(repr(getattr(o, name)) for name in _METRIC_FIELDS)]
 
 
 def _aggregate(rows: list[dict]) -> dict:
@@ -458,11 +455,13 @@ def _oracle_geometry(rng: np.random.Generator) -> dict:
 
 
 def _oracle_kalman(rng: np.random.Generator) -> dict:
+    noise = to_json(MotionConfig())  # the filter's default noise, without n_lost
+    del noise["n_lost"]
     traces = []
     for _ in range(5):
         init = [float(v) for v in rng.uniform(10, 60, size=2)] + \
                [float(v) for v in rng.uniform(5, 25, size=2)]
-        oracle = DenseKalmanOracle(tuple(init), 1e-2, 1e-1, 10.0)
+        oracle = DenseKalmanOracle(tuple(init), **noise)
         steps = []
         states = []
         for _ in range(50):
@@ -481,8 +480,7 @@ def _oracle_kalman(rng: np.random.Generator) -> dict:
                 "cov": [float(v) for v in oracle.P.reshape(-1)],
             })
         traces.append({"init": init, "steps": steps, "states": states})
-    return {"process_noise": 1e-2, "measurement_noise": 1e-1,
-            "initial_cov_scale": 10.0, "traces": traces}
+    return {**noise, "traces": traces}
 
 
 def _oracle_pathways(rng: np.random.Generator) -> dict:

@@ -248,6 +248,3 @@ class MemoryBank:
         return ";".join(
             f"{e.kind.value}:{e.frame_idx}:{e.s_mask!r}" for e in self.compose()
         )
-
-    def __len__(self) -> int:
-        return 1 + len(self.drm) + len(self.ram)

@@ -93,7 +93,6 @@ class KalmanState:
     b: float
     d: float
     config: MotionConfig
-    last_update_frame: int
 
     @property
     def mean(self) -> np.ndarray:
@@ -125,7 +124,7 @@ def _measurement(b: BBox) -> Quad:
     return (float(cx), float(cy), float(b.w), float(b.h))
 
 
-def kf_init(b0: BBox, cfg: MotionConfig, frame_idx: int = 0) -> KalmanState:
+def kf_init(b0: BBox, cfg: MotionConfig) -> KalmanState:
     """Initialize at a box: position/size from ``b0``, velocities zero.
 
     Raises ValueError for a zero-area box, which carries no motion
@@ -134,7 +133,7 @@ def kf_init(b0: BBox, cfg: MotionConfig, frame_idx: int = 0) -> KalmanState:
     if b0.area == 0.0:
         raise ValueError("cannot initialize motion from a zero-area box")
     c = float(cfg.initial_cov_scale)
-    return KalmanState(_measurement(b0), (0.0, 0.0, 0.0, 0.0), c, 0.0, c, cfg, frame_idx)
+    return KalmanState(_measurement(b0), (0.0, 0.0, 0.0, 0.0), c, 0.0, c, cfg)
 
 
 def kf_predict(s: KalmanState) -> tuple[KalmanState, BBox]:
@@ -143,15 +142,15 @@ def kf_predict(s: KalmanState) -> tuple[KalmanState, BBox]:
     a, b, d = s.a, s.b, s.d
     q = s.config.process_noise
     out = KalmanState((cx + vcx, cy + vcy, w + vw, h + vh), s.vel,
-                      ((a + b) + (b + d)) + q, b + d, d + q, s.config, s.last_update_frame)
+                      ((a + b) + (b + d)) + q, b + d, d + q, s.config)
     return out, out.predicted_box()
 
 
-def kf_update(s: KalmanState, z: BBox, frame_idx: int | None = None) -> KalmanState:
+def kf_update(s: KalmanState, z: BBox) -> KalmanState:
     """Standard correction with measurement [cx, cy, w, h].
 
     A zero-area measurement is treated as missing: the state is returned
-    unchanged. ``frame_idx``, when given, stamps ``last_update_frame``.
+    unchanged.
     """
     if z.area == 0.0:
         return s
@@ -167,5 +166,4 @@ def kf_update(s: KalmanState, z: BBox, frame_idx: int | None = None) -> KalmanSt
         (vcx + k2 * ecx, vcy + k2 * ecy, vw + k2 * ew, vh + k2 * eh),
         m * a, (m * b + (b - k2 * a)) / 2.0, d - k2 * b,
         s.config,
-        s.last_update_frame if frame_idx is None else frame_idx,
     )

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import finite
 from .geometry import BBox, BitMask, mask_to_bbox
 
 __all__ = [
@@ -152,7 +152,7 @@ class Proposal:
     def __post_init__(self) -> None:
         if not (0.0 <= self.s_mask <= 1.0):
             raise ValueError(f"s_mask must lie in [0, 1], got {self.s_mask}")
-        if not math.isfinite(self.s_obj):
+        if not finite(self.s_obj):
             raise ValueError(f"s_obj must be finite, got {self.s_obj}")
 
     @classmethod
@@ -193,7 +193,7 @@ class FrameObservation:
                 f"frame {self.frame_idx}: proposal masks differ in size: "
                 + ", ".join(f"{p.mask.width}x{p.mask.height}" for p in self.proposals)
             )
-        if not math.isfinite(self.o):
+        if not finite(self.o):
             raise ValueError(f"frame {self.frame_idx}: o must be finite, got {self.o}")
 
 
@@ -264,13 +264,6 @@ def observation_to_line(obs: FrameObservation) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _finite(v: int | float) -> bool:
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond float range
-        return False
-
-
 _NUMBER = (int, float)
 
 
@@ -295,7 +288,7 @@ def _features_from(fobj) -> FeatureGrid:
         raise ValueError(f"features.values must be a flat list of height*width*dim = {n}"
                          f" numbers, got {got}")
     bad = next((i for i, v in enumerate(values)
-                if type(v) not in _NUMBER or not _finite(v)), None)
+                if type(v) not in _NUMBER or not finite(v)), None)
     if bad is not None:
         raise ValueError(f"features.values[{bad}] must be a finite number, got {values[bad]!r}")
     return FeatureGrid(np.array(values, dtype=float).reshape(shape))
@@ -308,7 +301,7 @@ def _field(obj: dict, key: str, want: tuple[type, ...], what: str, prefix: str =
     if key not in obj:
         raise ValueError(f"{name} is missing")
     v = obj[key]
-    if type(v) not in want or (type(v) is int and not _finite(v)):
+    if type(v) not in want or (type(v) is int and not finite(v)):
         raise ValueError(f"{name} must be {what}, got {v!r}")
     return v
 

@@ -58,7 +58,6 @@ class PathwaySet:
 
     pathways: list[Pathway]
     cap: int
-    frame_idx: int
 
 
 def pathway_init(bank: MemoryBank, cap: int) -> PathwaySet:
@@ -66,7 +65,7 @@ def pathway_init(bank: MemoryBank, cap: int) -> PathwaySet:
     if cap < 1:
         raise ValueError("pathway cap must be >= 1")
     root = Pathway(bank=bank, score=0.0, trajectory=(), parent_id=0)
-    return PathwaySet(pathways=[root], cap=cap, frame_idx=0)
+    return PathwaySet(pathways=[root], cap=cap)
 
 
 def pathway_expand(pset: PathwaySet, obs: FrameObservation,
@@ -111,7 +110,7 @@ def pathway_prune(
             trajectory=parent.trajectory + ((obs.frame_idx, cand.proposal_index),),
             parent_id=cand.parent_id,
         ))
-    return PathwaySet(pathways=survivors, cap=pset.cap, frame_idx=obs.frame_idx)
+    return PathwaySet(pathways=survivors, cap=pset.cap)
 
 
 def pathway_best(pset: PathwaySet) -> Pathway:

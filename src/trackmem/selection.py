@@ -274,22 +274,22 @@ class _MotionPolicy(Policy):
 
     def __init__(self, bank: MemoryBank, cfg: TrackerConfig):
         super().__init__(bank, cfg)
-        self.kf = kf_init(bank.init.bbox, cfg.motion_cfg, frame_idx=0)
+        self.kf = kf_init(bank.init.bbox, cfg.motion_cfg)
         self.absent_streak = 0
 
     def predict(self) -> BBox:
         self.kf, box = kf_predict(self.kf)
         return box
 
-    def observe(self, frame_idx: int, chosen: Proposal | None) -> None:
+    def observe(self, chosen: Proposal | None) -> None:
         box = None if chosen is None else chosen.bbox
         if box is None or box.area == 0.0:
             self.absent_streak += 1
             return
         if self.absent_streak >= self.cfg.motion_cfg.n_lost:
-            self.kf = kf_init(box, self.cfg.motion_cfg, frame_idx=frame_idx)
+            self.kf = kf_init(box, self.cfg.motion_cfg)
         else:
-            self.kf = kf_update(self.kf, box, frame_idx=frame_idx)
+            self.kf = kf_update(self.kf, box)
         self.absent_streak = 0
 
 
@@ -298,7 +298,7 @@ class SamuraiPolicy(_MotionPolicy):
 
     def select(self, obs: FrameObservation) -> tuple[Proposal | None, bool]:
         chosen, self.s_kf = select_samurai(obs, self.predict(), self.cfg.policy_cfg)
-        self.observe(obs.frame_idx, chosen)
+        self.observe(chosen)
         return chosen, chosen is not None
 
     def gate(self, obs, chosen, present) -> RamPolicyDecision:
@@ -379,7 +379,7 @@ class HimPolicy(_MotionPolicy):
     def select(self, obs: FrameObservation) -> tuple[Proposal | None, bool]:
         chosen, self.s_conf, self.used_fine = select_him(
             obs, self.predict(), lambda: self._fine_box(obs.frame_idx), self.cfg.policy_cfg)
-        self.observe(obs.frame_idx, chosen)
+        self.observe(chosen)
         return chosen, chosen is not None
 
     def gate(self, obs, chosen, present) -> RamPolicyDecision:

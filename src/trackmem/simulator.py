@@ -61,13 +61,12 @@ from __future__ import annotations
 
 import functools
 import json
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .checks import check_numbers
+from .checks import check_numbers, finite, from_json, to_json
 from .geometry import BBox, BitMask
 # Generation no longer calls mask_iou, but the benchmark's instrumentation
 # (perfbench/workloads.py) wraps the name in this module's namespace.
@@ -157,6 +156,9 @@ class SceneConfig:
             raise ValueError("n_distractors must be >= 0")
         if self.proto_dim < 2:
             raise ValueError("proto_dim must be >= 2")
+        if not isinstance(self.occlusions, tuple):
+            raise ValueError("occlusions must be an array of [start, end] pairs,"
+                             f" got {self.occlusions!r}")
         for interval in self.occlusions:
             if not (isinstance(interval, tuple) and len(interval) == 2
                     and all(type(v) is int for v in interval)):
@@ -345,6 +347,23 @@ def _clamp_center(cx: float, cy: float, size: tuple[float, float],
     return cx, cy
 
 
+def _bounce(pos: np.ndarray, vel: np.ndarray, frames: int, size: tuple[float, float],
+            grid: tuple[int, int]) -> np.ndarray:
+    """Per-frame centers, shape (frames, 2), of a box of ``size`` moving from ``pos``
+    by ``vel`` per frame, reflected (``vel`` flipped in place) at a 1 px margin."""
+    centers = np.zeros((frames, 2))
+    for t in range(frames):
+        centers[t] = pos
+        pos = pos + vel
+        for axis, (extent, half) in enumerate(
+            ((grid[0], size[0] / 2.0 + 1.0), (grid[1], size[1] / 2.0 + 1.0))
+        ):
+            if pos[axis] < half or pos[axis] > extent - half:
+                vel[axis] = -vel[axis]
+                pos[axis] = min(max(pos[axis], half), extent - half)
+    return centers
+
+
 def _target_path(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
     """Per-frame target centers, shape (frames, 2), kept inside the grid."""
     gw, gh = cfg.grid
@@ -353,23 +372,14 @@ def _target_path(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
         gw * 0.5 + rng.uniform(-0.15, 0.15) * gw,
         gh * 0.5 + rng.uniform(-0.15, 0.15) * gh,
     ])
-    centers = np.zeros((cfg.frames, 2))
     if spec.kind == "linear":
         theta = rng.uniform(0.0, 2.0 * np.pi)
         vel = spec.speed * np.array([np.cos(theta), np.sin(theta)])
-        pos = start.copy()
-        for t in range(cfg.frames):
-            centers[t] = pos
-            pos = pos + vel
-            for axis, (extent, half) in enumerate(
-                ((gw, spec.size[0] / 2.0 + 1.0), (gh, spec.size[1] / 2.0 + 1.0))
-            ):
-                if pos[axis] < half or pos[axis] > extent - half:
-                    vel[axis] = -vel[axis]
-                    pos[axis] = min(max(pos[axis], half), extent - half)
+        centers = _bounce(start, vel, cfg.frames, spec.size, cfg.grid)
     elif spec.kind == "sinusoid":
         phase = rng.uniform(0.0, 2.0 * np.pi, size=2)
         t = np.arange(cfg.frames)
+        centers = np.zeros((cfg.frames, 2))
         centers[:, 0] = start[0] + spec.amplitude * np.sin(
             2.0 * np.pi * spec.frequency * t + phase[0])
         centers[:, 1] = start[1] + 0.6 * spec.amplitude * np.sin(
@@ -397,18 +407,7 @@ def _distractor_paths(cfg: SceneConfig, rng: np.random.Generator
         ])
         theta = rng.uniform(0.0, 2.0 * np.pi)
         vel = rng.uniform(1.0, 3.0) * np.array([np.cos(theta), np.sin(theta)])
-        centers = np.zeros((cfg.frames, 2))
-        pos = start.copy()
-        for t in range(cfg.frames):
-            centers[t] = pos
-            pos = pos + vel
-            for axis, (extent, half) in enumerate(
-                ((gw, size[0] / 2.0 + 1.0), (gh, size[1] / 2.0 + 1.0))
-            ):
-                if pos[axis] < half or pos[axis] > extent - half:
-                    vel[axis] = -vel[axis]
-                    pos[axis] = min(max(pos[axis], half), extent - half)
-        out.append((centers, size))
+        out.append((_bounce(start, vel, cfg.frames, size, cfg.grid), size))
     return out
 
 
@@ -670,76 +669,20 @@ def suite_standard(n_seeds: int = 20) -> list[SceneConfig]:
 
 
 def config_to_dict(cfg: SceneConfig) -> dict:
-    d = {
-        "seed": cfg.seed,
-        "frames": cfg.frames,
-        "grid": list(cfg.grid),
-        "target_motion": {
-            "kind": cfg.target_motion.kind,
-            "speed": cfg.target_motion.speed,
-            "amplitude": cfg.target_motion.amplitude,
-            "frequency": cfg.target_motion.frequency,
-            "step_sigma": cfg.target_motion.step_sigma,
-            "size": list(cfg.target_motion.size),
-        },
-        "n_distractors": cfg.n_distractors,
-        "distractor_similarity": cfg.distractor_similarity,
-        "occlusions": [list(iv) for iv in cfg.occlusions],
-        "score_noise": cfg.score_noise,
-        "proto_dim": cfg.proto_dim,
-        "family": cfg.family,
-    }
-    return d
-
-
-def _check_keys(d: dict, cls: type, what: str) -> None:
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}")
-
-
-def _tuple(value):
-    """A JSON array as a tuple; anything else is left for the config checks."""
-    return tuple(value) if isinstance(value, list) else value
+    """``cfg`` as a JSON object: :func:`~trackmem.checks.to_json`, so the keys
+    follow the fields' declaration order, ``target_motion`` included."""
+    return to_json(cfg)
 
 
 def config_from_dict(d: dict) -> SceneConfig:
-    """Inverse of :func:`config_to_dict`; missing keys take their defaults.
+    """Inverse of :func:`config_to_dict`: :func:`~trackmem.checks.from_json`.
 
-    Unknown keys in the scene or its ``target_motion`` raise ValueError,
-    so a misspelt field cannot silently fall back to its default.
+    Missing keys take the dataclass defaults; a missing ``seed`` raises
+    KeyError. Unknown keys in the scene or its ``target_motion`` raise
+    ValueError, so a misspelt field cannot silently fall back to its
+    default.
     """
-    _check_keys(d, SceneConfig, "scene")
-    motion = d.get("target_motion", {})
-    if not isinstance(motion, dict):
-        raise ValueError(f"target_motion must be a JSON object, got {motion!r}")
-    _check_keys(motion, MotionSpec, "target_motion")
-    occlusions = _tuple(d.get("occlusions", ()))
-    if not isinstance(occlusions, tuple):
-        raise ValueError(f"occlusions must be an array of [start, end] pairs, got {occlusions!r}")
-    try:
-        target_motion = MotionSpec(
-            kind=motion.get("kind", "linear"),
-            speed=motion.get("speed", 2.0),
-            amplitude=motion.get("amplitude", 48.0),
-            frequency=motion.get("frequency", 0.05),
-            step_sigma=motion.get("step_sigma", 2.5),
-            size=_tuple(motion.get("size", (36.0, 28.0))),
-        )
-    except ValueError as exc:
-        raise ValueError(f"target_motion: {exc}") from exc
-    return SceneConfig(
-        seed=d["seed"],
-        frames=d.get("frames", 110),
-        grid=_tuple(d.get("grid", (256, 256))),
-        target_motion=target_motion,
-        n_distractors=d.get("n_distractors", 0),
-        distractor_similarity=d.get("distractor_similarity", 0.0),
-        occlusions=tuple(_tuple(iv) for iv in occlusions),
-        score_noise=d.get("score_noise", 0.05),
-        proto_dim=d.get("proto_dim", 8),
-        family=d.get("family", "custom"),
-    )
+    return from_json(SceneConfig, d, "scene")
 
 
 def write_record(record: SequenceRecord, obs_path, gt_path) -> None:
@@ -786,7 +729,7 @@ def _gt_frame(d, frame: int) -> tuple[BBox | None, bool, BitMask | None]:
     box = d["box"]
     if box is not None:
         if not (isinstance(box, list) and len(box) == 4 and all(
-                type(v) in (int, float) and math.isfinite(v) for v in box)):
+                type(v) in (int, float) and finite(v) for v in box)):
             raise ValueError(f"'box' must be null or 4 finite numbers, got {box!r}")
         box = BBox(*box)
     mask = None

@@ -40,6 +40,9 @@ def tiny_config(tmp_path: Path, **extra) -> Path:
     return path
 
 
+BEYOND_FLOAT = 10 ** 400  # a JSON integer math.isfinite cannot take
+
+
 # --- config handling ---------------------------------------------------------
 
 
@@ -151,11 +154,25 @@ def test_integer_fields_exit_2_naming_the_key(tmp_path, capsys, section, key, va
     ('policy.alpha="0.5"', "policy", "alpha", "0.5"),
     ("motion.process_noise=Infinity", "motion", "process_noise", float("inf")),
     ("drm.area_hi=NaN", "drm", "area_hi", float("nan")),
+    pytest.param(f"policy.alpha={BEYOND_FLOAT}", "policy", "alpha", BEYOND_FLOAT,
+                 id="policy.alpha=401-digits"),
 ])
 def test_float_fields_exit_2_naming_the_key(tmp_path, capsys, item, section, key, value):
     assert cmd_run(tiny_config(tmp_path), tmp_path / "out", sets=[item]) == 2
     out = capsys.readouterr().out
     assert f"bad {section!r} section: {key} must be a finite real number, got {value!r}" in out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section", ["policy", "motion", "drm"])
+@pytest.mark.parametrize("item, message", [
+    ("{section}.alpa=0.4", "unknown {section} key(s) 'alpa'"),
+    ("{section}=5", "{section} must be a JSON object, got 5"),
+], ids=["unknown-key", "not-an-object"])
+def test_bad_sections_exit_2_naming_section_and_key(tmp_path, capsys, section, item, message):
+    item, message = item.format(section=section), message.format(section=section)
+    assert cmd_run(tiny_config(tmp_path), tmp_path / "out", sets=[item]) == 2
+    assert f"bad {section!r} section: {message}" in capsys.readouterr().out
     assert not (tmp_path / "out").exists()
 
 
@@ -177,6 +194,7 @@ def test_float_fields_take_json_integers():
     ({"occlusions": 5}, "occlusions"), ({"target_motion": 3}, "target_motion"),
     ({"grid": [2, 3], "n_distractors": 0}, "grid"),
     ({"target_motion": {"size": [1.0, 8.0]}}, "target_motion.size"),
+    ({"score_noise": BEYOND_FLOAT}, "score_noise"),
 ])
 def test_bad_scene_values_exit_2_naming_scene_and_key(tmp_path, capsys, change, key):
     scenes = [TINY_SCENES[0], dict(TINY_SCENES[1], **change)]

@@ -45,7 +45,6 @@ def test_init_examples():
     s = kf_init(BBox(0, 0, 2, 2), CFG)
     assert np.array_equal(s.mean, [1, 1, 2, 2, 0, 0, 0, 0])
     assert np.array_equal(s.cov, CFG.initial_cov_scale * np.eye(8))
-    assert s.last_update_frame == 0
 
 
 def test_init_rejects_zero_area():
@@ -76,12 +75,6 @@ def test_update_with_predicted_box_keeps_mean():
 def test_update_zero_area_is_missing_measurement():
     s = kf_init(BBox(10, 10, 8, 6), CFG)
     assert kf_update(s, BBox(0, 0, 0, 3)) is s
-
-
-def test_update_stamps_frame():
-    s = kf_init(BBox(10, 10, 8, 6), CFG)
-    assert kf_update(s, BBox(9, 9, 8, 6), frame_idx=7).last_update_frame == 7
-    assert kf_update(s, BBox(9, 9, 8, 6)).last_update_frame == 0
 
 
 def test_repeated_update_converges_to_measurement():

@@ -421,7 +421,7 @@ class MatrixMotion:
         self.kf = matrix_kf_predict(*self.kf, self.cfg.motion_cfg.process_noise)
         return BBox(*matrix_kf_box(self.kf[0]))
 
-    def observe(self, frame_idx, chosen):
+    def observe(self, chosen):
         box = None if chosen is None else chosen.bbox
         if box is None or box.area == 0.0:
             self.absent_streak += 1
