@@ -19,11 +19,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="JSON config file")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--policy", action="append", default=None,
-                     help="restrict to this policy (repeatable)")
+                     help="run this policy (repeatable); replaces the config's policy list")
     run.add_argument("--set", action="append", default=[], dest="sets",
                      metavar="KEY=VALUE", help="override a config key (dotted path)")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: $TRACKMEM_WORKERS or 1)")
+    run.add_argument("--workers", type=int, default=1,
+                     help="worker processes (default 1)")
 
     oracle = sub.add_parser("oracle", help="materialize oracle fixtures and baselines")
     oracle.add_argument("--out", required=True, help="output directory")

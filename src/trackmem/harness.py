@@ -24,10 +24,10 @@ Config files are JSON with this key tree (every leaf optional)::
     policy       {PolicyConfig fields}       threshold/weight overrides
     motion       {MotionConfig fields}
     drm          {DrmConfig fields}
-    scenes       [SceneConfig dicts]         replaces the named suite
+    scenes       null or [SceneConfig dicts] a list replaces the named suite
 
-CLI flags override file values: ``--policy`` filters the policy list and
-``--set key=value`` assigns dotted paths (``--set policy.alpha=0.4``).
+CLI flags override file values: ``--set key=value`` assigns dotted paths
+(``--set policy.alpha=0.4``) and ``--policy`` replaces the policy list.
 
 The oracle command materializes brute-force expected values (rasterized
 IoU, dense filter recursions, exhaustive pathway enumerations, full-sort
@@ -92,13 +92,11 @@ __all__ = [
     "cmd_compare",
     "CSV_HEADER",
     "ALL_POLICY_NAMES",
-    "WORKERS_ENV",
 ]
 
 CSV_HEADER = ["suite", "family", "seed", "policy", "success_auc", "np", "p",
               "ao", "sr50", "sr75", "q", "acc", "rob"]
 ALL_POLICY_NAMES = [p.value for p in PolicyKind]
-WORKERS_ENV = "TRACKMEM_WORKERS"
 
 # Scaled-down scene per suite family; these generate the golden fixtures.
 FIXTURE_SCENES = [
@@ -122,6 +120,7 @@ FIXTURE_SCENES = [
 
 
 def default_config() -> dict:
+    """The run config's top-level keys and their defaults: the only table of them."""
     return {
         "suite": "standard",
         "n_seeds": 20,
@@ -131,6 +130,7 @@ def default_config() -> dict:
         "policy": {},
         "motion": {},
         "drm": {},
+        "scenes": None,
     }
 
 
@@ -151,45 +151,63 @@ def load_config(path) -> dict:
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object, "
                           f"got {type(loaded).__name__}")
-    cfg = default_config()
-    cfg.update(loaded)
-    _validate_config(cfg, str(path))
-    return cfg
+    return _checked(loaded, str(path))
 
 
-def _validate_config(cfg: dict, origin: str) -> None:
-    unknown = sorted(set(cfg) - set(default_config()) - {"scenes"})
+def _checked(cfg: dict, origin: str) -> dict:
+    """``cfg`` completed from :func:`default_config`, checked: the run config's one check.
+
+    Only load_config, apply_overrides and run_benchmark call it; the readers
+    below take a config one of them returned. A run names at least one policy
+    and one scene, each once. Raises ConfigError naming ``origin`` and the key.
+    """
+    cfg = {**default_config(), **cfg}
+    unknown = sorted(set(cfg) - set(default_config()))
     if unknown:
         raise ConfigError(f"{origin}: unknown key(s) {', '.join(map(repr, unknown))}")
     for key, lowest in (("k_ram", 1), ("k_drm", 0), ("n_seeds", 1)):
-        value = cfg.get(key, lowest)
+        value = cfg[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
             raise ConfigError(f"{origin}: {key!r} must be an integer >= {lowest}, "
                               f"got {value!r}")
-    policies = cfg.get("policies", [])
+    policies = cfg["policies"]
     if not isinstance(policies, list):
         raise ConfigError(f"{origin}: 'policies' must be a list of policy names, "
                           f"got {policies!r}")
-    for name in policies:
+    for i, name in enumerate(policies):
         if name not in ALL_POLICY_NAMES:
             raise ConfigError(
                 f"{origin}: unknown policy {name!r}; valid: {', '.join(ALL_POLICY_NAMES)}")
+        if name in policies[:i]:
+            raise ConfigError(f"{origin}: 'policies' lists {name!r} twice")
+    if not policies:
+        raise ConfigError(f"{origin}: 'policies' must name at least one policy")
     for section, cls in (("policy", PolicyConfig), ("motion", MotionConfig),
                          ("drm", DrmConfig)):
         try:
-            from_json(cls, cfg.get(section, {}), section)
+            from_json(cls, cfg[section], section)
         except ValueError as exc:
             raise ConfigError(f"{origin}: bad {section!r} section: {exc}") from exc
-    if cfg.get("suite", "standard") != "standard" and "scenes" not in cfg:
-        raise ConfigError(f"{origin}: unknown suite {cfg['suite']!r} and no scenes given")
-    scenes = cfg.get("scenes", [])
+    scenes = cfg["scenes"]
+    if scenes is None:
+        if cfg["suite"] != "standard":
+            raise ConfigError(f"{origin}: unknown suite {cfg['suite']!r} and no scenes given")
+        return cfg
     if not isinstance(scenes, list):
         raise ConfigError(f"{origin}: 'scenes' must be a list of scene objects")
+    if not scenes:
+        raise ConfigError(f"{origin}: 'scenes' must list at least one scene")
+    first = {}  # (family, seed) -> index of the first scene with it
     for i, scene in enumerate(scenes):
         try:
-            config_from_dict(scene)
+            scene = config_from_dict(scene)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{origin}: bad scene {i}: {exc!s}") from exc
+        j = first.setdefault((scene.family, scene.seed), i)
+        if j != i:
+            raise ConfigError(f"{origin}: scenes {j} and {i} have the same family and seed "
+                              f"({scene.family!r}, {scene.seed}), so they would share a log")
+    return cfg
 
 
 def apply_overrides(cfg: dict, sets: list[str]) -> dict:
@@ -211,8 +229,7 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
                 raise ConfigError(f"--set {key}: {'.'.join(parts[:depth])!r} "
                                   f"is not a section")
         node[parts[-1]] = value
-    _validate_config(out, "--set override")
-    return out
+    return _checked(out, "command-line override")
 
 
 def config_digest(obj) -> str:
@@ -222,19 +239,19 @@ def config_digest(obj) -> str:
 
 
 def scene_list(cfg: dict) -> list[SceneConfig]:
-    if "scenes" in cfg:
-        return [config_from_dict(d) for d in cfg["scenes"]]
-    return suite_standard(n_seeds=cfg.get("n_seeds", 20))
+    if cfg["scenes"] is None:
+        return suite_standard(n_seeds=cfg["n_seeds"])
+    return [config_from_dict(d) for d in cfg["scenes"]]
 
 
 def tracker_config_from(cfg: dict, policy_name: str) -> TrackerConfig:
     return TrackerConfig(
         policy=PolicyKind(policy_name),
-        k_ram=cfg.get("k_ram", 6),
-        k_drm=cfg.get("k_drm", 3),
-        policy_cfg=from_json(PolicyConfig, cfg.get("policy", {}), "policy"),
-        motion_cfg=from_json(MotionConfig, cfg.get("motion", {}), "motion"),
-        drm_cfg=from_json(DrmConfig, cfg.get("drm", {}), "drm"),
+        k_ram=cfg["k_ram"],
+        k_drm=cfg["k_drm"],
+        policy_cfg=from_json(PolicyConfig, cfg["policy"], "policy"),
+        motion_cfg=from_json(MotionConfig, cfg["motion"], "motion"),
+        drm_cfg=from_json(DrmConfig, cfg["drm"], "drm"),
     )
 
 
@@ -268,13 +285,8 @@ def _scene_job(args: tuple[dict, dict, list[str]]):
     logs = {}
     for name in policy_names:
         outcome, curve, results = run_scene(record, tracker_config_from(run_cfg, name))
-        rows.append({
-            "suite": run_cfg.get("suite", "standard"),
-            "family": scene.family,
-            "seed": scene.seed,
-            "policy": name,
-            "outcome": outcome,
-        })
+        rows.append({"suite": run_cfg["suite"], "family": scene.family,
+                     "seed": scene.seed, "policy": name, "outcome": outcome})
         curves[name] = curve
         logs[name] = "".join(frame_result_to_line(r) + "\n" for r in results)
     return scene.family, scene.seed, rows, curves, logs
@@ -321,34 +333,23 @@ def _aggregate(rows: list[dict]) -> dict:
     }
 
 
-def run_benchmark(cfg: dict, out_dir, policy_filter: list[str] | None = None,
-                  workers: int | None = None) -> dict:
+def run_benchmark(cfg: dict, out_dir, workers: int = 1) -> dict:
     """Execute the configured matrix and write all outputs.
 
-    Returns the aggregate dict (also written to aggregate.json).
+    ``cfg`` is completed and checked first: a partial dict takes the defaults,
+    and a bad one raises ConfigError before any file is written. Returns the
+    aggregate dict (also written to aggregate.json).
     """
+    cfg = _checked(cfg, "run config")
     out = Path(out_dir)
-    policy_names = [p for p in cfg["policies"]
-                    if policy_filter is None or p in policy_filter]
-    if policy_filter:
-        for name in policy_filter:
-            if name not in ALL_POLICY_NAMES:
-                raise ConfigError(f"unknown policy {name!r}; valid: "
-                                  f"{', '.join(ALL_POLICY_NAMES)}")
+    policy_names = cfg["policies"]
+    trackers = {}
     for name in policy_names:
         try:
-            tracker_config_from(cfg, name)
+            trackers[name] = tracker_config_from(cfg, name)
         except ValueError as exc:
             raise ConfigError(f"policy {name!r}: {exc}") from exc
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
-    elif workers < 1:
+    if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     scenes = scene_list(cfg)
 
@@ -390,18 +391,12 @@ def run_benchmark(cfg: dict, out_dir, policy_filter: list[str] | None = None,
     manifest = {
         "tool_version": __version__,
         "created_unix": time.time(),
-        "suite": cfg.get("suite", "standard"),
+        "suite": cfg["suite"],
         "config_digest": config_digest(cfg),
         "policies": [
             {"name": name,
-             "config_digest": config_digest({
-                 "policy": name, "k_ram": cfg.get("k_ram", 6),
-                 "k_drm": cfg.get("k_drm", 3),
-                 "policy_cfg": cfg.get("policy", {}),
-                 "motion_cfg": cfg.get("motion", {}),
-                 "drm_cfg": cfg.get("drm", {}),
-             })}
-            for name in policy_names
+             "config_digest": config_digest({**to_json(tracker), "policy": name})}
+            for name, tracker in trackers.items()
         ],
         "seeds": sorted({s.seed for s in scenes}),
         "paths": {
@@ -416,12 +411,15 @@ def run_benchmark(cfg: dict, out_dir, policy_filter: list[str] | None = None,
 
 
 def cmd_run(config_path, out_dir, policy_filter: list[str] | None = None,
-            sets: list[str] | None = None, workers: int | None = None) -> int:
+            sets: list[str] | None = None, workers: int = 1) -> int:
+    """``trackmem run``: ``policy_filter`` (``--policy``) replaces the policy list."""
     try:
         cfg = load_config(config_path)
+        if policy_filter:
+            sets = [*(sets or []), f"policies={json.dumps(policy_filter)}"]
         if sets:
             cfg = apply_overrides(cfg, sets)
-        run_benchmark(cfg, out_dir, policy_filter=policy_filter, workers=workers)
+        run_benchmark(cfg, out_dir, workers=workers)
     except ConfigError as exc:
         print(f"error: {exc}")
         return 2

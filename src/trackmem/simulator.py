@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -156,6 +157,10 @@ class SceneConfig:
             raise ValueError("n_distractors must be >= 0")
         if self.proto_dim < 2:
             raise ValueError("proto_dim must be >= 2")
+        # the harness names log files after the family
+        if not (isinstance(self.family, str) and re.fullmatch(r"[A-Za-z0-9_-]+", self.family)):
+            raise ValueError("family must be a non-empty string of letters, digits, '_'"
+                             f" and '-', got {self.family!r}")
         if not isinstance(self.occlusions, tuple):
             raise ValueError("occlusions must be an array of [start, end] pairs,"
                              f" got {self.occlusions!r}")
@@ -732,6 +737,9 @@ def _gt_frame(d, frame: int) -> tuple[BBox | None, bool, BitMask | None]:
                 type(v) in (int, float) and finite(v) for v in box)):
             raise ValueError(f"'box' must be null or 4 finite numbers, got {box!r}")
         box = BBox(*box)
+    if visible != (box is not None):
+        raise ValueError(f"'visible' is {'true' if visible else 'false'} but 'box' is "
+                         f"{'null' if visible else 'not null'}")
     mask = None
     if frame == 0:
         if "mask" not in d:
@@ -751,7 +759,8 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
     mask sizes, non-finite scores). In the GT sidecar it is a
     line that is not JSON, a header whose config does not load, a frame
     line missing ``frame``, ``visible`` or ``box``, a box that is not four
-    finite numbers of non-negative size, frame numbers that do not run 0,
+    finite numbers of non-negative size, a ``visible`` that is not true
+    exactly when ``box`` is not null, frame numbers that do not run 0,
     1, 2, ... in order, or a frame-0 line without the prompt mask. A GT
     file with no frame lines at all is rejected too, since no session can
     start without a prompt.

@@ -6,7 +6,6 @@ import pytest
 from trackmem.harness import (
     ALL_POLICY_NAMES,
     CSV_HEADER,
-    WORKERS_ENV,
     ConfigError,
     apply_overrides,
     cmd_compare,
@@ -15,10 +14,12 @@ from trackmem.harness import (
     config_digest,
     default_config,
     load_config,
+    run_benchmark,
     scene_list,
     tracker_config_from,
 )
 from trackmem.cli import main as cli_main
+from trackmem.policies import PolicyConfig
 from trackmem.simulator import MotionSpec, SceneConfig, config_to_dict
 
 TINY_SCENES = [
@@ -195,6 +196,7 @@ def test_float_fields_take_json_integers():
     ({"grid": [2, 3], "n_distractors": 0}, "grid"),
     ({"target_motion": {"size": [1.0, 8.0]}}, "target_motion.size"),
     ({"score_noise": BEYOND_FLOAT}, "score_noise"),
+    ({"family": "../x"}, "family"), ({"family": 5}, "family"), ({"family": ""}, "family"),
 ])
 def test_bad_scene_values_exit_2_naming_scene_and_key(tmp_path, capsys, change, key):
     scenes = [TINY_SCENES[0], dict(TINY_SCENES[1], **change)]
@@ -218,12 +220,65 @@ def test_policies_given_as_a_string_exits_2(tmp_path, capsys):
         in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("raw", ["abc", "", "2.5", "0", "-1"])
-def test_bad_worker_variable_exits_2_naming_it(tmp_path, capsys, monkeypatch, raw):
-    monkeypatch.setenv(WORKERS_ENV, raw)
-    assert cmd_run(tiny_config(tmp_path), tmp_path / "out") == 2
-    assert f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}" in capsys.readouterr().out
+def test_empty_policy_list_exits_2(tmp_path, capsys):
+    assert cmd_run(tiny_config(tmp_path, policies=[]), tmp_path / "out") == 2
+    assert "'policies' must name at least one policy" in capsys.readouterr().out
     assert not (tmp_path / "out").exists()
+
+
+def test_empty_scene_list_exits_2(tmp_path, capsys):
+    assert cmd_run(tiny_config(tmp_path, scenes=[]), tmp_path / "out") == 2
+    assert "'scenes' must list at least one scene" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via", ["config", "flag"])
+def test_policy_listed_twice_exits_2(tmp_path, capsys, via):
+    if via == "config":
+        code = cmd_run(tiny_config(tmp_path, policies=["dam4sam", "dam4sam"]), tmp_path / "out")
+    else:
+        code = cli_main(["run", "--config", str(tiny_config(tmp_path)), "--out",
+                         str(tmp_path / "out"), "--policy", "dam4sam", "--policy", "dam4sam"])
+    assert code == 2
+    assert "'policies' lists 'dam4sam' twice" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenes_sharing_family_and_seed_exit_2(tmp_path, capsys):
+    scenes = [TINY_SCENES[0], TINY_SCENES[1], dict(TINY_SCENES[1], frames=12)]
+    assert cmd_run(tiny_config(tmp_path, scenes=scenes), tmp_path / "out") == 2
+    assert "scenes 1 and 2 have the same family and seed ('tiny', 901)" \
+        in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+def test_policy_flag_replaces_the_configured_list(tmp_path):
+    # a policy the config does not list runs, rather than nothing at all
+    path = tiny_config(tmp_path, policies=["dam4sam"])
+    assert cmd_run(path, tmp_path / "out", policy_filter=["samurai_drm"]) == 0
+    lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+    assert [line.split(",")[3] for line in lines[1:]] == ["samurai_drm"] * len(TINY_SCENES)
+
+
+def test_run_benchmark_fills_defaults_and_checks_the_config(tmp_path):
+    aggregate = run_benchmark({"suite": "custom", "scenes": TINY_SCENES[:1]}, tmp_path / "a")
+    assert list(aggregate["per_policy"]) == sorted(ALL_POLICY_NAMES)
+    bad = dict(TINY_SCENES[0], frames=0)
+    with pytest.raises(ConfigError, match="run config: bad scene 0: "):
+        run_benchmark({"suite": "custom", "scenes": [bad]}, tmp_path / "b")
+    assert not (tmp_path / "b").exists()
+
+
+def test_policy_digest_depends_only_on_the_built_tracker(tmp_path):
+    # setting a field to its default builds the same tracker, so the same digest
+    path = tiny_config(tmp_path, policies=["samurai_drm", "dam4sam"])
+    digests = []
+    for i, sets in enumerate([[], [f"policy.alpha={PolicyConfig().alpha!r}"]]):
+        assert cmd_run(path, tmp_path / str(i), sets=sets) == 0
+        manifest = json.loads((tmp_path / str(i) / "manifest.json").read_text())
+        digests.append({p["name"]: p["config_digest"] for p in manifest["policies"]})
+    assert digests[0] == digests[1]
+    assert digests[0]["samurai_drm"] != digests[0]["dam4sam"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -639,10 +639,12 @@ def _swap_frames(lines):
     (_set_line(1, lambda d: d["config"].pop("seed")), 1, "missing key 'seed'"),
     (_set_line(1, lambda d: d["config"].update(frames=0)), 1, "at least one frame"),
     (_set_line(1, lambda d: d["config"].update(grid=5)), 1, "grid must be a pair of integers"),
+    (_set_line(3, lambda d: d.update(visible=False)), 3, "'visible' is false but 'box' is not null"),
+    (_set_line(4, lambda d: d.update(visible=True)), 4, "'visible' is true but 'box' is null"),
 ], ids=["not-json", "no-frame", "no-visible", "no-box", "visible-not-bool", "box-3-numbers",
         "box-string", "box-negative-size", "box-beyond-float", "frames-swapped", "frame-repeated", "frame-skipped",
         "mask-not-text", "header-not-json", "header-no-config", "config-no-seed",
-        "config-invalid", "config-bad-type"])
+        "config-invalid", "config-bad-type", "invisible-with-box", "visible-without-box"])
 def test_read_record_names_the_gt_line_it_rejects(tmp_path, edit, lineno, message):
     obs_path, gt_path = _edited_gt(tmp_path, edit)
     with pytest.raises(ValueError, match=re.escape(f"{gt_path}:{lineno}: ") + ".*"
