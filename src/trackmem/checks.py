@@ -6,15 +6,18 @@ states a field, its default and its checks. In JSON, ``true`` is not a
 number, ``1.5`` is not a count, ``Infinity``/``NaN`` parse as floats and
 an integer may lie beyond float range, so each config's ``__post_init__``
 calls :func:`check_numbers` before its range checks: a wrong value fails
-naming its field. :func:`finite` is the one rule for a finite number.
+naming its field. :func:`finite` is the one rule for a finite number, and
+:func:`check_label` the one rule for a name used in file names and CSV
+cells.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, fields, is_dataclass
 
-__all__ = ["check_numbers", "finite", "from_json", "to_json"]
+__all__ = ["check_label", "check_numbers", "finite", "from_json", "to_json"]
 
 _NOUNS = {
     "int": "an integer",
@@ -30,6 +33,17 @@ def finite(v: int | float) -> bool:
         return math.isfinite(v)
     except OverflowError:
         return False
+
+
+_LABEL = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def check_label(value, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a non-empty string
+    of letters, digits, '_' and '-'."""
+    if not (isinstance(value, str) and _LABEL.fullmatch(value)):
+        raise ValueError(f"{name} must be a non-empty string of letters, digits, '_'"
+                         f" and '-', got {value!r}")
 
 
 def _is_kind(value, kind: str) -> bool:

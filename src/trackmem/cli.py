@@ -23,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", action="append", default=[], dest="sets",
                      metavar="KEY=VALUE", help="override a config key (dotted path)")
     run.add_argument("--workers", type=int, default=1,
-                     help="worker processes (default 1)")
+                     help="worker processes, at most one per scene (default 1)")
 
     oracle = sub.add_parser("oracle", help="materialize oracle fixtures and baselines")
     oracle.add_argument("--out", required=True, help="output directory")
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("baseline")
     compare.add_argument("new")
     compare.add_argument("--tol", type=float, default=0.0,
-                         help="absolute tolerance per cell (default exact)")
+                         help="absolute tolerance per cell, >= 0 (default exact)")
     return parser
 
 

@@ -17,7 +17,8 @@ temp-then-rename so partially written output never survives.
 
 Config files are JSON with this key tree (every leaf optional)::
 
-    suite        "standard"                  named scenario suite
+    suite        "standard"                  named scenario suite, or the label
+                                             written in metrics.csv for ``scenes``
     n_seeds      20                          seeds per suite family
     policies     [six policy names]          which trackers to run
     k_ram, k_drm 6, 3                        memory capacities
@@ -53,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import from_json, to_json
+from .checks import check_label, from_json, to_json
 from .geometry import BitMask
 from .membank import DrmConfig
 from .metrics import SUCCESS_THRESHOLDS, evaluate, success_curve
@@ -188,6 +189,10 @@ def _checked(cfg: dict, origin: str) -> dict:
             from_json(cls, cfg[section], section)
         except ValueError as exc:
             raise ConfigError(f"{origin}: bad {section!r} section: {exc}") from exc
+    try:
+        check_label(cfg["suite"], "'suite'")
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: {exc}") from None
     scenes = cfg["scenes"]
     if scenes is None:
         if cfg["suite"] != "standard":
@@ -354,6 +359,8 @@ def run_benchmark(cfg: dict, out_dir, workers: int = 1) -> dict:
     scenes = scene_list(cfg)
 
     jobs = [(config_to_dict(s), cfg, policy_names) for s in scenes]
+    # the pool starts every worker at its first submit, so start no idle ones
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             job_results = list(pool.map(_scene_job, jobs))
@@ -618,8 +625,12 @@ def _read_metrics_csv(path) -> dict[tuple[str, ...], list[float]]:
 def cmd_compare(baseline_csv, new_csv, tol: float = 0.0) -> int:
     """Cell-wise diff of two metrics CSVs; 0 ok, 1 diff, 2 schema error.
 
-    NaN differs from every number and equals only NaN.
+    NaN differs from every number and equals only NaN. ``tol`` must be a
+    number >= 0 (``inf`` accepts any two numbers).
     """
+    if not tol >= 0.0:
+        print(f"error: --tol must be a number >= 0, got {tol!r}")
+        return 2
     try:
         base_map = _read_metrics_csv(baseline_csv)
         new_map = _read_metrics_csv(new_csv)

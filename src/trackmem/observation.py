@@ -15,6 +15,7 @@ golden-fixture format used by the regression tests.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ __all__ = [
     "FrameObservation",
     "FeatureGrid",
     "Prototype",
+    "covered_labels",
     "extract_prototypes",
     "cosine",
     "observation_to_line",
@@ -199,36 +201,54 @@ class FrameObservation:
 
 @functools.lru_cache(maxsize=None)
 def _cell_spans(grid_h: int, grid_w: int, mask_h: int, mask_w: int
-                ) -> tuple[list[int], list[int]]:
+                ) -> tuple[list[int], list[int], list[int]]:
     """Where each grid cell samples the mask: the pixel nearest its center.
 
-    Sample rows and columns never decrease along the grid, so the grid rows
-    that sample mask row r are ``rows[r]:rows[r + 1]``, and the grid columns
-    whose sample falls in mask columns [a, b) are ``cols[a]:cols[b]``. Built
-    once per (grid, mask) size and shared, so the lists are read-only.
+    Returns ``(sample_rows, rows, cols)``. Grid row i samples mask row
+    ``sample_rows[i]``. Sample rows and columns never decrease along the
+    grid, so the grid rows that sample mask row r are ``rows[r]:rows[r + 1]``,
+    and the grid columns whose sample falls in mask columns [a, b) are
+    ``cols[a]:cols[b]``. Built once per (grid, mask) size and shared, so the
+    lists are read-only.
     """
     sample_rows = np.minimum((np.arange(grid_h) * 2 + 1) * mask_h // (2 * grid_h), mask_h - 1)
     sample_cols = np.minimum((np.arange(grid_w) * 2 + 1) * mask_w // (2 * grid_w), mask_w - 1)
-    return (np.searchsorted(sample_rows, np.arange(mask_h + 1)).tolist(),
+    return (sample_rows.tolist(),
+            np.searchsorted(sample_rows, np.arange(mask_h + 1)).tolist(),
             np.searchsorted(sample_cols, np.arange(mask_w + 1)).tolist())
 
 
-def extract_prototypes(f: FeatureGrid, m: BitMask) -> Prototype:
-    """Mean feature vector over the foreground cells.
+def covered_labels(f: FeatureGrid, m: BitMask) -> np.ndarray:
+    """The labels of the grid cells ``m`` covers, in row-major cell order.
 
     The mask is resampled to the grid resolution by nearest neighbor, read
-    straight from its runs; a mask that covers no cell yields the zero
-    vector.
+    straight from its runs: only the grid rows inside the mask's row span
+    are visited, and each finds the runs of the mask row it samples by
+    bisection. Several grid rows may sample one mask row.
     """
-    rows, cols = _cell_spans(f.height, f.width, m.height, m.width)
-    sel = np.zeros((f.height, f.width), dtype=bool)
-    for row, start, length in m.runs:
-        if rows[row] < rows[row + 1]:
-            sel[rows[row]:rows[row + 1], cols[start]:cols[start + length]] = True
-    sel = sel.reshape(-1)
-    if not sel.any():
+    runs = m.runs
+    if not runs:
+        return f.labels.reshape(-1)[:0]
+    sample_rows, rows, cols = _cell_spans(f.height, f.width, m.height, m.width)
+    width = f.width
+    cells: list[int] = []
+    for i in range(rows[runs[0][0]], rows[runs[-1][0] + 1]):
+        row = sample_rows[i]
+        lo = bisect.bisect_left(runs, (row,))
+        hi = bisect.bisect_left(runs, (row + 1,), lo)
+        base = i * width
+        for _, start, length in runs[lo:hi]:
+            cells.extend(range(base + cols[start], base + cols[start + length]))
+    return f.labels.reshape(-1)[cells]
+
+
+def extract_prototypes(f: FeatureGrid, m: BitMask) -> Prototype:
+    """Mean feature vector over the foreground cells (:func:`covered_labels`);
+    a mask that covers no cell yields the zero vector."""
+    labels = covered_labels(f, m)
+    if not len(labels):
         return Prototype(np.zeros(f.dim))
-    return Prototype(f.palette[f.labels.reshape(-1)[sel]].mean(axis=0))
+    return Prototype(f.palette[labels].mean(axis=0))
 
 
 def cosine(a: Prototype, b: Prototype) -> float:

@@ -204,11 +204,12 @@ def sam2long_admit(obs: FrameObservation, chosen: Proposal,
 
 
 def samite_anchor_first(proto: Prototype, anchor_first: Prototype | None) -> float:
-    """cos(P, P_first) of one pool entry, taken once when the entry joins the pool.
+    """cos(P, P_first) of one prototype, taken once per session.
 
-    Neither the entry nor the first-frame anchor changes afterwards, so the
-    term is kept beside the entry. A first anchor without a prototype counts
-    as the zero vector, whose cosine is 0.0.
+    The first-frame anchor is fixed for the session, so
+    :class:`~trackmem.selection.SamitePolicy` calls this only when it first
+    meets a prototype and keeps the term beside it. A first anchor without
+    a prototype counts as the zero vector, whose cosine is 0.0.
     """
     if anchor_first is None:
         anchor_first = Prototype([0.0] * proto.dim)
@@ -226,7 +227,10 @@ def samite_calibrate(
 
     Each window item is ``(frame_idx, P, cos(P, P_first))``, its first-anchor
     term from :func:`samite_anchor_first`; only the previous-anchor term,
-    whose anchor moves every frame, is computed here.
+    whose anchor moves every frame, is computed here. A score depends only on
+    P and P_prev within a session, so :class:`~trackmem.selection.SamitePolicy`
+    memoizes it and passes only the window's prototypes not yet scored
+    against this P_prev, which may be none.
     """
     return [
         (frame_idx, (1.0 - alpha) * cos_first + alpha * cosine(proto, anchor_prev))

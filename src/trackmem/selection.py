@@ -37,7 +37,13 @@ from typing import Callable
 from .geometry import BBox, BitMask
 from .membank import DrmConfig, EntryKind, MemoryBank, MemoryEntry
 from .motion import MotionConfig, kf_init, kf_predict, kf_update
-from .observation import FrameObservation, Proposal, Prototype, extract_prototypes
+from .observation import (
+    FrameObservation,
+    Proposal,
+    Prototype,
+    covered_labels,
+    extract_prototypes,
+)
 from .pathways import pathway_best, pathway_expand, pathway_init, pathway_prune
 from .policies import (
     AdmissionReason,
@@ -333,37 +339,71 @@ class Sam2LongPolicy(Policy):
 class SamitePolicy(Policy):
     """Prototype-calibrated: rebuild RAM every frame from anchors and a window.
 
-    The pool holds each stored entry beside its first-anchor term
-    cos(P, P_first), taken once when the entry joins it.
+    Each prototype and each window score is computed once per session. A
+    prototype is a function of the grid's palette and the labels of the
+    cells its mask covers, so the session interns prototypes keyed by the
+    palette's value and those labels, each as ``(index, prototype,
+    cos(P, P_first))``: the first-anchor term is taken once, when the
+    prototype is first seen. Alpha and the first anchor are fixed for the
+    session, so a calibration score depends only on the entry's prototype
+    and the previous anchor's, and is memoized by their two indices. Both
+    tables live on the policy and are freed with it; they grow with the
+    distinct prototypes and pairs a session meets.
     """
 
     def prompt(self, obs: FrameObservation) -> None:
         init = self.bank.init
         self.first = replace(init, kind=EntryKind.RAM, fg_prototype=_prototype(obs, init.mask))
-        self.pool: list[tuple[MemoryEntry, float]] = []
+        # (entry, prototype index, cos(P, P_first)) of each stored frame
+        self.pool: list[tuple[MemoryEntry, int, float]] = []
+        self.interned: dict[tuple, tuple[int, Prototype, float]] = {}
+        self.scores: dict[tuple[int, int], float] = {}
+
+    def _interned(self, obs: FrameObservation, mask: BitMask
+                  ) -> tuple[int, Prototype, float] | None:
+        """``(index, P, cos(P, P_first))`` of the mask's prototype; None where
+        :func:`_prototype` gives none."""
+        f = obs.features
+        if f is None or mask.is_empty:
+            return None
+        labels = covered_labels(f, mask)
+        palette = f.palette
+        key = (palette.dtype.str, palette.shape, palette.tobytes(),
+               labels.dtype.str, labels.tobytes())
+        item = self.interned.get(key)
+        if item is None:
+            proto = extract_prototypes(f, mask)
+            item = (len(self.interned), proto,
+                    samite_anchor_first(proto, self.first.fg_prototype))
+            self.interned[key] = item
+        return item
 
     def admit(self, obs, chosen, present) -> RamPolicyDecision:
         cfg = self.cfg.policy_cfg
-        proto = _prototype(obs, chosen.mask) if present else None
-        if proto is not None:
+        item = self._interned(obs, chosen.mask) if present else None
+        if item is not None:
+            index, proto, cos_first = item
             entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM,
                                               fg_prototype=proto)
-            self.pool.append((entry, samite_anchor_first(proto, self.first.fg_prototype)))
+            self.pool.append((entry, index, cos_first))
             decision = RamPolicyDecision.admitted()
         else:
             decision = _ABSENT
         # entries older than the sliding window can never be selected again
         horizon = obs.frame_idx - cfg.window_m
         self.pool = [item for item in self.pool if item[0].frame_idx >= horizon]
-        prev = self.pool[-1][0] if self.pool else None
-        window = [(e, cos_first) for e, cos_first in self.pool
+        prev, prev_index, _ = self.pool[-1] if self.pool else (None, None, None)
+        window = [(e, index, cos_first) for e, index, cos_first in self.pool
                   if e is not prev and e.frame_idx > horizon]
-        scored = samite_calibrate(
-            [(e.frame_idx, e.fg_prototype, cos_first) for e, cos_first in window],
-            prev.fg_prototype, cfg.alpha,
-        ) if window else []
+        scores = self.scores
+        if window:
+            unscored = {index: (e.frame_idx, e.fg_prototype, cos_first)
+                        for e, index, cos_first in window if (index, prev_index) not in scores}
+            scored = samite_calibrate(list(unscored.values()), prev.fg_prototype, cfg.alpha)
+            for index, (_, score) in zip(unscored, scored):
+                scores[index, prev_index] = score
         self.bank.replace_ram(samite_select_ram(
-            [(e, score) for (e, _), (_, score) in zip(window, scored)],
+            [(e, scores[index, prev_index]) for e, index, _ in window],
             self.cfg.k_ram, self.first, prev,
         ))
         return decision

@@ -61,13 +61,12 @@ from __future__ import annotations
 
 import functools
 import json
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .checks import check_numbers, finite, from_json, to_json
+from .checks import check_label, check_numbers, finite, from_json, to_json
 from .geometry import BBox, BitMask
 # Generation no longer calls mask_iou, but the benchmark's instrumentation
 # (perfbench/workloads.py) wraps the name in this module's namespace.
@@ -158,9 +157,7 @@ class SceneConfig:
         if self.proto_dim < 2:
             raise ValueError("proto_dim must be >= 2")
         # the harness names log files after the family
-        if not (isinstance(self.family, str) and re.fullmatch(r"[A-Za-z0-9_-]+", self.family)):
-            raise ValueError("family must be a non-empty string of letters, digits, '_'"
-                             f" and '-', got {self.family!r}")
+        check_label(self.family, "family")
         if not isinstance(self.occlusions, tuple):
             raise ValueError("occlusions must be an array of [start, end] pairs,"
                              f" got {self.occlusions!r}")

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from trackmem import harness
+
 from trackmem.harness import (
     ALL_POLICY_NAMES,
     CSV_HEADER,
@@ -290,6 +292,46 @@ def test_worker_flag_below_one_exits_2(tmp_path, capsys, workers):
     assert not (tmp_path / "out").exists()
 
 
+class RecordingPool:
+    """Stands in for the process pool: records ``max_workers`` and runs the jobs
+    in this process, so no worker is started."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("n_scenes, workers, pools", [
+    (2, 5000, [2]), (2, 2, [2]), (1, 5000, []), (2, 1, []),
+])
+def test_worker_pool_holds_at_most_one_process_per_scene(tmp_path, monkeypatch, n_scenes,
+                                                          workers, pools):
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = {"suite": "custom", "scenes": TINY_SCENES[:n_scenes], "policies": ["dam4sam"]}
+    run_benchmark(cfg, tmp_path / "out", workers=workers)
+    assert RecordingPool.made == pools
+    assert len((tmp_path / "out" / "metrics.csv").read_text().splitlines()) == 1 + n_scenes
+
+
+@pytest.mark.parametrize("suite", [{"a": 1}, "bad,name\n", "", 5])
+def test_bad_suite_label_exits_2_naming_it(tmp_path, capsys, suite):
+    assert cmd_run(tiny_config(tmp_path, suite=suite), tmp_path / "out") == 2
+    assert f"'suite' must be a non-empty string of letters, digits, '_' and '-', got {suite!r}" \
+        in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_digest_stable_under_field_reordering():
     a = {"x": 1, "y": {"a": [1, 2], "b": 0.5}}
     b = {"y": {"b": 0.5, "a": [1, 2]}, "x": 1}
@@ -428,6 +470,21 @@ def test_compare_tolerance_absorbs_drift(tmp_path):
     b = sample_csv(tmp_path, "b.csv", cell="0.505")
     assert cmd_compare(a, b, tol=0.01) == 0
     assert cmd_compare(a, b, tol=0.001) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
+def test_compare_bad_tolerance_exits_2_naming_it(tmp_path, capsys, tol):
+    a = sample_csv(tmp_path, "a.csv", cell="0.5")
+    b = sample_csv(tmp_path, "b.csv", cell="0.6")
+    assert cli_main(["compare", str(a), str(b), f"--tol={tol}"]) == 2
+    assert f"--tol must be a number >= 0, got {float(tol)!r}" in capsys.readouterr().out
+
+
+def test_compare_infinite_tolerance_accepts_any_numbers(tmp_path):
+    a = sample_csv(tmp_path, "a.csv", cell="0.5")
+    b = sample_csv(tmp_path, "b.csv", cell="0.6")
+    assert cli_main(["compare", str(a), str(b), "--tol", "inf"]) == 0
+    assert cli_main(["compare", str(a), str(b)]) == 1
 
 
 def test_compare_schema_mismatch_exits_2(tmp_path):

@@ -13,6 +13,7 @@ from trackmem.observation import (
     Proposal,
     Prototype,
     cosine,
+    covered_labels,
     extract_prototypes,
     observation_from_line,
     observation_to_line,
@@ -74,6 +75,29 @@ def test_prototypes_match_per_cell_loop_oracle(grid, mask_size, seed, density):
                 fg_n += 1
     want_fg = fg_acc / fg_n if fg_n else np.zeros(dim)
     assert np.all(np.abs(fg.vec - want_fg) < 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       mask_size=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+       seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+@example(grid=(9, 7), mask_size=(4, 3), seed=0, density=0.5)     # mask below the grid
+@example(grid=(6, 6), mask_size=(6, 6), seed=1, density=0.5)     # equal
+@example(grid=(5, 8), mask_size=(20, 17), seed=2, density=0.5)   # above, non-square
+@example(grid=(12, 2), mask_size=(3, 20), seed=3, density=0.5)   # below along one axis only
+def test_covered_labels_match_dense_nearest_neighbour_resample(grid, mask_size, seed, density):
+    rng = rng_for(seed)
+    gh, gw = grid
+    # every cell its own label, in random order, so the check sees order and position
+    labels = rng.permutation(gh * gw).reshape(gh, gw).astype(np.min_scalar_type(gh * gw - 1))
+    f = FeatureGrid.from_labels(rng.normal(size=(gh * gw, 2)), labels)
+    mask = random_mask(rng, w=mask_size[0], h=mask_size[1], density=density)
+    sample_rows = np.minimum((2 * np.arange(gh) + 1) * mask.height // (2 * gh), mask.height - 1)
+    sample_cols = np.minimum((2 * np.arange(gw) + 1) * mask.width // (2 * gw), mask.width - 1)
+    covered = mask.to_dense()[np.ix_(sample_rows, sample_cols)]
+    got = covered_labels(f, mask)
+    assert got.dtype == labels.dtype
+    assert got.tolist() == labels[covered].tolist()
 
 
 def test_prototypes_permutation_invariant_and_linear():

@@ -2,13 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, BitMask, box_iou
 from trackmem.membank import EntryKind, MemoryEntry
 from trackmem.motion import MotionConfig
-from trackmem.observation import Proposal
+from trackmem.observation import (
+    FeatureGrid,
+    Proposal,
+    covered_labels,
+    observation_from_line,
+    observation_to_line,
+)
 from trackmem.oracles import (
     him_choice_oracle,
     matrix_kf_box,
@@ -287,16 +293,27 @@ def test_samite_session_holds_anchors():
     assert all(p is not None for p in protos)
 
 
+def same_dims(a, b):
+    if a.dim != b.dim:
+        raise ValueError(f"prototype dims differ: {a.dim} vs {b.dim}")
+
+
 class RecomputingSamite(SamitePolicy):
-    """The prototype-calibrated RAM rule as first written: both anchor cosines
-    recomputed for every window entry on every frame, and a first anchor
-    without a prototype replaced by the zero vector. Its pool holds bare
-    entries."""
+    """The prototype-calibrated RAM rule as first written: a prototype extracted
+    for every stored frame, both anchor cosines recomputed for every window
+    entry on every frame, and a first anchor without a prototype replaced by
+    the zero vector. Its pool holds bare entries. Prototype dims are checked
+    where the library's cosine first meets them: a new entry against a first
+    anchor that has a prototype, then each window entry, in order, against
+    the previous anchor."""
 
     def admit(self, obs, chosen, present):
         cfg = self.cfg.policy_cfg
+        first = self.first
         proto = _prototype(obs, chosen.mask) if present else None
         if present and proto is not None:
+            if first.fg_prototype is not None:
+                same_dims(proto, first.fg_prototype)
             self.pool.append(MemoryEntry.from_proposal(
                 obs.frame_idx, chosen, EntryKind.RAM, fg_prototype=proto))
             decision = RamPolicyDecision.admitted()
@@ -304,12 +321,13 @@ class RecomputingSamite(SamitePolicy):
             decision = RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
         horizon = obs.frame_idx - cfg.window_m
         self.pool = [e for e in self.pool if e.frame_idx >= horizon]
-        first = self.first
         prev = self.pool[-1] if self.pool else None
         window = [e for e in self.pool
                   if e is not prev and e.frame_idx >= obs.frame_idx + 1 - cfg.window_m]
         scored = []
         if window:
+            for e in window:
+                same_dims(e.fg_prototype, prev.fg_prototype)
             zero = np.zeros(window[0].fg_prototype.dim)
             scored = samite_calibrate_recomputed(
                 [(e.frame_idx, e.fg_prototype.vec) for e in window],
@@ -329,7 +347,28 @@ class RecomputingSamiteSession(TrackerSession):
         self.policy = RecomputingSamite(self.bank, cfg)
 
 
-@settings(max_examples=25, deadline=None)
+# A non-empty mask on the 48x40 scenes below that covers no cell of their 4x4
+# feature grids: its rows 7-12 lie between the sampled rows 5 and 15.
+NO_CELL = rect_mask(48, 40, 10, 7, 12, 6)
+
+
+def wider_features(o):
+    """``o`` with one more feature dim: the palette's first column repeated."""
+    f = o.features
+    return dataclasses.replace(o, features=FeatureGrid.from_labels(
+        np.hstack([f.palette, f.palette[:, :1]]), f.labels))
+
+
+def step_outcome(session, o):
+    """The step's result line and RAM frames, or the message of its ValueError."""
+    try:
+        line = frame_result_to_line(session.step(o))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return line, [e.frame_idx for e in session.bank.ram]
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     frames=st.integers(2, 40),
@@ -340,10 +379,20 @@ class RecomputingSamiteSession(TrackerSession):
     k_ram=st.integers(2, 6),
     alpha=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
     first_without_features=st.booleans(),
+    edits=st.dictionaries(st.integers(1, 39), st.sampled_from(["no_features", "no_cell"]),
+                          max_size=8),
+    dim_change_at=st.one_of(st.none(), st.integers(1, 20)),
+    via_jsonl=st.booleans(),
 )
+@example(seed=5, frames=30, n_distractors=1, similarity=0.5, occlusion=None, window_m=5,
+         k_ram=4, alpha=0.25, first_without_features=False, edits={}, dim_change_at=12,
+         via_jsonl=False)
+@example(seed=5, frames=30, n_distractors=1, similarity=0.5, occlusion=None, window_m=5,
+         k_ram=4, alpha=0.25, first_without_features=True, edits={}, dim_change_at=12,
+         via_jsonl=True)
 def test_samite_session_matches_recomputing_reference(
         seed, frames, n_distractors, similarity, occlusion, window_m, k_ram, alpha,
-        first_without_features):
+        first_without_features, edits, dim_change_at, via_jsonl):
     occlusions = ()
     if occlusion is not None and occlusion[0] < frames - 1:
         start = occlusion[0]
@@ -352,18 +401,34 @@ def test_samite_session_matches_recomputing_reference(
         seed=seed, frames=frames, grid=(48, 40),
         target_motion=MotionSpec(size=(12.0, 10.0)), n_distractors=n_distractors,
         distractor_similarity=similarity, occlusions=occlusions, proto_dim=3))
+    assert len(covered_labels(record.observations[0].features, NO_CELL)) == 0
     observations = list(record.observations)
     if first_without_features:
         # the first anchor then has no prototype: its term is cos(P, 0) = 0
         observations[0] = dataclasses.replace(observations[0], features=None)
+    for i, o in enumerate(observations):
+        if dim_change_at is not None and i >= dim_change_at and o.features is not None:
+            o = wider_features(o)
+        if edits.get(i) == "no_features":
+            o = dataclasses.replace(o, features=None)
+        elif edits.get(i) == "no_cell":
+            o = dataclasses.replace(o, proposals=tuple(
+                Proposal.from_mask(NO_CELL, p.s_mask, p.s_obj) for p in o.proposals))
+        if via_jsonl:
+            # each parsed line builds its own palette, in its own row order
+            o = observation_from_line(observation_to_line(o))
+        observations[i] = o
     cfg = config(PolicyKind.SAMITE_DRM, k_ram=k_ram,
                  policy_cfg=PolicyConfig(alpha=alpha, beta=0.0, window_m=window_m))
     session = TrackerSession(cfg, record.init_mask)
     reference = RecomputingSamiteSession(cfg, record.init_mask)
     for o in observations:
-        assert frame_result_to_line(session.step(o)) == frame_result_to_line(reference.step(o))
-        assert [e.frame_idx for e in session.bank.ram] == \
-            [e.frame_idx for e in reference.bank.ram]
+        got = step_outcome(session, o)
+        assert got == step_outcome(reference, o)
+        if isinstance(got, str):
+            event("a prototype dim change raised")
+            assert got.startswith("ValueError: prototype dims differ: ")
+            break
 
 
 def test_sam2long_session_composes_shared_drm_with_best_ram():
