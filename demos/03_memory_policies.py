@@ -37,8 +37,7 @@ for policy in PolicyKind:
     pred = [r.chosen.bbox if (r.present and r.chosen) else None for r in results]
     out = evaluate(pred, [r.present for r in results],
                    record.gt_boxes, record.gt_visible)
-    entries = session.memory_entries()
-    held = " ".join(f"{e.kind.value[0]}{e.frame_idx}" for e in entries)
+    held = " ".join(f"{e.kind.value[0]}{e.frame_idx}" for e in session.bank.compose())
     print(f"{policy.value:14s} {out.ao:6.3f} {out.success_auc:6.3f} "
           f"{out.q:6.3f}   {held}")
 

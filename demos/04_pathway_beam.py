@@ -2,8 +2,9 @@
 
 Three pathways track three competing interpretations of an ambiguous
 frame sequence. Scores accumulate log(s_mask + eps) along each
-trajectory; pruning keeps the top P with a deterministic tie order, and
-each surviving hypothesis advances its own memory bank. The best
+trajectory; pruning keeps the top ``beam_width`` with a deterministic
+tie order, and each surviving hypothesis advances its own memory bank.
+The beam is a plain list, best pathway first. The best
 pathway's trajectory provably matches exhaustive enumeration of all 3^T
 choices (see tests), so the beam is shown here mostly for its bank
 divergence.
@@ -16,7 +17,7 @@ import numpy as np
 from trackmem import MemoryBank, PolicyConfig
 from trackmem.geometry import BitMask
 from trackmem.observation import FrameObservation, Proposal
-from trackmem.pathways import pathway_best, pathway_expand, pathway_init, pathway_prune
+from trackmem.pathways import pathway_expand, pathway_init, pathway_prune
 
 cfg = PolicyConfig(beam_width=3, epsilon=1e-6)
 
@@ -38,22 +39,22 @@ score_rows = [
     (0.92, 0.30, 0.10),
 ]
 
-pset = pathway_init(MemoryBank.new(MASKS[0], k_ram=4, k_drm=0), cfg.beam_width)
+beam = pathway_init(MemoryBank.new(MASKS[0], k_ram=4, k_drm=0))
 for t, row in enumerate(score_rows, start=1):
     o = FrameObservation(
         frame_idx=t,
         proposals=tuple(Proposal.from_mask(m, s, 1.0) for m, s in zip(MASKS, row)),
         o=1.0,
     )
-    candidates = pathway_expand(pset, o, cfg.epsilon)
-    pset = pathway_prune(pset, candidates, o, cfg)
+    candidates = pathway_expand(beam, o, cfg.epsilon)
+    beam = pathway_prune(beam, candidates, o, cfg)
     print(f"frame {t}: scores {row}")
-    for rank, p in enumerate(pset.pathways):
+    for rank, p in enumerate(beam):
         traj = "".join(str(k) for _, k in p.trajectory)
         ram = [e.frame_idx for e in p.bank.ram]
         print(f"  #{rank}: trajectory {traj}  cumulative {p.score:8.4f}  RAM {ram}")
 
-best = pathway_best(pset)
+best = beam[0]
 print("\nwinning trajectory:", [k for _, k in best.trajectory])
 print("its bank kept frames:", [e.frame_idx for e in best.bank.ram],
       "(low-quality frames failed the admission gate)")

@@ -21,7 +21,7 @@ from .observation import (
     cosine,
     extract_prototypes,
 )
-from .pathways import Pathway, PathwaySet, pathway_best, pathway_expand, pathway_init, pathway_prune
+from .pathways import Pathway, pathway_expand, pathway_init, pathway_prune
 from .policies import AdmissionReason, PolicyConfig, RamPolicyDecision
 from .selection import FrameResult, PolicyKind, TrackerConfig, TrackerSession
 from .simulator import MotionSpec, SceneConfig, SequenceRecord, gen_sequence, suite_standard
@@ -34,8 +34,7 @@ __all__ = [
     "extract_prototypes", "cosine",
     "MemoryEntry", "MemoryBank", "DrmConfig", "EntryKind",
     "AdmissionReason", "RamPolicyDecision", "PolicyConfig",
-    "Pathway", "PathwaySet", "pathway_init", "pathway_expand",
-    "pathway_prune", "pathway_best",
+    "Pathway", "pathway_init", "pathway_expand", "pathway_prune",
     "PolicyKind", "TrackerConfig", "FrameResult", "TrackerSession",
     "SceneConfig", "MotionSpec", "SequenceRecord", "gen_sequence", "suite_standard",
     "EvalOutcome", "success_auc", "precision_metrics", "ao_sr", "vot_qar", "evaluate",

@@ -600,16 +600,23 @@ def cmd_oracle(out_dir) -> int:
 def _read_metrics_csv(path) -> dict[tuple[str, ...], list[float]]:
     """Parse a metrics CSV into ``{(suite, family, seed, policy): cells}``.
 
-    Raises ValueError naming the file, line and row (and the column for a
-    cell that is not a number) of the first malformed row.
+    Raises ValueError naming the file for a bad or missing header, and the
+    file, line and row (and the column for a cell that is not a number) of
+    the first malformed row or of the first row whose key an earlier row
+    already holds.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != CSV_HEADER:
-            raise ValueError("schema mismatch (bad or missing header)")
+            raise ValueError(f"{path}: schema mismatch (bad or missing header)")
         rows = {}
+        first_line = {}
         for row in reader:
-            where = f"{path}:{reader.line_num}: row {','.join(row[:4])}"
+            key = tuple(row[:4])
+            where = f"{path}:{reader.line_num}: row {','.join(key)}"
+            if key in first_line:
+                raise ValueError(f"{where} repeats the key of line {first_line[key]}")
+            first_line[key] = reader.line_num
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{where} has {len(row)} columns, expected {len(CSV_HEADER)}")
             cells = []
@@ -618,7 +625,7 @@ def _read_metrics_csv(path) -> dict[tuple[str, ...], list[float]]:
                     cells.append(float(cell))
                 except ValueError:
                     raise ValueError(f"{where} column {col}: not a number: {cell!r}") from None
-            rows[tuple(row[:4])] = cells
+            rows[key] = cells
     return rows
 
 

@@ -212,20 +212,17 @@ class MemoryBank:
         ]
         self.last_ram_frame = entries[-1].frame_idx if entries else NEVER
 
-    def consider_drm(self, obs: FrameObservation, chosen: Proposal, cfg: DrmConfig,
-                     ram_areas: list[int] | None = None) -> bool:
+    def consider_drm(self, obs: FrameObservation, chosen: Proposal, cfg: DrmConfig) -> bool:
         """Run the DRM gates; on admission store the chosen proposal.
 
         Returns whether the frame was admitted. A bank with ``k_drm == 0``
-        never admits. The area-consistency gate normally uses this bank's
-        own RAM; ``ram_areas`` overrides that for callers whose RAM lives
-        elsewhere (the multi-pathway tracker keeps one shared DRM while
-        RAM sits in the winning pathway's bank).
+        never admits. The area-consistency gate reads this bank's own RAM,
+        which every policy keeps current (the multi-pathway tracker sets it
+        to the best pathway's RAM before the gate runs).
         """
         if self.k_drm == 0:
             return False
-        if ram_areas is None:
-            ram_areas = [e.mask.area for e in self.ram]
+        ram_areas = [e.mask.area for e in self.ram]
         if not drm_gates_pass(obs, chosen, ram_areas, self.last_drm_frame, cfg):
             return False
         entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.DRM)

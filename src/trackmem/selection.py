@@ -4,9 +4,11 @@ Each :class:`PolicyKind` has one policy class, registered in
 :data:`POLICIES` (the one place to add a policy). A policy owns its state
 (a motion filter, an anchor pool, memory pathways); ``select(obs)``
 returns the frame's output and whether the target is present (any scores
-it computed stay on the policy for the frame's result), ``admit`` applies
-its RAM rule, and ``ram`` is its RAM view: the bank's, or the best
-pathway's.
+it computed stay on the policy for the frame's result), and ``admit``
+applies its RAM rule. Every policy keeps its RAM in the session bank, so
+``bank.compose()`` is the conditioning set (init, DRM, RAM) for all of
+them; the multi-pathway policy copies its best pathway's RAM there once
+it has pruned.
 
 :class:`TrackerSession.step` is the one pipeline for every policy:
 
@@ -15,8 +17,8 @@ pathway's.
 Motion filters predict and update inside ``select``. RAM is admitted
 after the DRM gate, so a frame's own RAM copy can never shift the RAM-area
 median used by its DRM gate. A present target is offered once to the
-session bank's DRM gates, with the policy's RAM view for the area gate;
-the FIFO baseline has no DRM. Every step returns an audited
+session bank's DRM gates, whose area gate reads the bank's own RAM; the
+FIFO baseline has no DRM. Every step returns an audited
 :class:`FrameResult`; a replayed (config, observation) pair reproduces the
 result sequence byte-for-byte in serialized form.
 
@@ -44,7 +46,7 @@ from .observation import (
     covered_labels,
     extract_prototypes,
 )
-from .pathways import pathway_best, pathway_expand, pathway_init, pathway_prune
+from .pathways import pathway_expand, pathway_init, pathway_prune
 from .policies import (
     AdmissionReason,
     PolicyConfig,
@@ -233,10 +235,6 @@ class Policy:
         self.bank = bank
         self.cfg = cfg
 
-    @property
-    def ram(self) -> list[MemoryEntry]:
-        return self.bank.ram
-
     def prompt(self, obs: FrameObservation) -> None:
         """Seed any state that needs the frame-0 observation."""
 
@@ -314,21 +312,20 @@ class SamuraiPolicy(_MotionPolicy):
 
 
 class Sam2LongPolicy(Policy):
-    """Best of ``beam_width`` memory pathways; RAM lives in the pathways' banks."""
+    """Best of ``beam_width`` memory pathways, each with its own RAM; the
+    session bank's RAM is the best pathway's."""
 
     def __init__(self, bank: MemoryBank, cfg: TrackerConfig):
         super().__init__(bank, cfg)
-        self.pathways = pathway_init(MemoryBank(bank.init, cfg.k_ram, 0), cfg.policy_cfg.beam_width)
-
-    @property
-    def ram(self) -> list[MemoryEntry]:
-        return pathway_best(self.pathways).bank.ram
+        self.pathways = pathway_init(MemoryBank(bank.init, cfg.k_ram, 0))
 
     def select(self, obs: FrameObservation) -> tuple[Proposal | None, bool]:
         cfg = self.cfg.policy_cfg
         candidates = pathway_expand(self.pathways, obs, cfg.epsilon)
         self.pathways = pathway_prune(self.pathways, candidates, obs, cfg)
-        chosen = obs.proposals[pathway_best(self.pathways).trajectory[-1][1]]
+        best = self.pathways[0]
+        self.bank.replace_ram(best.bank.ram)
+        chosen = obs.proposals[best.trajectory[-1][1]]
         return chosen, not (obs.o <= 0.0 and chosen.mask.is_empty)
 
     def admit(self, obs, chosen, present) -> RamPolicyDecision:
@@ -471,14 +468,9 @@ class TrackerSession:
         if init_mask.is_empty:
             raise ValueError("frame-0 prompt mask must be non-empty")
         self.cfg = cfg
-        self.init_mask = init_mask
         self.bank = MemoryBank.new(init_mask, cfg.k_ram, cfg.k_drm)
         self.policy = POLICIES[cfg.policy](self.bank, cfg)
         self._last_frame = -1
-
-    def memory_entries(self) -> list[MemoryEntry]:
-        """Composed conditioning set: init, DRM, RAM, in that order."""
-        return [self.bank.init, *self.bank.drm, *self.policy.ram]
 
     def step(self, obs: FrameObservation) -> FrameResult:
         if obs.frame_idx <= self._last_frame:
@@ -493,14 +485,15 @@ class TrackerSession:
 
         if obs.frame_idx == 0:
             policy.prompt(obs)
+            init = self.bank.init
             return FrameResult(
-                frame_idx=0, chosen=Proposal.from_mask(self.init_mask, 1.0, 1.0),
+                frame_idx=0, chosen=Proposal(init.mask, 1.0, 1.0, init.bbox),
                 present=True, decision=RamPolicyDecision.admitted(), drm_admitted=False,
             )
 
         chosen, present = policy.select(obs)
         drm_admitted = policy.uses_drm and present and self.bank.consider_drm(
-            obs, chosen, self.cfg.drm_cfg, ram_areas=[e.mask.area for e in policy.ram])
+            obs, chosen, self.cfg.drm_cfg)
         decision = policy.admit(obs, chosen, present)
         return FrameResult(
             frame_idx=obs.frame_idx, chosen=chosen if present else None, present=present,

@@ -734,6 +734,8 @@ def _gt_frame(d, frame: int) -> tuple[BBox | None, bool, BitMask | None]:
                 type(v) in (int, float) and finite(v) for v in box)):
             raise ValueError(f"'box' must be null or 4 finite numbers, got {box!r}")
         box = BBox(*box)
+        if box.w == 0 or box.h == 0:
+            raise ValueError(f"'box' must have positive width and height, got {d['box']!r}")
     if visible != (box is not None):
         raise ValueError(f"'visible' is {'true' if visible else 'false'} but 'box' is "
                          f"{'null' if visible else 'not null'}")
@@ -753,14 +755,16 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
     Raises ValueError naming the file and line of the first bad line. In
     the observations that is a frame that does not parse or is malformed
     (a field missing or of the wrong type, named by its key; mismatched
-    mask sizes, non-finite scores). In the GT sidecar it is a
-    line that is not JSON, a header whose config does not load, a frame
-    line missing ``frame``, ``visible`` or ``box``, a box that is not four
-    finite numbers of non-negative size, a ``visible`` that is not true
-    exactly when ``box`` is not null, frame numbers that do not run 0,
-    1, 2, ... in order, or a frame-0 line without the prompt mask. A GT
-    file with no frame lines at all is rejected too, since no session can
-    start without a prompt.
+    mask sizes, non-finite scores), or frame numbers that do not run 0,
+    1, 2, ... in order. In the GT sidecar it is a line that is not JSON, a
+    header whose config does not load, a frame line missing ``frame``,
+    ``visible`` or ``box``, a box that is not four finite numbers of
+    positive width and height, a ``visible`` that is not true exactly when
+    ``box`` is not null, frame numbers that do not run 0, 1, 2, ... in
+    order, or a frame-0 line without the prompt mask. A GT file with no
+    frame lines at all is rejected too, since no session can start
+    without a prompt, and so is a pair of files whose observation and GT
+    frame counts differ (the error names both files).
     """
     observations = []
     with open(obs_path, "r", encoding="utf-8") as fh:
@@ -769,9 +773,13 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
             if not line:
                 continue
             try:
-                observations.append(observation_from_line(line))
+                obs = observation_from_line(line)
+                if obs.frame_idx != len(observations):
+                    raise ValueError(f"frame {obs.frame_idx} out of order, "
+                                     f"expected {len(observations)}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise _located(obs_path, lineno, exc) from exc
+            observations.append(obs)
     gt_boxes: list[BBox | None] = []
     gt_visible: list[bool] = []
     init_mask = None
@@ -795,6 +803,9 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
                 init_mask = mask
     if init_mask is None:
         raise ValueError(f"{gt_path}: no frame-0 line, so no prompt mask")
+    if len(observations) != len(gt_boxes):
+        raise ValueError(f"{obs_path} holds {len(observations)} frames but "
+                         f"{gt_path} holds {len(gt_boxes)}")
     return SequenceRecord(
         config=config,
         gt_boxes=gt_boxes,

@@ -35,7 +35,7 @@ from trackmem.oracles import (
     samurai_choice_oracle,
     topk_window_oracle,
 )
-from trackmem.pathways import pathway_best, pathway_expand, pathway_init, pathway_prune
+from trackmem.pathways import pathway_expand, pathway_init, pathway_prune
 from trackmem.policies import PolicyConfig, samite_select_ram
 from trackmem.selection import (
     PolicyKind,
@@ -111,22 +111,22 @@ MASKS3 = [rect_mask(16, 16, 0, 0, 5, 5), rect_mask(16, 16, 6, 6, 5, 5),
 def test_criterion_3_pathway_exhaustive_equivalence():
     started = time.perf_counter()
     rng = rng_for(1003)
-    cfg = PolicyConfig(epsilon=1e-6)
     checked = 0
     for frames in range(1, 7):
         for cap in (1, 2, 3):
+            cfg = PolicyConfig(epsilon=1e-6, beam_width=cap)
             for trial in range(35):
                 if trial < 25:
                     rows = [[float(v) for v in rng.random(3)] for _ in range(frames)]
                 else:  # tie-heavy score alphabet
                     rows = [[float(v) for v in rng.choice([0.2, 0.5, 0.9], size=3)]
                             for _ in range(frames)]
-                pset = pathway_init(MemoryBank.new(MASKS3[0], 4, 0), cap)
+                beam = pathway_init(MemoryBank.new(MASKS3[0], 4, 0))
                 for t, row in enumerate(rows, start=1):
                     o = obs(t, [prop(m, v) for m, v in zip(MASKS3, row)], o=1.0)
-                    pset = pathway_prune(pset, pathway_expand(pset, o, cfg.epsilon),
+                    beam = pathway_prune(beam, pathway_expand(beam, o, cfg.epsilon),
                                          o, cfg)
-                best = pathway_best(pset)
+                best = beam[0]
                 want_traj, want_score = exhaustive_best_trajectory(rows, cfg.epsilon)
                 assert tuple(k for _, k in best.trajectory) == want_traj
                 assert best.score == want_score
@@ -240,7 +240,7 @@ def test_criterion_6_bank_invariants_under_fuzzing():
 
     def check(session, cfg, init_entry):
         bank = session.bank
-        ram = session.policy.ram
+        ram = bank.ram
         assert len(ram) <= cfg.k_ram and len(bank.drm) <= cfg.k_drm
         prev = -1
         for e in ram:

@@ -15,7 +15,6 @@ from trackmem.harness import FIXTURE_SCENES, default_config, run_scene, tracker_
 from trackmem.membank import EntryKind
 from trackmem.motion import MotionConfig, kf_init, kf_predict, kf_update
 from trackmem.geometry import BBox, box_iou, mask_iou
-from trackmem.pathways import pathway_best
 from trackmem.selection import frame_result_to_line
 from trackmem.simulator import gen_sequence, read_record, write_record
 
@@ -62,12 +61,12 @@ def test_pathway_oracle_file():
              rect_mask(8, 8, 5, 5, 3, 3)]
     data = load("oracle/pathways.json")
     for case in data["cases"]:
-        cfg = PolicyConfig(epsilon=case["epsilon"])
-        pset = pathway_init(MemoryBank.new(masks[0], 4, 0), case["P"])
+        cfg = PolicyConfig(epsilon=case["epsilon"], beam_width=case["P"])
+        beam = pathway_init(MemoryBank.new(masks[0], 4, 0))
         for t, row in enumerate(case["s_mask_rows"], start=1):
             o = obs(t, [prop(m, v) for m, v in zip(masks, row)], o=1.0)
-            pset = pathway_prune(pset, pathway_expand(pset, o, cfg.epsilon), o, cfg)
-        best = pathway_best(pset)
+            beam = pathway_prune(beam, pathway_expand(beam, o, cfg.epsilon), o, cfg)
+        best = beam[0]
         assert [k for _, k in best.trajectory] == case["best_traj"]
         assert best.score == case["best_score"]
 

@@ -495,6 +495,23 @@ def test_compare_schema_mismatch_exits_2(tmp_path):
     assert cmd_compare(tmp_path / "missing.csv", a) == 2
 
 
+def test_compare_bad_header_names_the_file(tmp_path, capsys):
+    a = sample_csv(tmp_path, "a.csv")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("wrong,header\n1,2\n")
+    assert cli_main(["compare", str(a), str(bad)]) == 2
+    assert capsys.readouterr().out == f"error: {bad}: schema mismatch (bad or missing header)\n"
+
+
+def test_compare_repeated_row_exits_2_naming_it(tmp_path, capsys):
+    a = sample_csv(tmp_path, "a.csv", cell="0.5")
+    b = sample_csv(tmp_path, "b.csv", cell="0.9")
+    b.write_text(b.read_text() + a.read_text().splitlines()[1] + "\n")
+    assert cli_main(["compare", str(a), str(b)]) == 2
+    assert capsys.readouterr().out == (
+        f"error: {b}:3: row custom,tiny,900,samurai_drm repeats the key of line 2\n")
+
+
 def test_compare_nan_cell_is_a_diff(tmp_path, capsys):
     a = sample_csv(tmp_path, "a.csv", cell="0.5")
     b = sample_csv(tmp_path, "b.csv", cell="nan")

@@ -1,16 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
 from trackmem.membank import MemoryBank
 from trackmem.oracles import exhaustive_best_trajectory
-from trackmem.pathways import (
-    pathway_best,
-    pathway_expand,
-    pathway_init,
-    pathway_prune,
-)
+from trackmem.pathways import pathway_expand, pathway_init, pathway_prune
 from trackmem.policies import PolicyConfig
 
 from conftest import obs, prop, rect_mask
@@ -26,64 +22,65 @@ def score_obs(frame, s, o=1.0):
     return obs(frame, [prop(m, v) for m, v in zip(MASKS, s)], o=o)
 
 
-def fresh_set(cap):
-    return pathway_init(MemoryBank.new(INIT, 4, 0), cap)
+def fresh_beam():
+    return pathway_init(MemoryBank.new(INIT, 4, 0))
 
 
 def run_beam(rows, cap, cfg=CFG):
-    pset = fresh_set(cap)
+    cfg = replace(cfg, beam_width=cap)
+    beam = fresh_beam()
     for t, s in enumerate(rows, start=1):
         o = score_obs(t, s)
-        pset = pathway_prune(pset, pathway_expand(pset, o, cfg.epsilon), o, cfg)
-    return pset
+        beam = pathway_prune(beam, pathway_expand(beam, o, cfg.epsilon), o, cfg)
+    return beam
 
 
 # --- expansion -----------------------------------------------------------------
 
 
 def test_expand_perfect_scores_keep_parent_score():
-    pset = fresh_set(1)
-    cands = pathway_expand(pset, score_obs(1, (1.0, 1.0, 1.0)), epsilon=1e-12)
+    beam = fresh_beam()
+    cands = pathway_expand(beam, score_obs(1, (1.0, 1.0, 1.0)), epsilon=1e-12)
     assert len(cands) == 3
     for c in cands:
         assert abs(c.score - 0.0) <= 1e-9  # log(1 + eps) ~ eps
 
 
 def test_expand_zero_score_adds_log_epsilon():
-    pset = fresh_set(1)
-    cands = pathway_expand(pset, score_obs(1, (0.0, 1.0, 1.0)), epsilon=1e-6)
+    beam = fresh_beam()
+    cands = pathway_expand(beam, score_obs(1, (0.0, 1.0, 1.0)), epsilon=1e-6)
     assert cands[0].score == math.log(1e-6)
 
 
 def test_expand_counts_and_matches_nested_loop(rng):
     cfg = PolicyConfig(epsilon=1e-6)
-    pset = run_beam([[0.9, 0.5, 0.2]], cap=2)
+    beam = run_beam([[0.9, 0.5, 0.2]], cap=2)
     s = [float(v) for v in rng.random(3)]
     o = score_obs(2, s)
-    cands = pathway_expand(pset, o, cfg.epsilon)
-    assert len(cands) == 3 * len(pset.pathways)
+    cands = pathway_expand(beam, o, cfg.epsilon)
+    assert len(cands) == 3 * len(beam)
     for c in cands:
-        want = pset.pathways[c.parent_id].score + math.log(s[c.proposal_index] + 1e-6)
+        want = beam[c.parent_id].score + math.log(s[c.proposal_index] + 1e-6)
         assert abs(c.score - want) < 1e-12
 
 
 def test_expand_requires_positive_epsilon():
     with pytest.raises(ValueError):
-        pathway_expand(fresh_set(1), score_obs(1, (0.5, 0.5, 0.5)), epsilon=0.0)
+        pathway_expand(fresh_beam(), score_obs(1, (0.5, 0.5, 0.5)), epsilon=0.0)
 
 
 # --- pruning -----------------------------------------------------------------------
 
 
 def test_prune_all_ties_keep_lexicographic_order():
-    pset = run_beam([[0.5, 0.5, 0.5]], cap=2)
-    ids = [(p.parent_id, p.trajectory[-1][1]) for p in pset.pathways]
+    beam = run_beam([[0.5, 0.5, 0.5]], cap=2)
+    ids = [(p.parent_id, p.trajectory[-1][1]) for p in beam]
     assert ids == [(0, 0), (0, 1)]
 
 
 def test_prune_keeps_everything_when_cap_large():
-    pset = run_beam([[0.9, 0.5, 0.2]], cap=10)
-    assert len(pset.pathways) == 3
+    beam = run_beam([[0.9, 0.5, 0.2]], cap=10)
+    assert len(beam) == 3
 
 
 def test_prune_matches_full_sort_oracle(rng):
@@ -91,39 +88,40 @@ def test_prune_matches_full_sort_oracle(rng):
         rows = [[float(v) for v in rng.choice([0.1, 0.4, 0.4, 0.8], size=3)]
                 for _ in range(3)]
         cap = int(rng.integers(1, 4))
-        pset = fresh_set(cap)
+        cfg = replace(CFG, beam_width=cap)
+        beam = fresh_beam()
         for t, s in enumerate(rows, start=1):
             o = score_obs(t, s)
-            cands = pathway_expand(pset, o, CFG.epsilon)
+            cands = pathway_expand(beam, o, cfg.epsilon)
             ranked = sorted(cands, key=lambda c: (-c.score, c.parent_id, c.proposal_index))
-            pset = pathway_prune(pset, cands, o, CFG)
-            got = [(p.score, p.parent_id, p.trajectory[-1][1]) for p in pset.pathways]
+            beam = pathway_prune(beam, cands, o, cfg)
+            got = [(p.score, p.parent_id, p.trajectory[-1][1]) for p in beam]
             want = [(c.score, c.parent_id, c.proposal_index) for c in ranked[:cap]]
             assert got == want
 
 
 def test_prune_advances_banks_under_admission_gate():
-    cfg = PolicyConfig(tau_iou=0.5, epsilon=1e-6)
-    pset = fresh_set(3)
+    cfg = PolicyConfig(tau_iou=0.5, epsilon=1e-6, beam_width=3)
+    beam = fresh_beam()
     o = score_obs(1, (0.9, 0.45, 0.2))  # only proposal 0 clears tau_iou
-    pset = pathway_prune(pset, pathway_expand(pset, o, cfg.epsilon), o, cfg)
-    for p in pset.pathways:
+    beam = pathway_prune(beam, pathway_expand(beam, o, cfg.epsilon), o, cfg)
+    for p in beam:
         chosen_idx = p.trajectory[-1][1]
         frames = [e.frame_idx for e in p.bank.ram]
         assert frames == ([1] if chosen_idx == 0 else [])
     # absent frame admits nowhere
     o2 = score_obs(2, (0.9, 0.9, 0.9), o=-1.0)
-    pset = pathway_prune(pset, pathway_expand(pset, o2, cfg.epsilon), o2, cfg)
-    for p in pset.pathways:
+    beam = pathway_prune(beam, pathway_expand(beam, o2, cfg.epsilon), o2, cfg)
+    for p in beam:
         assert 2 not in [e.frame_idx for e in p.bank.ram]
 
 
 def test_branching_does_not_leak_bank_state():
-    cfg = PolicyConfig(tau_iou=0.1, epsilon=1e-6)
-    pset = fresh_set(2)
+    cfg = PolicyConfig(tau_iou=0.1, epsilon=1e-6, beam_width=2)
+    beam = fresh_beam()
     o = score_obs(1, (0.9, 0.8, 0.2))
-    pset = pathway_prune(pset, pathway_expand(pset, o, cfg.epsilon), o, cfg)
-    banks = [p.bank for p in pset.pathways]
+    beam = pathway_prune(beam, pathway_expand(beam, o, cfg.epsilon), o, cfg)
+    banks = [p.bank for p in beam]
     assert banks[0] is not banks[1]
     banks[0].ram.clear()
     assert [e.frame_idx for e in banks[1].ram] == [1]
@@ -132,22 +130,10 @@ def test_branching_does_not_leak_bank_state():
 # --- best pathway ----------------------------------------------------------------------
 
 
-def test_best_of_single_pathway():
-    pset = fresh_set(1)
-    assert pathway_best(pset) is pset.pathways[0]
-
-
 def test_best_tie_prefers_lower_parent():
-    pset = run_beam([[0.7, 0.7, 0.1]], cap=2)
-    best = pathway_best(pset)
+    beam = run_beam([[0.7, 0.7, 0.1]], cap=2)
+    best = beam[0]
     assert best.trajectory == ((1, 0),)
-
-
-def test_best_raises_on_empty_set():
-    pset = fresh_set(1)
-    pset.pathways = []
-    with pytest.raises(RuntimeError):
-        pathway_best(pset)
 
 
 def test_best_matches_exhaustive_enumeration(rng):
@@ -156,8 +142,8 @@ def test_best_matches_exhaustive_enumeration(rng):
             for _ in range(20):
                 rows = [[float(v) for v in rng.choice([0.2, 0.5, 0.5, 0.9], size=3)]
                         for _ in range(frames)]
-                pset = run_beam(rows, cap)
-                best = pathway_best(pset)
+                beam = run_beam(rows, cap)
+                best = beam[0]
                 want_traj, want_score = exhaustive_best_trajectory(rows, CFG.epsilon)
                 assert tuple(k for _, k in best.trajectory) == want_traj
                 assert best.score == want_score
@@ -167,22 +153,23 @@ def test_best_matches_exhaustive_enumeration(rng):
 
 
 def test_child_scores_never_exceed_parent_plus_log1p_eps(rng):
-    pset = fresh_set(3)
-    bound = math.log(1.0 + CFG.epsilon)
+    cfg = replace(CFG, beam_width=3)
+    beam = fresh_beam()
+    bound = math.log(1.0 + cfg.epsilon)
     for t in range(1, 20):
         s = [float(v) for v in rng.random(3)]
         o = score_obs(t, s)
-        cands = pathway_expand(pset, o, CFG.epsilon)
+        cands = pathway_expand(beam, o, cfg.epsilon)
         for c in cands:
-            assert c.score <= pset.pathways[c.parent_id].score + bound
-        pset = pathway_prune(pset, cands, o, CFG)
+            assert c.score <= beam[c.parent_id].score + bound
+        beam = pathway_prune(beam, cands, o, cfg)
 
 
 def test_unpruned_beam_reproduces_full_enumeration(rng):
     frames = 3
     rows = [[float(v) for v in rng.random(3)] for _ in range(frames)]
-    pset = run_beam(rows, cap=3 ** frames)
-    got = {tuple(k for _, k in p.trajectory): p.score for p in pset.pathways}
+    beam = run_beam(rows, cap=3 ** frames)
+    got = {tuple(k for _, k in p.trajectory): p.score for p in beam}
     assert len(got) == 3 ** frames
     for traj in itertools.product(range(3), repeat=frames):
         score = 0.0
@@ -196,8 +183,8 @@ def test_beam_of_one_is_greedy_argmax(rng):
     for _ in range(30):
         rows = [[float(v) for v in rng.choice([0.2, 0.6, 0.6, 0.9], size=3)]
                 for _ in range(5)]
-        pset = run_beam(rows, cap=1)
-        traj = tuple(k for _, k in pathway_best(pset).trajectory)
+        beam = run_beam(rows, cap=1)
+        traj = tuple(k for _, k in beam[0].trajectory)
         want = tuple(max(range(3), key=lambda i: (row[i], -i)) for row in rows)
         assert traj == want
 
@@ -206,5 +193,4 @@ def test_pruning_is_deterministic(rng):
     rows = [[float(v) for v in rng.choice([0.3, 0.3, 0.7], size=3)] for _ in range(6)]
     a = run_beam(rows, cap=2)
     b = run_beam(rows, cap=2)
-    assert [(p.score, p.trajectory) for p in a.pathways] == \
-        [(p.score, p.trajectory) for p in b.pathways]
+    assert [(p.score, p.trajectory) for p in a] == [(p.score, p.trajectory) for p in b]

@@ -29,7 +29,6 @@ from trackmem.policies import (
     RamPolicyDecision,
     samite_select_ram,
 )
-from trackmem.pathways import pathway_best
 from trackmem.selection import (
     FrameResult,
     HimPolicy,
@@ -232,10 +231,10 @@ def test_absent_frames_mutate_ram_only_for_fifo():
     for policy in PolicyKind:
         session = TrackerSession(config(policy), record.init_mask)
         for o in record.observations:
-            before = [e.frame_idx for e in session.memory_entries()
+            before = [e.frame_idx for e in session.bank.compose()
                       if e.kind is EntryKind.RAM]
             res = session.step(o)
-            after = [e.frame_idx for e in session.memory_entries()
+            after = [e.frame_idx for e in session.bank.compose()
                      if e.kind is EntryKind.RAM]
             if not res.present and policy is not PolicyKind.SAM2_FIFO:
                 assert o.frame_idx not in after, (policy, o.frame_idx)
@@ -436,7 +435,7 @@ def test_sam2long_session_composes_shared_drm_with_best_ram():
     cfg = config(PolicyKind.SAM2LONG_DRM, k_drm=2)
     session = TrackerSession(cfg, record.init_mask)
     results = session.run(record.observations)
-    entries = session.memory_entries()
+    entries = session.bank.compose()
     assert entries[0].kind is EntryKind.INIT
     kinds = [e.kind for e in entries]
     assert kinds == sorted(kinds, key=[EntryKind.INIT, EntryKind.DRM,
@@ -446,10 +445,31 @@ def test_sam2long_session_composes_shared_drm_with_best_ram():
     assert drm_frames == admitted[-cfg.k_drm:]
     # the RAM view is the best pathway's; pathway banks never hold DRM entries
     pathways = session.policy.pathways
-    assert session.policy.ram is pathway_best(pathways).bank.ram
-    assert entries[1 + len(session.bank.drm):] == session.policy.ram
-    for p in pathways.pathways:
+    assert session.bank.ram == pathways[0].bank.ram
+    assert entries[1 + len(session.bank.drm):] == session.bank.ram
+    for p in pathways:
         assert p.bank.drm == []
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_session_bank_holds_every_policys_conditioning_set(policy):
+    record = scene_record(seed=312)  # distractors: every DRM policy admits several anchors
+    cfg = config(policy, k_drm=2)
+    session = TrackerSession(cfg, record.init_mask)
+    bank = session.bank
+    drm_admitted, ram_seen = [], 0
+    for o in record.observations:
+        if session.step(o).drm_admitted:
+            drm_admitted.append(o.frame_idx)
+        ram = (session.policy.pathways[0].bank.ram if policy is PolicyKind.SAM2LONG_DRM
+               else bank.ram)
+        assert bank.ram == ram, o.frame_idx
+        assert bank.compose() == [bank.init, *bank.drm, *ram], o.frame_idx
+        assert [e.frame_idx for e in bank.drm] == drm_admitted[-cfg.k_drm:]
+        assert bank.snapshot().count(";ram:") == len(ram)
+        ram_seen += len(ram)
+    assert ram_seen > 0
+    assert (len(drm_admitted) > 0) == (policy is not PolicyKind.SAM2_FIFO)
 
 
 def test_him_session_tracks_accepted_boxes():

@@ -628,6 +628,8 @@ def _swap_frames(lines):
     (_set_line(3, lambda d: d.update(box=[1.0, "2", 3.0, 4.0])), 3, "'box' must be null or 4"),
     (_set_line(3, lambda d: d.update(box=[1.0, 2.0, -3.0, 4.0])), 3,
      "box size must be non-negative"),
+    (_set_line(3, lambda d: d.update(box=[1.0, 2.0, 0, 0])), 3,
+     "'box' must have positive width and height, got [1.0, 2.0, 0, 0]"),
     (_set_line(3, lambda d: d.update(box=[10 ** 400, 2.0, 3.0, 4.0])), 3,
      "'box' must be null or 4"),
     (_swap_frames, 3, "frame 2 out of order, expected 1"),
@@ -642,11 +644,51 @@ def _swap_frames(lines):
     (_set_line(3, lambda d: d.update(visible=False)), 3, "'visible' is false but 'box' is not null"),
     (_set_line(4, lambda d: d.update(visible=True)), 4, "'visible' is true but 'box' is null"),
 ], ids=["not-json", "no-frame", "no-visible", "no-box", "visible-not-bool", "box-3-numbers",
-        "box-string", "box-negative-size", "box-beyond-float", "frames-swapped", "frame-repeated", "frame-skipped",
+        "box-string", "box-negative-size", "box-zero-size", "box-beyond-float", "frames-swapped", "frame-repeated", "frame-skipped",
         "mask-not-text", "header-not-json", "header-no-config", "config-no-seed",
         "config-invalid", "config-bad-type", "invisible-with-box", "visible-without-box"])
 def test_read_record_names_the_gt_line_it_rejects(tmp_path, edit, lineno, message):
     obs_path, gt_path = _edited_gt(tmp_path, edit)
     with pytest.raises(ValueError, match=re.escape(f"{gt_path}:{lineno}: ") + ".*"
                        + re.escape(message)):
+        read_record(obs_path, gt_path)
+
+
+def _edited_obs(tmp_path, edit):
+    """Write a 4-frame record, apply ``edit`` to its observation lines, return both paths."""
+    cfg = SceneConfig(seed=14, frames=4, grid=(32, 32),
+                      target_motion=MotionSpec(size=(8.0, 6.0)), proto_dim=4)
+    obs_path, gt_path = tmp_path / "seq.obs.jsonl", tmp_path / "seq.gt.jsonl"
+    write_record(gen_sequence(cfg), obs_path, gt_path)
+    lines = obs_path.read_text().splitlines()
+    edit(lines)
+    obs_path.write_text("\n".join(lines) + "\n")
+    return obs_path, gt_path
+
+
+def _swap_observations(lines):
+    lines[1], lines[2] = lines[2], lines[1]
+
+
+def _append_frame_4(lines):
+    lines.append(re.sub(r'"frame":\d+', '"frame":4', lines[-1], count=1))
+
+
+@pytest.mark.parametrize("edit, lineno, message", [
+    (lambda lines: lines.pop(1), 2, "frame 2 out of order, expected 1"),
+    (_swap_observations, 2, "frame 2 out of order, expected 1"),
+    (lambda lines: lines.insert(1, lines[1]), 3, "frame 1 out of order, expected 2"),
+], ids=["frame-skipped", "frames-swapped", "frame-repeated"])
+def test_read_record_names_the_observation_frame_out_of_order(tmp_path, edit, lineno, message):
+    obs_path, gt_path = _edited_obs(tmp_path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"{obs_path}:{lineno}: {message}")):
+        read_record(obs_path, gt_path)
+
+
+@pytest.mark.parametrize("edit, count", [(lambda lines: lines.pop(), 3), (_append_frame_4, 5)],
+                         ids=["one-short", "one-long"])
+def test_read_record_rejects_observation_count_unlike_gt(tmp_path, edit, count):
+    obs_path, gt_path = _edited_obs(tmp_path, edit)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{obs_path} holds {count} frames but {gt_path} holds 4")):
         read_record(obs_path, gt_path)
