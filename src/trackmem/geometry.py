@@ -3,9 +3,11 @@
 Every score in the tracker stack (motion consistency, proposal
 disagreement, evaluation overlap) reduces to the IoU algebra in this
 module. Boxes are real-valued with a top-left (x, y, w, h) convention and
-their IoU is computed analytically; masks are stored as row-major RLE so
-memory entries stay small, with dense-array conversion kept around for
-test oracles.
+their IoU is computed analytically: one pair at a time by ``box_iou``
+(the per-proposal gates) or a whole sequence's row pairs at once by
+``box_ious`` (evaluation), with the same bits either way. Masks are
+stored as row-major RLE so memory entries stay small, with dense-array
+conversion kept around for test oracles.
 
 A mask's area and its column bounds are taken once, at construction, in
 the same pass that validates its runs, so neither its area nor its box
@@ -36,6 +38,7 @@ __all__ = [
     "BBox",
     "BitMask",
     "box_iou",
+    "box_ious",
     "mask_iou",
     "mask_to_bbox",
 ]
@@ -72,18 +75,53 @@ def box_iou(a: BBox, b: BBox) -> float:
 
     Zero-area operands give 0 by convention. Identical boxes give exactly
     1.0 (the edge arithmetic alone would lose an ulp on fractional
-    coordinates).
+    coordinates). Each field is read once into a local, and the
+    conditional expressions pick what ``min`` and ``max`` would: this is
+    the per-proposal gate's hot path.
     """
-    if a.area == 0.0 or b.area == 0.0:
+    ax, ay, aw, ah = a.x, a.y, a.w, a.h
+    bx, by, bw, bh = b.x, b.y, b.w, b.h
+    area_a, area_b = aw * ah, bw * bh
+    if area_a == 0.0 or area_b == 0.0:
         return 0.0
-    if a == b:
+    if ax == bx and ay == by and aw == bw and ah == bh:
         return 1.0
-    iw = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    ih = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
+    right_a, right_b = ax + aw, bx + bw
+    bottom_a, bottom_b = ay + ah, by + bh
+    iw = (right_b if right_b < right_a else right_a) - (bx if bx > ax else ax)
+    ih = (bottom_b if bottom_b < bottom_a else bottom_a) - (by if by > ay else ay)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    return min(1.0, inter / (a.area + b.area - inter))
+    iou = inter / (area_a + area_b - inter)
+    return iou if iou < 1.0 else 1.0
+
+
+def box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each row pair of two ``(n, 4)`` float64 ``x, y, w, h`` arrays.
+
+    The arithmetic of :func:`box_iou`, one array at a time, so each result
+    has the bits ``box_iou`` gives the same pair of finite boxes (integer
+    fields included, while their products stay below 2**53). The quotient
+    is taken for every row, then the rules overwrite it from the last to
+    the first, so each row keeps the value of the first rule that holds.
+    Finite edges hold no nan, so ``np.minimum`` and ``np.maximum`` agree
+    with ``min`` and ``max`` there; the clamp is a ``np.where``, which maps
+    the nan an overflowing union can give to 1.0 as ``min(1.0, nan)`` does.
+    """
+    ax, ay, aw, ah = a.T
+    bx, by, bw, bh = b.T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        area_a, area_b = aw * ah, bw * bh
+        iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+        ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+        inter = iw * ih
+        iou = inter / (area_a + area_b - inter)
+    iou = np.where(iou < 1.0, iou, 1.0)
+    iou[(iw <= 0.0) | (ih <= 0.0)] = 0.0
+    iou[(a == b).all(axis=1)] = 1.0
+    iou[(area_a == 0.0) | (area_b == 0.0)] = 0.0
+    return iou
 
 
 @dataclass(frozen=True)

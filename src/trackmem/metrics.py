@@ -23,15 +23,32 @@ ground-truth box or absent) pairs:
 Frames whose ground truth is absent (occluded) are excluded everywhere
 except the quality term; a missing prediction on a visible frame counts
 as zero overlap and infinite center error.
+
+Each call scores its whole sequence at once. The prediction and GT lists
+become ``(n, 4)`` float64 arrays, absent boxes as zero rows under a
+presence mask, and the IoUs (:func:`~trackmem.geometry.box_ious`), the
+center errors, the GT diagonals and the success rates are array
+operations. Every element goes through the per-frame code's operations
+in its order, every mean runs over the frames in their order, and every
+rate is an exact count over its frame count, so each column has the bits
+of a per-frame loop (:func:`trackmem.oracles.per_frame_evaluate` keeps
+one). A non-finite box
+coordinate, a GT box of zero width or height, a ``gt_visible`` flag that
+disagrees with its GT box and a list of the wrong length are rejected
+with a ValueError that names the frame or the list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BBox, box_iou
+from .geometry import BBox, box_ious
+# Scoring no longer calls box_iou; perfbench/workloads.py still wraps the name here.
+from .geometry import box_iou  # noqa: F401
 
 __all__ = [
     "EvalOutcome",
@@ -47,6 +64,7 @@ __all__ = [
 
 SUCCESS_THRESHOLDS = np.linspace(0.0, 1.0, 21)
 NORM_PRECISION_THRESHOLDS = np.linspace(0.0, 0.5, 101)
+_ABSENT = (0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -64,26 +82,69 @@ class EvalOutcome:
     rob: float
 
 
-def _check_lengths(pred, gt) -> None:
-    if len(pred) != len(gt):
-        raise ValueError(f"prediction/ground-truth length mismatch: {len(pred)} vs {len(gt)}")
+class _Scores(NamedTuple):
+    """One sequence scored as whole arrays, frame order kept throughout."""
+
+    ious: np.ndarray  # every frame; 0 where the prediction or the GT is absent
+    visible: np.ndarray  # per frame: the GT box is present
+    visible_ious: np.ndarray
+    success_rates: np.ndarray  # on SUCCESS_THRESHOLDS, over the visible frames
+    center_errors: np.ndarray  # visible frames; inf where the prediction is absent
+    norm_errors: np.ndarray  # center error over the GT diagonal, likewise
 
 
-def _visible_ious(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
-    """Per-frame IoU restricted to visible-GT frames; absent pred -> 0."""
-    _check_lengths(pred, gt)
-    return np.array([
-        box_iou(p, g) if p is not None else 0.0
-        for p, g in zip(pred, gt) if g is not None
-    ])
+def _check_length(name: str, seq, gt) -> None:
+    if len(seq) != len(gt):
+        raise ValueError(f"{name} holds {len(seq)} frames but gt holds {len(gt)}")
+
+
+def _rows(boxes: list[BBox | None], side: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, 4)`` float64 rows of x, y, w, h (zeros where absent) and the presence mask."""
+    there = np.array([b is not None for b in boxes], dtype=bool)
+    fields = [(b.x, b.y, b.w, b.h) if b is not None else _ABSENT for b in boxes]
+    rows = np.fromiter(chain.from_iterable(fields), np.float64, 4 * len(boxes)).reshape(-1, 4)
+    if not np.isfinite(rows).all():
+        t = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise ValueError(f"{side} box at frame {t} has a non-finite coordinate: {boxes[t]}")
+    return rows, there
 
 
 def _success_rates(ious: np.ndarray) -> np.ndarray:
-    if ious.size == 0:
+    # a count over n has the bits of the boolean mean: the mean's float sum
+    # of zeros and ones is exact, and so is the count
+    n = ious.size
+    if n == 0:
         return np.zeros_like(SUCCESS_THRESHOLDS)
-    rates = (ious[None, :] >= SUCCESS_THRESHOLDS[:, None]).mean(axis=1)
-    rates[0] = (ious > 0.0).mean()
+    rates = np.count_nonzero(ious[None, :] >= SUCCESS_THRESHOLDS[:, None], axis=1) / n
+    rates[0] = np.count_nonzero(ious > 0.0) / n
     return rates
+
+
+def _score(pred: list[BBox | None], gt: list[BBox | None]) -> _Scores:
+    """Every per-frame score of one sequence, in one pass of array operations.
+
+    Each element is computed by the operations the scalar code applies to
+    that frame, in its order, so every value has the scalar code's bits.
+    """
+    _check_length("pred", pred, gt)
+    p_rows, p_there = _rows(pred, "pred")
+    g_rows, visible = _rows(gt, "GT")
+    flat = np.flatnonzero(visible & ((g_rows[:, 2] == 0.0) | (g_rows[:, 3] == 0.0)))
+    if flat.size:
+        t = int(flat[0])
+        raise ValueError(f"GT box at frame {t} must have positive width and height: {gt[t]}")
+    ious = box_ious(p_rows, g_rows)
+    visible_ious = ious[visible]
+    p, g = p_rows.compress(visible, axis=0), g_rows.compress(visible, axis=0)
+    with np.errstate(over="ignore"):  # overflow to inf without a warning, as Python floats do
+        errors = np.hypot((p[:, 0] + p[:, 2] / 2.0) - (g[:, 0] + g[:, 2] / 2.0),
+                          (p[:, 1] + p[:, 3] / 2.0) - (g[:, 1] + g[:, 3] / 2.0))
+        norm_errors = errors / np.hypot(g[:, 2], g[:, 3])
+    absent = ~p_there[visible]
+    errors[absent] = np.inf
+    norm_errors[absent] = np.inf
+    return _Scores(ious, visible, visible_ious, _success_rates(visible_ious),
+                   errors, norm_errors)
 
 
 def success_curve(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
@@ -91,7 +152,7 @@ def success_curve(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
 
     IoU >= t at positive thresholds; strictly positive IoU at t = 0.
     """
-    return _success_rates(_visible_ious(pred, gt))
+    return _score(pred, gt).success_rates
 
 
 def success_auc(pred: list[BBox | None], gt: list[BBox | None]) -> float:
@@ -99,29 +160,18 @@ def success_auc(pred: list[BBox | None], gt: list[BBox | None]) -> float:
     return float(success_curve(pred, gt).mean())
 
 
+def _precision(scores: _Scores) -> tuple[float, float]:
+    errors, norm_errors = scores.center_errors, scores.norm_errors
+    if errors.size == 0:
+        return 0.0, 0.0
+    within = norm_errors[None, :] <= NORM_PRECISION_THRESHOLDS[:, None]
+    return (float(np.count_nonzero(errors <= 20.0) / errors.size),
+            float(np.count_nonzero(within) / within.size))
+
+
 def precision_metrics(pred: list[BBox | None], gt: list[BBox | None]) -> tuple[float, float]:
     """(precision at 20 px, normalized-precision AUC) over visible frames."""
-    _check_lengths(pred, gt)
-    errors = []
-    norm_errors = []
-    for p, g in zip(pred, gt):
-        if g is None:
-            continue
-        if p is None:
-            errors.append(np.inf)
-            norm_errors.append(np.inf)
-            continue
-        pc, gc = p.center, g.center
-        err = float(np.hypot(pc[0] - gc[0], pc[1] - gc[1]))
-        errors.append(err)
-        norm_errors.append(err / float(np.hypot(g.w, g.h)))
-    if not errors:
-        return 0.0, 0.0
-    errors_arr = np.array(errors)
-    norm_arr = np.array(norm_errors)
-    p20 = float((errors_arr <= 20.0).mean())
-    np_auc = float((norm_arr[None, :] <= NORM_PRECISION_THRESHOLDS[:, None]).mean())
-    return p20, np_auc
+    return _precision(_score(pred, gt))
 
 
 def _ao_sr(ious: np.ndarray) -> tuple[float, float, float]:
@@ -132,7 +182,7 @@ def _ao_sr(ious: np.ndarray) -> tuple[float, float, float]:
 
 def ao_sr(pred: list[BBox | None], gt: list[BBox | None]) -> tuple[float, float, float]:
     """(average overlap, success rate above 0.5, above 0.75)."""
-    return _ao_sr(_visible_ious(pred, gt))
+    return _ao_sr(_score(pred, gt).visible_ious)
 
 
 def vot_qar(
@@ -162,20 +212,26 @@ def evaluate(
 ) -> EvalOutcome:
     """All columns for one sequence of per-frame predictions.
 
-    Each frame's box IoU is computed once; the success, overlap and
-    quality metrics all read that one list.
+    The sequence is scored once; the success, precision, overlap and
+    quality metrics all read that one set of arrays. Raises ValueError,
+    naming the frame, for a non-finite box coordinate, a GT box of zero
+    width or height, or a ``gt_visible`` flag that is not true exactly
+    when the GT box is present; and, naming the list and both lengths,
+    for a list whose length is not the GT's.
     """
-    _check_lengths(pred, gt)
-    pred_iou = [
-        box_iou(p, g) if (p is not None and g is not None) else 0.0
-        for p, g in zip(pred, gt)
-    ]
-    visible_ious = np.array([iou for iou, g in zip(pred_iou, gt) if g is not None])
-    s = float(_success_rates(visible_ious).mean())
-    p20, np_auc = precision_metrics(pred, gt)
-    ao, sr50, sr75 = _ao_sr(visible_ious)
-    q, acc, rob = vot_qar(pred_present, pred_iou, gt_visible)
+    _check_length("pred_present", pred_present, gt)
+    _check_length("gt_visible", gt_visible, gt)
+    scores = _score(pred, gt)
+    flags = np.array(gt_visible, dtype=bool)
+    wrong = np.flatnonzero(flags != scores.visible)
+    if wrong.size:
+        t = int(wrong[0])
+        raise ValueError(f"gt_visible is {gt_visible[t]} at frame {t} but its GT box is "
+                         f"{'absent' if gt[t] is None else 'present'}")
+    p20, np_auc = _precision(scores)
+    ao, sr50, sr75 = _ao_sr(scores.visible_ious)
+    q, acc, rob = vot_qar(pred_present, scores.ious, flags)
     return EvalOutcome(
-        success_auc=s, precision_at_20=p20, norm_precision_auc=np_auc,
-        ao=ao, sr50=sr50, sr75=sr75, q=q, acc=acc, rob=rob,
+        success_auc=float(scores.success_rates.mean()), precision_at_20=p20,
+        norm_precision_auc=np_auc, ao=ao, sr50=sr50, sr75=sr75, q=q, acc=acc, rob=rob,
     )

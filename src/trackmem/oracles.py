@@ -19,8 +19,10 @@ computes from them.
 A few references are the library's own earlier, slower forms, kept so
 that a rewrite can be held to the same bits: the RLE text encoder that
 groups runs by row, the motion filter with its full measurement-matrix
-products, and the prototype calibration that recomputes both anchor
-cosines for every window frame.
+products, the prototype calibration that recomputes both anchor
+cosines for every window frame, and the per-frame scoring loop (one
+``box_iou`` and one scalar ``np.hypot`` per frame) that whole-sequence
+array scoring must match.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from . import simulator
 from .geometry import BBox, BitMask
+from .metrics import NORM_PRECISION_THRESHOLDS, SUCCESS_THRESHOLDS, EvalOutcome, vot_qar
 from .observation import FeatureGrid, FrameObservation, Proposal
 
 __all__ = [
@@ -47,6 +50,10 @@ __all__ = [
     "matrix_kf_update",
     "matrix_kf_box",
     "samite_calibrate_recomputed",
+    "per_frame_box_iou",
+    "per_frame_success_curve",
+    "per_frame_precision",
+    "per_frame_evaluate",
     "exhaustive_best_trajectory",
     "topk_window_oracle",
     "samurai_choice_oracle",
@@ -399,3 +406,93 @@ def him_choice_oracle(
         if confs[i] > confs[best]:
             best = i
     return best, confs[best], used_fine
+
+
+def per_frame_box_iou(a: BBox, b: BBox) -> float:
+    """Box IoU through ``BBox.area`` and the dataclass ``==``: the scalar form
+    before it read each field once into a local."""
+    if a.area == 0.0 or b.area == 0.0:
+        return 0.0
+    if a == b:
+        return 1.0
+    iw = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
+    ih = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    return min(1.0, inter / (a.area + b.area - inter))
+
+
+def _per_frame_visible_ious(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
+    return np.array([
+        per_frame_box_iou(p, g) if p is not None else 0.0
+        for p, g in zip(pred, gt) if g is not None
+    ])
+
+
+def _per_frame_success_rates(ious: np.ndarray) -> np.ndarray:
+    if ious.size == 0:
+        return np.zeros_like(SUCCESS_THRESHOLDS)
+    rates = (ious[None, :] >= SUCCESS_THRESHOLDS[:, None]).mean(axis=1)
+    rates[0] = (ious > 0.0).mean()
+    return rates
+
+
+def per_frame_success_curve(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
+    """The success curve from one ``box_iou`` call per visible frame."""
+    return _per_frame_success_rates(_per_frame_visible_ious(pred, gt))
+
+
+def per_frame_precision(pred: list[BBox | None], gt: list[BBox | None]) -> tuple[float, float]:
+    """(precision at 20 px, normalized-precision AUC), one scalar ``np.hypot`` per frame."""
+    errors = []
+    norm_errors = []
+    for p, g in zip(pred, gt):
+        if g is None:
+            continue
+        if p is None:
+            errors.append(np.inf)
+            norm_errors.append(np.inf)
+            continue
+        pc, gc = p.center, g.center
+        err = float(np.hypot(pc[0] - gc[0], pc[1] - gc[1]))
+        errors.append(err)
+        norm_errors.append(err / float(np.hypot(g.w, g.h)))
+    if not errors:
+        return 0.0, 0.0
+    errors_arr = np.array(errors)
+    norm_arr = np.array(norm_errors)
+    p20 = float((errors_arr <= 20.0).mean())
+    np_auc = float((norm_arr[None, :] <= NORM_PRECISION_THRESHOLDS[:, None]).mean())
+    return p20, np_auc
+
+
+def per_frame_evaluate(
+    pred: list[BBox | None],
+    pred_present: list[bool],
+    gt: list[BBox | None],
+    gt_visible: list[bool],
+) -> EvalOutcome:
+    """Every column of :func:`trackmem.metrics.evaluate`, scored frame by frame.
+
+    The quality terms come from the library's own ``vot_qar``, which takes
+    the per-frame IoU list either way. Inputs are assumed valid: this loop
+    does not check them.
+    """
+    pred_iou = [
+        per_frame_box_iou(p, g) if (p is not None and g is not None) else 0.0
+        for p, g in zip(pred, gt)
+    ]
+    visible_ious = np.array([iou for iou, g in zip(pred_iou, gt) if g is not None])
+    s = float(_per_frame_success_rates(visible_ious).mean())
+    p20, np_auc = per_frame_precision(pred, gt)
+    if visible_ious.size:
+        ao = float(visible_ious.mean())
+        sr50, sr75 = float((visible_ious > 0.5).mean()), float((visible_ious > 0.75).mean())
+    else:
+        ao = sr50 = sr75 = 0.0
+    q, acc, rob = vot_qar(pred_present, pred_iou, gt_visible)
+    return EvalOutcome(
+        success_auc=s, precision_at_20=p20, norm_precision_auc=np_auc,
+        ao=ao, sr50=sr50, sr75=sr75, q=q, acc=acc, rob=rob,
+    )

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from trackmem.geometry import BBox, BitMask, box_iou, mask_iou, mask_to_bbox
-from trackmem.oracles import dense_box_iou, dense_mask_iou, rle_text_by_row
+from trackmem.geometry import BBox, BitMask, box_iou, box_ious, mask_iou, mask_to_bbox
+from trackmem.oracles import dense_box_iou, dense_mask_iou, per_frame_box_iou, rle_text_by_row
 
 from conftest import empty_mask, random_mask, rect_mask, rng_for
 
@@ -59,6 +59,52 @@ def test_box_iou_symmetric_and_bounded():
         assert ab == ba
         assert 0.0 <= ab <= 1.0
         assert box_iou(a, a) == 1.0
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SIZE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+NEAR = st.floats(-64.0, 64.0)
+NEAR_SIZE = st.one_of(st.just(0.0), st.floats(0.0, 32.0))
+box_fields = st.one_of(
+    st.tuples(FINITE, FINITE, SIZE, SIZE),
+    st.tuples(NEAR, NEAR, NEAR_SIZE, NEAR_SIZE),
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(0, 12), st.integers(0, 12)),
+)
+
+
+@st.composite
+def box_pairs(draw):
+    a = draw(box_fields)
+    kind = draw(st.sampled_from(["any", "same", "touch_x", "touch_y"]))
+    if kind == "same":
+        return a, a
+    b = draw(box_fields)
+    if kind == "touch_x":   # b's left edge on a's right edge
+        b = (a[0] + a[2], *b[1:])
+    elif kind == "touch_y":  # b's top edge on a's bottom edge
+        b = (b[0], a[1] + a[3], *b[2:])
+    return a, b
+
+
+@given(st.lists(box_pairs(), max_size=12))
+@example([((0, 0, 2, 2), (2, 0, 2, 2)), ((0, 0, 2, 2), (0, 2, 2, 2))])  # touching
+@example([((0.1, 0.2, 0.7, 0.3), (0.1, 0.2, 0.7, 0.3))])               # identical, fractional
+@example([((0, 0, 0, 5), (0, 0, 2, 2)), ((0, 0, 0, 0), (0, 0, 0, 0))])  # zero area
+@example([((0.0, 0.0, 1e300, 1e300), (1e300, 1e300, 1e300, 1e300))])   # areas overflow
+@example([((0.0, 0.0, 1e200, 1e200), (0.0, 0.0, 1e200, 2e200))])      # nan union: 1.0
+def test_box_ious_has_the_bits_of_box_iou_row_by_row(pairs):
+    a = np.array([p[0] for p in pairs], dtype=np.float64).reshape(-1, 4)
+    b = np.array([p[1] for p in pairs], dtype=np.float64).reshape(-1, 4)
+    scalar = np.array([box_iou(BBox(*p), BBox(*q)) for p, q in pairs], dtype=np.float64)
+    assert box_ious(a, b).tobytes() == scalar.tobytes()
+
+
+@given(box_pairs())
+@example(((0, 0, 2, 2), (0, 0, 2, 2)))
+@example(((0.5, 0.5, 3.25, 1.5), (0.5, 0.5, 3.25, 1.5)))
+def test_box_iou_has_the_bits_of_the_area_and_eq_form(pair):
+    a, b = BBox(*pair[0]), BBox(*pair[1])
+    assert repr(box_iou(a, b)) == repr(per_frame_box_iou(a, b))
 
 
 # --- masks ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ import gc
 import weakref
 from collections import Counter
 
-from trackmem import membank, policies, selection
+from trackmem import harness, membank, policies, selection
 from trackmem.membank import MemoryBank
 from trackmem.selection import PolicyKind, TrackerConfig, TrackerSession
 from trackmem.simulator import MotionSpec, SceneConfig, gen_sequence
@@ -66,6 +66,15 @@ def test_every_wrapped_name_is_called(monkeypatch):
     assert [key for key in wanted if counts[key] == 0] == []
     assert all(isinstance(kind, PolicyKind) for kind in stepped)
     assert stepped == {kind: len(record.observations) for kind in PolicyKind}
+
+
+def test_run_scene_scores_through_harness_namespace(monkeypatch):
+    counts = Counter()
+    for name in ("evaluate", "success_curve"):
+        monkeypatch.setattr(harness, name,
+                            counted(counts, f"harness.{name}", getattr(harness, name)))
+    harness.run_scene(small_record(), TrackerConfig(policy=PolicyKind.SAMURAI_DRM))
+    assert counts == {"harness.evaluate": 1, "harness.success_curve": 1}
 
 
 def test_finished_session_is_freed_without_the_cycle_collector():

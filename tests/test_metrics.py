@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, box_iou
 from trackmem.metrics import (
@@ -11,6 +13,7 @@ from trackmem.metrics import (
     success_curve,
     vot_qar,
 )
+from trackmem.oracles import per_frame_evaluate, per_frame_precision, per_frame_success_curve
 
 
 
@@ -236,3 +239,84 @@ def test_evaluate_equals_the_separate_metrics_bit_for_bit(rng):
             (success_auc(pred, gt), ao, sr50, sr75)
         assert (out.precision_at_20, out.norm_precision_auc, out.q, out.acc, out.rob) == \
             (p20, np_auc, q, acc, rob)
+
+
+# --- whole-sequence scoring against the per-frame loop ----------------------------------------
+
+
+NEAR = st.floats(-100.0, 100.0)
+coordinate = st.one_of(NEAR, st.integers(-30, 30), st.floats(allow_nan=False, allow_infinity=False))
+gt_size = st.one_of(st.floats(0.5, 60.0), st.integers(1, 20), st.floats(min_value=1e-300, max_value=1e300))
+pred_size = st.one_of(st.just(0.0), gt_size)
+
+
+@st.composite
+def scored_sequences(draw):
+    """(pred, pred_present, gt, gt_visible): absent preds, invisible frames, and
+    predictions near, equal to or far from their GT box."""
+    pred, present, gt = [], [], []
+    for _ in range(draw(st.integers(0, 24))):
+        g = draw(st.none() | st.builds(BBox, coordinate, coordinate, gt_size, gt_size))
+        kind = draw(st.sampled_from(["absent", "any", "same", "near"] if g else ["absent", "any"]))
+        if kind == "absent":
+            p = None
+        elif kind == "same":
+            p = g
+        elif kind == "near":
+            p = BBox(g.x + draw(st.floats(-5.0, 5.0)), g.y + draw(st.floats(-5.0, 5.0)),
+                     draw(pred_size), g.h)
+        else:
+            p = draw(st.builds(BBox, coordinate, coordinate, pred_size, pred_size))
+        pred.append(p)
+        present.append(draw(st.booleans()) if p is None else True)
+        gt.append(g)
+    return pred, present, gt, [g is not None for g in gt]
+
+
+@given(scored_sequences())
+@example(([None, None], [False, True], [None, B], [False, True]))
+@example(([B, BBox(11, 10, 8, 6), BBox(100, 0, 0, 0)], [True] * 3, [B] * 3, [True] * 3))
+def test_scoring_has_the_bits_of_the_per_frame_loop(seq):
+    pred, present, gt, visible = seq
+    assert repr(evaluate(pred, present, gt, visible)) == \
+        repr(per_frame_evaluate(pred, present, gt, visible))
+    assert success_curve(pred, gt).tobytes() == per_frame_success_curve(pred, gt).tobytes()
+    assert repr(precision_metrics(pred, gt)) == repr(per_frame_precision(pred, gt))
+
+
+# --- rejected inputs ----------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("side", ["pred", "GT"])
+@pytest.mark.parametrize("bad", [BBox(NAN, 10, 8, 6), BBox(10, float("inf"), 8, 6),
+                                 BBox(10, 10, NAN, 6)])
+def test_non_finite_box_is_rejected_naming_frame_and_side(side, bad):
+    pred, gt = [B, B, B], [B, B, B]
+    (pred if side == "pred" else gt)[1] = bad
+    with pytest.raises(ValueError, match=f"^{side} box at frame 1 has a non-finite coordinate"):
+        evaluate(pred, [True] * 3, gt, [True] * 3)
+    with pytest.raises(ValueError, match=f"^{side} box at frame 1"):
+        success_curve(pred, gt)
+
+
+def test_zero_size_visible_gt_box_is_rejected_naming_the_frame():
+    gt = [B, B, BBox(10, 10, 0, 0)]
+    with pytest.raises(ValueError, match="GT box at frame 2 must have positive width and height"):
+        evaluate([B] * 3, [True] * 3, gt, [True] * 3)
+
+
+@pytest.mark.parametrize("flag, box, said", [(True, None, "True at frame 1 but its GT box is absent"),
+                                             (False, B, "False at frame 1 but its GT box is present")])
+def test_visible_flag_unlike_its_gt_box_is_rejected_naming_the_frame(flag, box, said):
+    with pytest.raises(ValueError, match=f"gt_visible is {said}"):
+        evaluate([B] * 3, [True] * 3, [B, box, B], [True, flag, True])
+
+
+@pytest.mark.parametrize("name", ["pred_present", "gt_visible"])
+def test_short_flag_list_is_rejected_naming_it_and_both_lengths(name):
+    args = {"pred_present": [True] * 3, "gt_visible": [True] * 3}
+    args[name] = [True] * 2
+    with pytest.raises(ValueError, match=f"{name} holds 2 frames but gt holds 3"):
+        evaluate([B] * 3, args["pred_present"], [B] * 3, args["gt_visible"])
