@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import cmd_compare, cmd_oracle, cmd_run
+from .harness import cmd_compare, cmd_run
+from .oracles import cmd_oracle
 
 
 def build_parser() -> argparse.ArgumentParser:

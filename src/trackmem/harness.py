@@ -1,4 +1,4 @@
-"""Benchmark orchestration: policy x scenario runs, oracles, baselines.
+"""Benchmark orchestration: policy x scenario runs and metric comparison.
 
 The run command executes every configured (policy, scene) pair and
 writes, under the output directory:
@@ -30,13 +30,8 @@ Config files are JSON with this key tree (every leaf optional)::
 CLI flags override file values: ``--set key=value`` assigns dotted paths
 (``--set policy.alpha=0.4``) and ``--policy`` replaces the policy list.
 
-The oracle command materializes brute-force expected values (rasterized
-IoU, dense filter recursions, exhaustive pathway enumerations, full-sort
-top-k, selection replays), the golden sequence fixtures, and the locked
-distractor-family baseline; the test suite consumes those files and a
-disagreement always means the library regressed, never that the oracle
-should be rewritten. The compare command diffs two metrics CSVs cell by
-cell with an optional tolerance.
+The compare command diffs two metrics CSVs cell by cell with an
+optional tolerance.
 """
 
 from __future__ import annotations
@@ -55,30 +50,12 @@ import numpy as np
 
 from . import __version__
 from .checks import check_label, from_json, to_json
-from .geometry import BitMask
 from .membank import DrmConfig
 from .metrics import SUCCESS_THRESHOLDS, evaluate, success_curve
 from .motion import MotionConfig
-from .oracles import (
-    DenseKalmanOracle,
-    dense_box_iou,
-    dense_mask_iou,
-    exhaustive_best_trajectory,
-    him_choice_oracle,
-    samurai_choice_oracle,
-    topk_window_oracle,
-)
 from .policies import PolicyConfig
 from .selection import PolicyKind, TrackerConfig, TrackerSession, frame_result_to_line
-from .simulator import (
-    MotionSpec,
-    SceneConfig,
-    config_from_dict,
-    config_to_dict,
-    gen_sequence,
-    suite_standard,
-    write_record,
-)
+from .simulator import SceneConfig, config_from_dict, config_to_dict, gen_sequence, suite_standard
 
 __all__ = [
     "default_config",
@@ -89,7 +66,6 @@ __all__ = [
     "tracker_config_from",
     "run_scene",
     "cmd_run",
-    "cmd_oracle",
     "cmd_compare",
     "CSV_HEADER",
     "ALL_POLICY_NAMES",
@@ -98,23 +74,6 @@ __all__ = [
 CSV_HEADER = ["suite", "family", "seed", "policy", "success_auc", "np", "p",
               "ao", "sr50", "sr75", "q", "acc", "rob"]
 ALL_POLICY_NAMES = [p.value for p in PolicyKind]
-
-# Scaled-down scene per suite family; these generate the golden fixtures.
-FIXTURE_SCENES = [
-    SceneConfig(seed=11, frames=30, grid=(64, 64),
-                target_motion=MotionSpec(kind="linear", speed=1.5, size=(16.0, 12.0)),
-                n_distractors=1, distractor_similarity=0.5,
-                occlusions=((12, 20),), proto_dim=4, family="occlusion"),
-    SceneConfig(seed=12, frames=30, grid=(64, 64),
-                target_motion=MotionSpec(kind="sinusoid", amplitude=16.0,
-                                         frequency=0.15, size=(16.0, 12.0)),
-                n_distractors=1, distractor_similarity=0.3,
-                proto_dim=4, family="fast_motion"),
-    SceneConfig(seed=13, frames=30, grid=(64, 64),
-                target_motion=MotionSpec(kind="linear", speed=1.5, size=(16.0, 12.0)),
-                n_distractors=2, distractor_similarity=0.9,
-                score_noise=0.06, proto_dim=4, family="distractor"),
-]
 
 
 # --- config handling ---------------------------------------------------------
@@ -431,166 +390,6 @@ def cmd_run(config_path, out_dir, policy_filter: list[str] | None = None,
         print(f"error: {exc}")
         return 2
     print(f"run complete: {out_dir}")
-    return 0
-
-
-# --- oracle materialization ------------------------------------------------------
-
-
-def _oracle_geometry(rng: np.random.Generator) -> dict:
-    box_cases = []
-    for _ in range(500):
-        ax, ay = rng.integers(0, 40, size=2)
-        aw, ah = rng.integers(0, 24, size=2)
-        bx, by = rng.integers(0, 40, size=2)
-        bw, bh = rng.integers(0, 24, size=2)
-        a = (int(ax), int(ay), int(aw), int(ah))
-        b = (int(bx), int(by), int(bw), int(bh))
-        box_cases.append({"a": list(a), "b": list(b), "iou": dense_box_iou(a, b)})
-    mask_cases = []
-    for _ in range(100):
-        da = rng.random((32, 32)) < 0.3
-        db = rng.random((32, 32)) < 0.3
-        mask_cases.append({
-            "a": BitMask.from_dense(da).to_text(),
-            "b": BitMask.from_dense(db).to_text(),
-            "iou": dense_mask_iou(da, db),
-        })
-    return {"boxes": box_cases, "masks": mask_cases}
-
-
-def _oracle_kalman(rng: np.random.Generator) -> dict:
-    noise = to_json(MotionConfig())  # the filter's default noise, without n_lost
-    del noise["n_lost"]
-    traces = []
-    for _ in range(5):
-        init = [float(v) for v in rng.uniform(10, 60, size=2)] + \
-               [float(v) for v in rng.uniform(5, 25, size=2)]
-        oracle = DenseKalmanOracle(tuple(init), **noise)
-        steps = []
-        states = []
-        for _ in range(50):
-            oracle.predict()
-            if rng.random() < 0.8:
-                z = [float(v) for v in
-                     (np.array(init) + rng.normal(0, 2.0, size=4))]
-                z[2] = max(z[2], 1.0)
-                z[3] = max(z[3], 1.0)
-                oracle.update(tuple(z))
-                steps.append({"op": "update", "box": z})
-            else:
-                steps.append({"op": "predict_only"})
-            states.append({
-                "mean": [float(v) for v in oracle.x],
-                "cov": [float(v) for v in oracle.P.reshape(-1)],
-            })
-        traces.append({"init": init, "steps": steps, "states": states})
-    return {**noise, "traces": traces}
-
-
-def _oracle_pathways(rng: np.random.Generator) -> dict:
-    cases = []
-    for frames in range(1, 7):
-        for cap in (1, 2, 3):
-            for _ in range(4):
-                rows = [[float(v) for v in rng.random(3)] for _ in range(frames)]
-                traj, score = exhaustive_best_trajectory(rows, 1e-6)
-                cases.append({"s_mask_rows": rows, "P": cap, "epsilon": 1e-6,
-                              "best_traj": list(traj), "best_score": score})
-            # tie-heavy case from a coarse score alphabet
-            rows = [[float(v) for v in rng.choice([0.2, 0.5, 0.9], size=3)]
-                    for _ in range(frames)]
-            traj, score = exhaustive_best_trajectory(rows, 1e-6)
-            cases.append({"s_mask_rows": rows, "P": cap, "epsilon": 1e-6,
-                          "best_traj": list(traj), "best_score": score})
-    return {"cases": cases}
-
-
-def _oracle_topk(rng: np.random.Generator) -> dict:
-    cases = []
-    for _ in range(200):
-        n = int(rng.integers(0, 14))
-        frames = sorted(rng.choice(np.arange(1, 40), size=n, replace=False).tolist()) \
-            if n else []
-        scores = [float(v) for v in rng.choice([0.1, 0.4, 0.7, 0.7, 0.9], size=n)]
-        k = int(rng.integers(1, 7))
-        selected = topk_window_oracle(list(zip(frames, scores)), k)
-        cases.append({"frames": frames, "scores": scores, "k": k,
-                      "selected": selected})
-    return {"cases": cases}
-
-
-def _oracle_choices(rng: np.random.Generator) -> dict:
-    samurai = []
-    for _ in range(300):
-        s_mask = [float(v) for v in rng.random(3)]
-        s_obj = [float(v) for v in rng.uniform(-1, 1, size=3)]
-        s_kf = [float(v) for v in rng.random(3)]
-        alpha = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
-        choice = samurai_choice_oracle(s_mask, s_obj, s_kf, alpha)
-        samurai.append({"s_mask": s_mask, "s_obj": s_obj, "s_kf": s_kf,
-                        "alpha": alpha, "choice": choice})
-    him = []
-    for _ in range(300):
-        s_coarse = [float(v) for v in rng.random(3)]
-        s_fine = [float(v) for v in rng.random(3)]
-        s_iou = [float(v) for v in rng.random(3)]
-        alpha, beta, tau = 0.4, 0.3, float(rng.choice([0.3, 0.5, 0.7]))
-        idx, conf, used_fine = him_choice_oracle(s_coarse, s_fine, s_iou, alpha, beta, tau)
-        him.append({"s_coarse": s_coarse, "s_fine": s_fine, "s_iou": s_iou,
-                    "alpha": alpha, "beta": beta, "tau_conf": tau,
-                    "choice": idx, "conf": conf, "used_fine": used_fine})
-    return {"samurai": samurai, "him": him}
-
-
-def _capture_distractor_baseline(n_seeds: int = 20) -> dict:
-    """Mean AO per policy on the frozen distractor-heavy family."""
-    scenes = [s for s in suite_standard(n_seeds=n_seeds) if s.family == "distractor"]
-    cfg = default_config()
-    per_seed: dict[str, dict[str, float]] = {name: {} for name in ALL_POLICY_NAMES}
-    for scene in scenes:
-        record = gen_sequence(scene)
-        for name in ALL_POLICY_NAMES:
-            outcome, _, _ = run_scene(record, tracker_config_from(cfg, name))
-            per_seed[name][str(scene.seed)] = outcome.ao
-    mean_ao = {name: float(np.mean(list(vals.values())))
-               for name, vals in per_seed.items()}
-    return {"family": "distractor", "n_seeds": n_seeds,
-            "mean_ao": mean_ao, "per_seed": per_seed}
-
-
-def cmd_oracle(out_dir) -> int:
-    """Materialize oracle expectations, fixtures, and locked baselines."""
-    out = Path(out_dir)
-    rng = np.random.Generator(np.random.Philox(key=20240601))
-
-    def dump(rel: str, payload: dict) -> None:
-        _atomic_write(out / rel, json.dumps(payload, sort_keys=True,
-                                            separators=(",", ":")) + "\n")
-
-    dump("oracle/geometry.json", _oracle_geometry(rng))
-    dump("oracle/kalman.json", _oracle_kalman(rng))
-    dump("oracle/pathways.json", _oracle_pathways(rng))
-    dump("oracle/topk.json", _oracle_topk(rng))
-    dump("oracle/choices.json", _oracle_choices(rng))
-
-    (out / "golden" / "sequences").mkdir(parents=True, exist_ok=True)
-    for scene in FIXTURE_SCENES:
-        record = gen_sequence(scene)
-        base = out / "golden" / "sequences" / scene.family
-        write_record(record, f"{base}.obs.jsonl", f"{base}.gt.jsonl")
-
-    # golden trace: the motion-gated tracker on the occlusion fixture
-    record = gen_sequence(FIXTURE_SCENES[0])
-    _, _, results = run_scene(record, tracker_config_from(default_config(), "samurai_drm"))
-    _atomic_write(out / "golden" / "trace_samurai_drm.jsonl",
-                  "".join(frame_result_to_line(r) + "\n" for r in results))
-
-    suite_digest = config_digest([config_to_dict(s) for s in suite_standard()])
-    _atomic_write(out / "golden" / "suite_digest.txt", suite_digest + "\n")
-
-    dump("baselines/distractor_ao.json", _capture_distractor_baseline())
-    print(f"oracle outputs written: {out}")
     return 0
 
 

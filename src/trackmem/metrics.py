@@ -31,11 +31,11 @@ center errors, the GT diagonals and the success rates are array
 operations. Every element goes through the per-frame code's operations
 in its order, every mean runs over the frames in their order, and every
 rate is an exact count over its frame count, so each column has the bits
-of a per-frame loop (:func:`trackmem.oracles.per_frame_evaluate` keeps
-one). A non-finite box
-coordinate, a GT box of zero width or height, a ``gt_visible`` flag that
-disagrees with its GT box and a list of the wrong length are rejected
-with a ValueError that names the frame or the list.
+of a per-frame loop (``per_frame_evaluate`` in ``tests/reference.py``
+keeps one). A non-finite box coordinate, a GT box of zero width or
+height, a ``gt_visible`` flag that disagrees with its GT box and a list
+of the wrong length are rejected with a ValueError that names the frame
+or the list.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ def _score(pred: list[BBox | None], gt: list[BBox | None]) -> _Scores:
     ious = box_ious(p_rows, g_rows)
     visible_ious = ious[visible]
     p, g = p_rows.compress(visible, axis=0), g_rows.compress(visible, axis=0)
-    with np.errstate(over="ignore"):  # overflow to inf without a warning, as Python floats do
+    # overflow to inf, and inf - inf to NaN, without a warning, as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
         errors = np.hypot((p[:, 0] + p[:, 2] / 2.0) - (g[:, 0] + g[:, 2] / 2.0),
                           (p[:, 1] + p[:, 3] / 2.0) - (g[:, 1] + g[:, 3] / 2.0))
         norm_errors = errors / np.hypot(g[:, 2], g[:, 3])

@@ -20,10 +20,11 @@ floats:
               m = 1 - k1
               (a, b, d) <- (m * a,  (m * b + (b - k2 * a)) / 2,  d - k2 * b)
 
-These give the same bits as the 8x8 matrix form (``oracles.matrix_kf_predict``
-and ``matrix_kf_update``). Every entry of the matrix products is a sum of
-at most two nonzero terms (the others add exact zeros), so it takes the
-same roundings as the scalar expression, parenthesised as written; the
+These give the same bits as the 8x8 matrix form (``matrix_kf_predict``
+and ``matrix_kf_update`` in ``tests/reference.py``). Every entry of the
+matrix products is a sum of at most two nonzero terms (the others add
+exact zeros), so it takes the same roundings as the scalar expression,
+parenthesised as written; the
 symmetrizing (P + P.T) / 2 leaves the diagonal as it is and averages the
 two cross terms. The innovation covariance is exactly diagonal, and the
 OpenBLAS bundled with numpy (0.3.31) solves a diagonal system as

@@ -1,63 +1,59 @@
-"""Brute-force reference implementations for the oracle tests.
+"""Brute-force oracles for the tests, and ``trackmem oracle``, which writes them out.
 
 Everything in here deliberately avoids the library's own code paths:
 box IoU comes from rasterized pixel counting, mask IoU from dense
-arrays, the simulator's shapes from their per-pixel predicates evaluated
-on the whole grid, its feature grids from a cell-by-cell labeling of one
-frame, the motion filter from a literal textbook recursion with
+arrays, the motion filter from a literal textbook recursion with
 explicit matrix inverses, the pathway optimum from full 3^T
 enumeration, and the selection rules from plain argmax loops. When a
 test disagrees with one of these, the library is wrong, not the oracle;
 oracle outputs are never regenerated to match the code under test.
 
-The one exception is :func:`dense_gen_sequence`, the simulator's
-per-frame loop with every mask a dense grid and every feature grid
-labeled cell by cell: it shares the scene's random draws with
-:mod:`trackmem.simulator`, so that it checks only what the simulator
-computes from them.
-
-A few references are the library's own earlier, slower forms, kept so
-that a rewrite can be held to the same bits: the RLE text encoder that
-groups runs by row, the motion filter with its full measurement-matrix
-products, the prototype calibration that recomputes both anchor
-cosines for every window frame, and the per-frame scoring loop (one
-``box_iou`` and one scalar ``np.hypot`` per frame) that whole-sequence
-array scoring must match.
+:func:`cmd_oracle` materializes the brute-force expected values
+(rasterized IoU, dense filter recursions, exhaustive pathway
+enumerations, full-sort top-k, selection replays), the golden sequence
+fixtures, and the locked distractor-family baseline under
+``tests/fixtures``; the test suite consumes those files.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
-from . import simulator
-from .geometry import BBox, BitMask
-from .metrics import NORM_PRECISION_THRESHOLDS, SUCCESS_THRESHOLDS, EvalOutcome, vot_qar
-from .observation import FeatureGrid, FrameObservation, Proposal
+from .checks import to_json
+from .geometry import BitMask
+from .harness import (
+    ALL_POLICY_NAMES,
+    _atomic_write,
+    config_digest,
+    default_config,
+    run_scene,
+    tracker_config_from,
+)
+from .motion import MotionConfig
+from .selection import frame_result_to_line
+from .simulator import (
+    MotionSpec,
+    SceneConfig,
+    config_to_dict,
+    gen_sequence,
+    suite_standard,
+    write_record,
+)
 
 __all__ = [
     "dense_box_iou",
     "dense_mask_iou",
-    "dense_ellipse",
-    "dense_rect",
-    "feature_grid_labels",
-    "dense_gen_sequence",
     "DenseKalmanOracle",
-    "rle_text_by_row",
-    "matrix_kf_predict",
-    "matrix_kf_update",
-    "matrix_kf_box",
-    "samite_calibrate_recomputed",
-    "per_frame_box_iou",
-    "per_frame_success_curve",
-    "per_frame_precision",
-    "per_frame_evaluate",
     "exhaustive_best_trajectory",
     "topk_window_oracle",
     "samurai_choice_oracle",
     "him_choice_oracle",
+    "cmd_oracle",
 ]
 
 
@@ -96,155 +92,6 @@ def dense_mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return int((a & b).sum()) / int((a | b).sum())
 
 
-def _pixel_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.arange(width)[None, :] + 0.5, np.arange(height)[:, None] + 0.5
-
-
-def dense_ellipse(box: tuple[float, float, float, float], width: int, height: int
-                  ) -> np.ndarray:
-    """(height, width) boolean grid of the ellipse inscribed in box (x, y, w, h).
-
-    A pixel is inside when its center satisfies the ellipse inequality;
-    semi-axes are clamped to 1e-9 so a zero-size box divides safely.
-    """
-    x, y, w, h = box
-    xx, yy = _pixel_centers(width, height)
-    cx, cy = x + w / 2.0, y + h / 2.0
-    a, b = max(w / 2.0, 1e-9), max(h / 2.0, 1e-9)
-    return ((xx - cx) / a) ** 2 + ((yy - cy) / b) ** 2 <= 1.0
-
-
-def dense_rect(box: tuple[float, float, float, float], width: int, height: int
-               ) -> np.ndarray:
-    """(height, width) boolean grid of the pixels whose centers lie in box (x, y, w, h)."""
-    x, y, w, h = box
-    xx, yy = _pixel_centers(width, height)
-    return (xx >= x) & (xx < x + w) & (yy >= y) & (yy < y + h)
-
-
-def feature_grid_labels(
-    grid: tuple[int, int],
-    cells: tuple[int, int],
-    target_center: tuple[float, float] | None,
-    target_size: tuple[float, float],
-    distractors: list[tuple[tuple[float, float], tuple[float, float]]],
-    distractor_protos: list[np.ndarray],
-    target_proto: np.ndarray,
-    background: np.ndarray,
-) -> np.ndarray:
-    """One frame's (cells_h, cells_w, dim) feature grid, labeled cell by cell.
-
-    ``grid`` is (width, height) in pixels, ``cells`` (cells_w, cells_h);
-    cell (i, j) has its center at ((j + 0.5) * width / cells_w,
-    (i + 0.5) * height / cells_h). A cell takes the background vector,
-    then the prototype of the last distractor (center, size) whose box
-    contains its center, then the target prototype when the target is
-    visible (``target_center`` not None) and its inscribed ellipse
-    contains the center.
-    """
-    (gw, gh), (cells_w, cells_h) = grid, cells
-    out = np.empty((cells_h, cells_w, len(background)))
-    for i in range(cells_h):
-        y = (i + 0.5) * (gh / cells_h)
-        for j in range(cells_w):
-            x = (j + 0.5) * (gw / cells_w)
-            label = background
-            for ((dcx, dcy), (dw, dh)), proto in zip(distractors, distractor_protos):
-                if abs(x - dcx) <= dw / 2.0 and abs(y - dcy) <= dh / 2.0:
-                    label = proto
-            if target_center is not None:
-                ex = (x - target_center[0]) / (target_size[0] / 2.0)
-                ey = (y - target_center[1]) / (target_size[1] / 2.0)
-                if ex * ex + ey * ey <= 1.0:
-                    label = target_proto
-            out[i, j] = label
-    return out
-
-
-def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
-    """The simulator's scene, one frame at a time, every mask a dense grid.
-
-    Same draws and formulas as :func:`trackmem.simulator.gen_sequence`;
-    shapes come from :func:`dense_ellipse` and :func:`dense_rect`, the merged
-    proposal is a dense OR, scores use :func:`dense_mask_iou`, and feature
-    grids come from :func:`feature_grid_labels`.
-    """
-    d = simulator._draw_scene(cfg)
-    clamp01 = simulator._clamp01
-    gw, gh = cfg.grid
-    tw, th = cfg.target_motion.size
-    sigma = cfg.score_noise
-    sim = cfg.distractor_similarity
-    nearest_idx = simulator._nearest_distractors(d.target_centers, d.distractors)
-    cells = (max(4, gw // 16), max(4, gh // 16))
-
-    def box(cx, cy, w, h):
-        return (cx - w / 2.0, cy - h / 2.0, w, h)
-
-    gt_boxes, gt_visible, observations, init_mask = [], [], [], None
-    for t in range(cfg.frames):
-        cx, cy = d.target_centers[t]
-        visible = not d.occluded[t]
-        gt_boxes.append(BBox(*box(cx, cy, tw, th)) if visible else None)
-        gt_visible.append(visible)
-        gt = dense_ellipse(box(cx, cy, tw, th), gw, gh) if visible else None
-        if t == 0:
-            init_mask = BitMask.from_dense(gt)
-
-        jit_cx = cx + d.jitter[t, 0] * 40.0 * sigma
-        jit_cy = cy + d.jitter[t, 1] * 40.0 * sigma
-        jit_w = max(tw * (1.0 + d.jitter[t, 2] * 0.5 * sigma), 2.0)
-        jit_h = max(th * (1.0 + d.jitter[t, 3] * 0.5 * sigma), 2.0)
-        if visible:
-            mask1 = dense_ellipse(box(jit_cx, jit_cy, jit_w, jit_h), gw, gh)
-            true_iou1 = dense_mask_iou(mask1, gt)
-            s1 = clamp01(true_iou1 + d.score_eps[t, 0] * sigma)
-        else:
-            mask1 = dense_ellipse(box(jit_cx, jit_cy, jit_w * 0.4, jit_h * 0.4), gw, gh)
-            true_iou1 = 0.85
-            s1 = clamp01(0.15 + d.score_eps[t, 0] * max(sigma, 0.05))
-
-        if d.distractors:
-            d_centers, d_size = d.distractors[nearest_idx[t]]
-            mask2 = dense_rect(box(d_centers[t, 0], d_centers[t, 1], *d_size), gw, gh)
-            s2 = clamp01(sim * clamp01(true_iou1 + d.score_eps[t, 1] * sigma)
-                          + (1.0 - sim) * 0.1)
-            mask3 = mask1 | mask2
-        else:
-            mask2 = dense_ellipse(box(jit_cx + tw * 0.75, jit_cy + th * 0.5, tw, th), gw, gh)
-            s2 = clamp01(0.1 + d.score_eps[t, 1] * sigma)
-            mask3 = dense_ellipse(box(jit_cx, jit_cy, jit_w * 1.6, jit_h * 1.6), gw, gh)
-        if visible:
-            s3 = clamp01(dense_mask_iou(mask3, gt) + d.score_eps[t, 2] * sigma)
-        else:
-            s3 = clamp01(0.2 + d.score_eps[t, 2] * sigma)
-
-        if visible:
-            o = 1.0 + d.o_eps[t] * 0.25
-        elif d.occ_u[t] < 0.8:
-            o = -0.5 - abs(d.occ_eps[t, 0]) * 0.3
-        else:
-            o = 0.2 + abs(d.occ_eps[t, 1]) * 0.2
-        s_obj2 = 0.8 + d.sobj_eps[t, 0] * 0.2 if d.distractors \
-            else -0.2 + d.sobj_eps[t, 0] * 0.1
-        s_obj3 = 0.3 + d.sobj_eps[t, 1] * 0.2
-        observations.append(FrameObservation(
-            frame_idx=t,
-            proposals=(
-                Proposal.from_mask(BitMask.from_dense(mask1), s1, float(o)),
-                Proposal.from_mask(BitMask.from_dense(mask2), s2, float(s_obj2)),
-                Proposal.from_mask(BitMask.from_dense(mask3), s3, float(s_obj3)),
-            ),
-            o=float(o),
-            features=FeatureGrid(feature_grid_labels(
-                cfg.grid, cells, (cx, cy) if visible else None, (tw, th),
-                [((c[t, 0], c[t, 1]), size) for c, size in d.distractors],
-                d.distractor_protos, d.target_proto, d.background)),
-        ))
-    return simulator.SequenceRecord(config=cfg, gt_boxes=gt_boxes, gt_visible=gt_visible,
-                                    observations=observations, init_mask=init_mask)
-
-
 class DenseKalmanOracle:
     """Textbook constant-velocity filter recursion, matrices spelled out.
 
@@ -281,68 +128,6 @@ class DenseKalmanOracle:
         gain = self.P @ self.H.T @ np.linalg.inv(s)
         self.x = self.x + gain @ innovation
         self.P = (np.eye(8) - gain @ self.H) @ self.P
-
-
-def rle_text_by_row(width: int, height: int, runs) -> str:
-    """The ``W H; row:start+len,...`` text, built by grouping runs by row."""
-    rows = (
-        f"{row}:" + ",".join(f"{start}+{length}" for _, start, length in row_runs)
-        for row, row_runs in itertools.groupby(runs, key=lambda run: run[0])
-    )
-    return "; ".join([f"{width} {height}", *rows])
-
-
-_KF_F = np.eye(8)
-_KF_F[:4, 4:] = np.eye(4)
-_KF_H = np.zeros((4, 8))
-_KF_H[:4, :4] = np.eye(4)
-
-
-def matrix_kf_predict(mean: np.ndarray, cov: np.ndarray, process_noise: float
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Constant-velocity prediction with the full transition products."""
-    mean = _KF_F @ mean
-    cov = _KF_F @ cov @ _KF_F.T + process_noise * np.eye(8)
-    return mean, (cov + cov.T) / 2.0
-
-
-def matrix_kf_update(mean: np.ndarray, cov: np.ndarray,
-                     z: tuple[float, float, float, float], measurement_noise: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Correction with measurement ``z = (cx, cy, w, h)``, every product with H spelled out."""
-    r = measurement_noise * np.eye(4)
-    innovation = np.array(z, dtype=float) - _KF_H @ mean
-    innovation_cov = _KF_H @ cov @ _KF_H.T + r
-    gain = np.linalg.solve(innovation_cov.T, (cov @ _KF_H.T).T).T
-    mean = mean + gain @ innovation
-    cov = (np.eye(8) - gain @ _KF_H) @ cov
-    return mean, (cov + cov.T) / 2.0
-
-
-def matrix_kf_box(mean: np.ndarray) -> tuple[float, float, float, float]:
-    """Top-left (x, y, w, h) of a state mean, size clamped to 1e-6."""
-    cx, cy, w, h = mean[:4]
-    w = max(float(w), 1e-6)
-    h = max(float(h), 1e-6)
-    return (float(cx) - w / 2.0, float(cy) - h / 2.0, w, h)
-
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
-def samite_calibrate_recomputed(
-    window: list[tuple[int, np.ndarray]], anchor_first: np.ndarray,
-    anchor_prev: np.ndarray, alpha: float,
-) -> list[tuple[int, float]]:
-    """(frame, (1 - alpha) * cos(P, P_first) + alpha * cos(P, P_prev)) per window frame."""
-    return [
-        (frame, (1.0 - alpha) * _cosine(vec, anchor_first) + alpha * _cosine(vec, anchor_prev))
-        for frame, vec in window
-    ]
 
 
 def exhaustive_best_trajectory(
@@ -408,91 +193,178 @@ def him_choice_oracle(
     return best, confs[best], used_fine
 
 
-def per_frame_box_iou(a: BBox, b: BBox) -> float:
-    """Box IoU through ``BBox.area`` and the dataclass ``==``: the scalar form
-    before it read each field once into a local."""
-    if a.area == 0.0 or b.area == 0.0:
-        return 0.0
-    if a == b:
-        return 1.0
-    iw = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    ih = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return min(1.0, inter / (a.area + b.area - inter))
+# --- fixture materialization ---------------------------------------------------
+
+# Scaled-down scene per suite family; these generate the golden fixtures.
+FIXTURE_SCENES = [
+    SceneConfig(seed=11, frames=30, grid=(64, 64),
+                target_motion=MotionSpec(kind="linear", speed=1.5, size=(16.0, 12.0)),
+                n_distractors=1, distractor_similarity=0.5,
+                occlusions=((12, 20),), proto_dim=4, family="occlusion"),
+    SceneConfig(seed=12, frames=30, grid=(64, 64),
+                target_motion=MotionSpec(kind="sinusoid", amplitude=16.0,
+                                         frequency=0.15, size=(16.0, 12.0)),
+                n_distractors=1, distractor_similarity=0.3,
+                proto_dim=4, family="fast_motion"),
+    SceneConfig(seed=13, frames=30, grid=(64, 64),
+                target_motion=MotionSpec(kind="linear", speed=1.5, size=(16.0, 12.0)),
+                n_distractors=2, distractor_similarity=0.9,
+                score_noise=0.06, proto_dim=4, family="distractor"),
+]
 
 
-def _per_frame_visible_ious(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
-    return np.array([
-        per_frame_box_iou(p, g) if p is not None else 0.0
-        for p, g in zip(pred, gt) if g is not None
-    ])
+def _oracle_geometry(rng: np.random.Generator) -> dict:
+    box_cases = []
+    for _ in range(500):
+        ax, ay = rng.integers(0, 40, size=2)
+        aw, ah = rng.integers(0, 24, size=2)
+        bx, by = rng.integers(0, 40, size=2)
+        bw, bh = rng.integers(0, 24, size=2)
+        a = (int(ax), int(ay), int(aw), int(ah))
+        b = (int(bx), int(by), int(bw), int(bh))
+        box_cases.append({"a": list(a), "b": list(b), "iou": dense_box_iou(a, b)})
+    mask_cases = []
+    for _ in range(100):
+        da = rng.random((32, 32)) < 0.3
+        db = rng.random((32, 32)) < 0.3
+        mask_cases.append({
+            "a": BitMask.from_dense(da).to_text(),
+            "b": BitMask.from_dense(db).to_text(),
+            "iou": dense_mask_iou(da, db),
+        })
+    return {"boxes": box_cases, "masks": mask_cases}
 
 
-def _per_frame_success_rates(ious: np.ndarray) -> np.ndarray:
-    if ious.size == 0:
-        return np.zeros_like(SUCCESS_THRESHOLDS)
-    rates = (ious[None, :] >= SUCCESS_THRESHOLDS[:, None]).mean(axis=1)
-    rates[0] = (ious > 0.0).mean()
-    return rates
+def _oracle_kalman(rng: np.random.Generator) -> dict:
+    noise = to_json(MotionConfig())  # the filter's default noise, without n_lost
+    del noise["n_lost"]
+    traces = []
+    for _ in range(5):
+        init = [float(v) for v in rng.uniform(10, 60, size=2)] + \
+               [float(v) for v in rng.uniform(5, 25, size=2)]
+        oracle = DenseKalmanOracle(tuple(init), **noise)
+        steps = []
+        states = []
+        for _ in range(50):
+            oracle.predict()
+            if rng.random() < 0.8:
+                z = [float(v) for v in
+                     (np.array(init) + rng.normal(0, 2.0, size=4))]
+                z[2] = max(z[2], 1.0)
+                z[3] = max(z[3], 1.0)
+                oracle.update(tuple(z))
+                steps.append({"op": "update", "box": z})
+            else:
+                steps.append({"op": "predict_only"})
+            states.append({
+                "mean": [float(v) for v in oracle.x],
+                "cov": [float(v) for v in oracle.P.reshape(-1)],
+            })
+        traces.append({"init": init, "steps": steps, "states": states})
+    return {**noise, "traces": traces}
 
 
-def per_frame_success_curve(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
-    """The success curve from one ``box_iou`` call per visible frame."""
-    return _per_frame_success_rates(_per_frame_visible_ious(pred, gt))
+def _oracle_pathways(rng: np.random.Generator) -> dict:
+    cases = []
+    for frames in range(1, 7):
+        for cap in (1, 2, 3):
+            for _ in range(4):
+                rows = [[float(v) for v in rng.random(3)] for _ in range(frames)]
+                traj, score = exhaustive_best_trajectory(rows, 1e-6)
+                cases.append({"s_mask_rows": rows, "P": cap, "epsilon": 1e-6,
+                              "best_traj": list(traj), "best_score": score})
+            # tie-heavy case from a coarse score alphabet
+            rows = [[float(v) for v in rng.choice([0.2, 0.5, 0.9], size=3)]
+                    for _ in range(frames)]
+            traj, score = exhaustive_best_trajectory(rows, 1e-6)
+            cases.append({"s_mask_rows": rows, "P": cap, "epsilon": 1e-6,
+                          "best_traj": list(traj), "best_score": score})
+    return {"cases": cases}
 
 
-def per_frame_precision(pred: list[BBox | None], gt: list[BBox | None]) -> tuple[float, float]:
-    """(precision at 20 px, normalized-precision AUC), one scalar ``np.hypot`` per frame."""
-    errors = []
-    norm_errors = []
-    for p, g in zip(pred, gt):
-        if g is None:
-            continue
-        if p is None:
-            errors.append(np.inf)
-            norm_errors.append(np.inf)
-            continue
-        pc, gc = p.center, g.center
-        err = float(np.hypot(pc[0] - gc[0], pc[1] - gc[1]))
-        errors.append(err)
-        norm_errors.append(err / float(np.hypot(g.w, g.h)))
-    if not errors:
-        return 0.0, 0.0
-    errors_arr = np.array(errors)
-    norm_arr = np.array(norm_errors)
-    p20 = float((errors_arr <= 20.0).mean())
-    np_auc = float((norm_arr[None, :] <= NORM_PRECISION_THRESHOLDS[:, None]).mean())
-    return p20, np_auc
+def _oracle_topk(rng: np.random.Generator) -> dict:
+    cases = []
+    for _ in range(200):
+        n = int(rng.integers(0, 14))
+        frames = sorted(rng.choice(np.arange(1, 40), size=n, replace=False).tolist()) \
+            if n else []
+        scores = [float(v) for v in rng.choice([0.1, 0.4, 0.7, 0.7, 0.9], size=n)]
+        k = int(rng.integers(1, 7))
+        selected = topk_window_oracle(list(zip(frames, scores)), k)
+        cases.append({"frames": frames, "scores": scores, "k": k,
+                      "selected": selected})
+    return {"cases": cases}
 
 
-def per_frame_evaluate(
-    pred: list[BBox | None],
-    pred_present: list[bool],
-    gt: list[BBox | None],
-    gt_visible: list[bool],
-) -> EvalOutcome:
-    """Every column of :func:`trackmem.metrics.evaluate`, scored frame by frame.
+def _oracle_choices(rng: np.random.Generator) -> dict:
+    samurai = []
+    for _ in range(300):
+        s_mask = [float(v) for v in rng.random(3)]
+        s_obj = [float(v) for v in rng.uniform(-1, 1, size=3)]
+        s_kf = [float(v) for v in rng.random(3)]
+        alpha = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+        choice = samurai_choice_oracle(s_mask, s_obj, s_kf, alpha)
+        samurai.append({"s_mask": s_mask, "s_obj": s_obj, "s_kf": s_kf,
+                        "alpha": alpha, "choice": choice})
+    him = []
+    for _ in range(300):
+        s_coarse = [float(v) for v in rng.random(3)]
+        s_fine = [float(v) for v in rng.random(3)]
+        s_iou = [float(v) for v in rng.random(3)]
+        alpha, beta, tau = 0.4, 0.3, float(rng.choice([0.3, 0.5, 0.7]))
+        idx, conf, used_fine = him_choice_oracle(s_coarse, s_fine, s_iou, alpha, beta, tau)
+        him.append({"s_coarse": s_coarse, "s_fine": s_fine, "s_iou": s_iou,
+                    "alpha": alpha, "beta": beta, "tau_conf": tau,
+                    "choice": idx, "conf": conf, "used_fine": used_fine})
+    return {"samurai": samurai, "him": him}
 
-    The quality terms come from the library's own ``vot_qar``, which takes
-    the per-frame IoU list either way. Inputs are assumed valid: this loop
-    does not check them.
-    """
-    pred_iou = [
-        per_frame_box_iou(p, g) if (p is not None and g is not None) else 0.0
-        for p, g in zip(pred, gt)
-    ]
-    visible_ious = np.array([iou for iou, g in zip(pred_iou, gt) if g is not None])
-    s = float(_per_frame_success_rates(visible_ious).mean())
-    p20, np_auc = per_frame_precision(pred, gt)
-    if visible_ious.size:
-        ao = float(visible_ious.mean())
-        sr50, sr75 = float((visible_ious > 0.5).mean()), float((visible_ious > 0.75).mean())
-    else:
-        ao = sr50 = sr75 = 0.0
-    q, acc, rob = vot_qar(pred_present, pred_iou, gt_visible)
-    return EvalOutcome(
-        success_auc=s, precision_at_20=p20, norm_precision_auc=np_auc,
-        ao=ao, sr50=sr50, sr75=sr75, q=q, acc=acc, rob=rob,
-    )
+
+def _capture_distractor_baseline(n_seeds: int = 20) -> dict:
+    """Mean AO per policy on the frozen distractor-heavy family."""
+    scenes = [s for s in suite_standard(n_seeds=n_seeds) if s.family == "distractor"]
+    cfg = default_config()
+    per_seed: dict[str, dict[str, float]] = {name: {} for name in ALL_POLICY_NAMES}
+    for scene in scenes:
+        record = gen_sequence(scene)
+        for name in ALL_POLICY_NAMES:
+            outcome, _, _ = run_scene(record, tracker_config_from(cfg, name))
+            per_seed[name][str(scene.seed)] = outcome.ao
+    mean_ao = {name: float(np.mean(list(vals.values())))
+               for name, vals in per_seed.items()}
+    return {"family": "distractor", "n_seeds": n_seeds,
+            "mean_ao": mean_ao, "per_seed": per_seed}
+
+
+def cmd_oracle(out_dir) -> int:
+    """Materialize oracle expectations, fixtures, and locked baselines."""
+    out = Path(out_dir)
+    rng = np.random.Generator(np.random.Philox(key=20240601))
+
+    def dump(rel: str, payload: dict) -> None:
+        _atomic_write(out / rel, json.dumps(payload, sort_keys=True,
+                                            separators=(",", ":")) + "\n")
+
+    dump("oracle/geometry.json", _oracle_geometry(rng))
+    dump("oracle/kalman.json", _oracle_kalman(rng))
+    dump("oracle/pathways.json", _oracle_pathways(rng))
+    dump("oracle/topk.json", _oracle_topk(rng))
+    dump("oracle/choices.json", _oracle_choices(rng))
+
+    (out / "golden" / "sequences").mkdir(parents=True, exist_ok=True)
+    for scene in FIXTURE_SCENES:
+        record = gen_sequence(scene)
+        base = out / "golden" / "sequences" / scene.family
+        write_record(record, f"{base}.obs.jsonl", f"{base}.gt.jsonl")
+
+    # golden trace: the motion-gated tracker on the occlusion fixture
+    record = gen_sequence(FIXTURE_SCENES[0])
+    _, _, results = run_scene(record, tracker_config_from(default_config(), "samurai_drm"))
+    _atomic_write(out / "golden" / "trace_samurai_drm.jsonl",
+                  "".join(frame_result_to_line(r) + "\n" for r in results))
+
+    suite_digest = config_digest([config_to_dict(s) for s in suite_standard()])
+    _atomic_write(out / "golden" / "suite_digest.txt", suite_digest + "\n")
+
+    dump("baselines/distractor_ao.json", _capture_distractor_baseline())
+    print(f"oracle outputs written: {out}")
+    return 0

@@ -15,9 +15,10 @@ so the best pathway is always element 0.
 
 Banks are copied on branching; entries are immutable so the copies share
 them structurally. Survivors advance their own fresh copy by the quality-
-and-presence admission gate (:func:`trackmem.policies.sam2long_admit`),
-so a pathway's bank never changes once pruning returns it, and a caller
-may hold on to its RAM list. Beam collapse (every survivor sharing one parent) is allowed; no re-seeding or
+and-presence admission gate (:func:`trackmem.policies.sam2long_admit`)
+and keep its decision, so a pathway's bank never changes once pruning
+returns it, and a caller may hold on to its RAM list. Beam collapse
+(every survivor sharing one parent) is allowed; no re-seeding or
 deduplication happens.
 """
 
@@ -28,19 +29,21 @@ from dataclasses import dataclass
 
 from .membank import EntryKind, MemoryBank, MemoryEntry
 from .observation import FrameObservation
-from .policies import PolicyConfig, sam2long_admit
+from .policies import PolicyConfig, RamPolicyDecision, sam2long_admit
 
 __all__ = ["Pathway", "PathwayCandidate", "pathway_init", "pathway_expand", "pathway_prune"]
 
 
 @dataclass(frozen=True)
 class Pathway:
-    """One hypothesis branch: bank, cumulative score, choice history."""
+    """One hypothesis branch: bank, cumulative score, choice history, and the
+    admission decision on its latest choice (None for the root)."""
 
     bank: MemoryBank
     score: float
     trajectory: tuple[tuple[int, int], ...]
     parent_id: int
+    decision: RamPolicyDecision | None = None
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,14 @@ def pathway_prune(
         parent = beam[cand.parent_id]
         chosen = obs.proposals[cand.proposal_index]
         bank = parent.bank.copy()
-        if sam2long_admit(obs, chosen, cfg).admit:
+        decision = sam2long_admit(obs, chosen, cfg)
+        if decision.admit:
             bank.insert_ram(MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM))
         survivors.append(Pathway(
             bank=bank,
             score=cand.score,
             trajectory=parent.trajectory + ((obs.frame_idx, cand.proposal_index),),
             parent_id=cand.parent_id,
+            decision=decision,
         ))
     return survivors

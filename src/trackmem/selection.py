@@ -55,7 +55,6 @@ from .policies import (
     him_admit,
     him_confidence,
     motion_consistency,
-    sam2long_admit,
     samite_anchor_first,
     samite_calibrate,
     samite_select_ram,
@@ -329,8 +328,8 @@ class Sam2LongPolicy(Policy):
         return chosen, not (obs.o <= 0.0 and chosen.mask.is_empty)
 
     def admit(self, obs, chosen, present) -> RamPolicyDecision:
-        # the survivors' banks were advanced while pruning
-        return sam2long_admit(obs, chosen, self.cfg.policy_cfg)
+        # the survivors' banks were advanced while pruning; the best one's gate decided
+        return self.pathways[0].decision
 
 
 class SamitePolicy(Policy):

@@ -44,7 +44,7 @@ count the pixels shared on each row where both masks have a run, then
 divide as :func:`trackmem.geometry.mask_iou` does. These steps work on the
 runs alone, never on a (frames, rows) array. Every mask matches a
 full-grid render run for run, and the whole sequence matches a per-frame
-dense render (:mod:`trackmem.oracles` keeps both references). Only the
+dense render (``tests/reference.py`` keeps both references). Only the
 masks a record exposes become :class:`~trackmem.geometry.BitMask`
 objects: the three proposals of every frame and the frame-0 prompt, and
 equal (row, start, length) triples within a scene are one tuple. The

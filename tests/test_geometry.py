@@ -4,9 +4,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, BitMask, box_iou, box_ious, mask_iou, mask_to_bbox
-from trackmem.oracles import dense_box_iou, dense_mask_iou, per_frame_box_iou, rle_text_by_row
+from trackmem.oracles import dense_box_iou, dense_mask_iou
 
 from conftest import empty_mask, random_mask, rect_mask, rng_for
+from reference import per_frame_box_iou, rle_text_by_row
 
 
 # --- box IoU -----------------------------------------------------------------

@@ -11,9 +11,10 @@ import json
 import numpy as np
 
 from trackmem.geometry import BitMask
-from trackmem.harness import FIXTURE_SCENES, default_config, run_scene, tracker_config_from
+from trackmem.harness import default_config, run_scene, tracker_config_from
 from trackmem.membank import EntryKind
 from trackmem.motion import MotionConfig, kf_init, kf_predict, kf_update
+from trackmem.oracles import FIXTURE_SCENES
 from trackmem.geometry import BBox, box_iou, mask_iou
 from trackmem.selection import frame_result_to_line
 from trackmem.simulator import gen_sequence, read_record, write_record

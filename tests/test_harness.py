@@ -11,7 +11,6 @@ from trackmem.harness import (
     ConfigError,
     apply_overrides,
     cmd_compare,
-    cmd_oracle,
     cmd_run,
     config_digest,
     default_config,
@@ -21,8 +20,11 @@ from trackmem.harness import (
     tracker_config_from,
 )
 from trackmem.cli import main as cli_main
+from trackmem.oracles import cmd_oracle
 from trackmem.policies import PolicyConfig
 from trackmem.simulator import MotionSpec, SceneConfig, config_to_dict
+
+from conftest import FIXTURES
 
 TINY_SCENES = [
     config_to_dict(SceneConfig(
@@ -429,15 +431,16 @@ def test_cli_round_trip(tmp_path):
 # --- oracle -----------------------------------------------------------------------
 
 
-def test_oracle_rerun_is_identical(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cmd_oracle(out_a) == 0
-    assert cmd_oracle(out_b) == 0
-    files_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
-    files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
-    assert files_a == files_b
-    for rel in files_a:
-        assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+def test_oracle_writes_the_committed_fixtures(tmp_path):
+    """One ``trackmem oracle`` run writes ``tests/fixtures`` file for file, byte for byte."""
+    assert cmd_oracle(tmp_path) == 0
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    assert files(tmp_path) == files(FIXTURES)
+    for rel in files(FIXTURES):
+        assert (tmp_path / rel).read_bytes() == (FIXTURES / rel).read_bytes(), rel
 
 
 # --- compare -------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from trackmem.metrics import (
     success_curve,
     vot_qar,
 )
-from trackmem.oracles import per_frame_evaluate, per_frame_precision, per_frame_success_curve
 
+from reference import per_frame_evaluate, per_frame_precision, per_frame_success_curve
 
 
 def boxes(n, rng, lo=0.0, hi=50.0):
@@ -276,6 +276,7 @@ def scored_sequences(draw):
 @given(scored_sequences())
 @example(([None, None], [False, True], [None, B], [False, True]))
 @example(([B, BBox(11, 10, 8, 6), BBox(100, 0, 0, 0)], [True] * 3, [B] * 3, [True] * 3))
+@example(([BBox(1.7e308, 0, 1.7e308, 1)], [True], [BBox(1.7e308, 5, 1.7e308, 1)], [True]))
 def test_scoring_has_the_bits_of_the_per_frame_loop(seq):
     pred, present, gt, visible = seq
     assert repr(evaluate(pred, present, gt, visible)) == \

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -15,18 +16,12 @@ from trackmem.observation import (
     observation_from_line,
     observation_to_line,
 )
-from trackmem.oracles import (
-    him_choice_oracle,
-    matrix_kf_box,
-    matrix_kf_predict,
-    matrix_kf_update,
-    samite_calibrate_recomputed,
-    samurai_choice_oracle,
-)
+from trackmem.oracles import him_choice_oracle, samurai_choice_oracle
 from trackmem.policies import (
     AdmissionReason,
     PolicyConfig,
     RamPolicyDecision,
+    sam2long_admit,
     samite_select_ram,
 )
 from trackmem.selection import (
@@ -46,6 +41,12 @@ from trackmem.selection import (
 from trackmem.simulator import MotionSpec, SceneConfig, gen_sequence
 
 from conftest import empty_mask, obs, rect_mask
+from reference import (
+    matrix_kf_box,
+    matrix_kf_predict,
+    matrix_kf_update,
+    samite_calibrate_recomputed,
+)
 
 INIT = rect_mask(32, 32, 4, 4, 8, 8)
 MASKS = [rect_mask(32, 32, 2, 2, 6, 6),
@@ -451,6 +452,34 @@ def test_sam2long_session_composes_shared_drm_with_best_ram():
         assert p.bank.drm == []
 
 
+def test_sam2long_gates_each_survivor_once_per_frame():
+    """The admission gate runs once per surviving pathway, and the session's
+    decision is the best survivor's, not a second call on the same choice."""
+    record = scene_record(seed=312)
+    cfg = config(PolicyKind.SAM2LONG_DRM)
+    session = TrackerSession(cfg, record.init_mask)
+    gate = sam2long_admit.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is gate
+
+    for o in record.observations:
+        calls = 0
+        sys.setprofile(count)
+        try:
+            res = session.step(o)
+        finally:
+            sys.setprofile(None)
+        best = session.policy.pathways[0]
+        survivors = len(session.policy.pathways) if o.frame_idx else 0
+        assert calls == survivors, o.frame_idx
+        if o.frame_idx:
+            chosen = o.proposals[best.trajectory[-1][1]]
+            assert res.decision == sam2long_admit(o, chosen, cfg.policy_cfg), o.frame_idx
+
+
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_session_bank_holds_every_policys_conditioning_set(policy):
     record = scene_record(seed=312)  # distractors: every DRM policy admits several anchors
@@ -490,7 +519,7 @@ def test_him_session_tracks_accepted_boxes():
 
 class MatrixMotion:
     """Mixin for a motion policy: the filter held as (mean, cov) arrays and stepped
-    with the 8x8 matrix form in ``oracles.py``; ``reseeds`` counts re-seeds."""
+    with the 8x8 matrix form in ``reference.py``; ``reseeds`` counts re-seeds."""
 
     reseeds = 0
 

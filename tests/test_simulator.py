@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 from trackmem.geometry import BBox, BitMask, mask_iou
 from trackmem.observation import extract_prototypes, cosine, observation_to_line
 from trackmem import simulator
-from trackmem.oracles import (
-    dense_ellipse,
-    dense_gen_sequence,
-    dense_mask_iou,
-    dense_rect,
-    feature_grid_labels,
-)
+from trackmem.oracles import dense_mask_iou
 from trackmem.simulator import (
     MotionSpec,
     SceneConfig,
@@ -36,6 +30,7 @@ from trackmem.simulator import (
 )
 
 from conftest import FIXTURES, rng_for
+from reference import dense_ellipse, dense_gen_sequence, dense_rect, feature_grid_labels
 
 NOISELESS = SceneConfig(seed=42, frames=40, grid=(128, 128),
                         target_motion=MotionSpec(size=(24.0, 18.0)),
