@@ -30,6 +30,7 @@ fully empty mask is just ``"W H"``. Runs are sorted and non-overlapping.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,6 +164,10 @@ class BitMask:
                 col1 = end
         object.__setattr__(self, "_area", area)
         object.__setattr__(self, "_cols", (col0, col1))
+        # set here, not on first use: CPython keeps a few attributes in a compact
+        # per-instance array, and one added later can spill all into a dict
+        object.__setattr__(self, "_text", None)
+        object.__setattr__(self, "_sha1", None)
 
     @property
     def is_empty(self) -> bool:
@@ -205,7 +210,7 @@ class BitMask:
 
         The text is encoded on the first call and kept on the mask.
         """
-        text = self.__dict__.get("_text")
+        text = self._text
         if text is None:
             parts = [f"{self.width} {self.height}"]
             last_row = -1
@@ -218,6 +223,14 @@ class BitMask:
             text = "".join(parts)
             object.__setattr__(self, "_text", text)
         return text
+
+    def text_sha1(self) -> str:
+        """The sha1 hex digest of :meth:`to_text`, computed once and kept on the mask."""
+        digest = self._sha1
+        if digest is None:
+            digest = hashlib.sha1(self.to_text().encode()).hexdigest()
+            object.__setattr__(self, "_sha1", digest)
+        return digest
 
     @classmethod
     def from_text(cls, text: str) -> "BitMask":

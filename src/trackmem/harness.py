@@ -15,6 +15,12 @@ All outputs are deterministic functions of the config: rows are sorted
 before writing, floats are serialized with ``repr``, and files land via
 temp-then-rename so partially written output never survives.
 
+Each scene's logs land as soon as that scene finishes, so a run holds one
+scene's logs at a time. ``metrics.csv``, ``aggregate.json`` and ``plots/``
+follow the last scene, and ``manifest.json`` is written last: its presence
+marks a complete run. A run that fails part-way can leave the logs of the
+scenes that finished, as an earlier run in the same directory can.
+
 Config files are JSON with this key tree (every leaf optional)::
 
     suite        "standard"                  named scenario suite, or the label
@@ -44,6 +50,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +263,18 @@ def _scene_job(args: tuple[dict, dict, list[str]]):
     return scene.family, scene.seed, rows, curves, logs
 
 
+def _check_out_dir(out: Path) -> None:
+    """Raise ConfigError when ``out`` or an ancestor exists and is not a directory.
+
+    Creates nothing, so a run can check its output directory before any work.
+    """
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out}: {path} exists and is not a directory")
+            return
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -316,24 +335,22 @@ def run_benchmark(cfg: dict, out_dir, workers: int = 1) -> dict:
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     scenes = scene_list(cfg)
+    _check_out_dir(out)
 
     jobs = [(config_to_dict(s), cfg, policy_names) for s in scenes]
-    # the pool starts every worker at its first submit, so start no idle ones
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            job_results = list(pool.map(_scene_job, jobs))
-    else:
-        job_results = [_scene_job(j) for j in jobs]
-
     rows: list[dict] = []
     curve_acc: dict[str, list[np.ndarray]] = {}
-    for family, seed, scene_rows, curves, logs in job_results:
-        rows.extend(scene_rows)
-        for name, curve in curves.items():
-            curve_acc.setdefault(name, []).append(curve)
-        for name, text in logs.items():
-            _atomic_write(out / "logs" / name / f"{family}_{seed}.jsonl", text)
+    # the pool starts every worker at its first submit, so start no idle ones
+    workers = min(workers, len(jobs))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # each scene's logs land as its result arrives, so only rows and curves are held
+        scene_results = pool.map(_scene_job, jobs) if workers > 1 else map(_scene_job, jobs)
+        for family, seed, scene_rows, curves, logs in scene_results:
+            rows.extend(scene_rows)
+            for name, curve in curves.items():
+                curve_acc.setdefault(name, []).append(curve)
+            for name, text in logs.items():
+                _atomic_write(out / "logs" / name / f"{family}_{seed}.jsonl", text)
 
     rows.sort(key=lambda r: (r["family"], r["seed"], r["policy"]))
     buf = io.StringIO()

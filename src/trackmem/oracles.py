@@ -28,7 +28,9 @@ from .checks import to_json
 from .geometry import BitMask
 from .harness import (
     ALL_POLICY_NAMES,
+    ConfigError,
     _atomic_write,
+    _check_out_dir,
     config_digest,
     default_config,
     run_scene,
@@ -338,6 +340,11 @@ def _capture_distractor_baseline(n_seeds: int = 20) -> dict:
 def cmd_oracle(out_dir) -> int:
     """Materialize oracle expectations, fixtures, and locked baselines."""
     out = Path(out_dir)
+    try:
+        _check_out_dir(out)
+    except ConfigError as exc:
+        print(f"error: {exc}")
+        return 2
     rng = np.random.Generator(np.random.Philox(key=20240601))
 
     def dump(rel: str, payload: dict) -> None:

@@ -31,7 +31,6 @@ predictions; no policy admits them to RAM except the FIFO baseline.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -132,8 +131,7 @@ def frame_result_to_line(res: FrameResult) -> str:
         "present": res.present,
         "bbox": None if chosen is None or chosen.bbox is None
         else [chosen.bbox.x, chosen.bbox.y, chosen.bbox.w, chosen.bbox.h],
-        "mask_sha1": None if chosen is None
-        else hashlib.sha1(chosen.mask.to_text().encode()).hexdigest(),
+        "mask_sha1": None if chosen is None else chosen.mask.text_sha1(),
         "s_mask": None if chosen is None else chosen.s_mask,
         "s_obj": None if chosen is None else chosen.s_obj,
         "s_kf": res.s_kf,

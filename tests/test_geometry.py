@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -249,6 +251,14 @@ def test_rle_text_round_trip_and_memo(m):
     assert BitMask.from_text(text) == m
     assert m.to_text() is text  # kept on the mask
     assert BitMask(m.width, m.height, m.runs).to_text() == text  # a fresh encode
+
+
+@given(st.integers(1, 12).flatmap(lambda w: run_masks(w, 9)))
+def test_text_sha1_digests_the_text_and_memo(m):
+    digest = m.text_sha1()
+    assert digest == hashlib.sha1(m.to_text().encode()).hexdigest()
+    assert m.text_sha1() is digest  # kept on the mask
+    assert BitMask(m.width, m.height, m.runs).text_sha1() == digest  # a fresh digest
 
 
 @given(st.integers(1, 12).flatmap(lambda w: run_masks(w, 9)))

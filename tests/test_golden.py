@@ -6,18 +6,27 @@ changed behavior, and the fix is never to regenerate the fixtures to
 match.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 
 from trackmem.geometry import BitMask
-from trackmem.harness import default_config, run_scene, tracker_config_from
+from trackmem import harness
+from trackmem.harness import ALL_POLICY_NAMES, default_config, run_scene, tracker_config_from
 from trackmem.membank import EntryKind
 from trackmem.motion import MotionConfig, kf_init, kf_predict, kf_update
 from trackmem.oracles import FIXTURE_SCENES
 from trackmem.geometry import BBox, box_iou, mask_iou
 from trackmem.selection import frame_result_to_line
-from trackmem.simulator import gen_sequence, read_record, write_record
+from trackmem.simulator import (
+    config_to_dict,
+    gen_sequence,
+    read_record,
+    suite_standard,
+    write_record,
+)
 
 from conftest import FIXTURES
 
@@ -136,6 +145,25 @@ def test_golden_trace_replays_byte_identically():
     got = "".join(frame_result_to_line(r) + "\n" for r in results)
     want = (FIXTURES / "golden" / "trace_samurai_drm.jsonl").read_text()
     assert got == want
+
+
+# the benchmark's recorded sha256 of every default-run file (read here, never written)
+BENCH_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+
+def test_scene_job_logs_match_the_recorded_default_run():
+    """All six policies' logs on one scene of each of three families, byte for byte."""
+    recorded = json.loads(BENCH_EXPECTED.read_text())["files"]
+    wanted = {"occlusion_101", "fast_motion_201", "distractor_301"}
+    scenes = [s for s in suite_standard() if f"{s.family}_{s.seed}" in wanted]
+    assert len(scenes) == len(wanted)
+    for scene in scenes:
+        family, seed, _, _, logs = harness._scene_job(
+            (config_to_dict(scene), default_config(), ALL_POLICY_NAMES))
+        assert list(logs) == ALL_POLICY_NAMES
+        for name, text in logs.items():
+            rel = f"logs/{name}/{family}_{seed}.jsonl"
+            assert hashlib.sha256(text.encode()).hexdigest() == recorded[rel], rel
 
 
 def test_distractor_baseline_structure():

@@ -326,6 +326,24 @@ def test_worker_pool_holds_at_most_one_process_per_scene(tmp_path, monkeypatch, 
     assert len((tmp_path / "out" / "metrics.csv").read_text().splitlines()) == 1 + n_scenes
 
 
+def _no_scene_may_run(args):
+    raise AssertionError(f"scene {args[0]['seed']} ran")
+
+
+@pytest.mark.parametrize("rel", ["taken", "taken/sub/out"])
+def test_run_out_that_is_or_is_under_a_file_exits_2_before_any_scene(tmp_path, capsys,
+                                                                      monkeypatch, rel):
+    cfg_path = tiny_config(tmp_path)
+    (tmp_path / "taken").write_text("kept")
+    monkeypatch.setattr(harness, "_scene_job", _no_scene_may_run)
+    code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / rel)])
+    assert code == 2
+    assert (f"error: --out {tmp_path / rel}: {tmp_path / 'taken'} exists and is not a directory"
+            in capsys.readouterr().out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+    assert (tmp_path / "taken").read_text() == "kept"
+
+
 @pytest.mark.parametrize("suite", [{"a": 1}, "bad,name\n", "", 5])
 def test_bad_suite_label_exits_2_naming_it(tmp_path, capsys, suite):
     assert cmd_run(tiny_config(tmp_path, suite=suite), tmp_path / "out") == 2
@@ -387,6 +405,50 @@ def test_run_twice_is_byte_identical_except_manifest(tmp_path):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
 
+FOUR_SCENES = [dict(TINY_SCENES[0], seed=910 + i) for i in range(4)]
+
+
+def log_files(out: Path) -> list[str]:
+    return sorted(str(p.relative_to(out)) for p in out.glob("logs/*/*.jsonl"))
+
+
+def logs_of(scenes: list[dict]) -> list[str]:
+    return sorted(f"logs/{name}/{s['family']}_{s['seed']}.jsonl"
+                  for s in scenes for name in ALL_POLICY_NAMES)
+
+
+def test_each_scenes_logs_land_before_the_next_scene_runs(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    real_job = harness._scene_job
+    on_disk_at_start = []
+
+    def job(args):
+        on_disk_at_start.append(log_files(out))
+        return real_job(args)
+
+    monkeypatch.setattr(harness, "_scene_job", job)
+    run_benchmark({"suite": "custom", "scenes": FOUR_SCENES}, out)
+    assert on_disk_at_start == [logs_of(FOUR_SCENES[:k]) for k in range(len(FOUR_SCENES))]
+    assert log_files(out) == logs_of(FOUR_SCENES)
+
+
+def test_a_failing_scene_leaves_only_the_finished_scenes_logs(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    real_job = harness._scene_job
+
+    def job(args):
+        if args[0]["seed"] == FOUR_SCENES[2]["seed"]:
+            raise RuntimeError("third scene failed")
+        return real_job(args)
+
+    monkeypatch.setattr(harness, "_scene_job", job)
+    with pytest.raises(RuntimeError, match="third scene failed"):
+        run_benchmark({"suite": "custom", "scenes": FOUR_SCENES}, out)
+    assert [p.name for p in out.iterdir()] == ["logs"]  # no metrics, aggregate, plots, manifest
+    assert log_files(out) == logs_of(FOUR_SCENES[:2])
+    assert not list(out.rglob("*.tmp"))
+
+
 def test_run_worker_pool_matches_sequential(tmp_path):
     cfg = {"suite": "custom", "scenes": TINY_SCENES, "policies": ["samurai_drm"]}
     cfg_path = tmp_path / "c.json"
@@ -441,6 +503,16 @@ def test_oracle_writes_the_committed_fixtures(tmp_path):
     assert files(tmp_path) == files(FIXTURES)
     for rel in files(FIXTURES):
         assert (tmp_path / rel).read_bytes() == (FIXTURES / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("rel", ["taken", "taken/sub/out"])
+def test_oracle_out_that_is_or_is_under_a_file_exits_2_before_any_work(tmp_path, capsys, rel):
+    (tmp_path / "taken").write_text("kept")
+    assert cli_main(["oracle", "--out", str(tmp_path / rel)]) == 2
+    assert (f"error: --out {tmp_path / rel}: {tmp_path / 'taken'} exists and is not a directory"
+            in capsys.readouterr().out)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert (tmp_path / "taken").read_text() == "kept"
 
 
 # --- compare -------------------------------------------------------------------------
