@@ -10,6 +10,10 @@ proposals disagree with each other, i.e. when a look-alike distractor is
 in play; those anchors are what a downstream reader would use to keep the
 target and the distractor apart.
 
+Entries are immutable :class:`MemoryEntry` NamedTuples, built by
+position on every admission: a copied bank shares them, and an entry of
+another kind is a new one made by ``_replace``.
+
 DRM admission requires all four gates to pass:
 
 1. quality: the chosen proposal's ``s_mask`` is at least ``tau_q``;
@@ -35,7 +39,8 @@ from __future__ import annotations
 
 import enum
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checks import check_numbers
 from .geometry import BBox, BitMask, mask_iou, mask_to_bbox
@@ -61,8 +66,7 @@ class EntryKind(enum.Enum):
     DRM = "drm"
 
 
-@dataclass(frozen=True)
-class MemoryEntry:
+class MemoryEntry(NamedTuple):
     """One stored frame: mask, cached box, quality score, prototype."""
 
     frame_idx: int
@@ -75,8 +79,7 @@ class MemoryEntry:
     @classmethod
     def from_proposal(cls, frame_idx: int, p: Proposal, kind: EntryKind,
                       fg_prototype: Prototype | None = None) -> "MemoryEntry":
-        return cls(frame_idx=frame_idx, mask=p.mask, s_mask=p.s_mask, kind=kind,
-                   bbox=p.bbox, fg_prototype=fg_prototype)
+        return cls(frame_idx, p.mask, p.s_mask, kind, p.bbox, fg_prototype)
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ class MemoryBank:
                 f"{self.ram[-1].frame_idx}"
             )
         if entry.kind is not EntryKind.RAM:
-            entry = replace(entry, kind=EntryKind.RAM)
+            entry = entry._replace(kind=EntryKind.RAM)
         self.ram.append(entry)
         if len(self.ram) > self.k_ram:
             del self.ram[0]
@@ -207,7 +210,7 @@ class MemoryBank:
             if cur.frame_idx <= prev.frame_idx:
                 raise ValueError("RAM entries must be strictly increasing in frame")
         self.ram = [
-            e if e.kind is EntryKind.RAM else replace(e, kind=EntryKind.RAM)
+            e if e.kind is EntryKind.RAM else e._replace(kind=EntryKind.RAM)
             for e in entries
         ]
         self.last_ram_frame = entries[-1].frame_idx if entries else NEVER

@@ -1,7 +1,7 @@
 """Multi-hypothesis memory pathways with cumulative log-score pruning.
 
 A pathway is one hypothesis about which proposal was the target at every
-frame so far: it owns a full memory bank, the trajectory of (frame,
+frame so far: it owns a full memory bank, the history of (frame,
 proposal) choices that produced it, and a cumulative score
 
     S[t] = S[t-1] + log(s_mask + epsilon)
@@ -13,6 +13,14 @@ broken by (parent index ascending, proposal index ascending), which keeps
 pruning fully deterministic; the beam stays sorted in exactly that order,
 so the best pathway is always element 0.
 
+A pathway's history is a :class:`Choice` node: its latest (frame,
+proposal) choice and a link to the node of the choice before it, so a
+survivor adds one node per frame and survivors of one parent share its
+nodes. A node links nodes, never pathways, so a branch that no survivor
+extends frees its bank and its own nodes as soon as the beam that held it
+is dropped. :attr:`Pathway.trajectory` rebuilds the full choice tuple by
+walking the links.
+
 Banks are copied on branching; entries are immutable so the copies share
 them structurally. Survivors advance their own fresh copy by the quality-
 and-presence admission gate (:func:`trackmem.policies.sam2long_admit`)
@@ -20,34 +28,58 @@ and keep its decision, so a pathway's bank never changes once pruning
 returns it, and a caller may hold on to its RAM list. Beam collapse
 (every survivor sharing one parent) is allowed; no re-seeding or
 deduplication happens.
+
+:class:`Pathway` and :class:`PathwayCandidate` are immutable NamedTuples,
+built by position: several are made per frame.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .membank import EntryKind, MemoryBank, MemoryEntry
 from .observation import FrameObservation
 from .policies import PolicyConfig, RamPolicyDecision, sam2long_admit
 
-__all__ = ["Pathway", "PathwayCandidate", "pathway_init", "pathway_expand", "pathway_prune"]
+__all__ = ["Choice", "Pathway", "PathwayCandidate", "pathway_init", "pathway_expand",
+           "pathway_prune"]
 
 
-@dataclass(frozen=True)
-class Pathway:
-    """One hypothesis branch: bank, cumulative score, choice history, and the
-    admission decision on its latest choice (None for the root)."""
+class Choice:
+    """One history node: the proposal chosen at a frame, and the node before it
+    (None at the first choice)."""
+
+    __slots__ = ("frame_idx", "proposal_index", "parent", "__weakref__")
+
+    def __init__(self, frame_idx: int, proposal_index: int, parent: Choice | None):
+        self.frame_idx = frame_idx
+        self.proposal_index = proposal_index
+        self.parent = parent
+
+
+class Pathway(NamedTuple):
+    """One hypothesis branch: bank, cumulative score, latest choice (None for
+    the root), and the admission decision on that choice (None for the root)."""
 
     bank: MemoryBank
     score: float
-    trajectory: tuple[tuple[int, int], ...]
+    history: Choice | None
     parent_id: int
     decision: RamPolicyDecision | None = None
 
+    @property
+    def trajectory(self) -> tuple[tuple[int, int], ...]:
+        """Every (frame, proposal) choice of the pathway, oldest first."""
+        choices = []
+        node = self.history
+        while node is not None:
+            choices.append((node.frame_idx, node.proposal_index))
+            node = node.parent
+        return tuple(reversed(choices))
 
-@dataclass(frozen=True)
-class PathwayCandidate:
+
+class PathwayCandidate(NamedTuple):
     """A scored (parent, proposal) branch prior to pruning."""
 
     parent_id: int
@@ -57,7 +89,7 @@ class PathwayCandidate:
 
 def pathway_init(bank: MemoryBank) -> list[Pathway]:
     """A beam of one root pathway holding the freshly initialized bank."""
-    return [Pathway(bank=bank, score=0.0, trajectory=(), parent_id=0)]
+    return [Pathway(bank, 0.0, None, 0)]
 
 
 def pathway_expand(beam: list[Pathway], obs: FrameObservation,
@@ -65,12 +97,9 @@ def pathway_expand(beam: list[Pathway], obs: FrameObservation,
     """Branch every pathway into the frame's proposals and score them."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be strictly positive")
-    candidates = []
-    for parent_id, pathway in enumerate(beam):
-        for k, proposal in enumerate(obs.proposals):
-            score = pathway.score + math.log(proposal.s_mask + epsilon)
-            candidates.append(PathwayCandidate(parent_id, k, score))
-    return candidates
+    gains = [math.log(proposal.s_mask + epsilon) for proposal in obs.proposals]
+    return [PathwayCandidate(parent_id, k, pathway.score + gain)
+            for parent_id, pathway in enumerate(beam) for k, gain in enumerate(gains)]
 
 
 def pathway_prune(
@@ -89,19 +118,15 @@ def pathway_prune(
     if not candidates:
         raise ValueError("cannot prune an empty candidate list")
     ranked = sorted(candidates, key=lambda c: (-c.score, c.parent_id, c.proposal_index))
+    frame_idx = obs.frame_idx
     survivors = []
-    for cand in ranked[: cfg.beam_width]:
-        parent = beam[cand.parent_id]
-        chosen = obs.proposals[cand.proposal_index]
+    for parent_id, k, score in ranked[: cfg.beam_width]:
+        parent = beam[parent_id]
+        chosen = obs.proposals[k]
         bank = parent.bank.copy()
         decision = sam2long_admit(obs, chosen, cfg)
         if decision.admit:
-            bank.insert_ram(MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM))
-        survivors.append(Pathway(
-            bank=bank,
-            score=cand.score,
-            trajectory=parent.trajectory + ((obs.frame_idx, cand.proposal_index),),
-            parent_id=cand.parent_id,
-            decision=decision,
-        ))
+            bank.insert_ram(MemoryEntry.from_proposal(frame_idx, chosen, EntryKind.RAM))
+        survivors.append(Pathway(bank, score, Choice(frame_idx, k, parent.history),
+                                 parent_id, decision))
     return survivors

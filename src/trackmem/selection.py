@@ -19,7 +19,8 @@ after the DRM gate, so a frame's own RAM copy can never shift the RAM-area
 median used by its DRM gate. A present target is offered once to the
 session bank's DRM gates, whose area gate reads the bank's own RAM; the
 FIFO baseline has no DRM. Every step returns an audited
-:class:`FrameResult`; a replayed (config, observation) pair reproduces the
+:class:`FrameResult`, an immutable NamedTuple built by position (one per
+frame per policy); a replayed (config, observation) pair reproduces the
 result sequence byte-for-byte in serialized form.
 
 Frame 0 is the prompt: the initialization mask is the output, lands in
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .geometry import BBox, BitMask
 from .membank import DrmConfig, EntryKind, MemoryBank, MemoryEntry
@@ -101,8 +102,7 @@ class TrackerConfig:
                 "the prototype-calibrated policy needs k_ram >= 2 for its anchors")
 
 
-@dataclass(frozen=True)
-class FrameResult:
+class FrameResult(NamedTuple):
     """Audited outcome of one step: output, presence, scores, decisions."""
 
     frame_idx: int
@@ -322,7 +322,7 @@ class Sam2LongPolicy(Policy):
         self.pathways = pathway_prune(self.pathways, candidates, obs, cfg)
         best = self.pathways[0]
         self.bank.replace_ram(best.bank.ram)
-        chosen = obs.proposals[best.trajectory[-1][1]]
+        chosen = obs.proposals[best.history.proposal_index]
         return chosen, not (obs.o <= 0.0 and chosen.mask.is_empty)
 
     def admit(self, obs, chosen, present) -> RamPolicyDecision:
@@ -347,7 +347,7 @@ class SamitePolicy(Policy):
 
     def prompt(self, obs: FrameObservation) -> None:
         init = self.bank.init
-        self.first = replace(init, kind=EntryKind.RAM, fg_prototype=_prototype(obs, init.mask))
+        self.first = init._replace(kind=EntryKind.RAM, fg_prototype=_prototype(obs, init.mask))
         # (entry, prototype index, cos(P, P_first)) of each stored frame
         self.pool: list[tuple[MemoryEntry, int, float]] = []
         self.interned: dict[tuple, tuple[int, Prototype, float]] = {}
@@ -374,32 +374,37 @@ class SamitePolicy(Policy):
 
     def admit(self, obs, chosen, present) -> RamPolicyDecision:
         cfg = self.cfg.policy_cfg
+        pool = self.pool
         item = self._interned(obs, chosen.mask) if present else None
         if item is not None:
             index, proto, cos_first = item
-            entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM,
-                                              fg_prototype=proto)
-            self.pool.append((entry, index, cos_first))
+            entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM, proto)
+            pool.append((entry, index, cos_first))
             decision = RamPolicyDecision.admitted()
         else:
             decision = _ABSENT
-        # entries older than the sliding window can never be selected again
+        # the pool is chronological: entries older than the sliding window, which
+        # can never be selected again, are all at its front
         horizon = obs.frame_idx - cfg.window_m
-        self.pool = [item for item in self.pool if item[0].frame_idx >= horizon]
-        prev, prev_index, _ = self.pool[-1] if self.pool else (None, None, None)
-        window = [(e, index, cos_first) for e, index, cos_first in self.pool
-                  if e is not prev and e.frame_idx > horizon]
+        while pool and pool[0][0].frame_idx < horizon:
+            del pool[0]
+        prev, prev_index, _ = pool[-1] if pool else (None, None, None)
+        # the window: every pool entry but prev that is newer than the horizon;
+        # unscored: its prototypes not yet scored against prev's, once each
         scores = self.scores
+        window, unscored = [], {}
+        for e, index, cos_first in pool[:-1]:
+            if e.frame_idx > horizon:
+                key = (index, prev_index)
+                window.append((e, key))
+                if key not in scores:
+                    unscored[key] = (e.frame_idx, e.fg_prototype, cos_first)
         if window:
-            unscored = {index: (e.frame_idx, e.fg_prototype, cos_first)
-                        for e, index, cos_first in window if (index, prev_index) not in scores}
             scored = samite_calibrate(list(unscored.values()), prev.fg_prototype, cfg.alpha)
-            for index, (_, score) in zip(unscored, scored):
-                scores[index, prev_index] = score
+            for key, (_, score) in zip(unscored, scored):
+                scores[key] = score
         self.bank.replace_ram(samite_select_ram(
-            [(e, scores[index, prev_index]) for e, index, _ in window],
-            self.cfg.k_ram, self.first, prev,
-        ))
+            [(e, scores[key]) for e, key in window], self.cfg.k_ram, self.first, prev))
         return decision
 
 
@@ -483,20 +488,15 @@ class TrackerSession:
         if obs.frame_idx == 0:
             policy.prompt(obs)
             init = self.bank.init
-            return FrameResult(
-                frame_idx=0, chosen=Proposal(init.mask, 1.0, 1.0, init.bbox),
-                present=True, decision=RamPolicyDecision.admitted(), drm_admitted=False,
-            )
+            return FrameResult(0, Proposal(init.mask, 1.0, 1.0, init.bbox), True,
+                               RamPolicyDecision.admitted(), False)
 
         chosen, present = policy.select(obs)
         drm_admitted = policy.uses_drm and present and self.bank.consider_drm(
             obs, chosen, self.cfg.drm_cfg)
         decision = policy.admit(obs, chosen, present)
-        return FrameResult(
-            frame_idx=obs.frame_idx, chosen=chosen if present else None, present=present,
-            decision=decision, drm_admitted=drm_admitted,
-            s_kf=policy.s_kf, s_conf=policy.s_conf, used_fine=policy.used_fine,
-        )
+        return FrameResult(obs.frame_idx, chosen if present else None, present, decision,
+                           drm_admitted, policy.s_kf, policy.s_conf, policy.used_fine)
 
     def run(self, observations) -> list[FrameResult]:
         """Step through a whole observation sequence."""

@@ -14,22 +14,38 @@ The rest are the library's own earlier, slower forms, kept so that a
 rewrite can be held to the same bits: the RLE text encoder that groups
 runs by row, the motion filter with its full measurement-matrix
 products, the prototype calibration that recomputes both anchor cosines
-for every window frame, and the per-frame scoring loop (one ``box_iou``
+for every window frame, the per-frame scoring loop (one ``box_iou``
 and one scalar ``np.hypot`` per frame) that whole-sequence array scoring
-must match.
+must match, the prototype-calibrated admission that rebuilds its pool,
+window and unscored set every frame (:class:`RebuildingSamite`), and the
+beam that takes one log per (pathway, proposal) pair and copies every
+survivor's whole trajectory (:func:`pathway_expand_per_pair`,
+:func:`pathway_prune_copying`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from trackmem import simulator
 from trackmem.geometry import BBox, BitMask
+from trackmem.membank import EntryKind, MemoryBank, MemoryEntry
 from trackmem.metrics import NORM_PRECISION_THRESHOLDS, SUCCESS_THRESHOLDS, EvalOutcome, vot_qar
 from trackmem.observation import FeatureGrid, FrameObservation, Proposal
 from trackmem.oracles import dense_mask_iou
+from trackmem.pathways import PathwayCandidate
+from trackmem.policies import (
+    PolicyConfig,
+    RamPolicyDecision,
+    sam2long_admit,
+    samite_calibrate,
+    samite_select_ram,
+)
+from trackmem.selection import _ABSENT, SamitePolicy
 
 
 def _pixel_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,3 +348,96 @@ def per_frame_evaluate(
         success_auc=s, precision_at_20=p20, norm_precision_auc=np_auc,
         ao=ao, sr50=sr50, sr75=sr75, q=q, acc=acc, rob=rob,
     )
+
+
+class RebuildingSamite(SamitePolicy):
+    """The prototype-calibrated RAM rule with its pool, window and unscored
+    set rebuilt as new lists and a dict on every frame."""
+
+    def admit(self, obs, chosen, present) -> RamPolicyDecision:
+        cfg = self.cfg.policy_cfg
+        item = self._interned(obs, chosen.mask) if present else None
+        if item is not None:
+            index, proto, cos_first = item
+            entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM,
+                                              fg_prototype=proto)
+            self.pool.append((entry, index, cos_first))
+            decision = RamPolicyDecision.admitted()
+        else:
+            decision = _ABSENT
+        # entries older than the sliding window can never be selected again
+        horizon = obs.frame_idx - cfg.window_m
+        self.pool = [item for item in self.pool if item[0].frame_idx >= horizon]
+        prev, prev_index, _ = self.pool[-1] if self.pool else (None, None, None)
+        window = [(e, index, cos_first) for e, index, cos_first in self.pool
+                  if e is not prev and e.frame_idx > horizon]
+        scores = self.scores
+        if window:
+            unscored = {index: (e.frame_idx, e.fg_prototype, cos_first)
+                        for e, index, cos_first in window if (index, prev_index) not in scores}
+            scored = samite_calibrate(list(unscored.values()), prev.fg_prototype, cfg.alpha)
+            for index, (_, score) in zip(unscored, scored):
+                scores[index, prev_index] = score
+        self.bank.replace_ram(samite_select_ram(
+            [(e, scores[index, prev_index]) for e, index, _ in window],
+            self.cfg.k_ram, self.first, prev,
+        ))
+        return decision
+
+
+@dataclass(frozen=True)
+class CopiedPathway:
+    """A pathway that holds its whole trajectory, copied from its parent's on
+    every frame."""
+
+    bank: MemoryBank
+    score: float
+    trajectory: tuple[tuple[int, int], ...]
+    parent_id: int
+    decision: RamPolicyDecision | None = None
+
+
+def copying_pathway_init(bank: MemoryBank) -> list[CopiedPathway]:
+    return [CopiedPathway(bank=bank, score=0.0, trajectory=(), parent_id=0)]
+
+
+def pathway_expand_per_pair(beam: list[CopiedPathway], obs: FrameObservation,
+                            epsilon: float) -> list[PathwayCandidate]:
+    """Branch every pathway into the frame's proposals, one log per pair."""
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be strictly positive")
+    candidates = []
+    for parent_id, pathway in enumerate(beam):
+        for k, proposal in enumerate(obs.proposals):
+            score = pathway.score + math.log(proposal.s_mask + epsilon)
+            candidates.append(PathwayCandidate(parent_id, k, score))
+    return candidates
+
+
+def pathway_prune_copying(
+    beam: list[CopiedPathway],
+    candidates: list[PathwayCandidate],
+    obs: FrameObservation,
+    cfg: PolicyConfig,
+) -> list[CopiedPathway]:
+    """Keep the top-``cfg.beam_width`` candidates, each with a copy of its
+    parent's trajectory plus this frame's choice."""
+    if not candidates:
+        raise ValueError("cannot prune an empty candidate list")
+    ranked = sorted(candidates, key=lambda c: (-c.score, c.parent_id, c.proposal_index))
+    survivors = []
+    for cand in ranked[: cfg.beam_width]:
+        parent = beam[cand.parent_id]
+        chosen = obs.proposals[cand.proposal_index]
+        bank = parent.bank.copy()
+        decision = sam2long_admit(obs, chosen, cfg)
+        if decision.admit:
+            bank.insert_ram(MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM))
+        survivors.append(CopiedPathway(
+            bank=bank,
+            score=cand.score,
+            trajectory=parent.trajectory + ((obs.frame_idx, cand.proposal_index),),
+            parent_id=cand.parent_id,
+            decision=decision,
+        ))
+    return survivors

@@ -32,6 +32,22 @@ def entry(frame: int, mask=None, s_mask=0.9) -> MemoryEntry:
 # --- construction ------------------------------------------------------------
 
 
+def test_memory_entry_is_an_immutable_record():
+    assert MemoryEntry._fields == ("frame_idx", "mask", "s_mask", "kind", "bbox",
+                                   "fg_prototype")
+    assert MemoryEntry._field_defaults == {"bbox": None, "fg_prototype": None}
+    p = prop(rect_mask(32, 32, 4, 4, 5, 5), 0.75)
+    e = MemoryEntry.from_proposal(5, p, EntryKind.DRM)
+    assert e == MemoryEntry(frame_idx=5, mask=p.mask, s_mask=0.75, kind=EntryKind.DRM,
+                            bbox=p.bbox)
+    for name in MemoryEntry._fields:
+        with pytest.raises(AttributeError):
+            setattr(e, name, None)
+    ram = e._replace(kind=EntryKind.RAM)
+    assert e.kind is EntryKind.DRM and ram.kind is EntryKind.RAM
+    assert ram[:3] == e[:3] and ram[4:] == e[4:]
+
+
 def test_new_bank_holds_only_init():
     bank = MemoryBank.new(INIT, 6, 3)
     assert len(bank.ram) == 0 and len(bank.drm) == 0

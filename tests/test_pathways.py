@@ -1,15 +1,26 @@
+import gc
 import itertools
 import math
+import weakref
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackmem.membank import MemoryBank
 from trackmem.oracles import exhaustive_best_trajectory
-from trackmem.pathways import pathway_expand, pathway_init, pathway_prune
+from trackmem.pathways import (
+    Pathway,
+    PathwayCandidate,
+    pathway_expand,
+    pathway_init,
+    pathway_prune,
+)
 from trackmem.policies import PolicyConfig
 
 from conftest import obs, prop, rect_mask
+from reference import copying_pathway_init, pathway_expand_per_pair, pathway_prune_copying
 
 INIT = rect_mask(16, 16, 2, 2, 5, 5)
 MASKS = [rect_mask(16, 16, 1, 1, 4, 4),
@@ -194,3 +205,79 @@ def test_pruning_is_deterministic(rng):
     a = run_beam(rows, cap=2)
     b = run_beam(rows, cap=2)
     assert [(p.score, p.trajectory) for p in a] == [(p.score, p.trajectory) for p in b]
+
+
+# --- records and history links -------------------------------------------------------------
+
+
+def test_pathway_records_are_immutable_named_tuples():
+    assert PathwayCandidate._fields == ("parent_id", "proposal_index", "score")
+    assert PathwayCandidate._field_defaults == {}
+    assert Pathway._fields == ("bank", "score", "history", "parent_id", "decision")
+    assert Pathway._field_defaults == {"decision": None}
+    beam = run_beam([[0.9, 0.5, 0.2]], cap=2)
+    cand = pathway_expand(beam, score_obs(2, (0.5, 0.5, 0.5)), CFG.epsilon)[0]
+    assert cand == PathwayCandidate(parent_id=0, proposal_index=0, score=cand.score)
+    for record in (cand, beam[0]):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_survivors_link_their_parents_history():
+    cfg = replace(CFG, beam_width=2)
+    beam = run_beam([[0.9, 0.8, 0.1]], cap=2)
+    o = score_obs(2, (0.9, 0.85, 0.01))
+    survivors = pathway_prune(beam, pathway_expand(beam, o, cfg.epsilon), o, cfg)
+    for p in survivors:
+        assert p.history.parent is beam[p.parent_id].history
+        assert p.trajectory == beam[p.parent_id].trajectory + ((2, p.history.proposal_index),)
+
+
+def test_pruned_branch_is_freed_without_the_cycle_collector():
+    cfg = replace(CFG, beam_width=2)
+    gc.collect()
+    gc.disable()
+    try:
+        beam = run_beam([[0.9, 0.8, 0.1]], cap=2)
+        dead = beam[1]
+        history, bank = weakref.ref(dead.history), weakref.ref(dead.bank)
+        del dead
+        # both survivors of frame 2 extend pathway 0
+        o = score_obs(2, (0.9, 0.85, 0.01))
+        beam = pathway_prune(beam, pathway_expand(beam, o, cfg.epsilon), o, cfg)
+        assert [p.parent_id for p in beam] == [0, 0]
+        assert history() is None
+        assert bank() is None
+    finally:
+        gc.enable()
+
+
+s_masks = st.one_of(st.sampled_from([0.0, 0.1, 0.4, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(s_masks, s_masks, s_masks, st.sampled_from([1.0, 0.5, 0.0, -1.0])),
+                     min_size=1, max_size=12),
+       width=st.integers(1, 4), k_ram=st.integers(1, 4),
+       tau_iou=st.sampled_from([0.0, 0.45, 0.85]))
+def test_beam_matches_the_copying_reference(rows, width, k_ram, tau_iou):
+    cfg = PolicyConfig(epsilon=1e-6, beam_width=width, tau_iou=tau_iou)
+    beam = pathway_init(MemoryBank.new(INIT, k_ram, 0))
+    reference = copying_pathway_init(MemoryBank.new(INIT, k_ram, 0))
+
+    def summary(p):
+        return (p.score, p.parent_id, p.trajectory, p.decision,
+                [e.frame_idx for e in p.bank.ram], p.bank.last_ram_frame)
+
+    returned = []
+    for t, (*s, o) in enumerate(rows, start=1):
+        ob = score_obs(t, s, o)
+        beam = pathway_prune(beam, pathway_expand(beam, ob, cfg.epsilon), ob, cfg)
+        reference = pathway_prune_copying(
+            reference, pathway_expand_per_pair(reference, ob, cfg.epsilon), ob, cfg)
+        assert [summary(p) for p in beam] == [summary(p) for p in reference], t
+        returned += [(p, list(p.bank.ram), p.bank.last_ram_frame) for p in beam]
+    for p, ram, last_ram_frame in returned:
+        assert p.bank.ram == ram
+        assert p.bank.last_ram_frame == last_ram_frame

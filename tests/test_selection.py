@@ -42,6 +42,7 @@ from trackmem.simulator import MotionSpec, SceneConfig, gen_sequence
 
 from conftest import empty_mask, obs, rect_mask
 from reference import (
+    RebuildingSamite,
     matrix_kf_box,
     matrix_kf_predict,
     matrix_kf_update,
@@ -431,6 +432,44 @@ def test_samite_session_matches_recomputing_reference(
             break
 
 
+class RebuildingSamiteSession(TrackerSession):
+    """A samite session whose policy rebuilds its pool and window every frame."""
+
+    def __init__(self, cfg, init_mask):
+        super().__init__(cfg, init_mask)
+        self.policy = RebuildingSamite(self.bank, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    frames=st.integers(2, 60),
+    n_distractors=st.integers(0, 2),
+    absent=st.lists(st.tuples(st.integers(1, 59), st.integers(1, 25)), max_size=3),
+    window_m=st.integers(3, 20),
+    k_ram=st.integers(2, 8),
+    alpha=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+)
+def test_samite_trimmed_pool_matches_per_frame_rebuild(
+        seed, frames, n_distractors, absent, window_m, k_ram, alpha):
+    record = gen_sequence(SceneConfig(
+        seed=seed, frames=frames, grid=(48, 40),
+        target_motion=MotionSpec(size=(12.0, 10.0)), n_distractors=n_distractors,
+        distractor_similarity=0.9, proto_dim=3))
+    observations = record.observations
+    for start, length in absent:  # target absent: o <= 0 and every mask empty
+        observations = lose_target(observations, start, start + length)
+    cfg = config(PolicyKind.SAMITE_DRM, k_ram=k_ram,
+                 policy_cfg=PolicyConfig(alpha=alpha, beta=0.0, window_m=window_m))
+    session = TrackerSession(cfg, record.init_mask)
+    reference = RebuildingSamiteSession(cfg, record.init_mask)
+    for o in observations:
+        got, want = session.step(o), reference.step(o)
+        assert got.decision == want.decision, o.frame_idx
+        assert ([e.frame_idx for e in session.bank.ram]
+                == [e.frame_idx for e in reference.bank.ram]), o.frame_idx
+
+
 def test_sam2long_session_composes_shared_drm_with_best_ram():
     record = scene_record(seed=312)
     cfg = config(PolicyKind.SAM2LONG_DRM, k_drm=2)
@@ -633,3 +672,28 @@ def test_frame_result_line_is_stable():
     line = frame_result_to_line(res)
     assert '"frame":3' in line and '"s_kf":0.25' in line
     assert frame_result_to_line(res) == line
+
+
+def test_frame_result_is_an_immutable_record_with_the_golden_line():
+    assert FrameResult._fields == ("frame_idx", "chosen", "present", "decision",
+                                   "drm_admitted", "s_kf", "s_conf", "used_fine")
+    assert FrameResult._field_defaults == {"s_kf": None, "s_conf": None, "used_fine": False}
+    chosen = Proposal.from_mask(MASKS[0], 0.5, 1.0)
+    res = FrameResult(3, chosen, True, RamPolicyDecision.admitted(), False, 0.25)
+    assert res == FrameResult(frame_idx=3, chosen=chosen, present=True,
+                              decision=RamPolicyDecision.admitted(), drm_admitted=False,
+                              s_kf=0.25)
+    for name in FrameResult._fields:
+        with pytest.raises(AttributeError):
+            setattr(res, name, None)
+    assert frame_result_to_line(res) == (
+        '{"frame":3,"present":true,"bbox":[2.0,2.0,6.0,6.0],'
+        '"mask_sha1":"d8f2a667d29d157ed224a490ea313da70adaa45e","s_mask":0.5,"s_obj":1.0,'
+        '"s_kf":0.25,"s_conf":null,"used_fine":false,"admit":true,"reason":"admitted",'
+        '"drm":false}')
+    absent = FrameResult(7, None, False, RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT),
+                         False, None, 0.125, True)
+    assert frame_result_to_line(absent) == (
+        '{"frame":7,"present":false,"bbox":null,"mask_sha1":null,"s_mask":null,"s_obj":null,'
+        '"s_kf":null,"s_conf":0.125,"used_fine":true,"admit":false,"reason":"target_absent",'
+        '"drm":false}')
