@@ -26,6 +26,6 @@ print("tightest box:", mask_to_bbox(mask))
 # Round-trip through the fixture text format is exact.
 assert BitMask.from_text(mask.to_text()) == mask
 
-# Mask IoU works directly on the runs; the dense path exists for oracles.
+# Mask IoU works directly on the runs and never builds a dense array.
 shifted = BitMask.from_dense(np.roll(dense, 1, axis=1))
 print("IoU with a 1px-shifted copy:", round(mask_iou(mask, shifted), 4))

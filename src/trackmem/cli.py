@@ -1,4 +1,4 @@
-"""Command-line interface: ``trackmem run|oracle|compare``."""
+"""Command-line interface: ``trackmem run|compare``."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import argparse
 import sys
 
 from .harness import cmd_compare, cmd_run
-from .oracles import cmd_oracle
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,9 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1,
                      help="worker processes, at most one per scene (default 1)")
 
-    oracle = sub.add_parser("oracle", help="materialize oracle fixtures and baselines")
-    oracle.add_argument("--out", required=True, help="output directory")
-
     compare = sub.add_parser("compare", help="diff two metrics CSV files")
     compare.add_argument("baseline")
     compare.add_argument("new")
@@ -42,8 +38,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         return cmd_run(args.config, args.out, policy_filter=args.policy,
                        sets=args.sets, workers=args.workers)
-    if args.command == "oracle":
-        return cmd_oracle(args.out)
     if args.command == "compare":
         return cmd_compare(args.baseline, args.new, tol=args.tol)
     raise AssertionError(f"unhandled command {args.command}")

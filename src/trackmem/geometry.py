@@ -6,8 +6,8 @@ module. Boxes are real-valued with a top-left (x, y, w, h) convention and
 their IoU is computed analytically: one pair at a time by ``box_iou``
 (the per-proposal gates) or a whole sequence's row pairs at once by
 ``box_ious`` (evaluation), with the same bits either way. Masks are
-stored as row-major RLE so memory entries stay small, with dense-array
-conversion kept around for test oracles.
+stored as row-major RLE so memory entries stay small; the dense-array
+conversion serves the benchmark's instrumentation, the demos and the tests.
 
 A mask's area and its column bounds are taken once, at construction, in
 the same pass that validates its runs, so neither its area nor its box
@@ -178,7 +178,7 @@ class BitMask:
         """Foreground pixel count."""
         return self._area
 
-    # --- dense conversion (rendering + test oracles) ---
+    # --- dense conversion (benchmark instrumentation, demos and tests) ---
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMask":

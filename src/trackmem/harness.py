@@ -107,14 +107,14 @@ class ConfigError(ValueError):
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        loaded = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
+        raise ConfigError(f"{path}: cannot load config: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object, "
                           f"got {type(loaded).__name__}")
@@ -182,7 +182,7 @@ def _checked(cfg: dict, origin: str) -> dict:
 
 
 def apply_overrides(cfg: dict, sets: list[str]) -> dict:
-    """Apply dotted-path ``key=value`` assignments; values parse as JSON."""
+    """Apply dotted-path ``key=value`` assignments; values parse as JSON, else stay text."""
     out = json.loads(json.dumps(cfg))  # deep copy
     for item in sets:
         key, sep, raw = item.partition("=")
@@ -190,7 +190,7 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON, too many digits, too deep
             value = raw
         node = out
         parts = key.split(".")
@@ -416,13 +416,19 @@ def cmd_run(config_path, out_dir, policy_filter: list[str] | None = None,
 def _read_metrics_csv(path) -> dict[tuple[str, ...], list[float]]:
     """Parse a metrics CSV into ``{(suite, family, seed, policy): cells}``.
 
-    Raises ValueError naming the file for a bad or missing header, and the
-    file, line and row (and the column for a cell that is not a number) of
-    the first malformed row or of the first row whose key an earlier row
-    already holds.
+    Raises ValueError naming the file for a bad or missing header, the file
+    and line of the first byte that is not UTF-8 or line the csv module
+    rejects, and the file, line and row (and the column for a cell that is
+    not a number) of the first malformed row or of the first row whose key
+    an earlier row already holds.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    data = Path(path).read_bytes()
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
+    try:
         if next(reader, None) != CSV_HEADER:
             raise ValueError(f"{path}: schema mismatch (bad or missing header)")
         rows = {}
@@ -442,6 +448,8 @@ def _read_metrics_csv(path) -> dict[tuple[str, ...], list[float]]:
                 except ValueError:
                     raise ValueError(f"{where} column {col}: not a number: {cell!r}") from None
             rows[key] = cells
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
 
 

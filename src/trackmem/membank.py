@@ -238,13 +238,3 @@ class MemoryBank:
     def compose(self) -> list[MemoryEntry]:
         """Conditioning set in fixed order: init, DRM, then RAM."""
         return [self.init, *self.drm, *self.ram]
-
-    def snapshot(self) -> str:
-        """One-line structured-text snapshot for golden-trace tests.
-
-        Lists every composed entry as ``kind:frame:s_mask`` in compose
-        order, so regression diffs show which frames were held and why.
-        """
-        return ";".join(
-            f"{e.kind.value}:{e.frame_idx}:{e.s_mask!r}" for e in self.compose()
-        )

@@ -753,10 +753,11 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
     """Read back what :func:`write_record` wrote.
 
     Raises ValueError naming the file and line of the first bad line. In
-    the observations that is a frame that does not parse or is malformed
-    (a field missing or of the wrong type, named by its key; mismatched
-    mask sizes, non-finite scores), or frame numbers that do not run 0,
-    1, 2, ... in order. In the GT sidecar it is a line that is not JSON, a
+    either file that is a line that is not UTF-8. In the observations it
+    is also a frame that does not parse or is malformed (a field missing
+    or of the wrong type, named by its key; mismatched mask sizes,
+    non-finite scores), or frame numbers that do not run 0, 1, 2, ... in
+    order. In the GT sidecar it is a line that is not JSON, a
     header whose config does not load, a frame line missing ``frame``,
     ``visible`` or ``box``, a box that is not four finite numbers of
     positive width and height, a ``visible`` that is not true exactly when
@@ -767,12 +768,12 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
     frame counts differ (the error names both files).
     """
     observations = []
-    with open(obs_path, "r", encoding="utf-8") as fh:
+    with open(obs_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 obs = observation_from_line(line)
                 if obs.frame_idx != len(observations):
                     raise ValueError(f"frame {obs.frame_idx} out of order, "
@@ -784,12 +785,12 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
     gt_visible: list[bool] = []
     init_mask = None
     config = None
-    with open(gt_path, "r", encoding="utf-8") as fh:
+    with open(gt_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line and lineno > 1:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line and lineno > 1:
+                    continue
                 d = json.loads(line)
                 if lineno == 1:
                     config = config_from_dict(d["config"])

@@ -1,4 +1,4 @@
-"""Brute-force oracles for the tests, and ``trackmem oracle``, which writes them out.
+"""Brute-force oracles for the tests, and :func:`materialize`, which wrote them out.
 
 Everything in here deliberately avoids the library's own code paths:
 box IoU comes from rasterized pixel counting, mask IoU from dense
@@ -8,11 +8,12 @@ enumeration, and the selection rules from plain argmax loops. When a
 test disagrees with one of these, the library is wrong, not the oracle;
 oracle outputs are never regenerated to match the code under test.
 
-:func:`cmd_oracle` materializes the brute-force expected values
-(rasterized IoU, dense filter recursions, exhaustive pathway
-enumerations, full-sort top-k, selection replays), the golden sequence
-fixtures, and the locked distractor-family baseline under
-``tests/fixtures``; the test suite consumes those files.
+:func:`materialize` writes the brute-force expected values (rasterized
+IoU, dense filter recursions, exhaustive pathway enumerations, full-sort
+top-k, selection replays), the golden sequence fixtures, and the locked
+distractor-family baseline: the files of ``tests/fixtures``. Those were
+written once and are committed; the tests only check that this function
+still reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -24,21 +25,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import to_json
-from .geometry import BitMask
-from .harness import (
+from trackmem.checks import to_json
+from trackmem.geometry import BitMask
+from trackmem.harness import (
     ALL_POLICY_NAMES,
-    ConfigError,
-    _atomic_write,
-    _check_out_dir,
     config_digest,
     default_config,
     run_scene,
     tracker_config_from,
 )
-from .motion import MotionConfig
-from .selection import frame_result_to_line
-from .simulator import (
+from trackmem.motion import MotionConfig
+from trackmem.selection import frame_result_to_line
+from trackmem.simulator import (
     MotionSpec,
     SceneConfig,
     config_to_dict,
@@ -46,17 +44,6 @@ from .simulator import (
     suite_standard,
     write_record,
 )
-
-__all__ = [
-    "dense_box_iou",
-    "dense_mask_iou",
-    "DenseKalmanOracle",
-    "exhaustive_best_trajectory",
-    "topk_window_oracle",
-    "samurai_choice_oracle",
-    "him_choice_oracle",
-    "cmd_oracle",
-]
 
 
 def dense_box_iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
@@ -337,19 +324,18 @@ def _capture_distractor_baseline(n_seeds: int = 20) -> dict:
             "mean_ao": mean_ao, "per_seed": per_seed}
 
 
-def cmd_oracle(out_dir) -> int:
-    """Materialize oracle expectations, fixtures, and locked baselines."""
+def materialize(out_dir) -> None:
+    """Write the oracle expectations, golden fixtures and locked baseline under ``out_dir``."""
     out = Path(out_dir)
-    try:
-        _check_out_dir(out)
-    except ConfigError as exc:
-        print(f"error: {exc}")
-        return 2
     rng = np.random.Generator(np.random.Philox(key=20240601))
 
+    def write(rel: str, text: str) -> None:
+        path = out / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
     def dump(rel: str, payload: dict) -> None:
-        _atomic_write(out / rel, json.dumps(payload, sort_keys=True,
-                                            separators=(",", ":")) + "\n")
+        write(rel, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
     dump("oracle/geometry.json", _oracle_geometry(rng))
     dump("oracle/kalman.json", _oracle_kalman(rng))
@@ -366,12 +352,10 @@ def cmd_oracle(out_dir) -> int:
     # golden trace: the motion-gated tracker on the occlusion fixture
     record = gen_sequence(FIXTURE_SCENES[0])
     _, _, results = run_scene(record, tracker_config_from(default_config(), "samurai_drm"))
-    _atomic_write(out / "golden" / "trace_samurai_drm.jsonl",
-                  "".join(frame_result_to_line(r) + "\n" for r in results))
+    write("golden/trace_samurai_drm.jsonl",
+          "".join(frame_result_to_line(r) + "\n" for r in results))
 
     suite_digest = config_digest([config_to_dict(s) for s in suite_standard()])
-    _atomic_write(out / "golden" / "suite_digest.txt", suite_digest + "\n")
+    write("golden/suite_digest.txt", suite_digest + "\n")
 
     dump("baselines/distractor_ao.json", _capture_distractor_baseline())
-    print(f"oracle outputs written: {out}")
-    return 0

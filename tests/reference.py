@@ -1,7 +1,7 @@
 """Test-only references that share the library's draws or arithmetic.
 
-Unlike the brute-force oracles of :mod:`trackmem.oracles`, which avoid
-the library's code paths, these hold the library to the same bits.
+Unlike the brute-force oracles of the sibling ``oracles`` module, which
+avoid the library's code paths, these hold the library to the same bits.
 
 :func:`dense_gen_sequence` is the simulator's per-frame loop with every
 mask a dense grid (:func:`dense_ellipse`, :func:`dense_rect`, each shape
@@ -36,7 +36,6 @@ from trackmem.geometry import BBox, BitMask
 from trackmem.membank import EntryKind, MemoryBank, MemoryEntry
 from trackmem.metrics import NORM_PRECISION_THRESHOLDS, SUCCESS_THRESHOLDS, EvalOutcome, vot_qar
 from trackmem.observation import FeatureGrid, FrameObservation, Proposal
-from trackmem.oracles import dense_mask_iou
 from trackmem.pathways import PathwayCandidate
 from trackmem.policies import (
     PolicyConfig,
@@ -46,6 +45,8 @@ from trackmem.policies import (
     samite_select_ram,
 )
 from trackmem.selection import _ABSENT, SamitePolicy
+
+from oracles import dense_mask_iou
 
 
 def _pixel_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,15 +26,6 @@ from trackmem.membank import EntryKind, MemoryBank, MemoryEntry
 from trackmem.metrics import evaluate
 from trackmem.motion import MotionConfig, kf_init, kf_predict, kf_update
 from trackmem.observation import FrameObservation, Proposal
-from trackmem.oracles import (
-    DenseKalmanOracle,
-    dense_box_iou,
-    dense_mask_iou,
-    exhaustive_best_trajectory,
-    him_choice_oracle,
-    samurai_choice_oracle,
-    topk_window_oracle,
-)
 from trackmem.pathways import pathway_expand, pathway_init, pathway_prune
 from trackmem.policies import PolicyConfig, samite_select_ram
 from trackmem.selection import (
@@ -47,6 +38,15 @@ from trackmem.selection import (
 from trackmem.simulator import gen_sequence, suite_standard
 
 from conftest import FIXTURES, obs, prop, rect_mask, rng_for
+from oracles import (
+    DenseKalmanOracle,
+    dense_box_iou,
+    dense_mask_iou,
+    exhaustive_best_trajectory,
+    him_choice_oracle,
+    samurai_choice_oracle,
+    topk_window_oracle,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 

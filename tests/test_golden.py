@@ -1,9 +1,9 @@
 """Regression tests against the committed golden fixtures.
 
-The fixtures under tests/fixtures were materialized once with
-``trackmem oracle`` and are committed; a mismatch here means the library
-changed behavior, and the fix is never to regenerate the fixtures to
-match.
+The fixtures under tests/fixtures were written once by
+``oracles.materialize`` and are committed; a mismatch here means the
+library changed behavior, and the fix is never to regenerate the
+fixtures to match.
 """
 
 import hashlib
@@ -17,7 +17,6 @@ from trackmem import harness
 from trackmem.harness import ALL_POLICY_NAMES, default_config, run_scene, tracker_config_from
 from trackmem.membank import EntryKind
 from trackmem.motion import MotionConfig, kf_init, kf_predict, kf_update
-from trackmem.oracles import FIXTURE_SCENES
 from trackmem.geometry import BBox, box_iou, mask_iou
 from trackmem.selection import frame_result_to_line
 from trackmem.simulator import (
@@ -29,6 +28,7 @@ from trackmem.simulator import (
 )
 
 from conftest import FIXTURES
+from oracles import FIXTURE_SCENES
 
 
 def load(rel: str):
@@ -103,7 +103,7 @@ def test_topk_oracle_file():
 def test_choice_oracle_file_pins_oracle_behavior():
     # the recorded decisions pin the reference implementations themselves;
     # library-vs-oracle equivalence runs at full scale in the acceptance suite
-    from trackmem.oracles import him_choice_oracle, samurai_choice_oracle
+    from oracles import him_choice_oracle, samurai_choice_oracle
 
     data = load("oracle/choices.json")
     for case in data["samurai"]:

@@ -20,11 +20,11 @@ from trackmem.harness import (
     tracker_config_from,
 )
 from trackmem.cli import main as cli_main
-from trackmem.oracles import cmd_oracle
 from trackmem.policies import PolicyConfig
 from trackmem.simulator import MotionSpec, SceneConfig, config_to_dict
 
 from conftest import FIXTURES
+from oracles import materialize
 
 TINY_SCENES = [
     config_to_dict(SceneConfig(
@@ -81,6 +81,38 @@ def test_load_config_rejects_bad_section(tmp_path):
     path.write_text('{"policy": {"alpha": 2.0}}')
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{\x00}\x00",
+    b'{"k_ram": 1' + b"0" * 5000 + b"}",
+    b"[" * 200_000,
+], ids=["utf16-bom", "5000-digit-integer", "200000-brackets"])
+def test_config_json_cannot_load_exits_2_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value).startswith(f"{path}: cannot load config: ")
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out.startswith(f"error: {path}: cannot load config: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("item, message", [
+    ("k_ram=1" + "0" * 5000, "command-line override: 'k_ram' must be an integer >= 1, got '10"),
+    ("policy=" + "[" * 5000, "command-line override: bad 'policy' section: "),
+], ids=["5000-digit-integer", "5000-brackets"])
+def test_set_value_json_cannot_load_is_text_and_exits_2_naming_the_key(tmp_path, capsys,
+                                                                        item, message):
+    with pytest.raises(ConfigError) as err:
+        apply_overrides(default_config(), [item])
+    assert str(err.value).startswith(message)
+    cfg_path = tiny_config(tmp_path)
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--set", item]) == 2
+    assert capsys.readouterr().out.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_apply_overrides_dotted_paths():
@@ -490,12 +522,12 @@ def test_cli_round_trip(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
-# --- oracle -----------------------------------------------------------------------
+# --- fixtures ----------------------------------------------------------------------
 
 
-def test_oracle_writes_the_committed_fixtures(tmp_path):
-    """One ``trackmem oracle`` run writes ``tests/fixtures`` file for file, byte for byte."""
-    assert cmd_oracle(tmp_path) == 0
+def test_materializer_writes_the_committed_fixtures(tmp_path):
+    """One ``materialize`` call writes ``tests/fixtures`` file for file, byte for byte."""
+    materialize(tmp_path)
 
     def files(root):
         return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
@@ -503,16 +535,6 @@ def test_oracle_writes_the_committed_fixtures(tmp_path):
     assert files(tmp_path) == files(FIXTURES)
     for rel in files(FIXTURES):
         assert (tmp_path / rel).read_bytes() == (FIXTURES / rel).read_bytes(), rel
-
-
-@pytest.mark.parametrize("rel", ["taken", "taken/sub/out"])
-def test_oracle_out_that_is_or_is_under_a_file_exits_2_before_any_work(tmp_path, capsys, rel):
-    (tmp_path / "taken").write_text("kept")
-    assert cli_main(["oracle", "--out", str(tmp_path / rel)]) == 2
-    assert (f"error: --out {tmp_path / rel}: {tmp_path / 'taken'} exists and is not a directory"
-            in capsys.readouterr().out)
-    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
-    assert (tmp_path / "taken").read_text() == "kept"
 
 
 # --- compare -------------------------------------------------------------------------
@@ -610,6 +632,21 @@ def test_compare_non_numeric_cell_exits_2_naming_row_and_column(tmp_path, capsys
     assert cmd_compare(a, b) == 2
     out = capsys.readouterr().out
     assert "custom,tiny,900,samurai_drm" in out and "success_auc" in out
+
+
+def test_compare_byte_that_is_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys):
+    a = sample_csv(tmp_path, "a.csv")
+    b = tmp_path / "b.csv"
+    b.write_bytes(a.read_bytes().replace(b"samurai_drm", b"samurai\xffdrm"))
+    assert cli_main(["compare", str(a), str(b)]) == 2
+    assert capsys.readouterr().out == f"error: {b}:2: not UTF-8 (invalid start byte)\n"
+
+
+def test_compare_cell_beyond_the_csv_field_limit_exits_2_naming_file_and_line(tmp_path, capsys):
+    a = sample_csv(tmp_path, "a.csv")
+    b = sample_csv(tmp_path, "b.csv", cell="5" * 200_000)
+    assert cli_main(["compare", str(a), str(b)]) == 2
+    assert capsys.readouterr().out == f"error: {b}:2: field larger than field limit (131072)\n"
 
 
 def test_compare_row_set_mismatch(tmp_path, capsys):

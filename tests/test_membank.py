@@ -15,11 +15,11 @@ from trackmem.membank import (
     MemoryEntry,
     drm_gates_pass,
 )
-from trackmem.oracles import dense_mask_iou
 from trackmem.selection import PolicyKind, TrackerConfig, TrackerSession
 from trackmem.simulator import MotionSpec, SceneConfig, gen_sequence
 
 from conftest import empty_mask, obs, prop, random_mask, rect_mask, rng_for
+from oracles import dense_mask_iou
 
 INIT = rect_mask(32, 32, 2, 2, 6, 6)
 
@@ -345,12 +345,6 @@ def test_bank_copy_is_independent():
     dup.insert_ram(entry(2))
     assert [e.frame_idx for e in bank.ram] == [1]
     assert [e.frame_idx for e in dup.ram] == [1, 2]
-
-
-def test_snapshot_format():
-    bank = MemoryBank.new(INIT, 3, 2)
-    bank.insert_ram(entry(3, s_mask=0.75))
-    assert bank.snapshot() == "init:0:1.0;ram:3:0.75"
 
 
 # --- fuzzed invariants ---------------------------------------------------------

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, box_iou
 from trackmem.motion import MotionConfig, kf_init, kf_predict, kf_update
-from trackmem.oracles import DenseKalmanOracle
 
 from conftest import rng_for
+from oracles import DenseKalmanOracle
 from reference import matrix_kf_box, matrix_kf_predict, matrix_kf_update
 
 CFG = MotionConfig()

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackmem.membank import MemoryBank
-from trackmem.oracles import exhaustive_best_trajectory
 from trackmem.pathways import (
     Pathway,
     PathwayCandidate,
@@ -20,6 +19,7 @@ from trackmem.pathways import (
 from trackmem.policies import PolicyConfig
 
 from conftest import obs, prop, rect_mask
+from oracles import exhaustive_best_trajectory
 from reference import copying_pathway_init, pathway_expand_per_pair, pathway_prune_copying
 
 INIT = rect_mask(16, 16, 2, 2, 5, 5)

@@ -7,7 +7,6 @@ import pytest
 from trackmem.geometry import BBox
 from trackmem.membank import NEVER, EntryKind, MemoryEntry
 from trackmem.observation import Proposal, Prototype
-from trackmem.oracles import topk_window_oracle
 from trackmem.policies import (
     AdmissionReason,
     PolicyConfig,
@@ -27,6 +26,7 @@ from trackmem.policies import (
 )
 
 from conftest import empty_mask, obs, prop, rect_mask
+from oracles import topk_window_oracle
 
 CFG = PolicyConfig()
 MASK = rect_mask(16, 16, 2, 2, 5, 5)

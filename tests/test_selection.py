@@ -16,7 +16,6 @@ from trackmem.observation import (
     observation_from_line,
     observation_to_line,
 )
-from trackmem.oracles import him_choice_oracle, samurai_choice_oracle
 from trackmem.policies import (
     AdmissionReason,
     PolicyConfig,
@@ -41,6 +40,7 @@ from trackmem.selection import (
 from trackmem.simulator import MotionSpec, SceneConfig, gen_sequence
 
 from conftest import empty_mask, obs, rect_mask
+from oracles import him_choice_oracle, samurai_choice_oracle
 from reference import (
     RebuildingSamite,
     matrix_kf_box,
@@ -534,7 +534,6 @@ def test_session_bank_holds_every_policys_conditioning_set(policy):
         assert bank.ram == ram, o.frame_idx
         assert bank.compose() == [bank.init, *bank.drm, *ram], o.frame_idx
         assert [e.frame_idx for e in bank.drm] == drm_admitted[-cfg.k_drm:]
-        assert bank.snapshot().count(";ram:") == len(ram)
         ram_seen += len(ram)
     assert ram_seen > 0
     assert (len(drm_admitted) > 0) == (policy is not PolicyKind.SAM2_FIFO)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from trackmem.geometry import BBox, BitMask, mask_iou
 from trackmem.observation import extract_prototypes, cosine, observation_to_line
 from trackmem import simulator
-from trackmem.oracles import dense_mask_iou
 from trackmem.simulator import (
     MotionSpec,
     SceneConfig,
@@ -30,6 +29,7 @@ from trackmem.simulator import (
 )
 
 from conftest import FIXTURES, rng_for
+from oracles import dense_mask_iou
 from reference import dense_ellipse, dense_gen_sequence, dense_rect, feature_grid_labels
 
 NOISELESS = SceneConfig(seed=42, frames=40, grid=(128, 128),
@@ -677,6 +677,18 @@ def _append_frame_4(lines):
 def test_read_record_names_the_observation_frame_out_of_order(tmp_path, edit, lineno, message):
     obs_path, gt_path = _edited_obs(tmp_path, edit)
     with pytest.raises(ValueError, match=re.escape(f"{obs_path}:{lineno}: {message}")):
+        read_record(obs_path, gt_path)
+
+
+@pytest.mark.parametrize("which", ["obs", "gt"])
+def test_read_record_names_the_line_that_is_not_utf8(tmp_path, which):
+    obs_path, gt_path = _edited_obs(tmp_path, lambda lines: None)
+    path = obs_path if which == "obs" else gt_path
+    lines = path.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b'"frame"', b'"fr\xffame"', 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:4: 'utf-8' codec can't decode byte 0xff in position 4")):
         read_record(obs_path, gt_path)
 
 
