@@ -35,9 +35,10 @@ for policy in PolicyKind:
     session = TrackerSession(TrackerConfig(policy=policy), record.init_mask)
     results = session.run(record.observations)
     pred = [r.chosen.bbox if (r.present and r.chosen) else None for r in results]
-    out = evaluate(pred, [r.present for r in results],
-                   record.gt_boxes, record.gt_visible)
-    held = " ".join(f"{e.kind.value[0]}{e.frame_idx}" for e in session.bank.compose())
+    out = evaluate(pred, [r.present for r in results], record.gt_boxes)
+    bank = session.bank
+    held = " ".join([f"i{bank.init.frame_idx}", *(f"d{e.frame_idx}" for e in bank.drm),
+                     *(f"r{e.frame_idx}" for e in bank.ram)])
     print(f"{policy.value:14s} {out.ao:6.3f} {out.success_auc:6.3f} "
           f"{out.q:6.3f}   {held}")
 

@@ -10,7 +10,7 @@ deterministic synthetic scene simulator and a benchmark harness.
 __version__ = "0.1.0"
 
 from .geometry import BBox, BitMask, box_iou, mask_iou, mask_to_bbox
-from .membank import DrmConfig, EntryKind, MemoryBank, MemoryEntry
+from .membank import DrmConfig, MemoryBank, MemoryEntry
 from .metrics import EvalOutcome, ao_sr, evaluate, precision_metrics, success_auc, vot_qar
 from .motion import KalmanState, MotionConfig, kf_init, kf_predict, kf_update
 from .observation import (
@@ -32,7 +32,7 @@ __all__ = [
     "KalmanState", "MotionConfig", "kf_init", "kf_predict", "kf_update",
     "Proposal", "FrameObservation", "FeatureGrid", "Prototype",
     "extract_prototypes", "cosine",
-    "MemoryEntry", "MemoryBank", "DrmConfig", "EntryKind",
+    "MemoryEntry", "MemoryBank", "DrmConfig",
     "AdmissionReason", "RamPolicyDecision", "PolicyConfig",
     "Pathway", "pathway_init", "pathway_expand", "pathway_prune",
     "PolicyKind", "TrackerConfig", "FrameResult", "TrackerSession",

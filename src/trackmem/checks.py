@@ -6,9 +6,9 @@ states a field, its default and its checks. In JSON, ``true`` is not a
 number, ``1.5`` is not a count, ``Infinity``/``NaN`` parse as floats and
 an integer may lie beyond float range, so each config's ``__post_init__``
 calls :func:`check_numbers` before its range checks: a wrong value fails
-naming its field. :func:`finite` is the one rule for a finite number, and
+naming its field. :func:`finite` is the one rule for a finite number,
 :func:`check_label` the one rule for a name used in file names and CSV
-cells.
+cells, and :func:`shown` the one way an error message echoes a value.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import MISSING, fields, is_dataclass
 
-__all__ = ["check_label", "check_numbers", "finite", "from_json", "to_json"]
+__all__ = ["check_label", "check_numbers", "finite", "from_json", "shown", "to_json"]
 
 _NOUNS = {
     "int": "an integer",
@@ -35,6 +35,21 @@ def finite(v: int | float) -> bool:
         return False
 
 
+_SHOWN_CHARS = 80
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message, cut after 80 characters and then
+    ending in ``...`` and its full length; an int too long to print by its size."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int beyond sys.get_int_max_str_digits()
+        return f"an integer of {value.bit_length()} bits"
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+
+
 _LABEL = re.compile(r"[A-Za-z0-9_-]+")
 
 
@@ -43,7 +58,7 @@ def check_label(value, name: str) -> None:
     of letters, digits, '_' and '-'."""
     if not (isinstance(value, str) and _LABEL.fullmatch(value)):
         raise ValueError(f"{name} must be a non-empty string of letters, digits, '_'"
-                         f" and '-', got {value!r}")
+                         f" and '-', got {shown(value)}")
 
 
 def _is_kind(value, kind: str) -> bool:
@@ -72,7 +87,7 @@ def check_numbers(obj) -> None:
         else:
             ok = _is_kind(value, f.type)
         if not ok:
-            raise ValueError(f"{f.name} must be {_NOUNS[f.type]}, got {value!r}")
+            raise ValueError(f"{f.name} must be {_NOUNS[f.type]}, got {shown(value)}")
 
 
 def _tuples(value):
@@ -85,7 +100,7 @@ def _tuples(value):
 def _arguments(cls: type, obj, where: str) -> dict:
     """The constructor arguments of ``cls`` that JSON object ``obj`` gives."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+        raise ValueError(f"{where} must be a JSON object, got {shown(obj)}")
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}")

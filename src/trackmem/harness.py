@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import check_label, from_json, to_json
+from .checks import check_label, from_json, shown, to_json
 from .membank import DrmConfig
 from .metrics import SUCCESS_THRESHOLDS, evaluate, success_curve
 from .motion import MotionConfig
@@ -92,8 +92,8 @@ def default_config() -> dict:
         "suite": "standard",
         "n_seeds": 20,
         "policies": list(ALL_POLICY_NAMES),
-        "k_ram": 6,
-        "k_drm": 3,
+        "k_ram": TrackerConfig.k_ram,
+        "k_drm": TrackerConfig.k_drm,
         "policy": {},
         "motion": {},
         "drm": {},
@@ -136,17 +136,17 @@ def _checked(cfg: dict, origin: str) -> dict:
         value = cfg[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
             raise ConfigError(f"{origin}: {key!r} must be an integer >= {lowest}, "
-                              f"got {value!r}")
+                              f"got {shown(value)}")
     policies = cfg["policies"]
     if not isinstance(policies, list):
         raise ConfigError(f"{origin}: 'policies' must be a list of policy names, "
-                          f"got {policies!r}")
+                          f"got {shown(policies)}")
     for i, name in enumerate(policies):
         if name not in ALL_POLICY_NAMES:
             raise ConfigError(
-                f"{origin}: unknown policy {name!r}; valid: {', '.join(ALL_POLICY_NAMES)}")
+                f"{origin}: unknown policy {shown(name)}; valid: {', '.join(ALL_POLICY_NAMES)}")
         if name in policies[:i]:
-            raise ConfigError(f"{origin}: 'policies' lists {name!r} twice")
+            raise ConfigError(f"{origin}: 'policies' lists {shown(name)} twice")
     if not policies:
         raise ConfigError(f"{origin}: 'policies' must name at least one policy")
     for section, cls in (("policy", PolicyConfig), ("motion", MotionConfig),
@@ -162,7 +162,7 @@ def _checked(cfg: dict, origin: str) -> dict:
     scenes = cfg["scenes"]
     if scenes is None:
         if cfg["suite"] != "standard":
-            raise ConfigError(f"{origin}: unknown suite {cfg['suite']!r} and no scenes given")
+            raise ConfigError(f"{origin}: unknown suite {shown(cfg['suite'])} and no scenes given")
         return cfg
     if not isinstance(scenes, list):
         raise ConfigError(f"{origin}: 'scenes' must be a list of scene objects")
@@ -241,7 +241,7 @@ def run_scene(record, tracker_cfg: TrackerConfig):
         for r in results
     ]
     present = [r.present for r in results]
-    outcome = evaluate(pred, present, record.gt_boxes, record.gt_visible)
+    outcome = evaluate(pred, present, record.gt_boxes)
     curve = success_curve(pred, record.gt_boxes)
     return outcome, curve, results
 

@@ -1,18 +1,21 @@
 """Object-centric memory bank: init slot, bounded RAM, sparse DRM.
 
-The bank holds three kinds of entries. One slot is permanently reserved
-for the initialization prompt and is never evicted or mutated. RAM is a
-short, capacity-bounded chronological list of recent reliable target
-appearances; which frames get in is the pluggable policy's business
-(:mod:`trackmem.policies`), the bank only enforces ordering and capacity.
+The bank holds entries in three places, and the place that holds an
+entry is its kind: an entry carries no kind of its own. One slot is
+permanently reserved for the initialization prompt and is never evicted
+or mutated. RAM is a short, capacity-bounded chronological list of recent
+reliable target appearances; which frames get in is the pluggable
+policy's business (:mod:`trackmem.policies`), the bank only enforces
+ordering and capacity.
 DRM is a small long-lived list of anchor frames admitted when the mask
 proposals disagree with each other, i.e. when a look-alike distractor is
 in play; those anchors are what a downstream reader would use to keep the
 target and the distractor apart.
 
 Entries are immutable :class:`MemoryEntry` NamedTuples, built by
-position on every admission: a copied bank shares them, and an entry of
-another kind is a new one made by ``_replace``.
+position on every admission: a copied bank shares them, and one entry may
+sit in several banks. The frames of the last RAM and DRM admissions are
+read off the lists, since both are chronological.
 
 DRM admission requires all four gates to pass:
 
@@ -37,7 +40,6 @@ DRM eviction, when the cap is reached, is FIFO over DRM slots.
 
 from __future__ import annotations
 
-import enum
 import statistics
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,7 +49,6 @@ from .geometry import BBox, BitMask, mask_iou, mask_to_bbox
 from .observation import FrameObservation, Proposal, Prototype
 
 __all__ = [
-    "EntryKind",
     "MemoryEntry",
     "DrmConfig",
     "MemoryBank",
@@ -60,26 +61,19 @@ __all__ = [
 NEVER = -1_000_000_000
 
 
-class EntryKind(enum.Enum):
-    INIT = "init"
-    RAM = "ram"
-    DRM = "drm"
-
-
 class MemoryEntry(NamedTuple):
     """One stored frame: mask, cached box, quality score, prototype."""
 
     frame_idx: int
     mask: BitMask
     s_mask: float
-    kind: EntryKind
     bbox: BBox | None = None
     fg_prototype: Prototype | None = None
 
     @classmethod
-    def from_proposal(cls, frame_idx: int, p: Proposal, kind: EntryKind,
+    def from_proposal(cls, frame_idx: int, p: Proposal,
                       fg_prototype: Prototype | None = None) -> "MemoryEntry":
-        return cls(frame_idx, p.mask, p.s_mask, kind, p.bbox, fg_prototype)
+        return cls(frame_idx, p.mask, p.s_mask, p.bbox, fg_prototype)
 
 
 @dataclass(frozen=True)
@@ -143,8 +137,6 @@ class MemoryBank:
     """
 
     def __init__(self, init: MemoryEntry, k_ram: int, k_drm: int):
-        if init.kind is not EntryKind.INIT:
-            raise ValueError("bank init entry must have kind INIT")
         if init.frame_idx != 0:
             raise ValueError("init entry must be at frame 0")
         if k_ram < 1:
@@ -156,29 +148,28 @@ class MemoryBank:
         self.k_drm = k_drm
         self.ram: list[MemoryEntry] = []
         self.drm: list[MemoryEntry] = []
-        self.last_ram_frame: int = NEVER
-        self.last_drm_frame: int = NEVER
+
+    @property
+    def last_ram_frame(self) -> int:
+        """Frame of the newest RAM entry; ``NEVER`` while RAM is empty."""
+        return self.ram[-1].frame_idx if self.ram else NEVER
+
+    @property
+    def last_drm_frame(self) -> int:
+        """Frame of the newest DRM entry; ``NEVER`` while DRM is empty."""
+        return self.drm[-1].frame_idx if self.drm else NEVER
 
     @classmethod
     def new(cls, init_mask: BitMask, k_ram: int, k_drm: int) -> "MemoryBank":
         """Fresh bank holding only the frame-0 initialization prompt."""
         if init_mask.is_empty:
             raise ValueError("initialization prompt requires a non-empty mask")
-        init = MemoryEntry(
-            frame_idx=0,
-            mask=init_mask,
-            s_mask=1.0,
-            kind=EntryKind.INIT,
-            bbox=mask_to_bbox(init_mask),
-        )
-        return cls(init, k_ram, k_drm)
+        return cls(MemoryEntry(0, init_mask, 1.0, mask_to_bbox(init_mask)), k_ram, k_drm)
 
     def copy(self) -> "MemoryBank":
         dup = MemoryBank(self.init, self.k_ram, self.k_drm)
         dup.ram = list(self.ram)
         dup.drm = list(self.drm)
-        dup.last_ram_frame = self.last_ram_frame
-        dup.last_drm_frame = self.last_drm_frame
         return dup
 
     def insert_ram(self, entry: MemoryEntry) -> None:
@@ -192,12 +183,9 @@ class MemoryBank:
                 f"out-of-order RAM insert: frame {entry.frame_idx} after "
                 f"{self.ram[-1].frame_idx}"
             )
-        if entry.kind is not EntryKind.RAM:
-            entry = entry._replace(kind=EntryKind.RAM)
         self.ram.append(entry)
         if len(self.ram) > self.k_ram:
             del self.ram[0]
-        self.last_ram_frame = entry.frame_idx
 
     def replace_ram(self, entries: list[MemoryEntry]) -> None:
         """Set the whole RAM at once (rebuild-style policies).
@@ -209,11 +197,7 @@ class MemoryBank:
         for prev, cur in zip(entries, entries[1:]):
             if cur.frame_idx <= prev.frame_idx:
                 raise ValueError("RAM entries must be strictly increasing in frame")
-        self.ram = [
-            e if e.kind is EntryKind.RAM else e._replace(kind=EntryKind.RAM)
-            for e in entries
-        ]
-        self.last_ram_frame = entries[-1].frame_idx if entries else NEVER
+        self.ram = list(entries)
 
     def consider_drm(self, obs: FrameObservation, chosen: Proposal, cfg: DrmConfig) -> bool:
         """Run the DRM gates; on admission store the chosen proposal.
@@ -228,11 +212,9 @@ class MemoryBank:
         ram_areas = [e.mask.area for e in self.ram]
         if not drm_gates_pass(obs, chosen, ram_areas, self.last_drm_frame, cfg):
             return False
-        entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.DRM)
-        self.drm.append(entry)
+        self.drm.append(MemoryEntry.from_proposal(obs.frame_idx, chosen))
         if len(self.drm) > self.k_drm:
             del self.drm[0]
-        self.last_drm_frame = entry.frame_idx
         return True
 
     def compose(self) -> list[MemoryEntry]:

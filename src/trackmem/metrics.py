@@ -20,9 +20,11 @@ ground-truth box or absent) pairs:
   visible frames and the absence-prediction correctness on invisible
   ones. These are deliberately not the anchor-based toolkit protocol.
 
-Frames whose ground truth is absent (occluded) are excluded everywhere
-except the quality term; a missing prediction on a visible frame counts
-as zero overlap and infinite center error.
+A frame's ground truth is visible exactly when its GT box is present, so
+the GT boxes are the only GT input. Frames whose ground truth is absent
+(occluded) are excluded everywhere except the quality term; a missing
+prediction on a visible frame counts as zero overlap and infinite center
+error.
 
 Each call scores its whole sequence at once. The prediction and GT lists
 become ``(n, 4)`` float64 arrays, absent boxes as zero rows under a
@@ -33,9 +35,8 @@ in its order, every mean runs over the frames in their order, and every
 rate is an exact count over its frame count, so each column has the bits
 of a per-frame loop (``per_frame_evaluate`` in ``tests/reference.py``
 keeps one). A non-finite box coordinate, a GT box of zero width or
-height, a ``gt_visible`` flag that disagrees with its GT box and a list
-of the wrong length are rejected with a ValueError that names the frame
-or the list.
+height and a list of the wrong length are rejected with a ValueError that
+names the frame or the list.
 """
 
 from __future__ import annotations
@@ -209,29 +210,21 @@ def evaluate(
     pred: list[BBox | None],
     pred_present: list[bool],
     gt: list[BBox | None],
-    gt_visible: list[bool],
 ) -> EvalOutcome:
     """All columns for one sequence of per-frame predictions.
 
     The sequence is scored once; the success, precision, overlap and
-    quality metrics all read that one set of arrays. Raises ValueError,
-    naming the frame, for a non-finite box coordinate, a GT box of zero
-    width or height, or a ``gt_visible`` flag that is not true exactly
-    when the GT box is present; and, naming the list and both lengths,
-    for a list whose length is not the GT's.
+    quality metrics all read that one set of arrays, and a frame's GT is
+    visible where its box is not None. Raises ValueError, naming the
+    frame, for a non-finite box coordinate or a GT box of zero width or
+    height; and, naming the list and both lengths, for a list whose
+    length is not the GT's.
     """
     _check_length("pred_present", pred_present, gt)
-    _check_length("gt_visible", gt_visible, gt)
     scores = _score(pred, gt)
-    flags = np.array(gt_visible, dtype=bool)
-    wrong = np.flatnonzero(flags != scores.visible)
-    if wrong.size:
-        t = int(wrong[0])
-        raise ValueError(f"gt_visible is {gt_visible[t]} at frame {t} but its GT box is "
-                         f"{'absent' if gt[t] is None else 'present'}")
     p20, np_auc = _precision(scores)
     ao, sr50, sr75 = _ao_sr(scores.visible_ious)
-    q, acc, rob = vot_qar(pred_present, scores.ious, flags)
+    q, acc, rob = vot_qar(pred_present, scores.ious, scores.visible)
     return EvalOutcome(
         success_auc=float(scores.success_rates.mean()), precision_at_20=p20,
         norm_precision_auc=np_auc, ao=ao, sr50=sr50, sr75=sr75, q=q, acc=acc, rob=rob,

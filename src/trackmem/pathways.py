@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .membank import EntryKind, MemoryBank, MemoryEntry
+from .membank import MemoryBank, MemoryEntry
 from .observation import FrameObservation
 from .policies import PolicyConfig, RamPolicyDecision, sam2long_admit
 
@@ -126,7 +126,7 @@ def pathway_prune(
         bank = parent.bank.copy()
         decision = sam2long_admit(obs, chosen, cfg)
         if decision.admit:
-            bank.insert_ram(MemoryEntry.from_proposal(frame_idx, chosen, EntryKind.RAM))
+            bank.insert_ram(MemoryEntry.from_proposal(frame_idx, chosen))
         survivors.append(Pathway(bank, score, Choice(frame_idx, k, parent.history),
                                  parent_id, decision))
     return survivors

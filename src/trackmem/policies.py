@@ -73,18 +73,18 @@ class AdmissionReason(enum.Enum):
 
 @dataclass(frozen=True)
 class RamPolicyDecision:
-    """A RAM admission outcome; ``admit`` is true exactly for ``ADMITTED``.
+    """A RAM admission outcome: the reason, ``ADMITTED`` or the first gate that failed.
 
     :meth:`admitted` and :meth:`rejected` return one shared instance per
     reason.
     """
 
-    admit: bool
     reason: AdmissionReason
 
-    def __post_init__(self) -> None:
-        if self.admit != (self.reason is AdmissionReason.ADMITTED):
-            raise ValueError("admit flag must match reason")
+    @property
+    def admit(self) -> bool:
+        """Whether the frame was admitted: true exactly for ``ADMITTED``."""
+        return self.reason is AdmissionReason.ADMITTED
 
     @classmethod
     def admitted(cls) -> "RamPolicyDecision":
@@ -93,12 +93,11 @@ class RamPolicyDecision:
     @classmethod
     def rejected(cls, reason: AdmissionReason) -> "RamPolicyDecision":
         if reason is AdmissionReason.ADMITTED:
-            raise ValueError("admit flag must match reason")
+            raise ValueError("a rejection needs a reason other than ADMITTED")
         return _DECISIONS[reason]
 
 
-_DECISIONS = {reason: RamPolicyDecision(reason is AdmissionReason.ADMITTED, reason)
-              for reason in AdmissionReason}
+_DECISIONS = {reason: RamPolicyDecision(reason) for reason in AdmissionReason}
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+from .checks import check_numbers, shown
 from .geometry import BBox, BitMask
-from .membank import DrmConfig, EntryKind, MemoryBank, MemoryEntry
+from .membank import DrmConfig, MemoryBank, MemoryEntry
 from .motion import MotionConfig, kf_init, kf_predict, kf_update
 from .observation import (
     FrameObservation,
@@ -87,7 +88,8 @@ class PolicyKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Everything a session needs: policy choice plus all knobs."""
+    """Everything a session needs: policy choice plus all knobs; a bad field
+    raises ValueError naming it."""
 
     policy: PolicyKind
     k_ram: int = 6
@@ -97,6 +99,13 @@ class TrackerConfig:
     drm_cfg: DrmConfig = field(default_factory=DrmConfig)
 
     def __post_init__(self) -> None:
+        check_numbers(self)
+        if not isinstance(self.policy, PolicyKind):
+            raise ValueError(f"policy must be a PolicyKind, got {shown(self.policy)}")
+        if self.k_ram < 1:
+            raise ValueError("k_ram must be >= 1")
+        if self.k_drm < 0:
+            raise ValueError("k_drm must be >= 0")
         if self.policy is PolicyKind.SAMITE_DRM and self.k_ram < 2:
             raise ValueError(
                 "the prototype-calibrated policy needs k_ram >= 2 for its anchors")
@@ -243,7 +252,7 @@ class Policy:
         """Insert the chosen proposal into RAM when :meth:`gate` admits it."""
         decision = self.gate(obs, chosen, present)
         if decision.admit:
-            self.bank.insert_ram(MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM))
+            self.bank.insert_ram(MemoryEntry.from_proposal(obs.frame_idx, chosen))
         return decision
 
     def gate(self, obs: FrameObservation, chosen: Proposal | None,
@@ -347,7 +356,7 @@ class SamitePolicy(Policy):
 
     def prompt(self, obs: FrameObservation) -> None:
         init = self.bank.init
-        self.first = init._replace(kind=EntryKind.RAM, fg_prototype=_prototype(obs, init.mask))
+        self.first = init._replace(fg_prototype=_prototype(obs, init.mask))
         # (entry, prototype index, cos(P, P_first)) of each stored frame
         self.pool: list[tuple[MemoryEntry, int, float]] = []
         self.interned: dict[tuple, tuple[int, Prototype, float]] = {}
@@ -378,7 +387,7 @@ class SamitePolicy(Policy):
         item = self._interned(obs, chosen.mask) if present else None
         if item is not None:
             index, proto, cos_first = item
-            entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM, proto)
+            entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, proto)
             pool.append((entry, index, cos_first))
             decision = RamPolicyDecision.admitted()
         else:

@@ -24,7 +24,10 @@ whose cosine to the target prototype equals the configured similarity.
 A scene's cells take only its ``n_distractors + 2`` prototypes, so its
 grids are one (frames, cells_h, cells_w) array of small integer labels
 into one shared palette of those vectors, and each frame's
-:class:`~trackmem.observation.FeatureGrid` is a view of it.
+:class:`~trackmem.observation.FeatureGrid` is a view of it. A record's
+ground truth is one box per frame, None while the target is occluded,
+and its visibility flags are read off those boxes; the GT sidecar's
+``visible`` field must agree with its ``box``.
 
 Masks are rendered with the full-grid per-pixel predicate (is the pixel
 center inside the shape?), and every shape row yields at most one run in
@@ -175,13 +178,18 @@ class SceneConfig:
 
 @dataclass
 class SequenceRecord:
-    """A generated scenario: config, ground truth, and observations."""
+    """A generated scenario: config, per-frame GT boxes (None while occluded),
+    and observations."""
 
     config: SceneConfig
     gt_boxes: list[BBox | None]
-    gt_visible: list[bool]
     observations: list[FrameObservation]
     init_mask: BitMask
+
+    @property
+    def gt_visible(self) -> list[bool]:
+        """Per frame: whether the target is visible, i.e. has a GT box."""
+        return [box is not None for box in self.gt_boxes]
 
 
 # --- rendering helpers -------------------------------------------------------
@@ -579,12 +587,10 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
                                      d.distractor_protos, d.target_proto, d.background)
 
     gt_boxes: list[BBox | None] = []
-    gt_visible: list[bool] = []
     observations: list[FrameObservation] = []
     for t, (x, y, mask1, mask2, mask3) in enumerate(zip(gt_x.tolist(), gt_y.tolist(), *masks)):
         visible = not d.occluded[t]
         gt_boxes.append(BBox(x, y, tw, th) if visible else None)
-        gt_visible.append(visible)
         eps = d.score_eps[t]
 
         if visible:
@@ -624,13 +630,8 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
             features=FeatureGrid.from_labels(palette, labels[t]),
         ))
 
-    return SequenceRecord(
-        config=cfg,
-        gt_boxes=gt_boxes,
-        gt_visible=gt_visible,
-        observations=observations,
-        init_mask=init_mask,
-    )
+    return SequenceRecord(config=cfg, gt_boxes=gt_boxes, observations=observations,
+                          init_mask=init_mask)
 
 
 # --- the frozen benchmark suite --------------------------------------------------
@@ -699,10 +700,10 @@ def write_record(record: SequenceRecord, obs_path, gt_path) -> None:
     with open(gt_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config": config_to_dict(record.config)},
                             separators=(",", ":")) + "\n")
-        for t, (box, visible) in enumerate(zip(record.gt_boxes, record.gt_visible)):
+        for t, box in enumerate(record.gt_boxes):
             line = {
                 "frame": t,
-                "visible": visible,
+                "visible": box is not None,
                 "box": None if box is None else [box.x, box.y, box.w, box.h],
             }
             if t == 0:
@@ -716,8 +717,8 @@ def _located(path, lineno: int, exc: Exception) -> ValueError:
     return ValueError(f"{path}:{lineno}: {what}")
 
 
-def _gt_frame(d, frame: int) -> tuple[BBox | None, bool, BitMask | None]:
-    """Parse the GT line of ``frame``: (box or None, visible, prompt mask on frame 0)."""
+def _gt_frame(d, frame: int) -> tuple[BBox | None, BitMask | None]:
+    """Parse the GT line of ``frame``: (box or None, prompt mask on frame 0)."""
     if not isinstance(d, dict):
         raise ValueError("GT line must be a JSON object")
     got = d["frame"]
@@ -746,7 +747,7 @@ def _gt_frame(d, frame: int) -> tuple[BBox | None, bool, BitMask | None]:
         if not isinstance(d["mask"], str):
             raise ValueError(f"'mask' must be RLE text, got {d['mask']!r}")
         mask = BitMask.from_text(d["mask"])
-    return box, visible, mask
+    return box, mask
 
 
 def read_record(obs_path, gt_path) -> SequenceRecord:
@@ -782,7 +783,6 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
                 raise _located(obs_path, lineno, exc) from exc
             observations.append(obs)
     gt_boxes: list[BBox | None] = []
-    gt_visible: list[bool] = []
     init_mask = None
     config = None
     with open(gt_path, "rb") as fh:
@@ -795,11 +795,10 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
                 if lineno == 1:
                     config = config_from_dict(d["config"])
                     continue
-                box, visible, mask = _gt_frame(d, len(gt_boxes))
+                box, mask = _gt_frame(d, len(gt_boxes))
             except (KeyError, TypeError, ValueError) as exc:
                 raise _located(gt_path, lineno, exc) from exc
             gt_boxes.append(box)
-            gt_visible.append(visible)
             if mask is not None:
                 init_mask = mask
     if init_mask is None:
@@ -807,10 +806,5 @@ def read_record(obs_path, gt_path) -> SequenceRecord:
     if len(observations) != len(gt_boxes):
         raise ValueError(f"{obs_path} holds {len(observations)} frames but "
                          f"{gt_path} holds {len(gt_boxes)}")
-    return SequenceRecord(
-        config=config,
-        gt_boxes=gt_boxes,
-        gt_visible=gt_visible,
-        observations=observations,
-        init_mask=init_mask,
-    )
+    return SequenceRecord(config=config, gt_boxes=gt_boxes, observations=observations,
+                          init_mask=init_mask)

@@ -33,7 +33,7 @@ import numpy as np
 
 from trackmem import simulator
 from trackmem.geometry import BBox, BitMask
-from trackmem.membank import EntryKind, MemoryBank, MemoryEntry
+from trackmem.membank import MemoryBank, MemoryEntry
 from trackmem.metrics import NORM_PRECISION_THRESHOLDS, SUCCESS_THRESHOLDS, EvalOutcome, vot_qar
 from trackmem.observation import FeatureGrid, FrameObservation, Proposal
 from trackmem.pathways import PathwayCandidate
@@ -134,12 +134,11 @@ def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
     def box(cx, cy, w, h):
         return (cx - w / 2.0, cy - h / 2.0, w, h)
 
-    gt_boxes, gt_visible, observations, init_mask = [], [], [], None
+    gt_boxes, observations, init_mask = [], [], None
     for t in range(cfg.frames):
         cx, cy = d.target_centers[t]
         visible = not d.occluded[t]
         gt_boxes.append(BBox(*box(cx, cy, tw, th)) if visible else None)
-        gt_visible.append(visible)
         gt = dense_ellipse(box(cx, cy, tw, th), gw, gh) if visible else None
         if t == 0:
             init_mask = BitMask.from_dense(gt)
@@ -194,7 +193,7 @@ def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
                 [((c[t, 0], c[t, 1]), size) for c, size in d.distractors],
                 d.distractor_protos, d.target_proto, d.background)),
         ))
-    return simulator.SequenceRecord(config=cfg, gt_boxes=gt_boxes, gt_visible=gt_visible,
+    return simulator.SequenceRecord(config=cfg, gt_boxes=gt_boxes,
                                     observations=observations, init_mask=init_mask)
 
 
@@ -328,9 +327,10 @@ def per_frame_evaluate(
 ) -> EvalOutcome:
     """Every column of :func:`trackmem.metrics.evaluate`, scored frame by frame.
 
-    The quality terms come from the library's own ``vot_qar``, which takes
-    the per-frame IoU list either way. Inputs are assumed valid: this loop
-    does not check them.
+    ``gt_visible`` holds the flags ``evaluate`` derives from the GT boxes
+    (true where the box is not None). The quality terms come from the
+    library's own ``vot_qar``, which takes the per-frame IoU list either
+    way. Inputs are assumed valid: this loop does not check them.
     """
     pred_iou = [
         per_frame_box_iou(p, g) if (p is not None and g is not None) else 0.0
@@ -360,8 +360,7 @@ class RebuildingSamite(SamitePolicy):
         item = self._interned(obs, chosen.mask) if present else None
         if item is not None:
             index, proto, cos_first = item
-            entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM,
-                                              fg_prototype=proto)
+            entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, fg_prototype=proto)
             self.pool.append((entry, index, cos_first))
             decision = RamPolicyDecision.admitted()
         else:
@@ -433,7 +432,7 @@ def pathway_prune_copying(
         bank = parent.bank.copy()
         decision = sam2long_admit(obs, chosen, cfg)
         if decision.admit:
-            bank.insert_ram(MemoryEntry.from_proposal(obs.frame_idx, chosen, EntryKind.RAM))
+            bank.insert_ram(MemoryEntry.from_proposal(obs.frame_idx, chosen))
         survivors.append(CopiedPathway(
             bank=bank,
             score=cand.score,

@@ -22,7 +22,7 @@ from trackmem.harness import (
     run_scene,
     tracker_config_from,
 )
-from trackmem.membank import EntryKind, MemoryBank, MemoryEntry
+from trackmem.membank import MemoryBank, MemoryEntry
 from trackmem.metrics import evaluate
 from trackmem.motion import MotionConfig, kf_init, kf_predict, kf_update
 from trackmem.observation import FrameObservation, Proposal
@@ -148,11 +148,10 @@ def test_criterion_4_selection_and_topk_equivalence():
         frames = sorted(rng.choice(np.arange(2, 60), size=n, replace=False).tolist())
         scores = [float(v) for v in rng.choice([0.1, 0.3, 0.3, 0.7, 0.9], size=n)]
         k = int(rng.integers(2, 9))
-        entries = [(MemoryEntry(frame_idx=int(f), mask=mask, s_mask=0.9,
-                                kind=EntryKind.RAM), s)
+        entries = [(MemoryEntry(frame_idx=int(f), mask=mask, s_mask=0.9), s)
                    for f, s in zip(frames, scores)]
-        first = MemoryEntry(frame_idx=0, mask=mask, s_mask=1.0, kind=EntryKind.RAM)
-        prev = MemoryEntry(frame_idx=70, mask=mask, s_mask=1.0, kind=EntryKind.RAM)
+        first = MemoryEntry(frame_idx=0, mask=mask, s_mask=1.0)
+        prev = MemoryEntry(frame_idx=70, mask=mask, s_mask=1.0)
         ram = samite_select_ram(entries, k, first, prev)
         got = [e.frame_idx for e in ram if e.frame_idx not in (0, 70)]
         assert got == topk_window_oracle(list(zip(frames, scores)), k - 2)
@@ -225,7 +224,7 @@ def test_criterion_5_fifo_equivalence():
             TrackerConfig(policy=PolicyKind.SAM2_FIFO, k_ram=k), init)
         session.run(stream)
         composed = session.bank.compose()
-        assert composed[0].kind is EntryKind.INIT
+        assert composed[0] is session.bank.init
         want = list(range(frames))[1:][-k:]
         assert [e.frame_idx for e in composed[1:]] == want
     report(5, "100 fuzzed traces: FIFO bank equals {init} + last-K exactly")
@@ -303,12 +302,11 @@ def test_criterion_7_directional_behavior_and_locked_anchors():
 def test_criterion_8_metric_sanity():
     b = BBox(10, 10, 8, 6)
     gt = [b] * 12
-    visible = [True] * 12
-    perfect = evaluate(gt, [True] * 12, gt, visible)
+    perfect = evaluate(gt, [True] * 12, gt)
     for field in ("success_auc", "precision_at_20", "norm_precision_auc",
                   "ao", "sr50", "sr75", "q", "acc", "rob"):
         assert getattr(perfect, field) == 1.0, field
-    absent = evaluate([None] * 12, [False] * 12, gt, visible)
+    absent = evaluate([None] * 12, [False] * 12, gt)
     for field in ("success_auc", "precision_at_20", "ao", "sr50", "sr75",
                   "acc", "rob"):
         assert getattr(absent, field) == 0.0, field

@@ -15,7 +15,6 @@ import numpy as np
 from trackmem.geometry import BitMask
 from trackmem import harness
 from trackmem.harness import ALL_POLICY_NAMES, default_config, run_scene, tracker_config_from
-from trackmem.membank import EntryKind
 from trackmem.motion import MotionConfig, kf_init, kf_predict, kf_update
 from trackmem.geometry import BBox, box_iou, mask_iou
 from trackmem.selection import frame_result_to_line
@@ -90,11 +89,11 @@ def test_topk_oracle_file():
     data = load("oracle/topk.json")
     for case in data["cases"]:
         entries = [
-            (MemoryEntry(frame_idx=f, mask=mask, s_mask=0.9, kind=EntryKind.RAM), s)
+            (MemoryEntry(frame_idx=f, mask=mask, s_mask=0.9), s)
             for f, s in zip(case["frames"], case["scores"])
         ]
-        first = MemoryEntry(frame_idx=0, mask=mask, s_mask=1.0, kind=EntryKind.RAM)
-        prev = MemoryEntry(frame_idx=99, mask=mask, s_mask=1.0, kind=EntryKind.RAM)
+        first = MemoryEntry(frame_idx=0, mask=mask, s_mask=1.0)
+        prev = MemoryEntry(frame_idx=99, mask=mask, s_mask=1.0)
         ram = samite_select_ram(entries, case["k"] + 2, first, prev)
         picked = [e.frame_idx for e in ram if e.frame_idx not in (0, 99)]
         assert picked == case["selected"]

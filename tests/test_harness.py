@@ -19,6 +19,7 @@ from trackmem.harness import (
     scene_list,
     tracker_config_from,
 )
+from trackmem.checks import shown
 from trackmem.cli import main as cli_main
 from trackmem.policies import PolicyConfig
 from trackmem.simulator import MotionSpec, SceneConfig, config_to_dict
@@ -115,6 +116,25 @@ def test_set_value_json_cannot_load_is_text_and_exits_2_naming_the_key(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_rejected_value_is_echoed_cut_to_a_bounded_length(tmp_path, capsys):
+    assert cmd_run(tiny_config(tmp_path), tmp_path / "out", sets=["k_ram=1" + "0" * 5000]) == 2
+    out = capsys.readouterr().out
+    assert out == ("error: command-line override: 'k_ram' must be an integer >= 1, got '1"
+                   + "0" * 78 + "... (5003 characters)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_shown_keeps_a_short_repr_and_cuts_a_long_one():
+    assert shown("samite") == "'samite'"
+    assert shown([1, 2]) == "[1, 2]"
+    assert shown("x" * 78) == repr("x" * 78)
+    assert shown("x" * 79) == "'" + "x" * 79 + "... (81 characters)"
+    # repr itself refuses an int of more than sys.get_int_max_str_digits() digits
+    assert shown(10 ** 5000) == "an integer of 16610 bits"
+    with pytest.raises(ValueError, match="^alpha must be a finite real number, got an integer"):
+        PolicyConfig(alpha=10 ** 5000)
+
+
 def test_apply_overrides_dotted_paths():
     cfg = default_config()
     out = apply_overrides(cfg, ["policy.alpha=0.4", "n_seeds=2",
@@ -197,7 +217,8 @@ def test_integer_fields_exit_2_naming_the_key(tmp_path, capsys, section, key, va
 def test_float_fields_exit_2_naming_the_key(tmp_path, capsys, item, section, key, value):
     assert cmd_run(tiny_config(tmp_path), tmp_path / "out", sets=[item]) == 2
     out = capsys.readouterr().out
-    assert f"bad {section!r} section: {key} must be a finite real number, got {value!r}" in out
+    assert (f"bad {section!r} section: {key} must be a finite real number, "
+            f"got {shown(value)}") in out
     assert not (tmp_path / "out").exists()
 
 

@@ -10,7 +10,6 @@ from trackmem.geometry import BitMask, mask_iou
 from trackmem.membank import (
     NEVER,
     DrmConfig,
-    EntryKind,
     MemoryBank,
     MemoryEntry,
     drm_gates_pass,
@@ -26,32 +25,28 @@ INIT = rect_mask(32, 32, 2, 2, 6, 6)
 
 def entry(frame: int, mask=None, s_mask=0.9) -> MemoryEntry:
     mask = mask if mask is not None else rect_mask(32, 32, 4, 4, 5, 5)
-    return MemoryEntry(frame_idx=frame, mask=mask, s_mask=s_mask, kind=EntryKind.RAM)
+    return MemoryEntry(frame_idx=frame, mask=mask, s_mask=s_mask)
 
 
 # --- construction ------------------------------------------------------------
 
 
 def test_memory_entry_is_an_immutable_record():
-    assert MemoryEntry._fields == ("frame_idx", "mask", "s_mask", "kind", "bbox",
-                                   "fg_prototype")
+    assert MemoryEntry._fields == ("frame_idx", "mask", "s_mask", "bbox", "fg_prototype")
     assert MemoryEntry._field_defaults == {"bbox": None, "fg_prototype": None}
     p = prop(rect_mask(32, 32, 4, 4, 5, 5), 0.75)
-    e = MemoryEntry.from_proposal(5, p, EntryKind.DRM)
-    assert e == MemoryEntry(frame_idx=5, mask=p.mask, s_mask=0.75, kind=EntryKind.DRM,
-                            bbox=p.bbox)
+    e = MemoryEntry.from_proposal(5, p)
+    assert e == MemoryEntry(frame_idx=5, mask=p.mask, s_mask=0.75, bbox=p.bbox)
     for name in MemoryEntry._fields:
         with pytest.raises(AttributeError):
             setattr(e, name, None)
-    ram = e._replace(kind=EntryKind.RAM)
-    assert e.kind is EntryKind.DRM and ram.kind is EntryKind.RAM
-    assert ram[:3] == e[:3] and ram[4:] == e[4:]
+    later = e._replace(frame_idx=6)
+    assert e.frame_idx == 5 and later.frame_idx == 6 and later[1:] == e[1:]
 
 
 def test_new_bank_holds_only_init():
     bank = MemoryBank.new(INIT, 6, 3)
     assert len(bank.ram) == 0 and len(bank.drm) == 0
-    assert bank.init.kind is EntryKind.INIT
     assert bank.init.frame_idx == 0
     assert bank.last_ram_frame == NEVER and bank.last_drm_frame == NEVER
     assert bank.compose() == [bank.init]
@@ -120,6 +115,20 @@ def test_replace_ram_validates():
     assert bank.last_ram_frame == NEVER
 
 
+def test_last_admission_frames_are_read_off_the_lists():
+    bank = MemoryBank.new(INIT, 2, 1)
+    for f in (3, 5, 8):
+        bank.insert_ram(entry(f))
+    assert bank.last_ram_frame == 8
+    bank.replace_ram([entry(2)])
+    assert bank.last_ram_frame == 2
+    bank.drm.append(entry(4))
+    assert bank.last_drm_frame == 4
+    for name in ("last_ram_frame", "last_drm_frame"):
+        with pytest.raises(AttributeError):
+            setattr(bank, name, 1)
+
+
 # --- DRM admission -------------------------------------------------------------
 
 
@@ -141,8 +150,7 @@ def test_disjoint_high_quality_admitted_on_empty_ram():
     b = rect_mask(32, 32, 20, 20, 6, 6)
     o = drm_obs(10, [a, b, a], [0.9, 0.8, 0.9])
     assert bank.consider_drm(o, o.proposals[0], DrmConfig()) is True
-    assert [e.frame_idx for e in bank.drm] == [10]
-    assert bank.drm[0].kind is EntryKind.DRM
+    assert bank.drm == [MemoryEntry.from_proposal(10, o.proposals[0])]
     assert bank.last_drm_frame == 10
 
 
@@ -331,9 +339,9 @@ def test_compose_order_and_duplicates():
     bank.insert_ram(entry(4, mask=a))
     bank.insert_ram(entry(7))
     composed = bank.compose()
-    kinds = [e.kind for e in composed]
     frames = [e.frame_idx for e in composed]
-    assert kinds == [EntryKind.INIT, EntryKind.DRM, EntryKind.RAM, EntryKind.RAM]
+    assert composed == [bank.init, *bank.drm, *bank.ram]
+    assert len(bank.drm) == 1 and len(bank.ram) == 2
     assert frames == [0, 4, 4, 7]
     assert len(composed) <= 1 + bank.k_drm + bank.k_ram
 
@@ -390,10 +398,8 @@ def assert_bank_invariants(bank: MemoryBank, init: MemoryEntry) -> None:
     for entries in (bank.ram, bank.drm):
         frames = [e.frame_idx for e in entries]
         assert all(b > a for a, b in zip(frames, frames[1:])), frames
-    assert all(e.kind is EntryKind.RAM for e in bank.ram)
-    assert all(e.kind is EntryKind.DRM for e in bank.drm)
     assert bank.init is init and bank.init == MemoryEntry(
-        frame_idx=0, mask=INIT, s_mask=1.0, kind=EntryKind.INIT, bbox=init.bbox)
+        frame_idx=0, mask=INIT, s_mask=1.0, bbox=init.bbox)
     assert bank.last_ram_frame == (bank.ram[-1].frame_idx if bank.ram else NEVER)
     assert bank.last_drm_frame == (bank.drm[-1].frame_idx if bank.drm else NEVER)
 

@@ -182,7 +182,7 @@ def test_vot_length_mismatch():
 
 def test_all_absent_gives_zero_everywhere():
     gt = [B] * 10
-    out = evaluate([None] * 10, [False] * 10, gt, [True] * 10)
+    out = evaluate([None] * 10, [False] * 10, gt)
     assert out.success_auc == 0.0
     assert out.precision_at_20 == 0.0
     assert out.ao == out.sr50 == out.sr75 == 0.0
@@ -212,8 +212,7 @@ def test_outcome_fields_bounded(rng):
     gt = [b if rng.random() < 0.8 else None for b in boxes(50, rng)]
     pred = [b if rng.random() < 0.7 else None for b in boxes(50, rng)]
     present = [p is not None for p in pred]
-    visible = [g is not None for g in gt]
-    out = evaluate(pred, present, gt, visible)
+    out = evaluate(pred, present, gt)
     for field in ("success_auc", "precision_at_20", "norm_precision_auc",
                   "ao", "sr50", "sr75", "q", "acc", "rob"):
         assert 0.0 <= getattr(out, field) <= 1.0
@@ -229,7 +228,7 @@ def test_evaluate_equals_the_separate_metrics_bit_for_bit(rng):
                 if rng.random() < 0.8 else None for b in boxes(n, rng, 10.0, 30.0)]
         present = [p is not None for p in pred]
         visible = [g is not None for g in gt]
-        out = evaluate(pred, present, gt, visible)
+        out = evaluate(pred, present, gt)
         ao, sr50, sr75 = ao_sr(pred, gt)
         p20, np_auc = precision_metrics(pred, gt)
         pred_iou = [box_iou(p, g) if p is not None and g is not None else 0.0
@@ -252,7 +251,7 @@ pred_size = st.one_of(st.just(0.0), gt_size)
 
 @st.composite
 def scored_sequences(draw):
-    """(pred, pred_present, gt, gt_visible): absent preds, invisible frames, and
+    """(pred, pred_present, gt): absent preds, invisible frames, and
     predictions near, equal to or far from their GT box."""
     pred, present, gt = [], [], []
     for _ in range(draw(st.integers(0, 24))):
@@ -270,16 +269,17 @@ def scored_sequences(draw):
         pred.append(p)
         present.append(draw(st.booleans()) if p is None else True)
         gt.append(g)
-    return pred, present, gt, [g is not None for g in gt]
+    return pred, present, gt
 
 
 @given(scored_sequences())
-@example(([None, None], [False, True], [None, B], [False, True]))
-@example(([B, BBox(11, 10, 8, 6), BBox(100, 0, 0, 0)], [True] * 3, [B] * 3, [True] * 3))
-@example(([BBox(1.7e308, 0, 1.7e308, 1)], [True], [BBox(1.7e308, 5, 1.7e308, 1)], [True]))
+@example(([None, None], [False, True], [None, B]))
+@example(([B, BBox(11, 10, 8, 6), BBox(100, 0, 0, 0)], [True] * 3, [B] * 3))
+@example(([BBox(1.7e308, 0, 1.7e308, 1)], [True], [BBox(1.7e308, 5, 1.7e308, 1)]))
 def test_scoring_has_the_bits_of_the_per_frame_loop(seq):
-    pred, present, gt, visible = seq
-    assert repr(evaluate(pred, present, gt, visible)) == \
+    pred, present, gt = seq
+    visible = [g is not None for g in gt]  # the flags evaluate derives
+    assert repr(evaluate(pred, present, gt)) == \
         repr(per_frame_evaluate(pred, present, gt, visible))
     assert success_curve(pred, gt).tobytes() == per_frame_success_curve(pred, gt).tobytes()
     assert repr(precision_metrics(pred, gt)) == repr(per_frame_precision(pred, gt))
@@ -297,7 +297,7 @@ def test_non_finite_box_is_rejected_naming_frame_and_side(side, bad):
     pred, gt = [B, B, B], [B, B, B]
     (pred if side == "pred" else gt)[1] = bad
     with pytest.raises(ValueError, match=f"^{side} box at frame 1 has a non-finite coordinate"):
-        evaluate(pred, [True] * 3, gt, [True] * 3)
+        evaluate(pred, [True] * 3, gt)
     with pytest.raises(ValueError, match=f"^{side} box at frame 1"):
         success_curve(pred, gt)
 
@@ -305,19 +305,10 @@ def test_non_finite_box_is_rejected_naming_frame_and_side(side, bad):
 def test_zero_size_visible_gt_box_is_rejected_naming_the_frame():
     gt = [B, B, BBox(10, 10, 0, 0)]
     with pytest.raises(ValueError, match="GT box at frame 2 must have positive width and height"):
-        evaluate([B] * 3, [True] * 3, gt, [True] * 3)
+        evaluate([B] * 3, [True] * 3, gt)
 
 
-@pytest.mark.parametrize("flag, box, said", [(True, None, "True at frame 1 but its GT box is absent"),
-                                             (False, B, "False at frame 1 but its GT box is present")])
-def test_visible_flag_unlike_its_gt_box_is_rejected_naming_the_frame(flag, box, said):
-    with pytest.raises(ValueError, match=f"gt_visible is {said}"):
-        evaluate([B] * 3, [True] * 3, [B, box, B], [True, flag, True])
-
-
-@pytest.mark.parametrize("name", ["pred_present", "gt_visible"])
+@pytest.mark.parametrize("name", ["pred_present"])
 def test_short_flag_list_is_rejected_naming_it_and_both_lengths(name):
-    args = {"pred_present": [True] * 3, "gt_visible": [True] * 3}
-    args[name] = [True] * 2
     with pytest.raises(ValueError, match=f"{name} holds 2 frames but gt holds 3"):
-        evaluate([B] * 3, args["pred_present"], [B] * 3, args["gt_visible"])
+        evaluate([B] * 3, [True] * 2, [B] * 3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trackmem.geometry import BBox
-from trackmem.membank import NEVER, EntryKind, MemoryEntry
+from trackmem.membank import NEVER, MemoryEntry
 from trackmem.observation import Proposal, Prototype
 from trackmem.policies import (
     AdmissionReason,
@@ -40,22 +40,17 @@ def frame(frame_idx=1, o=1.0, s=(0.9, 0.5, 0.2), masks=None):
 # --- decision contract --------------------------------------------------------
 
 
-def test_decision_consistency_enforced():
-    with pytest.raises(ValueError):
-        RamPolicyDecision(admit=True, reason=AdmissionReason.BELOW_KF_THR)
-    with pytest.raises(ValueError):
-        RamPolicyDecision(admit=False, reason=AdmissionReason.ADMITTED)
-
-
 def test_decisions_are_shared_per_reason():
     assert RamPolicyDecision.admitted() is RamPolicyDecision.admitted()
-    assert RamPolicyDecision.admitted() == RamPolicyDecision(True, AdmissionReason.ADMITTED)
+    assert RamPolicyDecision.admitted() == RamPolicyDecision(AdmissionReason.ADMITTED)
+    assert RamPolicyDecision.admitted().admit is True
     for reason in AdmissionReason:
         if reason is AdmissionReason.ADMITTED:
             continue
         decision = RamPolicyDecision.rejected(reason)
         assert decision is RamPolicyDecision.rejected(reason)
-        assert decision == RamPolicyDecision(False, reason)
+        assert decision == RamPolicyDecision(reason)
+        assert decision.admit is False
     with pytest.raises(ValueError):
         RamPolicyDecision.rejected(AdmissionReason.ADMITTED)
 
@@ -218,8 +213,7 @@ def test_anchor_first_without_prototype_is_zero():
 
 
 def make_entry(f, proto=None):
-    return MemoryEntry(frame_idx=f, mask=MASK, s_mask=0.9, kind=EntryKind.RAM,
-                       fg_prototype=proto)
+    return MemoryEntry(frame_idx=f, mask=MASK, s_mask=0.9, fg_prototype=proto)
 
 
 def test_select_ram_takes_all_when_window_small():

@@ -7,7 +7,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, BitMask, box_iou
-from trackmem.membank import EntryKind, MemoryEntry
+from trackmem.membank import MemoryEntry
 from trackmem.motion import MotionConfig
 from trackmem.observation import (
     FeatureGrid,
@@ -195,6 +195,19 @@ def test_frame_zero_is_the_prompt():
     assert session.bank.compose() == [session.bank.init]
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"policy": PolicyKind.SAMITE_DRM, "k_ram": 2.5}, "k_ram must be an integer, got 2.5"),
+    ({"policy": PolicyKind.DAM4SAM, "k_ram": True}, "k_ram must be an integer, got True"),
+    ({"policy": PolicyKind.DAM4SAM, "k_drm": 1.5}, "k_drm must be an integer, got 1.5"),
+    ({"policy": "samite_drm"}, "policy must be a PolicyKind, got 'samite_drm'"),
+    ({"policy": PolicyKind.SAM2_FIFO, "k_ram": 0}, "k_ram must be >= 1"),
+    ({"policy": PolicyKind.DAM4SAM, "k_drm": -1}, "k_drm must be >= 0"),
+], ids=["k_ram-float", "k_ram-bool", "k_drm-float", "policy-string", "k_ram-0", "k_drm-negative"])
+def test_tracker_config_rejects_a_bad_field_naming_it(kw, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrackerConfig(**kw)
+
+
 def test_step_rejects_out_of_order_frames():
     session = TrackerSession(config(PolicyKind.DAM4SAM), INIT)
     with pytest.raises(ValueError):
@@ -213,7 +226,7 @@ def test_fifo_bank_is_init_plus_last_k():
     frames = [e.frame_idx for e in session.bank.ram]
     assert frames == list(range(len(record.observations) - k, len(record.observations)))
     composed = session.bank.compose()
-    assert composed[0].kind is EntryKind.INIT
+    assert composed[0] is session.bank.init
     assert len(composed) == 1 + k
     assert all(r.decision.admit for r in results[1:])
 
@@ -233,11 +246,9 @@ def test_absent_frames_mutate_ram_only_for_fifo():
     for policy in PolicyKind:
         session = TrackerSession(config(policy), record.init_mask)
         for o in record.observations:
-            before = [e.frame_idx for e in session.bank.compose()
-                      if e.kind is EntryKind.RAM]
+            before = [e.frame_idx for e in session.bank.ram]
             res = session.step(o)
-            after = [e.frame_idx for e in session.bank.compose()
-                     if e.kind is EntryKind.RAM]
+            after = [e.frame_idx for e in session.bank.ram]
             if not res.present and policy is not PolicyKind.SAM2_FIFO:
                 assert o.frame_idx not in after, (policy, o.frame_idx)
             if res.frame_idx > 0 and policy is PolicyKind.SAM2_FIFO:
@@ -316,7 +327,7 @@ class RecomputingSamite(SamitePolicy):
             if first.fg_prototype is not None:
                 same_dims(proto, first.fg_prototype)
             self.pool.append(MemoryEntry.from_proposal(
-                obs.frame_idx, chosen, EntryKind.RAM, fg_prototype=proto))
+                obs.frame_idx, chosen, fg_prototype=proto))
             decision = RamPolicyDecision.admitted()
         else:
             decision = RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
@@ -476,11 +487,8 @@ def test_sam2long_session_composes_shared_drm_with_best_ram():
     session = TrackerSession(cfg, record.init_mask)
     results = session.run(record.observations)
     entries = session.bank.compose()
-    assert entries[0].kind is EntryKind.INIT
-    kinds = [e.kind for e in entries]
-    assert kinds == sorted(kinds, key=[EntryKind.INIT, EntryKind.DRM,
-                                       EntryKind.RAM].index)
-    drm_frames = [e.frame_idx for e in entries if e.kind is EntryKind.DRM]
+    assert entries == [session.bank.init, *session.bank.drm, *session.bank.ram]
+    drm_frames = [e.frame_idx for e in session.bank.drm]
     admitted = [r.frame_idx for r in results if r.drm_admitted]
     assert drm_frames == admitted[-cfg.k_drm:]
     # the RAM view is the best pathway's; pathway banks never hold DRM entries

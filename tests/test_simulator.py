@@ -89,6 +89,11 @@ def test_occlusion_interval_controls_visibility():
     for t in range(30):
         assert record.gt_visible[t] == (not 10 <= t < 20)
         assert (record.gt_boxes[t] is None) == (10 <= t < 20)
+    # visibility is read off the boxes, not stored beside them
+    record.gt_boxes[12] = record.gt_boxes[9]
+    assert record.gt_visible[12]
+    with pytest.raises(AttributeError):
+        record.gt_visible = [True] * 30
 
 
 def test_occlusion_degrades_target_proposal():
