@@ -2,7 +2,8 @@
 
 Every score in the tracker stack (motion consistency, proposal
 disagreement, evaluation overlap) reduces to the IoU algebra in this
-module. Boxes are real-valued with a top-left (x, y, w, h) convention and
+module. Boxes are real-valued with a top-left (x, y, w, h) convention, are
+immutable tuple records (policies build several per frame), and
 their IoU is computed analytically: one pair at a time by ``box_iou``
 (the per-proposal gates) or a whole sequence's row pairs at once by
 ``box_ious`` (evaluation), with the same bits either way. Masks are
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,18 +47,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box, top-left corner (x, y), size (w, h), in pixels."""
-
+class _BoxFields(NamedTuple):
     x: float
     y: float
     w: float
     h: float
 
-    def __post_init__(self) -> None:
-        if self.w < 0 or self.h < 0:
-            raise ValueError(f"box size must be non-negative, got w={self.w}, h={self.h}")
+
+class BBox(_BoxFields):
+    """Axis-aligned box, top-left corner (x, y), size (w, h), in pixels.
+
+    An immutable tuple record: it unpacks as ``x, y, w, h``, compares and
+    hashes by value (equal to a plain tuple of its fields), pickles, and
+    refuses attribute assignment. Every constructor, ``_make`` and
+    ``_replace`` included, rejects a negative width or height.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, w: float, h: float) -> "BBox":
+        if w < 0 or h < 0:
+            raise ValueError(f"box size must be non-negative, got w={w}, h={h}")
+        return tuple.__new__(cls, (x, y, w, h))
+
+    @classmethod
+    def _make(cls, iterable) -> "BBox":
+        return cls(*iterable)
 
     @property
     def area(self) -> float:
@@ -64,7 +80,8 @@ class BBox:
 
     @property
     def center(self) -> tuple[float, float]:
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
+        x, y, w, h = self
+        return (x + w / 2.0, y + h / 2.0)
 
     @classmethod
     def from_center(cls, cx: float, cy: float, w: float, h: float) -> "BBox":
@@ -76,12 +93,12 @@ def box_iou(a: BBox, b: BBox) -> float:
 
     Zero-area operands give 0 by convention. Identical boxes give exactly
     1.0 (the edge arithmetic alone would lose an ulp on fractional
-    coordinates). Each field is read once into a local, and the
+    coordinates). Each box is unpacked once into locals, and the
     conditional expressions pick what ``min`` and ``max`` would: this is
     the per-proposal gate's hot path.
     """
-    ax, ay, aw, ah = a.x, a.y, a.w, a.h
-    bx, by, bw, bh = b.x, b.y, b.w, b.h
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
     area_a, area_b = aw * ah, bw * bh
     if area_a == 0.0 or area_b == 0.0:
         return 0.0

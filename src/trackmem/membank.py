@@ -27,13 +27,15 @@ DRM admission requires all four gates to pass:
 4. disagreement: the minimum pairwise mask IoU among the frame's three
    proposals is below ``tau_div``.
 
-The gates are pure and admission is their AND, so they are checked
-cheapest first: the three pairwise IoUs are computed only on frames that
-pass the other three gates. Their minimum depends on the observation
-alone, not on the bank or the thresholds, so it is computed at most once
-per observation and kept on it (the value, not the verdict, since
-``tau_div`` varies by config): every policy stepping over the same
-observation reuses it.
+The gates are pure and admission is their AND, so
+:func:`drm_gates_pass` checks them cheapest first, in the order listed,
+and stops at the first that fails: the RAM's mask areas are read only on
+frames that pass quality and sparsity, and the three pairwise IoUs only
+on frames that pass the other three gates. The IoUs' minimum depends on
+the observation alone, not on the bank or the thresholds, so it is
+computed at most once per observation and kept on it (the value, not the
+verdict, since ``tau_div`` varies by config): every policy stepping over
+the same observation reuses it.
 
 DRM eviction, when the cap is reached, is FIFO over DRM slots.
 """
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .checks import check_numbers
 from .geometry import BBox, BitMask, mask_iou, mask_to_bbox
@@ -99,17 +101,21 @@ class DrmConfig:
 def drm_gates_pass(
     obs: FrameObservation,
     chosen: Proposal,
-    ram_areas: list[int],
+    ram: Sequence[MemoryEntry],
     last_drm_frame: int,
     cfg: DrmConfig,
 ) -> bool:
-    """Evaluate the four DRM admission gates, cheapest first (no bank mutation)."""
+    """Evaluate the four DRM admission gates, cheapest first (no bank mutation).
+
+    ``ram`` is the RAM the area gate compares against; its mask areas are
+    read only when the quality and sparsity gates pass.
+    """
     if chosen.s_mask < cfg.tau_q:
         return False
     if obs.frame_idx - last_drm_frame < cfg.min_gap:
         return False
-    if ram_areas:
-        median = float(statistics.median(ram_areas))
+    if ram:
+        median = float(statistics.median([e.mask.area for e in ram]))
         if median == 0.0:
             return False
         ratio = chosen.mask.area / median
@@ -209,8 +215,7 @@ class MemoryBank:
         """
         if self.k_drm == 0:
             return False
-        ram_areas = [e.mask.area for e in self.ram]
-        if not drm_gates_pass(obs, chosen, ram_areas, self.last_drm_frame, cfg):
+        if not drm_gates_pass(obs, chosen, self.ram, self.last_drm_frame, cfg):
             return False
         self.drm.append(MemoryEntry.from_proposal(obs.frame_idx, chosen))
         if len(self.drm) > self.k_drm:

@@ -102,7 +102,7 @@ def _check_length(name: str, seq, gt) -> None:
 def _rows(boxes: list[BBox | None], side: str) -> tuple[np.ndarray, np.ndarray]:
     """``(n, 4)`` float64 rows of x, y, w, h (zeros where absent) and the presence mask."""
     there = np.array([b is not None for b in boxes], dtype=bool)
-    fields = [(b.x, b.y, b.w, b.h) if b is not None else _ABSENT for b in boxes]
+    fields = [_ABSENT if b is None else b for b in boxes]  # a BBox is its x, y, w, h
     rows = np.fromiter(chain.from_iterable(fields), np.float64, 4 * len(boxes)).reshape(-1, 4)
     if not np.isfinite(rows).all():
         t = int(np.argmin(np.isfinite(rows).all(axis=1)))

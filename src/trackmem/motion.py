@@ -44,6 +44,7 @@ hidden RNG and a replayed input trace is bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,13 +80,14 @@ class MotionConfig:
             raise ValueError("n_lost must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class KalmanState:
+class KalmanState(NamedTuple):
     """Gaussian box-motion belief: positions ``pos`` = (cx, cy, w, h), their
     per-frame velocities ``vel``, and the (position, velocity) covariance
     block [[a, b], [b, d]] every component shares.
 
-    ``mean`` and ``cov`` give the 8-vector and 8x8 matrix form.
+    An immutable NamedTuple, built by position twice a frame by each motion
+    policy; derive a changed state with ``_replace``. ``mean`` and ``cov``
+    give the 8-vector and 8x8 matrix form.
     """
 
     pos: Quad
@@ -115,14 +117,15 @@ class KalmanState:
     def predicted_box(self) -> BBox:
         """Current mean as a box, center converted to top-left, size clamped."""
         cx, cy, w, h = self.pos
-        w = max(w, 1e-6)
-        h = max(h, 1e-6)
+        # what max(w, 1e-6) and max(h, 1e-6) return, without the calls
+        w = 1e-6 if 1e-6 > w else w
+        h = 1e-6 if 1e-6 > h else h
         return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
 def _measurement(b: BBox) -> Quad:
-    cx, cy = b.center
-    return (float(cx), float(cy), float(b.w), float(b.h))
+    x, y, w, h = b
+    return (float(x + w / 2.0), float(y + h / 2.0), float(w), float(h))
 
 
 def kf_init(b0: BBox, cfg: MotionConfig) -> KalmanState:
@@ -139,11 +142,11 @@ def kf_init(b0: BBox, cfg: MotionConfig) -> KalmanState:
 
 def kf_predict(s: KalmanState) -> tuple[KalmanState, BBox]:
     """One constant-velocity step: returns the prior state and its box."""
-    (cx, cy, w, h), (vcx, vcy, vw, vh) = s.pos, s.vel
-    a, b, d = s.a, s.b, s.d
-    q = s.config.process_noise
-    out = KalmanState((cx + vcx, cy + vcy, w + vw, h + vh), s.vel,
-                      ((a + b) + (b + d)) + q, b + d, d + q, s.config)
+    (cx, cy, w, h), vel, a, b, d, config = s
+    vcx, vcy, vw, vh = vel
+    q = config.process_noise
+    out = KalmanState((cx + vcx, cy + vcy, w + vw, h + vh), vel,
+                      ((a + b) + (b + d)) + q, b + d, d + q, config)
     return out, out.predicted_box()
 
 
@@ -155,16 +158,15 @@ def kf_update(s: KalmanState, z: BBox) -> KalmanState:
     """
     if z.area == 0.0:
         return s
-    (cx, cy, w, h), (vcx, vcy, vw, vh) = s.pos, s.vel
+    (cx, cy, w, h), (vcx, vcy, vw, vh), a, b, d, config = s
     zcx, zcy, zw, zh = _measurement(z)
     ecx, ecy, ew, eh = zcx - cx, zcy - cy, zw - w, zh - h
-    a, b, d = s.a, s.b, s.d
-    inv = 1.0 / (a + s.config.measurement_noise)
+    inv = 1.0 / (a + config.measurement_noise)
     k1, k2 = a * inv, b * inv
     m = 1.0 - k1
     return KalmanState(
         (cx + k1 * ecx, cy + k1 * ecy, w + k1 * ew, h + k1 * eh),
         (vcx + k2 * ecx, vcy + k2 * ecy, vw + k2 * ew, vh + k2 * eh),
         m * a, (m * b + (b - k2 * a)) / 2.0, d - k2 * b,
-        s.config,
+        config,
     )

@@ -21,13 +21,15 @@ extends frees its bank and its own nodes as soon as the beam that held it
 is dropped. :attr:`Pathway.trajectory` rebuilds the full choice tuple by
 walking the links.
 
-Banks are copied on branching; entries are immutable so the copies share
-them structurally. Survivors advance their own fresh copy by the quality-
-and-presence admission gate (:func:`trackmem.policies.sam2long_admit`)
-and keep its decision, so a pathway's bank never changes once pruning
-returns it, and a caller may hold on to its RAM list. Beam collapse
-(every survivor sharing one parent) is allowed; no re-seeding or
-deduplication happens.
+The quality-and-presence admission gate
+(:func:`trackmem.policies.sam2long_admit`) runs once per survivor, which
+keeps its decision. A survivor it admits advances its own fresh copy of
+the parent's bank; entries are immutable, so the copy shares them
+structurally. A survivor it rejects would hold a copy equal to the
+parent's bank, so it shares that bank instead. Either way a pathway's
+bank never changes once pruning returns it, so sharing is safe, and a
+caller may hold on to its RAM list. Beam collapse (every survivor sharing
+one parent) is allowed; no re-seeding or deduplication happens.
 
 :class:`Pathway` and :class:`PathwayCandidate` are immutable NamedTuples,
 built by position: several are made per frame.
@@ -36,6 +38,7 @@ built by position: several are made per frame.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 from .membank import MemoryBank, MemoryEntry
@@ -87,6 +90,10 @@ class PathwayCandidate(NamedTuple):
     score: float
 
 
+_PARENT_AND_PROPOSAL = itemgetter(0, 1)
+_SCORE = itemgetter(2)
+
+
 def pathway_init(bank: MemoryBank) -> list[Pathway]:
     """A beam of one root pathway holding the freshly initialized bank."""
     return [Pathway(bank, 0.0, None, 0)]
@@ -111,22 +118,28 @@ def pathway_prune(
     """Keep the top-``cfg.beam_width`` candidates and advance their banks.
 
     Survivor order (and the tie order) is score descending, then parent
-    index, then proposal index, so the best survivor comes first. Each
-    survivor copies its parent's bank and inserts the chosen proposal into
-    RAM when the admission gate passes; a parent's bank is never changed.
+    index, then proposal index, so the best survivor comes first. A
+    survivor whose choice the admission gate admits gets a copy of its
+    parent's bank with the chosen proposal inserted into RAM; one whose
+    choice it rejects shares its parent's bank. A parent's bank is never
+    changed.
     """
     if not candidates:
         raise ValueError("cannot prune an empty candidate list")
-    ranked = sorted(candidates, key=lambda c: (-c.score, c.parent_id, c.proposal_index))
+    # two stable sorts with C keys: the second keeps the first's order among equal scores
+    ranked = sorted(candidates, key=_PARENT_AND_PROPOSAL)
+    ranked.sort(key=_SCORE, reverse=True)
     frame_idx = obs.frame_idx
     survivors = []
     for parent_id, k, score in ranked[: cfg.beam_width]:
         parent = beam[parent_id]
         chosen = obs.proposals[k]
-        bank = parent.bank.copy()
         decision = sam2long_admit(obs, chosen, cfg)
         if decision.admit:
+            bank = parent.bank.copy()
             bank.insert_ram(MemoryEntry.from_proposal(frame_idx, chosen))
+        else:
+            bank = parent.bank
         survivors.append(Pathway(bank, score, Choice(frame_idx, k, parent.history),
                                  parent_id, decision))
     return survivors

@@ -228,8 +228,8 @@ def samite_calibrate(
     term from :func:`samite_anchor_first`; only the previous-anchor term,
     whose anchor moves every frame, is computed here. A score depends only on
     P and P_prev within a session, so :class:`~trackmem.selection.SamitePolicy`
-    memoizes it and passes only the window's prototypes not yet scored
-    against this P_prev, which may be none.
+    memoizes it, passes only the window's prototypes not yet scored
+    against this P_prev, and calls this only when there is at least one.
     """
     return [
         (frame_idx, (1.0 - alpha) * cos_first + alpha * cosine(proto, anchor_prev))

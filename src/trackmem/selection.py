@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .checks import check_numbers, shown
@@ -41,6 +42,7 @@ from .geometry import BBox, BitMask
 from .membank import DrmConfig, MemoryBank, MemoryEntry
 from .motion import MotionConfig, kf_init, kf_predict, kf_update
 from .observation import (
+    PROPOSALS_PER_FRAME,
     FrameObservation,
     Proposal,
     Prototype,
@@ -139,7 +141,7 @@ def frame_result_to_line(res: FrameResult) -> str:
         "frame": res.frame_idx,
         "present": res.present,
         "bbox": None if chosen is None or chosen.bbox is None
-        else [chosen.bbox.x, chosen.bbox.y, chosen.bbox.w, chosen.bbox.h],
+        else list(chosen.bbox),
         "mask_sha1": None if chosen is None else chosen.mask.text_sha1(),
         "s_mask": None if chosen is None else chosen.s_mask,
         "s_obj": None if chosen is None else chosen.s_obj,
@@ -155,6 +157,12 @@ def frame_result_to_line(res: FrameResult) -> str:
 
 # --- per-frame choice rules --------------------------------------------------
 
+# Each rule takes its argmax over (score, -index, ...) tuples, so a tie goes
+# to the lower index; the negated indices are counted once, and the tuples are
+# compared in C rather than through a per-proposal key function.
+_NEG_INDICES = range(0, -PROPOSALS_PER_FRAME, -1)
+_SCORE_AND_NEG_INDEX = itemgetter(0, 1)
+
 
 def select_default(obs: FrameObservation) -> tuple[Proposal, bool]:
     """Argmax of s_mask (ties to the lower index) plus a presence flag.
@@ -163,9 +171,10 @@ def select_default(obs: FrameObservation) -> tuple[Proposal, bool]:
     non-positive and every proposal is empty; the argmax proposal is
     still returned so unconditional policies have something to store.
     """
-    best = max(range(len(obs.proposals)), key=lambda i: (obs.proposals[i].s_mask, -i))
-    present = not (obs.o <= 0.0 and all(p.mask.is_empty for p in obs.proposals))
-    return obs.proposals[best], present
+    proposals = obs.proposals
+    _, neg_best = max(zip([p.s_mask for p in proposals], _NEG_INDICES))
+    present = not (obs.o <= 0.0 and all(p.mask.is_empty for p in proposals))
+    return proposals[-neg_best], present
 
 
 def select_samurai(
@@ -177,12 +186,13 @@ def select_samurai(
     which is the target-lost outcome; otherwise also returns the chosen
     proposal's motion-consistency score.
     """
-    qualified = [i for i, p in enumerate(obs.proposals) if p.s_obj > 0.0]
-    if not qualified:
+    alpha = cfg.alpha
+    scored = [(samurai_score(kf_pred, p, alpha), neg_i, p)
+              for p, neg_i in zip(obs.proposals, _NEG_INDICES) if p.s_obj > 0.0]
+    if not scored:
         return None, None
-    best = max(qualified,
-               key=lambda i: (samurai_score(kf_pred, obs.proposals[i], cfg.alpha), -i))
-    return obs.proposals[best], motion_consistency(kf_pred, obs.proposals[best])
+    best = max(scored, key=_SCORE_AND_NEG_INDEX)[2]
+    return best, motion_consistency(kf_pred, best)
 
 
 def select_him(
@@ -205,11 +215,11 @@ def select_him(
     s_iou = [p.s_mask for p in obs.proposals]
     s_coarse = [motion_consistency(coarse_pred, p) for p in obs.proposals]
     confs, used_fine = him_confidence(s_coarse, s_fine, s_iou, cfg)
-    best = max(range(len(confs)), key=lambda i: (confs[i], -i))
-    chosen = obs.proposals[best]
+    conf, neg_best = max(zip(confs, _NEG_INDICES))
+    chosen = obs.proposals[-neg_best]
     if chosen.mask.is_empty and obs.o <= 0.0:
         return None, None, used_fine
-    return chosen, confs[best], used_fine
+    return chosen, conf, used_fine
 
 
 # --- the policies ----------------------------------------------------------------
@@ -408,7 +418,7 @@ class SamitePolicy(Policy):
                 window.append((e, key))
                 if key not in scores:
                     unscored[key] = (e.frame_idx, e.fg_prototype, cos_first)
-        if window:
+        if unscored:
             scored = samite_calibrate(list(unscored.values()), prev.fg_prototype, cfg.alpha)
             for key, (_, score) in zip(unscored, scored):
                 scores[key] = score

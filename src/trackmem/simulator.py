@@ -704,7 +704,7 @@ def write_record(record: SequenceRecord, obs_path, gt_path) -> None:
             line = {
                 "frame": t,
                 "visible": box is not None,
-                "box": None if box is None else [box.x, box.y, box.w, box.h],
+                "box": None if box is None else list(box),
             }
             if t == 0:
                 line["mask"] = record.init_mask.to_text()

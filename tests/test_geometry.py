@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -38,8 +39,47 @@ def test_box_iou_zero_area_convention():
 
 
 def test_box_negative_size_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^box size must be non-negative, got w=-1, h=2$"):
         BBox(0, 0, -1, 2)
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (lambda: BBox(x=0, y=0, w=2, h=-0.5), "w=2, h=-0.5"),
+    (lambda: BBox.from_center(3, 3, 2, -1), "w=2, h=-1"),
+    (lambda: BBox._make((0, 0, -1, 2)), "w=-1, h=2"),
+    (lambda: BBox(0, 0, 1, 2)._replace(w=-1), "w=-1, h=2"),
+])
+def test_box_negative_size_is_rejected_by_every_constructor(make, sizes):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == f"box size must be non-negative, got {sizes}"
+
+
+def test_box_is_an_immutable_tuple_record():
+    b = BBox(1.0, 2.0, 3.0, 4.0)
+    assert BBox._fields == ("x", "y", "w", "h")
+    assert (b.x, b.y, b.w, b.h) == tuple(b) == (1.0, 2.0, 3.0, 4.0)
+    assert b.area == 12.0 and b.center == (2.5, 4.0)
+    assert BBox.from_center(2.5, 4.0, 3.0, 4.0) == b
+    assert repr(b) == "BBox(x=1.0, y=2.0, w=3.0, h=4.0)"
+    for name in ("x", "y", "w", "h", "area", "other"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, 0.0)
+    assert not hasattr(b, "__dict__")
+    assert b._replace(w=5.0) == BBox(1.0, 2.0, 5.0, 4.0) and b.w == 3.0
+
+
+@given(st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 2,
+                 *[st.floats(0, 1e6, allow_nan=False)] * 2))
+def test_box_pickles_equals_and_hashes_by_value(fields):
+    b = BBox(*fields)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(b, protocol))
+        assert type(back) is BBox and back == b and hash(back) == hash(b)
+    twin = BBox(*fields)
+    assert twin is not b and twin == b and hash(twin) == hash(b)
+    assert b == fields and hash(b) == hash(fields)  # a plain tuple of its fields
+    assert len({b, twin}) == 1
 
 
 def test_box_iou_integer_aligned_matches_rasterization():

@@ -1,3 +1,4 @@
+import contextlib
 import statistics
 
 import numpy as np
@@ -197,8 +198,9 @@ def test_drm_randomized_gate_sweep_matches_predicate_oracle(rng):
                 last_drm = frame
 
 
-def gates_in_written_order(obs, chosen, ram_areas, last_drm_frame, cfg) -> bool:
+def gates_in_written_order(obs, chosen, ram, last_drm_frame, cfg) -> bool:
     """The gates as first written: disagreement first, numpy median."""
+    ram_areas = [e.mask.area for e in ram]
     min_pair_iou = min(mask_iou(obs.proposals[i].mask, obs.proposals[j].mask)
                        for i, j in ((0, 1), (0, 2), (1, 2)))
     if min_pair_iou >= cfg.tau_div:
@@ -215,6 +217,11 @@ def gates_in_written_order(obs, chosen, ram_areas, last_drm_frame, cfg) -> bool:
     if obs.frame_idx - last_drm_frame < cfg.min_gap:
         return False
     return True
+
+
+def area_mask(area: int) -> BitMask:
+    """A 32 x 32 mask of ``area`` pixels (at most 32)."""
+    return BitMask(32, 32, ((0, 0, area),) if area else ())
 
 
 GATE_SCORES = st.sampled_from([0.0, 0.3, 0.69, 0.7, 0.71, 1.0])
@@ -239,14 +246,15 @@ def gate_contexts(draw, o):
     """Everything a gate call takes besides the observation."""
     frame = o.frame_idx
     chosen = o.proposals[draw(st.integers(0, 2))]
-    ram_areas = draw(st.lists(st.integers(0, 30), max_size=6))
+    ram = [entry(i + 1, mask=area_mask(area))
+           for i, area in enumerate(draw(st.lists(st.integers(0, 30), max_size=6)))]
     last_drm = draw(st.sampled_from([NEVER, 0, frame - 5, frame - 4, frame]))
     cfg = DrmConfig(tau_div=draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
                     tau_q=draw(GATE_SCORES),
                     area_lo=draw(st.sampled_from([0.25, 0.5, 1.0])),
                     area_hi=draw(st.sampled_from([1.5, 2.0, 4.0])),
                     min_gap=draw(st.integers(1, 6)))
-    return chosen, ram_areas, last_drm, cfg
+    return chosen, ram, last_drm, cfg
 
 
 @given(gate_cases())
@@ -264,6 +272,49 @@ def test_gates_called_again_on_one_observation_match_written_order(data):
     for _ in range(5):
         assert drm_gates_pass(*case) == gates_in_written_order(*case)
         case = (o, *data.draw(gate_contexts(o)))
+
+
+@contextlib.contextmanager
+def counted_area_reads():
+    """Record the mask of every ``BitMask.area`` read while the block runs."""
+    reads = []
+    area = vars(BitMask)["area"]
+
+    def counted(mask):
+        reads.append(mask)
+        return area.fget(mask)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BitMask, "area", property(counted))
+        yield reads
+
+
+@given(gate_cases())
+def test_gates_read_ram_areas_only_past_quality_and_sparsity(case):
+    o, chosen, ram, last_drm, cfg = case
+    decided_early = (chosen.s_mask < cfg.tau_q
+                     or o.frame_idx - last_drm < cfg.min_gap)
+    event(f"decided by quality or sparsity: {decided_early}")
+    with counted_area_reads() as reads:
+        drm_gates_pass(o, chosen, ram, last_drm, cfg)
+    if decided_early:
+        assert reads == []
+    elif ram:
+        assert all(any(m is e.mask for m in reads) for e in ram)
+
+
+def test_consider_drm_reads_no_area_when_quality_decides():
+    bank = MemoryBank.new(INIT, 6, 3)
+    for frame in (1, 2, 3):
+        bank.insert_ram(entry(frame, mask=rect_mask(32, 32, 4, 4, 8, 8)))
+    o = drm_obs(10, [rect_mask(32, 32, 0, 0, 8, 8), rect_mask(32, 32, 20, 20, 8, 8),
+                     rect_mask(32, 32, 10, 0, 8, 8)], [0.5, 0.9, 0.9])
+    with counted_area_reads() as reads:
+        assert not bank.consider_drm(o, o.proposals[0], DrmConfig(tau_q=0.7))
+    assert reads == []
+    with counted_area_reads() as reads:
+        assert bank.consider_drm(o, o.proposals[1], DrmConfig(tau_q=0.7))
+    assert reads[:3] == [e.mask for e in bank.ram]
 
 
 def test_sessions_of_one_scene_share_each_observations_disagreement(monkeypatch):

@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, box_iou
-from trackmem.motion import MotionConfig, kf_init, kf_predict, kf_update
+from trackmem.motion import KalmanState, MotionConfig, kf_init, kf_predict, kf_update
 
 from conftest import rng_for
 from oracles import DenseKalmanOracle
@@ -56,9 +54,24 @@ def test_predict_zero_velocity_keeps_box():
 
 def test_predict_extrapolates_velocity():
     s = kf_init(BBox.from_center(0, 0, 2, 2), CFG)
-    s = dataclasses.replace(s, vel=(1.0, 0.0, 0.0, 0.0))  # vcx = 1 px/frame
+    s = s._replace(vel=(1.0, 0.0, 0.0, 0.0))  # vcx = 1 px/frame
     _, box = kf_predict(s)
     assert box.center == (1.0, 0.0)
+
+
+def test_kalman_state_is_an_immutable_record():
+    s = kf_init(BBox(3, 4, 5, 6), CFG)
+    assert KalmanState._fields == ("pos", "vel", "a", "b", "d", "config")
+    for name in KalmanState._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+    moved = s._replace(vel=(1.0, 0.0, 0.0, 0.0), a=2.0)
+    assert type(moved) is KalmanState
+    assert moved.vel == (1.0, 0.0, 0.0, 0.0) and moved.a == 2.0
+    assert moved[:2] == (s.pos, (1.0, 0.0, 0.0, 0.0)) and moved[3:] == s[3:]
+    assert s.vel == (0.0, 0.0, 0.0, 0.0) and s.a == CFG.initial_cov_scale
+    assert s == tuple(s) and s._replace() == s
+    assert not s.mean.flags.writeable and not s.cov.flags.writeable
 
 
 def test_update_with_predicted_box_keeps_mean():

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackmem.membank import MemoryBank
+from trackmem.membank import MemoryBank, MemoryEntry
 from trackmem.pathways import (
+    Choice,
     Pathway,
     PathwayCandidate,
     pathway_expand,
     pathway_init,
     pathway_prune,
 )
-from trackmem.policies import PolicyConfig
+from trackmem.policies import PolicyConfig, sam2long_admit
 
 from conftest import obs, prop, rect_mask
 from oracles import exhaustive_best_trajectory
@@ -281,3 +282,68 @@ def test_beam_matches_the_copying_reference(rows, width, k_ram, tau_iou):
     for p, ram, last_ram_frame in returned:
         assert p.bank.ram == ram
         assert p.bank.last_ram_frame == last_ram_frame
+
+
+# --- pruning on drawn beams and candidate lists ---------------------------------------------
+
+
+@st.composite
+def prune_cases(draw):
+    """A beam of 1-4 parents with their own RAM and DRM, every (parent, proposal)
+    candidate or a subset, scores from a small set (so ties occur), in any order."""
+    t = 10
+    k_ram = draw(st.integers(1, 4))
+    beam = []
+    for parent_id in range(draw(st.integers(1, 4))):
+        bank = MemoryBank.new(INIT, k_ram, 2)
+        for frame in sorted(draw(st.sets(st.integers(1, t - 1), max_size=5))):
+            bank.insert_ram(MemoryEntry(frame, MASKS[frame % 3], 0.9))
+        bank.drm.extend(MemoryEntry(frame, MASKS[0], 0.8)
+                        for frame in sorted(draw(st.sets(st.integers(1, t - 1), max_size=2))))
+        beam.append(Pathway(bank, -float(parent_id), Choice(t - 1, 0, None), parent_id))
+    pairs = [(parent_id, k) for parent_id in range(len(beam)) for k in range(3)]
+    chosen_pairs = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    scores = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0])
+    candidates = draw(st.permutations(
+        [PathwayCandidate(parent_id, k, draw(scores)) for parent_id, k in chosen_pairs]))
+    s = [draw(st.sampled_from([0.2, 0.5, 0.9])) for _ in range(3)]
+    ob = score_obs(t, s, o=draw(st.sampled_from([1.0, 0.0, -1.0])))
+    cfg = PolicyConfig(epsilon=1e-6, beam_width=draw(st.integers(1, 6)),
+                       tau_iou=draw(st.sampled_from([0.0, 0.5, 0.95])))
+    return beam, candidates, ob, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(prune_cases())
+def test_prune_ranks_candidates_in_any_order(case):
+    beam, candidates, ob, cfg = case
+    survivors = pathway_prune(beam, candidates, ob, cfg)
+    want = sorted(candidates, key=lambda c: (-c.score, c.parent_id, c.proposal_index))
+    assert [(p.score, p.parent_id, p.history.proposal_index) for p in survivors] == \
+        [(c.score, c.parent_id, c.proposal_index) for c in want[:cfg.beam_width]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(prune_cases())
+def test_rejected_survivors_share_the_parent_bank_and_no_parent_bank_changes(case):
+    beam, candidates, ob, cfg = case
+    before = [(list(p.bank.ram), list(p.bank.drm)) for p in beam]
+    survivors = pathway_prune(beam, candidates, ob, cfg)
+    parent_banks = [p.bank for p in beam]
+    new_banks = []
+    for p in survivors:
+        parent = beam[p.parent_id]
+        chosen = ob.proposals[p.history.proposal_index]
+        assert p.decision == sam2long_admit(ob, chosen, cfg)
+        assert p.history.parent is parent.history
+        ram, drm = before[p.parent_id]
+        if p.decision.admit:
+            assert all(p.bank is not bank for bank in parent_banks)
+            assert p.bank.ram == (ram + [MemoryEntry.from_proposal(ob.frame_idx, chosen)]
+                                  )[-p.bank.k_ram:]
+            assert p.bank.drm == drm
+            new_banks.append(p.bank)
+        else:
+            assert p.bank is parent.bank
+    assert len({id(bank) for bank in new_banks}) == len(new_banks)
+    assert [(p.bank.ram, p.bank.drm) for p in beam] == before

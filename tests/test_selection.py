@@ -6,6 +6,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from trackmem import selection
 from trackmem.geometry import BBox, BitMask, box_iou
 from trackmem.membank import MemoryEntry
 from trackmem.motion import MotionConfig
@@ -20,8 +21,12 @@ from trackmem.policies import (
     AdmissionReason,
     PolicyConfig,
     RamPolicyDecision,
+    him_confidence,
+    motion_consistency,
     sam2long_admit,
+    samite_calibrate,
     samite_select_ram,
+    samurai_score,
 )
 from trackmem.selection import (
     FrameResult,
@@ -183,6 +188,64 @@ def test_select_him_matches_brute_force(rng):
         assert used_fine == want_fine
 
 
+@st.composite
+def tied_frames(draw):
+    """A frame whose proposals often tie: masks and scores drawn from small sets,
+    with repeated and empty masks."""
+    masks = [draw(st.sampled_from(MASKS + [MASKS[0], empty_mask(32, 32)])) for _ in range(3)]
+    s = [draw(st.sampled_from([0.0, 0.3, 0.5, 0.5, 1.0])) for _ in range(3)]
+    s_obj = [draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0])) for _ in range(3)]
+    return frame(1, s=s, s_obj=s_obj, masks=masks, o=draw(st.sampled_from([-1.0, 0.0, 1.0])))
+
+
+PREDICTED = st.sampled_from([None, BBox(2, 2, 6, 6), BBox(8, 8, 10, 10), BBox(0, 0, 32, 32)])
+
+
+def written_argmax(indices, score):
+    """The argmax as written with a key: highest score, ties to the lower index."""
+    return max(indices, key=lambda i: (score(i), -i))
+
+
+@given(tied_frames())
+@example(frame(1, s=(0.5, 0.5, 0.5), masks=[MASKS[0]] * 3))
+def test_select_default_picks_the_written_key(o):
+    chosen, _ = select_default(o)
+    assert chosen is o.proposals[written_argmax(range(3), lambda i: o.proposals[i].s_mask)]
+
+
+@given(tied_frames(), PREDICTED, st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+@example(frame(1, s=(0.5, 0.5, 0.5), masks=[MASKS[0]] * 3), BBox(2, 2, 6, 6), 0.25)
+@example(frame(1, s=(0.5, 0.5, 0.5), s_obj=(-1.0, 1.0, 1.0), masks=[MASKS[0]] * 3), None, 0.5)
+def test_select_samurai_picks_the_written_key(o, kf_pred, alpha):
+    chosen, s_kf = select_samurai(o, kf_pred, PolicyConfig(alpha=alpha, beta=0.0))
+    qualified = [i for i, p in enumerate(o.proposals) if p.s_obj > 0.0]
+    if not qualified:
+        assert chosen is None and s_kf is None
+        return
+    want = o.proposals[written_argmax(
+        qualified, lambda i: samurai_score(kf_pred, o.proposals[i], alpha))]
+    assert chosen is want
+    assert s_kf == motion_consistency(kf_pred, want)
+
+
+@given(tied_frames(), PREDICTED, PREDICTED, st.sampled_from([-1.0, 0.3, 0.5, 2.0]))
+@example(frame(1, s=(0.5, 0.5, 0.5), masks=[MASKS[0]] * 3), BBox(2, 2, 6, 6), None, 0.5)
+@example(frame(1, s=(0.0, 0.0, 0.0), masks=[empty_mask(32, 32)] * 3, o=-1.0), None, None, 0.5)
+def test_select_him_picks_the_written_key(o, coarse, fine, tau_conf):
+    cfg = PolicyConfig(tau_conf=tau_conf)
+    chosen, s_conf, used_fine = select_him(o, coarse, lambda: fine, cfg)
+    confs, want_fine = him_confidence(
+        [motion_consistency(coarse, p) for p in o.proposals],
+        lambda: [motion_consistency(fine, p) for p in o.proposals],
+        [p.s_mask for p in o.proposals], cfg)
+    best = written_argmax(range(3), lambda i: confs[i])
+    assert used_fine == want_fine
+    if o.proposals[best].mask.is_empty and o.o <= 0.0:
+        assert chosen is None and s_conf is None
+    else:
+        assert chosen is o.proposals[best] and s_conf == confs[best]
+
+
 # --- session basics ---------------------------------------------------------------
 
 
@@ -303,6 +366,23 @@ def test_samite_session_holds_anchors():
     assert frames[-1] == last_stored  # previous-frame anchor
     protos = [e.fg_prototype for e in session.bank.ram]
     assert all(p is not None for p in protos)
+
+
+def test_samite_calibrates_only_unscored_prototypes(monkeypatch):
+    # every call scores at least one window prototype, and none is scored
+    # twice against the same previous anchor
+    record = scene_record(seed=311)
+    calls = []
+
+    def calibrate(window, anchor_prev, alpha):
+        calls.append([(proto, anchor_prev) for _, proto, _ in window])
+        return samite_calibrate(window, anchor_prev, alpha)
+
+    monkeypatch.setattr(selection, "samite_calibrate", calibrate)
+    TrackerSession(config(PolicyKind.SAMITE_DRM), record.init_mask).run(record.observations)
+    assert calls and all(calls)
+    scored = [(id(proto), id(anchor)) for call in calls for proto, anchor in call]
+    assert len(scored) == len(set(scored))
 
 
 def same_dims(a, b):
