@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "FeatureGrid",
     "Prototype",
     "covered_labels",
+    "pooled_prototype",
     "extract_prototypes",
     "cosine",
     "observation_to_line",
@@ -44,20 +46,38 @@ PROPOSALS_PER_FRAME = 3
 class Prototype:
     """Pooled appearance vector; zero vector when pooled over nothing.
 
-    ``norm`` is the vector's Euclidean norm, computed once here; treat
-    ``vec`` as read-only.
+    ``norm`` is the vector's Euclidean norm as a Python float, computed once
+    here as ``math.sqrt(vec.dot(vec))``: for a 1-D real vector that is what
+    ``np.linalg.norm`` computes, and both square roots are correctly
+    rounded, so the bits are the same. ``vec`` is held as a C-contiguous
+    float64 array, the order in which ``np.linalg.norm`` reads it (one
+    given as such is kept, not copied); treat it as read-only.
+
+    A vector with a NaN or infinite element is rejected, and so is a finite
+    one whose squared norm overflows: its norm would be ``inf`` and every
+    cosine against it ``nan``. The elements are scanned only when the
+    squared norm is not finite, which is the only case where either holds.
+    numpy warns of the overflow before the ``ValueError``; where warnings
+    are errors, the ``ValueError`` is raised in place of that warning.
     """
 
     vec: np.ndarray
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vec", np.asarray(self.vec, dtype=float))
-        if self.vec.ndim != 1:
+        vec = np.asarray(self.vec, dtype=float, order="C")
+        object.__setattr__(self, "vec", vec)
+        if vec.ndim != 1:
             raise ValueError("prototype must be a 1-D vector")
-        if not np.all(np.isfinite(self.vec)):
-            raise ValueError("prototype must be finite")
-        object.__setattr__(self, "norm", np.linalg.norm(self.vec))
+        try:
+            sq = float(vec.dot(vec))
+        except RuntimeWarning:  # numpy's overflow warning, where warnings are errors
+            sq = math.inf
+        if not math.isfinite(sq):
+            if not np.isfinite(vec).all():
+                raise ValueError("prototype must be finite")
+            raise ValueError("prototype norm overflows: its squared norm exceeds the float64 range")
+        object.__setattr__(self, "norm", math.sqrt(sq))
 
     @property
     def dim(self) -> int:
@@ -226,11 +246,12 @@ def covered_labels(f: FeatureGrid, m: BitMask) -> np.ndarray:
     are visited, and each finds the runs of the mask row it samples by
     bisection. Several grid rows may sample one mask row.
     """
+    labels = f.labels
     runs = m.runs
     if not runs:
-        return f.labels.reshape(-1)[:0]
-    sample_rows, rows, cols = _cell_spans(f.height, f.width, m.height, m.width)
-    width = f.width
+        return labels.reshape(-1)[:0]
+    height, width = labels.shape
+    sample_rows, rows, cols = _cell_spans(height, width, m.height, m.width)
     cells: list[int] = []
     for i in range(rows[runs[0][0]], rows[runs[-1][0] + 1]):
         row = sample_rows[i]
@@ -239,26 +260,42 @@ def covered_labels(f: FeatureGrid, m: BitMask) -> np.ndarray:
         base = i * width
         for _, start, length in runs[lo:hi]:
             cells.extend(range(base + cols[start], base + cols[start + length]))
-    return f.labels.reshape(-1)[cells]
+    return labels.take(cells)  # indexes the flattened grid
+
+
+def pooled_prototype(f: FeatureGrid, labels: np.ndarray) -> Prototype:
+    """The mean of the palette rows that ``labels`` names, one per covered
+    cell; no label yields the zero vector.
+
+    The mean is the sum of the gathered rows divided by their count, which
+    is how ``ndarray.mean`` computes it, so the bits are the same.
+    """
+    n = len(labels)
+    if not n:
+        return Prototype(np.zeros(f.dim))
+    return Prototype(np.add.reduce(f.palette.take(labels, 0), 0) / n)
 
 
 def extract_prototypes(f: FeatureGrid, m: BitMask) -> Prototype:
-    """Mean feature vector over the foreground cells (:func:`covered_labels`);
-    a mask that covers no cell yields the zero vector."""
-    labels = covered_labels(f, m)
-    if not len(labels):
-        return Prototype(np.zeros(f.dim))
-    return Prototype(f.palette[labels].mean(axis=0))
+    """Mean feature vector over the foreground cells (:func:`covered_labels`),
+    pooled by :func:`pooled_prototype`; a mask that covers no cell yields the
+    zero vector."""
+    return pooled_prototype(f, covered_labels(f, m))
 
 
 def cosine(a: Prototype, b: Prototype) -> float:
-    """Cosine similarity in [-1, 1]; 0 when either vector has zero norm."""
-    if a.dim != b.dim:
+    """Cosine similarity in [-1, 1]; 0 when either vector has zero norm.
+
+    The quotient is taken in numpy float64, so a norm product that
+    underflows to zero gives what numpy's division gives, not an error.
+    """
+    va, vb = a.vec, b.vec
+    if len(va) != len(vb):
         raise ValueError(f"prototype dims differ: {a.dim} vs {b.dim}")
     na, nb = a.norm, b.norm
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.dot(a.vec, b.vec) / (na * nb))
+    return float(va.dot(vb) / (na * nb))
 
 
 # --- JSON-lines fixture format -------------------------------------------

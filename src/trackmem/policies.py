@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .checks import check_numbers
@@ -237,6 +238,12 @@ def samite_calibrate(
     ]
 
 
+# a ranked window frame is ``(-score, -frame_idx, entry)``; a MemoryEntry's
+# ``frame_idx`` is its field 0
+_RANK = itemgetter(0, 1)
+_FRAME_IDX = itemgetter(0)
+
+
 def samite_select_ram(
     scored_window: Sequence[tuple[MemoryEntry, float]],
     k_ram: int,
@@ -248,16 +255,19 @@ def samite_select_ram(
     Takes the ``k_ram - 2`` highest-scoring window frames, breaking score
     ties toward the larger frame index (recency), and returns the result
     in chronological order. Window items that duplicate an anchor frame
-    are skipped.
+    are skipped. The ``(-score, -frame_idx)`` keys are built once, and both
+    sorts read their keys with ``itemgetter``.
     """
     if k_ram < 2:
         raise ValueError("prototype-calibrated RAM needs k_ram >= 2 for its anchors")
-    anchors = [first_entry] + ([prev_entry] if prev_entry is not None else [])
+    anchors = [first_entry] if prev_entry is None else [first_entry, prev_entry]
     anchor_frames = {e.frame_idx for e in anchors}
-    candidates = [(e, s) for e, s in scored_window if e.frame_idx not in anchor_frames]
-    candidates.sort(key=lambda item: (-item[1], -item[0].frame_idx))
-    picked = [e for e, _ in candidates[: k_ram - 2]]
-    return sorted(anchors + picked, key=lambda e: e.frame_idx)
+    ranked = [(-s, -e.frame_idx, e) for e, s in scored_window
+              if e.frame_idx not in anchor_frames]
+    ranked.sort(key=_RANK)
+    anchors += [e for _, _, e in ranked[: k_ram - 2]]
+    anchors.sort(key=_FRAME_IDX)
+    return anchors
 
 
 # --- two-stage motion confidence ---------------------------------------------

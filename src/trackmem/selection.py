@@ -48,6 +48,7 @@ from .observation import (
     Prototype,
     covered_labels,
     extract_prototypes,
+    pooled_prototype,
 )
 from .pathways import pathway_expand, pathway_init, pathway_prune
 from .policies import (
@@ -356,12 +357,16 @@ class SamitePolicy(Policy):
     prototype is a function of the grid's palette and the labels of the
     cells its mask covers, so the session interns prototypes keyed by the
     palette's value and those labels, each as ``(index, prototype,
-    cos(P, P_first))``: the first-anchor term is taken once, when the
-    prototype is first seen. Alpha and the first anchor are fixed for the
-    session, so a calibration score depends only on the entry's prototype
-    and the previous anchor's, and is memoized by their two indices. Both
-    tables live on the policy and are freed with it; they grow with the
-    distinct prototypes and pairs a session meets.
+    cos(P, P_first))``. The labels are gathered once per frame: they make
+    the key and, the first time a key is seen, the prototype, pooled from
+    them by :func:`~trackmem.observation.pooled_prototype` as
+    :func:`~trackmem.observation.extract_prototypes` pools it; the
+    first-anchor term is taken then too. Alpha and the first anchor are
+    fixed for the session, so a calibration score depends only on the
+    entry's prototype and the previous anchor's: the session keeps one
+    score table per previous-anchor index, keyed by the entry's index.
+    Both tables live on the policy and are freed with it; they grow with
+    the distinct prototypes and pairs a session meets.
     """
 
     def prompt(self, obs: FrameObservation) -> None:
@@ -370,7 +375,8 @@ class SamitePolicy(Policy):
         # (entry, prototype index, cos(P, P_first)) of each stored frame
         self.pool: list[tuple[MemoryEntry, int, float]] = []
         self.interned: dict[tuple, tuple[int, Prototype, float]] = {}
-        self.scores: dict[tuple[int, int], float] = {}
+        # previous-anchor index -> {window prototype index: calibration score}
+        self.scores: dict[int, dict[int, float]] = {}
 
     def _interned(self, obs: FrameObservation, mask: BitMask
                   ) -> tuple[int, Prototype, float] | None:
@@ -381,11 +387,10 @@ class SamitePolicy(Policy):
             return None
         labels = covered_labels(f, mask)
         palette = f.palette
-        key = (palette.dtype.str, palette.shape, palette.tobytes(),
-               labels.dtype.str, labels.tobytes())
+        key = (palette.dtype, palette.shape, palette.tobytes(), labels.dtype, labels.tobytes())
         item = self.interned.get(key)
         if item is None:
-            proto = extract_prototypes(f, mask)
+            proto = pooled_prototype(f, labels)
             item = (len(self.interned), proto,
                     samite_anchor_first(proto, self.first.fg_prototype))
             self.interned[key] = item
@@ -408,22 +413,18 @@ class SamitePolicy(Policy):
         while pool and pool[0][0].frame_idx < horizon:
             del pool[0]
         prev, prev_index, _ = pool[-1] if pool else (None, None, None)
-        # the window: every pool entry but prev that is newer than the horizon;
-        # unscored: its prototypes not yet scored against prev's, once each
-        scores = self.scores
-        window, unscored = [], {}
-        for e, index, cos_first in pool[:-1]:
-            if e.frame_idx > horizon:
-                key = (index, prev_index)
-                window.append((e, key))
-                if key not in scores:
-                    unscored[key] = (e.frame_idx, e.fg_prototype, cos_first)
+        # the window: every pool entry but prev that is newer than the horizon,
+        # which only the oldest can fail
+        window = pool[1:-1] if pool and pool[0][0].frame_idx == horizon else pool[:-1]
+        scores = self.scores.setdefault(prev_index, {})
+        # its prototypes not yet scored against prev's, once each
+        unscored = {index: (e.frame_idx, e.fg_prototype, cos_first)
+                    for e, index, cos_first in window if index not in scores}
         if unscored:
             scored = samite_calibrate(list(unscored.values()), prev.fg_prototype, cfg.alpha)
-            for key, (_, score) in zip(unscored, scored):
-                scores[key] = score
+            scores.update(zip(unscored, [score for _, score in scored]))
         self.bank.replace_ram(samite_select_ram(
-            [(e, scores[key]) for e, key in window], self.cfg.k_ram, self.first, prev))
+            [(e, scores[index]) for e, index, _ in window], self.cfg.k_ram, self.first, prev))
         return decision
 
 

@@ -13,14 +13,17 @@ it checks only what the simulator computes from them.
 The rest are the library's own earlier, slower forms, kept so that a
 rewrite can be held to the same bits: the RLE text encoder that groups
 runs by row, the motion filter with its full measurement-matrix
-products, the prototype calibration that recomputes both anchor cosines
-for every window frame, the per-frame scoring loop (one ``box_iou``
-and one scalar ``np.hypot`` per frame) that whole-sequence array scoring
-must match, the prototype-calibrated admission that rebuilds its pool,
-window and unscored set every frame (:class:`RebuildingSamite`), and the
-beam that takes one log per (pathway, proposal) pair and copies every
-survivor's whole trajectory (:func:`pathway_expand_per_pair`,
-:func:`pathway_prune_copying`).
+products, a prototype's mean by ``ndarray.mean`` (:func:`numpy_mean`),
+its norm by ``np.linalg.norm`` and the cosine of two such norms
+(:func:`numpy_cosine`), the window ranking sorted with lambda keys
+(:func:`samite_select_ram_lambda_keyed`), the prototype calibration that
+recomputes both anchor cosines for every window frame, the per-frame
+scoring loop (one ``box_iou`` and one scalar ``np.hypot`` per frame)
+that whole-sequence array scoring must match, the prototype-calibrated
+admission that rebuilds its pool, window and unscored set every frame
+(:class:`RebuildingSamite`), and the beam that takes one log per
+(pathway, proposal) pair and copies every survivor's whole trajectory
+(:func:`pathway_expand_per_pair`, :func:`pathway_prune_copying`).
 """
 
 from __future__ import annotations
@@ -241,11 +244,34 @@ def matrix_kf_box(mean: np.ndarray) -> tuple[float, float, float, float]:
     return (float(cx) - w / 2.0, float(cy) - h / 2.0, w, h)
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+def numpy_mean(palette: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The mean of the palette rows ``labels`` names, by ``ndarray.mean``."""
+    return palette[labels].mean(axis=0)
+
+
+def numpy_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of two vectors with both norms from ``np.linalg.norm``; 0 when
+    either is zero."""
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
+
+
+def samite_select_ram_lambda_keyed(
+    scored_window: list[tuple[MemoryEntry, float]],
+    k_ram: int,
+    first_entry: MemoryEntry,
+    prev_entry: MemoryEntry | None,
+) -> list[MemoryEntry]:
+    """{first, prev} anchors plus the ``k_ram - 2`` best window frames, ranked
+    by a lambda's ``(-score, -frame_idx)`` key and returned in frame order."""
+    anchors = [first_entry] + ([prev_entry] if prev_entry is not None else [])
+    anchor_frames = {e.frame_idx for e in anchors}
+    candidates = [(e, s) for e, s in scored_window if e.frame_idx not in anchor_frames]
+    candidates.sort(key=lambda item: (-item[1], -item[0].frame_idx))
+    picked = [e for e, _ in candidates[: k_ram - 2]]
+    return sorted(anchors + picked, key=lambda e: e.frame_idx)
 
 
 def samite_calibrate_recomputed(
@@ -254,7 +280,8 @@ def samite_calibrate_recomputed(
 ) -> list[tuple[int, float]]:
     """(frame, (1 - alpha) * cos(P, P_first) + alpha * cos(P, P_prev)) per window frame."""
     return [
-        (frame, (1.0 - alpha) * _cosine(vec, anchor_first) + alpha * _cosine(vec, anchor_prev))
+        (frame, (1.0 - alpha) * numpy_cosine(vec, anchor_first)
+         + alpha * numpy_cosine(vec, anchor_prev))
         for frame, vec in window
     ]
 
@@ -371,15 +398,15 @@ class RebuildingSamite(SamitePolicy):
         prev, prev_index, _ = self.pool[-1] if self.pool else (None, None, None)
         window = [(e, index, cos_first) for e, index, cos_first in self.pool
                   if e is not prev and e.frame_idx > horizon]
-        scores = self.scores
+        scores = self.scores.setdefault(prev_index, {})
         if window:
             unscored = {index: (e.frame_idx, e.fg_prototype, cos_first)
-                        for e, index, cos_first in window if (index, prev_index) not in scores}
+                        for e, index, cos_first in window if index not in scores}
             scored = samite_calibrate(list(unscored.values()), prev.fg_prototype, cfg.alpha)
             for index, (_, score) in zip(unscored, scored):
-                scores[index, prev_index] = score
+                scores[index] = score
         self.bank.replace_ram(samite_select_ram(
-            [(e, scores[index, prev_index]) for e, index, _ in window],
+            [(e, scores[index]) for e, index, _ in window],
             self.cfg.k_ram, self.first, prev,
         ))
         return decision

@@ -17,9 +17,11 @@ from trackmem.observation import (
     extract_prototypes,
     observation_from_line,
     observation_to_line,
+    pooled_prototype,
 )
 
 from conftest import empty_mask, obs, prop, random_mask, rect_mask, rng_for
+from reference import numpy_cosine, numpy_mean
 
 
 def grid_from(values) -> FeatureGrid:
@@ -115,6 +117,69 @@ def test_prototypes_permutation_invariant_and_linear():
     fg_sum = extract_prototypes(grid_from(values + other), mask)
     fg_o = extract_prototypes(grid_from(other), mask)
     assert np.allclose(fg_sum.vec, fg.vec + fg_o.vec, atol=1e-12)
+
+
+# Vector elements: both zeros, and either sign at magnitudes from 1e-150 to 1e150,
+# so that no square or product of two overflows or leaves the normal range.
+ELEMENT = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, neg: -m if neg else m, st.floats(1e-150, 1e150), st.booleans()))
+
+
+def vectors(dim: int):
+    return st.lists(ELEMENT, min_size=dim, max_size=dim).map(np.array)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 16), k=st.integers(1, 8), n=st.integers(1, 300))
+def test_pooled_mean_has_the_bits_of_ndarray_mean(data, dim, k, n):
+    palette = data.draw(vectors(k * dim)).reshape(k, dim)
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+                      dtype=np.uint8)
+    f = FeatureGrid.from_labels(palette, labels.reshape(1, n))
+    want = bits(numpy_mean(palette, labels))
+    assert bits(pooled_prototype(f, labels).vec) == want
+    # a mask over every cell of the one-row grid covers the labels in order
+    assert bits(extract_prototypes(f, BitMask.from_dense(np.ones((1, n), bool))).vec) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(vec=st.integers(1, 16).flatmap(vectors))
+def test_norm_is_a_float_with_the_bits_of_linalg_norm(vec):
+    norm = Prototype(vec).norm
+    assert type(norm) is float
+    assert bits(norm) == bits(np.linalg.norm(vec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.integers(1, 16).flatmap(lambda d: st.tuples(vectors(d), vectors(d))))
+def test_cosine_has_the_bits_of_the_linalg_norm_form(pair):
+    a, b = pair
+    got = cosine(Prototype(a), Prototype(b))
+    assert type(got) is float
+    assert bits(got) == bits(numpy_cosine(a, b))
+
+
+@pytest.mark.parametrize("vec", [[1e200, 1e200], [1e154, 1e154], [1e153] * 200])
+def test_prototype_rejects_an_overflowing_squared_norm(vec):
+    # each element is finite; the sum of their squares is not
+    with pytest.raises(ValueError, match="^prototype norm overflows"):
+        Prototype(vec)
+    # where numpy's overflow warning is not an error, it comes first
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="^prototype norm overflows"):
+            Prototype(vec)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("other", [1.0, 1e200])
+def test_prototype_rejects_a_non_finite_element(bad, other):
+    with pytest.raises(ValueError, match="^prototype must be finite$"):
+        Prototype([other, bad])
 
 
 # --- cosine -----------------------------------------------------------------

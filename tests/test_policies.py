@@ -3,6 +3,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackmem.geometry import BBox
 from trackmem.membank import NEVER, MemoryEntry
@@ -27,6 +29,7 @@ from trackmem.policies import (
 
 from conftest import empty_mask, obs, prop, rect_mask
 from oracles import topk_window_oracle
+from reference import samite_select_ram_lambda_keyed
 
 CFG = PolicyConfig()
 MASK = rect_mask(16, 16, 2, 2, 5, 5)
@@ -250,6 +253,25 @@ def test_select_ram_contains_anchors_and_respects_capacity(rng):
         # selection identity matches the full-sort oracle
         want = topk_window_oracle([(e.frame_idx, s) for e, s in window], k - 2)
         assert [f for f in frames if f not in (0, 41)] == want
+
+
+# few frames and few scores, so that frames repeat, meet the anchors' and tie
+FRAMES = st.integers(0, 12)
+SCORES = st.one_of(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]),
+                   st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(window=st.lists(st.tuples(FRAMES, SCORES), max_size=20), k_ram=st.integers(2, 8),
+       first=FRAMES, prev=st.one_of(st.none(), FRAMES))
+def test_select_ram_matches_the_lambda_keyed_order(window, k_ram, first, prev):
+    scored = [(make_entry(f), s) for f, s in window]
+    first_entry = make_entry(first)
+    prev_entry = None if prev is None else make_entry(prev)
+    got = samite_select_ram(scored, k_ram, first_entry, prev_entry)
+    want = samite_select_ram_lambda_keyed(scored, k_ram, first_entry, prev_entry)
+    # entries with one frame are equal, so compare which objects were picked, in order
+    assert [id(e) for e in got] == [id(e) for e in want]
 
 
 # --- two-stage confidence -------------------------------------------------------------

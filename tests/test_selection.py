@@ -6,13 +6,14 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from trackmem import selection
+from trackmem import observation, selection
 from trackmem.geometry import BBox, BitMask, box_iou
 from trackmem.membank import MemoryEntry
 from trackmem.motion import MotionConfig
 from trackmem.observation import (
     FeatureGrid,
     Proposal,
+    Prototype,
     covered_labels,
     observation_from_line,
     observation_to_line,
@@ -383,6 +384,34 @@ def test_samite_calibrates_only_unscored_prototypes(monkeypatch):
     assert calls and all(calls)
     scored = [(id(proto), id(anchor)) for call in calls for proto, anchor in call]
     assert len(scored) == len(set(scored))
+
+
+def test_samite_gathers_labels_once_per_step_and_pools_once_per_key(monkeypatch):
+    record = scene_record(seed=311)  # with an occlusion
+    gathered, built = [], []
+
+    def gather(f, m):
+        gathered.append(m)
+        return covered_labels(f, m)
+
+    post_init = Prototype.__post_init__
+
+    def build(proto):
+        built.append(proto)
+        post_init(proto)
+
+    for module in (observation, selection):
+        monkeypatch.setattr(module, "covered_labels", gather)
+    monkeypatch.setattr(Prototype, "__post_init__", build)
+    session = TrackerSession(config(PolicyKind.SAMITE_DRM), record.init_mask)
+    for o in record.observations:
+        before = len(gathered)
+        session.step(o)
+        assert len(gathered) - before <= 1, o.frame_idx
+    # the first anchor's prototype, then one per interned key
+    interned = session.policy.interned
+    assert len(interned) > 1
+    assert len(built) == 1 + len(interned)
 
 
 def same_dims(a, b):
