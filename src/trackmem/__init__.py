@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .geometry import BBox, BitMask, box_iou, mask_iou, mask_to_bbox
 from .membank import DrmConfig, MemoryBank, MemoryEntry
-from .metrics import EvalOutcome, ao_sr, evaluate, precision_metrics, success_auc, vot_qar
+from .metrics import EvalOutcome, evaluate, vot_qar
 from .motion import KalmanState, MotionConfig, kf_init, kf_predict, kf_update
 from .observation import (
     FeatureGrid,
@@ -37,5 +37,5 @@ __all__ = [
     "Pathway", "pathway_init", "pathway_expand", "pathway_prune",
     "PolicyKind", "TrackerConfig", "FrameResult", "TrackerSession",
     "SceneConfig", "MotionSpec", "SequenceRecord", "gen_sequence", "suite_standard",
-    "EvalOutcome", "success_auc", "precision_metrics", "ao_sr", "vot_qar", "evaluate",
+    "EvalOutcome", "vot_qar", "evaluate",
 ]

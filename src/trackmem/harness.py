@@ -126,17 +126,17 @@ def _checked(cfg: dict, origin: str) -> dict:
 
     Only load_config, apply_overrides and run_benchmark call it; the readers
     below take a config one of them returned. A run names at least one policy
-    and one scene, each once. Raises ConfigError naming ``origin`` and the key.
+    and one scene, each once, and each listed policy's :class:`TrackerConfig`
+    is built, so its checks (the capacities among them) are the ones applied.
+    Raises ConfigError naming ``origin`` and the key or the policy.
     """
     cfg = {**default_config(), **cfg}
     unknown = sorted(set(cfg) - set(default_config()))
     if unknown:
         raise ConfigError(f"{origin}: unknown key(s) {', '.join(map(repr, unknown))}")
-    for key, lowest in (("k_ram", 1), ("k_drm", 0), ("n_seeds", 1)):
-        value = cfg[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
-            raise ConfigError(f"{origin}: {key!r} must be an integer >= {lowest}, "
-                              f"got {shown(value)}")
+    n_seeds = cfg["n_seeds"]
+    if isinstance(n_seeds, bool) or not isinstance(n_seeds, int) or n_seeds < 1:
+        raise ConfigError(f"{origin}: 'n_seeds' must be an integer >= 1, got {shown(n_seeds)}")
     policies = cfg["policies"]
     if not isinstance(policies, list):
         raise ConfigError(f"{origin}: 'policies' must be a list of policy names, "
@@ -155,6 +155,11 @@ def _checked(cfg: dict, origin: str) -> dict:
             from_json(cls, cfg[section], section)
         except ValueError as exc:
             raise ConfigError(f"{origin}: bad {section!r} section: {exc}") from exc
+    for name in policies:
+        try:
+            tracker_config_from(cfg, name)
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: policy {name!r}: {exc}") from exc
     try:
         check_label(cfg["suite"], "'suite'")
     except ValueError as exc:
@@ -326,12 +331,7 @@ def run_benchmark(cfg: dict, out_dir, workers: int = 1) -> dict:
     cfg = _checked(cfg, "run config")
     out = Path(out_dir)
     policy_names = cfg["policies"]
-    trackers = {}
-    for name in policy_names:
-        try:
-            trackers[name] = tracker_config_from(cfg, name)
-        except ValueError as exc:
-            raise ConfigError(f"policy {name!r}: {exc}") from exc
+    trackers = {name: tracker_config_from(cfg, name) for name in policy_names}
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     scenes = scene_list(cfg)

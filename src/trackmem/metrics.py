@@ -54,9 +54,6 @@ from .geometry import box_iou  # noqa: F401
 __all__ = [
     "EvalOutcome",
     "success_curve",
-    "success_auc",
-    "precision_metrics",
-    "ao_sr",
     "vot_qar",
     "evaluate",
     "SUCCESS_THRESHOLDS",
@@ -157,36 +154,6 @@ def success_curve(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
     return _score(pred, gt).success_rates
 
 
-def success_auc(pred: list[BBox | None], gt: list[BBox | None]) -> float:
-    """Area under the overlap-success curve (mean of the 21 rates)."""
-    return float(success_curve(pred, gt).mean())
-
-
-def _precision(scores: _Scores) -> tuple[float, float]:
-    errors, norm_errors = scores.center_errors, scores.norm_errors
-    if errors.size == 0:
-        return 0.0, 0.0
-    within = norm_errors[None, :] <= NORM_PRECISION_THRESHOLDS[:, None]
-    return (float(np.count_nonzero(errors <= 20.0) / errors.size),
-            float(np.count_nonzero(within) / within.size))
-
-
-def precision_metrics(pred: list[BBox | None], gt: list[BBox | None]) -> tuple[float, float]:
-    """(precision at 20 px, normalized-precision AUC) over visible frames."""
-    return _precision(_score(pred, gt))
-
-
-def _ao_sr(ious: np.ndarray) -> tuple[float, float, float]:
-    if ious.size == 0:
-        return 0.0, 0.0, 0.0
-    return float(ious.mean()), float((ious > 0.5).mean()), float((ious > 0.75).mean())
-
-
-def ao_sr(pred: list[BBox | None], gt: list[BBox | None]) -> tuple[float, float, float]:
-    """(average overlap, success rate above 0.5, above 0.75)."""
-    return _ao_sr(_score(pred, gt).visible_ious)
-
-
 def vot_qar(
     pred_present: list[bool],
     pred_iou: list[float],
@@ -222,8 +189,15 @@ def evaluate(
     """
     _check_length("pred_present", pred_present, gt)
     scores = _score(pred, gt)
-    p20, np_auc = _precision(scores)
-    ao, sr50, sr75 = _ao_sr(scores.visible_ious)
+    ious, errors = scores.visible_ious, scores.center_errors  # both over the visible frames
+    if ious.size == 0:
+        p20 = np_auc = ao = sr50 = sr75 = 0.0
+    else:
+        within = scores.norm_errors[None, :] <= NORM_PRECISION_THRESHOLDS[:, None]
+        p20 = float(np.count_nonzero(errors <= 20.0) / errors.size)
+        np_auc = float(np.count_nonzero(within) / within.size)
+        ao = float(ious.mean())
+        sr50, sr75 = float((ious > 0.5).mean()), float((ious > 0.75).mean())
     q, acc, rob = vot_qar(pred_present, scores.ious, scores.visible)
     return EvalOutcome(
         success_auc=float(scores.success_rates.mean()), precision_at_20=p20,

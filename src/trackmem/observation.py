@@ -373,8 +373,12 @@ def _proposal_from(pobj, i: int) -> Proposal:
         mask = BitMask.from_text(text)
     except ValueError as exc:
         raise ValueError(f"{prefix}mask: {exc}") from exc
-    return Proposal.from_mask(mask, _field(pobj, "s_mask", _NUMBER, "a number", prefix),
-                              _field(pobj, "s_obj", _NUMBER, "a number", prefix))
+    s_mask = _field(pobj, "s_mask", _NUMBER, "a number", prefix)
+    s_obj = _field(pobj, "s_obj", _NUMBER, "a number", prefix)
+    try:
+        return Proposal.from_mask(mask, s_mask, s_obj)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from exc
 
 
 def observation_from_line(line: str) -> FrameObservation:

@@ -20,14 +20,13 @@ the policy objects that apply these rules):
   decoder quality score, refine with a fine estimate when the coarse
   stage is unconvincing, and store only high-confidence frames.
 
-Scoring formulas implemented here:
+Scoring formulas implemented here (the blended selection score and the
+two-stage confidence are stated by the choice rules that compute them,
+:func:`~trackmem.selection.select_samurai` and
+:func:`~trackmem.selection.select_him`):
 
 - motion-consistency s_kf = IoU(predicted box, candidate box);
-- blended selection score alpha * s_kf + (1 - alpha) * s_mask;
-- calibration score (1 - alpha) * cos(P, P_first) + alpha * cos(P, P_prev);
-- two-stage confidence alpha * s_coarse + (1 - alpha) * s_iou, refined to
-  alpha * s_coarse + beta * s_fine + (1 - alpha - beta) * s_iou when the
-  best coarse-stage confidence in the frame falls below ``tau_conf``.
+- calibration score (1 - alpha) * cos(P, P_first) + alpha * cos(P, P_prev).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .checks import check_numbers
 from .geometry import BBox, box_iou
@@ -48,15 +47,11 @@ __all__ = [
     "PolicyConfig",
     "dam_admit",
     "motion_consistency",
-    "samurai_score",
     "samurai_admit",
     "sam2long_admit",
     "samite_anchor_first",
     "samite_calibrate",
     "samite_select_ram",
-    "him_stage1",
-    "him_stage2",
-    "him_confidence",
     "him_admit",
 ]
 
@@ -171,11 +166,6 @@ def motion_consistency(kf_pred: BBox | None, p: Proposal) -> float:
     return box_iou(kf_pred, p.bbox)
 
 
-def samurai_score(kf_pred: BBox | None, p: Proposal, alpha: float) -> float:
-    """Blend of motion consistency and affinity: a*s_kf + (1-a)*s_mask."""
-    return alpha * motion_consistency(kf_pred, p) + (1.0 - alpha) * p.s_mask
-
-
 def samurai_admit(chosen: Proposal, s_kf: float, cfg: PolicyConfig) -> RamPolicyDecision:
     """Three-threshold gate, checked in order mask, obj, kf."""
     if chosen.s_mask < cfg.tau_mask:
@@ -271,36 +261,6 @@ def samite_select_ram(
 
 
 # --- two-stage motion confidence ---------------------------------------------
-
-
-def him_stage1(s_coarse: float, s_iou: float, cfg: PolicyConfig) -> float:
-    a = cfg.alpha_him
-    return a * s_coarse + (1.0 - a) * s_iou
-
-
-def him_stage2(s_coarse: float, s_fine: float, s_iou: float, cfg: PolicyConfig) -> float:
-    a, b = cfg.alpha_him, cfg.beta
-    return a * s_coarse + b * s_fine + (1.0 - a - b) * s_iou
-
-
-def him_confidence(
-    s_coarse: Sequence[float],
-    s_fine: Callable[[], Sequence[float]],
-    s_iou: Sequence[float],
-    cfg: PolicyConfig,
-) -> tuple[list[float], bool]:
-    """Two-stage confidence for one frame's proposals.
-
-    Computes the coarse-stage confidences first; when their maximum falls
-    below ``tau_conf`` the fine stage replaces them for every proposal.
-    ``s_fine`` returns the fine-stage motion scores and is called only
-    then. Returns the final confidences and whether the fine stage was used.
-    """
-    stage1 = [him_stage1(c, i, cfg) for c, i in zip(s_coarse, s_iou)]
-    if max(stage1) >= cfg.tau_conf:
-        return stage1, False
-    stage2 = [him_stage2(c, f, i, cfg) for c, f, i in zip(s_coarse, s_fine(), s_iou)]
-    return stage2, True
 
 
 def him_admit(chosen: Proposal, s_conf: float, cfg: PolicyConfig) -> RamPolicyDecision:

@@ -57,13 +57,11 @@ from .policies import (
     RamPolicyDecision,
     dam_admit,
     him_admit,
-    him_confidence,
     motion_consistency,
     samite_anchor_first,
     samite_calibrate,
     samite_select_ram,
     samurai_admit,
-    samurai_score,
 )
 
 __all__ = [
@@ -183,12 +181,14 @@ def select_samurai(
 ) -> tuple[Proposal | None, float | None]:
     """Best blended motion+affinity score among positive-object proposals.
 
+    A proposal's score is alpha * s_kf + (1 - alpha) * s_mask, its motion
+    consistency with the predicted box blended with its decoder affinity.
     Returns (None, None) when no proposal has a positive object score,
     which is the target-lost outcome; otherwise also returns the chosen
     proposal's motion-consistency score.
     """
-    alpha = cfg.alpha
-    scored = [(samurai_score(kf_pred, p, alpha), neg_i, p)
+    a = cfg.alpha
+    scored = [(a * motion_consistency(kf_pred, p) + (1.0 - a) * p.s_mask, neg_i, p)
               for p, neg_i in zip(obs.proposals, _NEG_INDICES) if p.s_obj > 0.0]
     if not scored:
         return None, None
@@ -204,20 +204,27 @@ def select_him(
 ) -> tuple[Proposal | None, float | None, bool]:
     """Two-stage confidence argmax with a lazily evaluated fine stage.
 
-    ``fine_pred`` is only called when the best coarse-stage confidence
-    falls below ``tau_conf``. Returns (chosen, confidence, used_fine);
-    chosen is None when the winning mask is empty and the frame-level
-    presence score is non-positive.
+    With a = ``alpha_him`` and b = ``beta``, each proposal's coarse-stage
+    confidence is a * s_coarse + (1 - a) * s_iou, from its motion
+    consistency with ``coarse_pred`` and its s_mask. When the best of them
+    falls below ``tau_conf``, every proposal's is refined to
+    a * s_coarse + b * s_fine + (1 - a - b) * s_iou, s_fine its motion
+    consistency with the box ``fine_pred`` returns; ``fine_pred`` is
+    called only then. Returns (chosen, confidence, used_fine); chosen is
+    None when the winning mask is empty and the frame-level presence
+    score is non-positive.
     """
-    def s_fine() -> list[float]:
-        fine_box = fine_pred()
-        return [motion_consistency(fine_box, p) for p in obs.proposals]
-
-    s_iou = [p.s_mask for p in obs.proposals]
-    s_coarse = [motion_consistency(coarse_pred, p) for p in obs.proposals]
-    confs, used_fine = him_confidence(s_coarse, s_fine, s_iou, cfg)
+    proposals = obs.proposals
+    a = cfg.alpha_him
+    s_coarse = [motion_consistency(coarse_pred, p) for p in proposals]
+    confs = [a * c + (1.0 - a) * p.s_mask for c, p in zip(s_coarse, proposals)]
+    used_fine = not max(confs) >= cfg.tau_conf
+    if used_fine:
+        fine_box, b = fine_pred(), cfg.beta
+        confs = [a * c + b * motion_consistency(fine_box, p) + (1.0 - a - b) * p.s_mask
+                 for c, p in zip(s_coarse, proposals)]
     conf, neg_best = max(zip(confs, _NEG_INDICES))
-    chosen = obs.proposals[-neg_best]
+    chosen = proposals[-neg_best]
     if chosen.mask.is_empty and obs.o <= 0.0:
         return None, None, used_fine
     return chosen, conf, used_fine

@@ -1,9 +1,11 @@
-"""Every name a ``trackmem`` module exports in ``__all__`` exists in it, the
+"""Every name a ``trackmem`` module exports in ``__all__`` exists in it, every
+exported policy and metric function is called by the library or a demo, the
 library imports only the standard library, itself and its declared
 dependencies, and the CLI offers only the product's commands."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 import sys
@@ -25,6 +27,35 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported)), name
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def call_sites(path: Path) -> set[tuple[Path, str | None, str]]:
+    """``(path, top-level definition around the call or None, called name)`` of
+    every call in ``path`` of a plain or dotted name."""
+    sites = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name:
+                    sites.add((path, owner, name))
+    return sites
+
+
+@pytest.mark.parametrize("name", ["trackmem.policies", "trackmem.metrics"])
+def test_every_exported_function_has_a_caller_in_the_library_or_a_demo(name):
+    """A helper that only tests call, or that only calls itself, is not exported."""
+    module = importlib.import_module(name)
+    own_file = Path(module.__file__).resolve()
+    paths = [*(REPO / "src" / "trackmem").glob("*.py"), *(REPO / "demos").glob("*.py")]
+    sites = set().union(*(call_sites(p.resolve()) for p in paths))
+    functions = [n for n in module.__all__ if inspect.isfunction(getattr(module, n))]
+    uncalled = [n for n in functions
+                if not any(called == n and (path, owner) != (own_file, n)
+                           for path, owner, called in sites)]
+    assert functions and uncalled == []
 
 
 def test_library_imports_only_the_stdlib_itself_and_its_dependencies():

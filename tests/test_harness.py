@@ -101,7 +101,8 @@ def test_config_json_cannot_load_exits_2_naming_the_file(tmp_path, capsys, conte
 
 
 @pytest.mark.parametrize("item, message", [
-    ("k_ram=1" + "0" * 5000, "command-line override: 'k_ram' must be an integer >= 1, got '10"),
+    ("k_ram=1" + "0" * 5000,
+     "command-line override: policy 'sam2_fifo': k_ram must be an integer, got '10"),
     ("policy=" + "[" * 5000, "command-line override: bad 'policy' section: "),
 ], ids=["5000-digit-integer", "5000-brackets"])
 def test_set_value_json_cannot_load_is_text_and_exits_2_naming_the_key(tmp_path, capsys,
@@ -119,8 +120,8 @@ def test_set_value_json_cannot_load_is_text_and_exits_2_naming_the_key(tmp_path,
 def test_rejected_value_is_echoed_cut_to_a_bounded_length(tmp_path, capsys):
     assert cmd_run(tiny_config(tmp_path), tmp_path / "out", sets=["k_ram=1" + "0" * 5000]) == 2
     out = capsys.readouterr().out
-    assert out == ("error: command-line override: 'k_ram' must be an integer >= 1, got '1"
-                   + "0" * 78 + "... (5003 characters)\n")
+    assert out == ("error: command-line override: policy 'sam2_fifo': k_ram must be an"
+                   " integer, got '1" + "0" * 78 + "... (5003 characters)\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -157,13 +158,20 @@ def test_dotted_set_through_a_value_names_the_key():
         apply_overrides(default_config(), ["k_ram.x=1"])
 
 
-@pytest.mark.parametrize("item, key", [
-    ("k_ram=0", "k_ram"), ("k_ram=2.5", "k_ram"), ("k_drm=-1", "k_drm"),
-    ('n_seeds="a"', "n_seeds"), ("n_seeds=0", "n_seeds"), ("k_drm=true", "k_drm"),
-])
-def test_capacities_and_seed_count_are_validated(item, key):
-    with pytest.raises(ConfigError, match=f"'{key}' must be an integer"):
+@pytest.mark.parametrize("item, message", [
+    ("k_ram=0", "policy 'sam2_fifo': k_ram must be >= 1"),
+    ("k_ram=2.5", "policy 'sam2_fifo': k_ram must be an integer, got 2.5"),
+    ("k_drm=-1", "policy 'sam2_fifo': k_drm must be >= 0"),
+    ('n_seeds="a"', "'n_seeds' must be an integer >= 1, got 'a'"),
+    ("n_seeds=0", "'n_seeds' must be an integer >= 1, got 0"),
+    ("k_drm=true", "policy 'sam2_fifo': k_drm must be an integer, got True"),
+], ids=["k_ram=0-k_ram", "k_ram=2.5-k_ram", "k_drm=-1-k_drm", 'n_seeds="a"-n_seeds',
+        "n_seeds=0-n_seeds", "k_drm=true-k_drm"])
+def test_capacities_and_seed_count_are_validated(item, message):
+    # the capacities are checked by each listed policy's TrackerConfig, the first failing
+    with pytest.raises(ConfigError) as err:
         apply_overrides(default_config(), [item])
+    assert str(err.value) == f"command-line override: {message}"
 
 
 def test_unknown_top_level_key_rejected(tmp_path):
@@ -183,13 +191,28 @@ def test_unknown_scene_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_load_config_checks_each_listed_policy_naming_the_file(tmp_path):
+    path = tiny_config(tmp_path, k_ram=1)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == (f"{path}: policy 'samite_drm': the prototype-calibrated"
+                              " policy needs k_ram >= 2 for its anchors")
+    assert load_config(tiny_config(tmp_path, k_ram=1, policies=["dam4sam"]))["k_ram"] == 1
+
+
 def test_policy_that_rejects_the_capacities_exits_2(tmp_path, capsys):
     # the prototype-calibrated policy needs two RAM slots for its anchors
     path = tiny_config(tmp_path, k_ram=1)
     assert cmd_run(path, tmp_path / "out") == 2
-    assert "'samite_drm': the prototype-calibrated policy needs k_ram >= 2" \
-        in capsys.readouterr().out
-    assert cmd_run(path, tmp_path / "out", policy_filter=["dam4sam"]) == 0
+    assert capsys.readouterr().out == (
+        f"error: {path}: policy 'samite_drm': the prototype-calibrated policy needs"
+        " k_ram >= 2 for its anchors\n")
+    assert not (tmp_path / "out").exists()
+    # the rule is samite's alone: other policies run with one RAM slot
+    assert cmd_run(tiny_config(tmp_path), tmp_path / "out", sets=["k_ram=1"],
+                   policy_filter=["dam4sam"]) == 0
+    assert cmd_run(tiny_config(tmp_path, k_ram=1, policies=["dam4sam"]),
+                   tmp_path / "out") == 0
 
 
 @pytest.mark.parametrize("section, key, value", [

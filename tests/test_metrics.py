@@ -4,15 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, box_iou
-from trackmem.metrics import (
-    NORM_PRECISION_THRESHOLDS,
-    ao_sr,
-    evaluate,
-    precision_metrics,
-    success_auc,
-    success_curve,
-    vot_qar,
-)
+from trackmem.metrics import NORM_PRECISION_THRESHOLDS, evaluate, success_curve, vot_qar
 
 from reference import per_frame_evaluate, per_frame_precision, per_frame_success_curve
 
@@ -28,6 +20,12 @@ IOU_06_A, IOU_06_B = BBox(0, 0, 4, 1), BBox(1, 0, 4, 1)  # inter 3, union 5
 IOU_08_A, IOU_08_B = BBox(0, 0, 9, 1), BBox(1, 0, 9, 1)  # inter 8, union 10
 
 
+def scored(pred, gt):
+    """``evaluate``'s columns, each given prediction flagged present (the flags
+    reach only the quality, accuracy and robustness columns)."""
+    return evaluate(pred, [p is not None for p in pred], gt)
+
+
 def test_exact_iou_constructions():
     assert box_iou(IOU_06_A, IOU_06_B) == 0.6
     assert box_iou(IOU_08_A, IOU_08_B) == 0.8
@@ -38,14 +36,14 @@ def test_exact_iou_constructions():
 
 def test_success_perfect_and_absent():
     gt = [B] * 10
-    assert success_auc(gt, gt) == 1.0
-    assert success_auc([None] * 10, gt) == 0.0
+    assert scored(gt, gt).success_auc == 1.0
+    assert scored([None] * 10, gt).success_auc == 0.0
 
 
 def test_success_half_perfect_half_disjoint_hand_enumeration():
     gt = [B] * 10
     pred = [B] * 5 + [BBox(100, 100, 8, 6)] * 5
-    got = success_auc(pred, gt)
+    got = scored(pred, gt).success_auc
     # hand enumeration over the 21-point grid: IoU >= theta, strict at 0
     ious = [1.0] * 5 + [0.0] * 5
     rates = [sum(1 for v in ious if v > 0.0) / len(ious)]
@@ -63,12 +61,12 @@ def test_success_excludes_invisible_frames():
     # visible frames: ious (1.0, 0.0); invisible ones never counted
     curve = success_curve(pred, gt)
     assert curve[0] == 0.5
-    assert success_auc(pred, gt) == success_auc([B, None], [B, B])
+    assert scored(pred, gt).success_auc == scored([B, None], [B, B]).success_auc
 
 
 def test_success_length_mismatch():
     with pytest.raises(ValueError):
-        success_auc([B], [B, B])
+        scored([B], [B, B])
 
 
 # --- precision -----------------------------------------------------------------
@@ -76,22 +74,23 @@ def test_success_length_mismatch():
 
 def test_precision_perfect():
     gt = [B] * 8
-    assert precision_metrics(gt, gt) == (1.0, 1.0)
+    out = scored(gt, gt)
+    assert (out.precision_at_20, out.norm_precision_auc) == (1.0, 1.0)
 
 
 def test_precision_offset_21px_fails():
     gt = [B] * 8
     pred = [BBox(B.x + 21, B.y, B.w, B.h)] * 8
-    p20, _ = precision_metrics(pred, gt)
-    assert p20 == 0.0
+    assert scored(pred, gt).precision_at_20 == 0.0
     pred19 = [BBox(B.x + 19, B.y, B.w, B.h)] * 8
-    assert precision_metrics(pred19, gt)[0] == 1.0
+    assert scored(pred19, gt).precision_at_20 == 1.0
 
 
 def test_precision_matches_per_frame_oracle(rng):
     gt = boxes(50, rng)
     pred = [b if rng.random() < 0.8 else None for b in boxes(50, rng)]
-    p20, np_auc = precision_metrics(pred, gt)
+    out = scored(pred, gt)
+    p20, np_auc = out.precision_at_20, out.norm_precision_auc
     errs = []
     nerrs = []
     for p, g in zip(pred, gt):
@@ -117,27 +116,28 @@ def test_precision_matches_per_frame_oracle(rng):
 
 def test_ao_sr_perfect():
     gt = [B] * 6
-    assert ao_sr(gt, gt) == (1.0, 1.0, 1.0)
+    out = scored(gt, gt)
+    assert (out.ao, out.sr50, out.sr75) == (1.0, 1.0, 1.0)
 
 
 def test_ao_sr_constant_point_six():
     gt = [IOU_06_A] * 6
     pred = [IOU_06_B] * 6
-    ao, sr50, sr75 = ao_sr(pred, gt)
-    assert ao == pytest.approx(0.6, abs=1e-12)
-    assert (sr50, sr75) == (1.0, 0.0)
+    out = scored(pred, gt)
+    assert out.ao == pytest.approx(0.6, abs=1e-12)
+    assert (out.sr50, out.sr75) == (1.0, 0.0)
 
 
 def test_ao_sr_matches_naive_oracle(rng):
     gt = [b if rng.random() < 0.85 else None for b in boxes(60, rng)]
     pred = [b if rng.random() < 0.8 else None for b in boxes(60, rng)]
-    ao, sr50, sr75 = ao_sr(pred, gt)
+    out = scored(pred, gt)
     ious = [box_iou(p, g) if p is not None else 0.0
             for p, g in zip(pred, gt) if g is not None]
-    assert ao == pytest.approx(np.mean(ious), abs=1e-12)
-    assert sr50 == sum(1 for v in ious if v > 0.5) / len(ious)
-    assert sr75 == sum(1 for v in ious if v > 0.75) / len(ious)
-    assert sr75 <= sr50
+    assert out.ao == pytest.approx(np.mean(ious), abs=1e-12)
+    assert out.sr50 == sum(1 for v in ious if v > 0.5) / len(ious)
+    assert out.sr75 == sum(1 for v in ious if v > 0.75) / len(ious)
+    assert out.sr75 <= out.sr50
 
 
 # --- VOT surrogates ---------------------------------------------------------------------
@@ -194,18 +194,17 @@ def test_success_auc_close_to_ao(rng):
         gt = boxes(80, rng)
         pred = [BBox(b.x + float(rng.normal(0, 4)), b.y + float(rng.normal(0, 4)),
                      b.w, b.h) for b in gt]
-        s = success_auc(pred, gt)
-        ao, _, _ = ao_sr(pred, gt)
-        assert abs(s - ao) <= 0.05 + 1e-12
+        out = scored(pred, gt)
+        assert abs(out.success_auc - out.ao) <= 0.05 + 1e-12
 
 
 def test_shuffling_breaks_pairing(rng):
     gt = boxes(40, rng)
     pred = [BBox(b.x + 1.0, b.y, b.w, b.h) for b in gt]
-    base = success_auc(pred, gt)
+    base = scored(pred, gt).success_auc
     perm = rng.permutation(40)
     shuffled = [pred[i] for i in perm]
-    assert success_auc(shuffled, gt) != base
+    assert scored(shuffled, gt).success_auc != base
 
 
 def test_outcome_fields_bounded(rng):
@@ -220,8 +219,10 @@ def test_outcome_fields_bounded(rng):
 
 
 def test_evaluate_equals_the_separate_metrics_bit_for_bit(rng):
-    # one IoU pass inside evaluate; each column must still equal the
-    # metric computed on its own, including occluded and absent frames
+    # one IoU pass inside evaluate; each column must still equal the metric
+    # computed on its own (the success curve's mean, AO and success rates over
+    # per-frame box_iou calls, the per-frame precision loop, vot_qar), including
+    # occluded and absent frames
     for n in (0, 1, 7, 60):
         gt = [b if rng.random() < 0.75 else None for b in boxes(n, rng)]
         pred = [BBox(b.x + float(rng.normal(0, 3)), b.y, b.w, b.h)
@@ -229,15 +230,16 @@ def test_evaluate_equals_the_separate_metrics_bit_for_bit(rng):
         present = [p is not None for p in pred]
         visible = [g is not None for g in gt]
         out = evaluate(pred, present, gt)
-        ao, sr50, sr75 = ao_sr(pred, gt)
-        p20, np_auc = precision_metrics(pred, gt)
         pred_iou = [box_iou(p, g) if p is not None and g is not None else 0.0
                     for p, g in zip(pred, gt)]
+        ious = np.array([v for v, g in zip(pred_iou, gt) if g is not None])
+        ao, sr50, sr75 = ((float(ious.mean()), float((ious > 0.5).mean()),
+                           float((ious > 0.75).mean())) if ious.size else (0.0, 0.0, 0.0))
         q, acc, rob = vot_qar(present, pred_iou, visible)
         assert (out.success_auc, out.ao, out.sr50, out.sr75) == \
-            (success_auc(pred, gt), ao, sr50, sr75)
+            (float(success_curve(pred, gt).mean()), ao, sr50, sr75)
         assert (out.precision_at_20, out.norm_precision_auc, out.q, out.acc, out.rob) == \
-            (p20, np_auc, q, acc, rob)
+            (*per_frame_precision(pred, gt), q, acc, rob)
 
 
 # --- whole-sequence scoring against the per-frame loop ----------------------------------------
@@ -282,7 +284,9 @@ def test_scoring_has_the_bits_of_the_per_frame_loop(seq):
     assert repr(evaluate(pred, present, gt)) == \
         repr(per_frame_evaluate(pred, present, gt, visible))
     assert success_curve(pred, gt).tobytes() == per_frame_success_curve(pred, gt).tobytes()
-    assert repr(precision_metrics(pred, gt)) == repr(per_frame_precision(pred, gt))
+    out = evaluate(pred, present, gt)
+    assert repr((out.precision_at_20, out.norm_precision_auc)) == \
+        repr(per_frame_precision(pred, gt))
 
 
 # --- rejected inputs ----------------------------------------------------------------------------

@@ -15,17 +15,14 @@ from trackmem.policies import (
     RamPolicyDecision,
     dam_admit,
     him_admit,
-    him_confidence,
-    him_stage1,
-    him_stage2,
     motion_consistency,
     sam2long_admit,
     samite_anchor_first,
     samite_calibrate,
     samite_select_ram,
     samurai_admit,
-    samurai_score,
 )
+from trackmem.selection import select_him, select_samurai
 
 from conftest import empty_mask, obs, prop, rect_mask
 from oracles import topk_window_oracle
@@ -103,24 +100,53 @@ def test_dam_trace_matches_predicate_replay(rng):
 # --- motion-gated ---------------------------------------------------------------
 
 
+# select_samurai shows a proposal's blended score a * s_kf + (1 - a) * s_mask only
+# through its choice, so these tests rank the proposal against a rival whose score
+# is known: ties go to the lower index, so the pick from both orders tells above,
+# equal or below.
+FAR = BBox(12, 12, 2, 2)  # overlaps none of the predicted boxes below
+
+
+def rival(s_mask, bbox=FAR):
+    return Proposal(mask=MASK, s_mask=s_mask, s_obj=1.0, bbox=bbox)
+
+
+def samurai_rank(kf_pred, p, alpha, other):
+    """1, 0 or -1 as ``p``'s blended score is above, equal to or below ``other``'s."""
+    cfg = PolicyConfig(alpha=alpha, beta=0.0)
+    left_out = prop(MASK, 1.0, s_obj=-1.0)  # no positive object score
+    first = select_samurai(obs(1, [p, other, left_out]), kf_pred, cfg)[0]
+    second = select_samurai(obs(1, [other, p, left_out]), kf_pred, cfg)[0]
+    if first is p:
+        return 1 if second is p else 0
+    assert first is other and second is other
+    return -1
+
+
 def test_samurai_score_alpha_extremes():
     p = Proposal(mask=MASK, s_mask=0.7, s_obj=1.0, bbox=BBox(1, 1, 2, 2))
-    assert samurai_score(BBox(0, 0, 2, 2), p, alpha=0.0) == 0.7
-    assert samurai_score(BBox(1, 1, 2, 2), p, alpha=1.0) == 1.0
+    # alpha 0: s_mask alone, 0.7, as a rival with no overlap and s_mask 0.7 scores
+    assert samurai_rank(BBox(0, 0, 2, 2), p, 0.0, rival(0.7)) == 0
+    # alpha 1: s_kf alone, 1.0, as a rival on the predicted box scores
+    assert samurai_rank(BBox(1, 1, 2, 2), p, 1.0, rival(0.0, BBox(1, 1, 2, 2))) == 0
 
 
 def test_samurai_score_exact_value():
     # alpha 1/4, s_kf = 1/7 (boxes (0,0,2,2) vs (1,1,2,2)), s_mask = 4/5
     p = Proposal(mask=MASK, s_mask=0.8, s_obj=1.0, bbox=BBox(1, 1, 2, 2))
-    got = samurai_score(BBox(0, 0, 2, 2), p, alpha=0.25)
     want = Fraction(1, 4) * Fraction(1, 7) + Fraction(3, 4) * Fraction(4, 5)
-    assert abs(got - float(want)) < 1e-12  # 89/140 = 0.6357142857...
+    assert want == Fraction(89, 140)  # 0.6357142857...
+    # a rival with no overlap scores 3/4 of its s_mask: 1e-12 below want, then above
+    for offset, rank in ((Fraction(-1, 10 ** 12), 1), (Fraction(1, 10 ** 12), -1)):
+        other = rival(float((want + offset) / Fraction(3, 4)))
+        assert samurai_rank(BBox(0, 0, 2, 2), p, 0.25, other) == rank
 
 
 def test_samurai_score_absent_bbox_means_zero_motion():
     p = Proposal(mask=empty_mask(16, 16), s_mask=0.6, s_obj=1.0, bbox=None)
     assert motion_consistency(BBox(0, 0, 2, 2), p) == 0.0
-    assert samurai_score(BBox(0, 0, 2, 2), p, alpha=0.5) == 0.3
+    # 0.5 * 0 + 0.5 * 0.6 = 0.3, the score of a rival with no overlap and s_mask 0.6
+    assert samurai_rank(BBox(0, 0, 2, 2), p, 0.5, rival(0.6)) == 0
     assert motion_consistency(None, prop(MASK, 0.5)) == 0.0
 
 
@@ -277,46 +303,69 @@ def test_select_ram_matches_the_lambda_keyed_order(window, k_ram, first, prev):
 # --- two-stage confidence -------------------------------------------------------------
 
 
+# select_him's coarse box is REF; a proposal boxed inside it at width w has coarse
+# score w / 20, and a fine box inside the proposal's, at width v, fine score v / w.
+REF = BBox(0, 0, 20, 1)
+
+
+def boxed(width, s_iou=0.5):
+    return Proposal(mask=MASK, s_mask=s_iou, s_obj=1.0, bbox=BBox(0, 0, width, 1))
+
+
+def him_choice(props, cfg, fine=lambda: FAR):
+    return select_him(obs(1, props), REF, fine, cfg)
+
+
 def test_him_alpha_one_is_pure_coarse():
     cfg = PolicyConfig(alpha_him=1.0, beta=0.0)
-    confs, used_fine = him_confidence([0.3, 0.6, 0.1], lambda: [0.9, 0.9, 0.9],
-                                      [0.5, 0.5, 0.5], cfg)
-    assert confs == [0.3, 0.6, 0.1]
-    confs2, _ = him_confidence([0.3, 0.6, 0.1], lambda: [0.0, 0.0, 0.0], [0.5, 0.5, 0.5],
-                               PolicyConfig(alpha_him=1.0, beta=0.0, tau_conf=0.99))
-    assert confs2 == confs  # fine stage cannot change pure-coarse values
+    refining = PolicyConfig(alpha_him=1.0, beta=0.0, tau_conf=0.99)
+    for width, coarse in ((6, 0.3), (12, 0.6), (2, 0.1)):
+        props = [boxed(width), boxed(0), boxed(0)]  # the rivals' confidence is 0
+        for c in (cfg, refining):  # the fine stage cannot change pure-coarse values
+            chosen, conf, _ = him_choice(props, c, fine=lambda: BBox(0, 0, 1, 1))
+            assert chosen is props[0] and conf == coarse
 
 
 def test_him_stage1_used_verbatim_above_threshold():
     cfg = PolicyConfig(alpha_him=0.4, beta=0.3, tau_conf=0.5)
     s_coarse, s_iou = [0.9, 0.2, 0.1], [0.8, 0.3, 0.2]
-    confs, used_fine = him_confidence(s_coarse, lambda: pytest.fail("fine stage evaluated"),
-                                      s_iou, cfg)
+    props = [boxed(20 * c, i) for c, i in zip(s_coarse, s_iou)]
+    chosen, conf, used_fine = him_choice(props, cfg,
+                                         fine=lambda: pytest.fail("fine stage evaluated"))
     assert not used_fine
-    assert confs == [him_stage1(c, i, cfg) for c, i in zip(s_coarse, s_iou)]
+    stage1 = [0.4 * c + (1.0 - 0.4) * i for c, i in zip(s_coarse, s_iou)]
+    assert chosen is props[0] and conf == max(stage1) == stage1[0]
 
 
 def test_him_refined_exact_value():
     # 0.4*0.5 + 0.3*0.9 + 0.3*0.6 = 0.65, from the arbitrary-precision oracle
     cfg = PolicyConfig(alpha_him=0.4, beta=0.3, tau_conf=0.99)
-    confs, used_fine = him_confidence([0.5] * 3, lambda: [0.9] * 3, [0.6] * 3, cfg)
+    props = [boxed(10, 0.6)] * 3  # coarse 10/20, fine 9/10
+    chosen, conf, used_fine = him_choice(props, cfg, fine=lambda: BBox(0, 0, 9, 1))
     assert used_fine
     want = Fraction(2, 5) * Fraction(1, 2) + Fraction(3, 10) * Fraction(9, 10) \
         + Fraction(3, 10) * Fraction(3, 5)
     assert want == Fraction(65, 100)
-    assert all(abs(c - float(want)) < 1e-12 for c in confs)
+    assert chosen is props[0] and abs(conf - float(want)) < 1e-12
 
 
 def test_him_monotone_in_each_argument(rng):
-    cfg = PolicyConfig(alpha_him=0.4, beta=0.3)
+    stage1 = PolicyConfig(alpha_him=0.4, beta=0.3, tau_conf=-1.0)  # never refines
+    stage2 = PolicyConfig(alpha_him=0.4, beta=0.3, tau_conf=2.0)  # always refines
+
+    def conf(c, f, i, cfg):
+        # three equal proposals: coarse score c, fine score f and s_iou i
+        return him_choice([boxed(20.0 * c, i)] * 3, cfg,
+                          fine=lambda: BBox(0, 0, 20.0 * c * f, 1))[1]
+
     for _ in range(200):
         c, f, i = (float(v) for v in rng.random(3))
         bump = float(rng.uniform(0, 1.0 - max(c, f, i)))
-        assert him_stage1(c + bump, i, cfg) >= him_stage1(c, i, cfg)
-        assert him_stage1(c, i + bump, cfg) >= him_stage1(c, i, cfg)
-        assert him_stage2(c + bump, f, i, cfg) >= him_stage2(c, f, i, cfg)
-        assert him_stage2(c, f + bump, i, cfg) >= him_stage2(c, f, i, cfg)
-        assert him_stage2(c, f, i + bump, cfg) >= him_stage2(c, f, i, cfg)
+        assert conf(c + bump, f, i, stage1) >= conf(c, f, i, stage1)
+        assert conf(c, f, i + bump, stage1) >= conf(c, f, i, stage1)
+        assert conf(c + bump, f, i, stage2) >= conf(c, f, i, stage2)
+        assert conf(c, f + bump, i, stage2) >= conf(c, f, i, stage2)
+        assert conf(c, f, i + bump, stage2) >= conf(c, f, i, stage2)
 
 
 def test_him_admit_examples():

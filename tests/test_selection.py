@@ -22,12 +22,10 @@ from trackmem.policies import (
     AdmissionReason,
     PolicyConfig,
     RamPolicyDecision,
-    him_confidence,
     motion_consistency,
     sam2long_admit,
     samite_calibrate,
     samite_select_ram,
-    samurai_score,
 )
 from trackmem.selection import (
     FrameResult,
@@ -219,12 +217,13 @@ def test_select_default_picks_the_written_key(o):
 @example(frame(1, s=(0.5, 0.5, 0.5), s_obj=(-1.0, 1.0, 1.0), masks=[MASKS[0]] * 3), None, 0.5)
 def test_select_samurai_picks_the_written_key(o, kf_pred, alpha):
     chosen, s_kf = select_samurai(o, kf_pred, PolicyConfig(alpha=alpha, beta=0.0))
-    qualified = [i for i, p in enumerate(o.proposals) if p.s_obj > 0.0]
-    if not qualified:
+    best = samurai_choice_oracle(
+        [p.s_mask for p in o.proposals], [p.s_obj for p in o.proposals],
+        [motion_consistency(kf_pred, p) for p in o.proposals], alpha)
+    if best is None:
         assert chosen is None and s_kf is None
         return
-    want = o.proposals[written_argmax(
-        qualified, lambda i: samurai_score(kf_pred, o.proposals[i], alpha))]
+    want = o.proposals[best]
     assert chosen is want
     assert s_kf == motion_consistency(kf_pred, want)
 
@@ -235,16 +234,15 @@ def test_select_samurai_picks_the_written_key(o, kf_pred, alpha):
 def test_select_him_picks_the_written_key(o, coarse, fine, tau_conf):
     cfg = PolicyConfig(tau_conf=tau_conf)
     chosen, s_conf, used_fine = select_him(o, coarse, lambda: fine, cfg)
-    confs, want_fine = him_confidence(
+    best, conf, want_fine = him_choice_oracle(
         [motion_consistency(coarse, p) for p in o.proposals],
-        lambda: [motion_consistency(fine, p) for p in o.proposals],
-        [p.s_mask for p in o.proposals], cfg)
-    best = written_argmax(range(3), lambda i: confs[i])
+        [motion_consistency(fine, p) for p in o.proposals],
+        [p.s_mask for p in o.proposals], cfg.alpha_him, cfg.beta, cfg.tau_conf)
     assert used_fine == want_fine
     if o.proposals[best].mask.is_empty and o.o <= 0.0:
         assert chosen is None and s_conf is None
     else:
-        assert chosen is o.proposals[best] and s_conf == confs[best]
+        assert chosen is o.proposals[best] and s_conf == conf
 
 
 # --- session basics ---------------------------------------------------------------

@@ -549,7 +549,11 @@ def test_read_record_rejects_gt_without_prompt_mask(tmp_path):
 
 @pytest.mark.parametrize("pattern, replacement, message", [
     (r'"o":[^,]+', '"o":NaN', "frame 2: o must be finite"),
-    (r'"s_obj":[^,}]+', '"s_obj":Infinity', "s_obj must be finite"),
+    (r'"s_obj":[^,}]+', '"s_obj":Infinity', "proposals[0].s_obj must be finite, got inf"),
+    (r'"s_obj":[^,}]+', '"s_obj":NaN', "proposals[0].s_obj must be finite, got nan"),
+    (r'"s_mask":[^,}]+', '"s_mask":Infinity', "proposals[0].s_mask must lie in [0, 1], got inf"),
+    (r'"s_mask":[^,}]+(?=,"s_obj":[^,}]+}\])', '"s_mask":1.5',
+     "proposals[2].s_mask must lie in [0, 1], got 1.5"),
     (r'"mask":"[^"]*"', '"mask":"16 16"', "frame 2: proposal masks differ in size"),
     (r'"features":', '"features":[1.0],"old":', "features must be a JSON object, got list"),
     (r'"height":\d+', '"height":-1', "features.height must be an integer >= 1, got -1"),
