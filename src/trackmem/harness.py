@@ -106,6 +106,10 @@ class ConfigError(ValueError):
 
 
 def load_config(path) -> dict:
+    return _checked(_read_config(path), str(path))
+
+
+def _read_config(path) -> dict:  # the file's JSON object, unchecked
     try:
         loaded = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -118,13 +122,13 @@ def load_config(path) -> dict:
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object, "
                           f"got {type(loaded).__name__}")
-    return _checked(loaded, str(path))
+    return loaded
 
 
 def _checked(cfg: dict, origin: str) -> dict:
     """``cfg`` completed from :func:`default_config`, checked: the run config's one check.
 
-    Only load_config, apply_overrides and run_benchmark call it; the readers
+    Only load_config, apply_overrides, run_benchmark and cmd_run call it; the readers
     below take a config one of them returned. A run names at least one policy
     and one scene, each once, and each listed policy's :class:`TrackerConfig`
     is built, so its checks (the capacities among them) are the ones applied.
@@ -395,11 +399,12 @@ def run_benchmark(cfg: dict, out_dir, workers: int = 1) -> dict:
 
 def cmd_run(config_path, out_dir, policy_filter: list[str] | None = None,
             sets: list[str] | None = None, workers: int = 1) -> int:
-    """``trackmem run``: ``policy_filter`` (``--policy``) replaces the policy list."""
+    """``trackmem run``: ``--policy`` replaces the file's policy list before it is checked."""
     try:
-        cfg = load_config(config_path)
+        cfg, origin = _read_config(config_path), str(config_path)
         if policy_filter:
-            sets = [*(sets or []), f"policies={json.dumps(policy_filter)}"]
+            cfg["policies"], origin = policy_filter, f"{origin} with --policy"
+        cfg = _checked(cfg, origin)
         if sets:
             cfg = apply_overrides(cfg, sets)
         run_benchmark(cfg, out_dir, workers=workers)

@@ -208,7 +208,9 @@ def test_policy_that_rejects_the_capacities_exits_2(tmp_path, capsys):
         f"error: {path}: policy 'samite_drm': the prototype-calibrated policy needs"
         " k_ram >= 2 for its anchors\n")
     assert not (tmp_path / "out").exists()
-    # the rule is samite's alone: other policies run with one RAM slot
+    # the rule is samite's alone: other policies run with one RAM slot, and
+    # --policy replaces the list before the file is checked
+    assert cmd_run(path, tmp_path / "out", policy_filter=["dam4sam"]) == 0
     assert cmd_run(tiny_config(tmp_path), tmp_path / "out", sets=["k_ram=1"],
                    policy_filter=["dam4sam"]) == 0
     assert cmd_run(tiny_config(tmp_path, k_ram=1, policies=["dam4sam"]),
@@ -547,7 +549,8 @@ def test_run_policy_filter(tmp_path):
 def test_run_unknown_policy_exits_2(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     assert cmd_run(cfg_path, tmp_path / "out", policy_filter=["wrong_name"]) == 2
-    assert "wrong_name" in capsys.readouterr().out
+    assert capsys.readouterr().out == (f"error: {cfg_path} with --policy: unknown policy"
+                                       f" 'wrong_name'; valid: {', '.join(ALL_POLICY_NAMES)}\n")
 
 
 def test_run_bad_config_exits_2(tmp_path, capsys):

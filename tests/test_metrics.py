@@ -65,8 +65,10 @@ def test_success_excludes_invisible_frames():
 
 
 def test_success_length_mismatch():
-    with pytest.raises(ValueError):
-        scored([B], [B, B])
+    with pytest.raises(ValueError, match="^pred holds 1 frames but gt holds 2$"):
+        evaluate([B], [True, True], [B, B])
+    with pytest.raises(ValueError, match="^pred holds 1 frames but gt holds 2$"):
+        success_curve([B], [B, B])
 
 
 # --- precision -----------------------------------------------------------------
