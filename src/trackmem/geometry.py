@@ -7,13 +7,15 @@ immutable tuple records (policies build several per frame), and
 their IoU is computed analytically: one pair at a time by ``box_iou``
 (the per-proposal gates) or a whole sequence's row pairs at once by
 ``box_ious`` (evaluation), with the same bits either way. Masks are
-stored as row-major RLE so memory entries stay small; the dense-array
+stored as row-major RLE, each run three unsigned 16-bit values in one flat
+array per mask, so a generated scene's masks stay small; the dense-array
 conversion serves the benchmark's instrumentation, the demos and the tests.
 
 A mask's area and its column bounds are taken once, at construction, in
-the same pass that validates its runs, so neither its area nor its box
-walks the runs again. Mask IoU is a single two-pointer walk over both masks'
-sorted runs, so it costs the two run counts and never touches pixels.
+the same vectorized pass that validates its runs (one pass per batch of
+masks), so neither its area nor its box walks the runs again. Mask IoU is a
+single two-pointer walk over both masks' sorted runs, so it costs the two
+run counts and never touches pixels.
 
 IoU involving a zero-area box, an empty mask, or two empty masks is
 defined as 0: "no agreement" is the semantics every gate in the tracker
@@ -32,12 +34,16 @@ fully empty mask is just ``"W H"``. Runs are sorted and non-overlapping.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import operator
+from array import array
 from typing import NamedTuple
 
 import numpy as np
 
+from .checks import shown
+
 __all__ = [
+    "MAX_SIDE",
     "BBox",
     "BitMask",
     "box_iou",
@@ -142,53 +148,183 @@ def box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return iou
 
 
-@dataclass(frozen=True)
+MAX_SIDE = 0xFFFF  # a mask's width and height: its runs are unsigned 16-bit values
+
+
+def _run_error(width: int, height: int, run, prev: tuple[int, int]) -> str:
+    """Why ``run`` is rejected, given ``prev``, the (row, end) of the mask's
+    previous run ((-1, -1) for its first): the first rule it breaks."""
+    row, start, length = run
+    end = start + length
+    if length < 1:
+        return f"run length must be >= 1, got {shown(length)}"
+    if not 0 <= row < height:
+        return f"run row {shown(row)} outside height {height}"
+    if start < 0 or end > width:
+        return f"run [{shown(start)}, {shown(end)}) outside width {width}"
+    if row < prev[0]:
+        return "runs must be sorted by row"
+    return "runs within a row must be sorted and disjoint"
+
+
+def _packed(width: int, height: int, values: np.ndarray, cuts: list[int], given=None
+            ) -> tuple[array, list[int], list[int], list[int]]:
+    """Check the runs of a batch of masks and pack them: the one run validator.
+
+    ``values`` is an (n, 3) int64 array of (row, start, length) runs, and
+    mask k has rows ``cuts[k]:cuts[k + 1]`` (``cuts[0]`` is 0, ``cuts[-1]``
+    is n). Each run must lie inside the grid with a length of at least 1,
+    and follow its mask's previous run in row order, disjoint from it on a
+    shared row. The first run that breaks a rule raises ValueError, worded
+    from ``given[i]`` (the runs as the caller gave them) or else from
+    ``values[i]``. Returns the runs as one flat ``array('H')`` of row,
+    start and length values, and per mask its area, its first column and
+    the end of its last column (``width`` and 0 for an empty mask).
+    """
+    if width < 0 or height < 0:
+        raise ValueError("mask dimensions must be non-negative")
+    for name, side in (("width", width), ("height", height)):
+        if side > MAX_SIDE:
+            raise ValueError(f"mask {name} {shown(side)} exceeds {MAX_SIDE}, the largest"
+                             " side of 16-bit runs")
+    rows, starts, lengths = values.T
+    ends = starts + lengths
+    bad = (lengths < 1) | (rows < 0) | (rows >= height) | (starts < 0) | (ends > width)
+    first = np.asarray(cuts[:-1], dtype=np.intp)
+    # per run after the first: whether it follows a run of its own mask
+    follows = np.ones(len(values), dtype=bool)
+    follows[first[first < len(values)]] = False
+    follows = follows[1:]
+    prev_rows, prev_ends = rows[:-1], ends[:-1]
+    bad[1:] |= follows & ((rows[1:] < prev_rows)
+                          | ((rows[1:] == prev_rows) & (starts[1:] < prev_ends)))
+    if bad.any():
+        i = int(bad.argmax())
+        prev = (int(prev_rows[i - 1]), int(prev_ends[i - 1])) if i and follows[i - 1] \
+            else (-1, -1)
+        raise ValueError(_run_error(width, height, values[i].tolist() if given is None
+                                    else given[i], prev))
+    packed = array("H")
+    packed.frombytes(values.astype(np.uint16).tobytes())
+    n_masks = len(cuts) - 1
+    areas = np.zeros(n_masks, dtype=np.int64)
+    col0 = np.full(n_masks, width, dtype=np.int64)
+    col1 = np.zeros(n_masks, dtype=np.int64)
+    full = first < np.asarray(cuts[1:])
+    if full.any():
+        # runs of masks without runs lie between the firsts of their neighbours
+        first = first[full]
+        areas[full] = np.add.reduceat(lengths, first)
+        col0[full] = np.minimum.reduceat(starts, first)
+        col1[full] = np.maximum.reduceat(ends, first)
+    return packed, areas.tolist(), col0.tolist(), col1.tolist()
+
+
+def _triples(runs) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """``runs`` as given to :class:`BitMask`: an (n, 3) int64 array for
+    :func:`_packed`, and the triples of Python ints it words errors from.
+
+    A value outside [-1, MAX_SIDE + 1] breaks a rule of every run it can
+    sit in, so the array holds it clipped to that range and fails where
+    the value does.
+    """
+    given = []
+    for run in runs:
+        try:
+            row, start, length = (operator.index(v) for v in run)
+        except (TypeError, ValueError):
+            raise ValueError("runs must be (row, start, length) triples of integers,"
+                             f" got {shown(run)}") from None
+        given.append((row, start, length))
+    values = np.array([[min(max(v, -1), MAX_SIDE + 1) for v in run] for run in given],
+                      dtype=np.int64).reshape(-1, 3)
+    return values, given
+
+
 class BitMask:
     """Binary mask as row-major RLE runs.
 
-    ``runs`` is a sorted tuple of (row, start, length) triples; runs within
-    a row never touch or overlap (maximal runs), and all runs lie inside
-    the width x height grid. The empty tuple is a valid (empty) mask.
+    ``packed`` holds the runs as one flat ``array('H')`` of (row, start,
+    length) values, 6 bytes a run, sorted by row; runs within a row never
+    touch or overlap (maximal runs), and all runs lie inside the width x
+    height grid. Treat it as read-only. ``runs`` gives the same runs as a
+    tuple of triples, built on each access, for tests and demos; a mask
+    with no runs is empty. 16-bit values bound a side at ``MAX_SIDE``
+    (65,535) px, and every constructor rejects a larger one.
+
+    ``BitMask(width, height, runs)`` takes the triples; :meth:`batch`
+    builds the masks of one (n, 3) run array, slicing one packed buffer.
+    Masks are immutable, and compare and hash by width, height and runs.
+    A mask's area and its column bounds are taken once, when it is built.
     """
 
-    width: int
-    height: int
-    runs: tuple[tuple[int, int, int], ...] = field(default=())
+    __slots__ = ("width", "height", "packed", "_area", "_col0", "_col1", "_text", "_sha1")
 
-    def __post_init__(self) -> None:
-        if self.width < 0 or self.height < 0:
-            raise ValueError("mask dimensions must be non-negative")
-        prev_row, prev_end = -1, -1
-        area = 0
-        col0, col1 = self.width, 0
-        for row, start, length in self.runs:
-            end = start + length
-            if length < 1:
-                raise ValueError(f"run length must be >= 1, got {length}")
-            if not (0 <= row < self.height):
-                raise ValueError(f"run row {row} outside height {self.height}")
-            if start < 0 or end > self.width:
-                raise ValueError(f"run [{start}, {end}) outside width {self.width}")
-            if row < prev_row:
-                raise ValueError("runs must be sorted by row")
-            if row == prev_row and start < prev_end:
-                raise ValueError("runs within a row must be sorted and disjoint")
-            prev_row, prev_end = row, end
-            area += length
-            if start < col0:
-                col0 = start
-            if end > col1:
-                col1 = end
-        object.__setattr__(self, "_area", area)
-        object.__setattr__(self, "_cols", (col0, col1))
-        # set here, not on first use: CPython keeps a few attributes in a compact
-        # per-instance array, and one added later can spill all into a dict
-        object.__setattr__(self, "_text", None)
-        object.__setattr__(self, "_sha1", None)
+    def __init__(self, width: int, height: int, runs=()) -> None:
+        values, given = _triples(runs)
+        packed, (area,), (col0,), (col1,) = _packed(width, height, values,
+                                                   [0, len(values)], given)
+        self._set(width, height, packed, area, col0, col1)
+
+    def _set(self, width: int, height: int, packed: array, area: int, col0: int,
+             col1: int) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "width", width)
+        setattr_(self, "height", height)
+        setattr_(self, "packed", packed)
+        setattr_(self, "_area", area)
+        setattr_(self, "_col0", col0)
+        setattr_(self, "_col1", col1)
+        setattr_(self, "_text", None)
+        setattr_(self, "_sha1", None)
+
+    @classmethod
+    def batch(cls, width: int, height: int, runs: np.ndarray, cuts: list[int]
+              ) -> list["BitMask"]:
+        """The width x height masks whose runs are rows ``cuts[k]:cuts[k + 1]``
+        of ``runs``, an (n, 3) integer array of (row, start, length) runs;
+        ``cuts`` runs from 0 to n. One check covers the whole batch, and the
+        masks' packed runs are slices of one buffer."""
+        runs = np.asarray(runs, dtype=np.int64).reshape(-1, 3)
+        packed, areas, col0s, col1s = _packed(width, height, runs, cuts)
+        new = object.__new__
+        masks = []
+        for i, j, area, col0, col1 in zip(cuts, cuts[1:], areas, col0s, col1s):
+            mask = new(cls)
+            mask._set(width, height, packed[3 * i:3 * j], area, col0, col1)
+            masks.append(mask)
+        return masks
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BitMask:
+            return NotImplemented
+        return (self.width == other.width and self.height == other.height
+                and self.packed == other.packed)
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.height, self.packed.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"BitMask.from_text({self.to_text()!r})"
+
+    def __reduce__(self):
+        return BitMask.from_text, (self.to_text(),)
+
+    @property
+    def runs(self) -> tuple[tuple[int, int, int], ...]:
+        """The (row, start, length) triples, built on each access."""
+        values = iter(self.packed)
+        return tuple(zip(values, values, values))
 
     @property
     def is_empty(self) -> bool:
-        return not self.runs
+        return not self.packed
 
     @property
     def area(self) -> int:
@@ -210,13 +346,14 @@ class BitMask:
         rows, starts = np.nonzero(edges == 1)
         _, ends = np.nonzero(edges == -1)
         # nonzero is row-major sorted, so starts/ends pair up in order
-        runs = tuple(zip(rows.tolist(), starts.tolist(), (ends - starts).tolist()))
-        return cls(width=w, height=h, runs=runs)
+        runs = np.stack([rows, starts, ends - starts], axis=1)
+        return cls.batch(w, h, runs, [0, len(runs)])[0]
 
     def to_dense(self) -> np.ndarray:
         """Decode to a (height, width) boolean array."""
         out = np.zeros((self.height, self.width), dtype=bool)
-        for row, start, length in self.runs:
+        values = iter(self.packed)
+        for row, start, length in zip(values, values, values):
             out[row, start : start + length] = True
         return out
 
@@ -231,7 +368,8 @@ class BitMask:
         if text is None:
             parts = [f"{self.width} {self.height}"]
             last_row = -1
-            for row, start, length in self.runs:
+            values = iter(self.packed)
+            for row, start, length in zip(values, values, values):
                 if row == last_row:
                     parts.append(f",{start}+{length}")
                 else:
@@ -251,71 +389,84 @@ class BitMask:
 
     @classmethod
     def from_text(cls, text: str) -> "BitMask":
-        """Parse the ``W H; row:start+len,...`` text form."""
+        """Parse the ``W H; row:start+len,...`` text form.
+
+        A header or a row's group of runs that does not parse raises
+        ValueError quoting it; the runs are then checked as
+        ``BitMask(width, height, runs)`` checks them.
+        """
         chunks = [c.strip() for c in text.strip().split(";")]
         try:
             w_str, h_str = chunks[0].split()
             width, height = int(w_str), int(h_str)
         except ValueError as exc:
-            raise ValueError(f"bad mask header {chunks[0]!r}") from exc
+            raise ValueError(f"bad mask header {shown(chunks[0])}") from exc
         runs: list[tuple[int, int, int]] = []
         for chunk in chunks[1:]:
             if not chunk:
                 continue
             row_str, _, run_list = chunk.partition(":")
-            row = int(row_str)
-            for item in run_list.split(","):
-                start_str, _, len_str = item.partition("+")
-                runs.append((row, int(start_str), int(len_str)))
-        return cls(width=width, height=height, runs=tuple(runs))
+            try:
+                row = int(row_str)
+                for item in run_list.split(","):
+                    start_str, _, len_str = item.partition("+")
+                    runs.append((row, int(start_str), int(len_str)))
+            except ValueError as exc:
+                raise ValueError(f"bad mask run group {shown(chunk)}") from exc
+        return cls(width, height, runs)
 
 
 def mask_iou(a: BitMask, b: BitMask) -> float:
     """IoU of two same-sized masks; 0 if either (or both) is empty.
 
-    One merge walk over both sorted run lists: runs of the same row add
-    their overlap, and whichever run ends first (or sits on the earlier
-    row) advances. Masks whose row ranges are disjoint return at once.
-    Raises ValueError on a dimension mismatch, which is a caller bug.
+    One merge walk over both sorted packed runs, read as triples: runs of
+    the same row add their overlap, and whichever run ends first (or sits
+    on the earlier row) advances; the walk ends when either mask runs out.
+    Masks whose row ranges are disjoint return at once. Raises ValueError
+    on a dimension mismatch, which is a caller bug.
     """
     if (a.width, a.height) != (b.width, b.height):
         raise ValueError(
             f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    runs_a, runs_b = a.runs, b.runs
-    if not runs_a or not runs_b or runs_a[-1][0] < runs_b[0][0] \
-            or runs_b[-1][0] < runs_a[0][0]:
+    packed_a, packed_b = a.packed, b.packed
+    if not packed_a or not packed_b or packed_a[-3] < packed_b[0] \
+            or packed_b[-3] < packed_a[0]:
         return 0.0
+    values_a, values_b = iter(packed_a), iter(packed_b)
+    runs_a = zip(values_a, values_a, values_a)
+    runs_b = zip(values_b, values_b, values_b)
+    row_a, start_a, len_a = next(runs_a)
+    row_b, start_b, len_b = next(runs_b)
     inter = 0
-    i = j = 0
-    n_a, n_b = len(runs_a), len(runs_b)
-    while i < n_a and j < n_b:
-        row_a, start_a, len_a = runs_a[i]
-        row_b, start_b, len_b = runs_b[j]
-        if row_a < row_b:
-            i += 1
-        elif row_b < row_a:
-            j += 1
-        else:
-            # conditional expressions, not min/max: this loop is the hot path
-            lo = start_a if start_a > start_b else start_b
-            end_a, end_b = start_a + len_a, start_b + len_b
-            if end_a <= end_b:
-                i += 1
-                if end_a > lo:
-                    inter += end_a - lo
+    try:
+        while True:
+            if row_a < row_b:
+                row_a, start_a, len_a = next(runs_a)
+            elif row_b < row_a:
+                row_b, start_b, len_b = next(runs_b)
             else:
-                j += 1
-                if end_b > lo:
-                    inter += end_b - lo
+                # conditional expressions, not min/max: this loop is the hot path
+                lo = start_a if start_a > start_b else start_b
+                end_a, end_b = start_a + len_a, start_b + len_b
+                if end_a <= end_b:
+                    if end_a > lo:
+                        inter += end_a - lo
+                    row_a, start_a, len_a = next(runs_a)
+                else:
+                    if end_b > lo:
+                        inter += end_b - lo
+                    row_b, start_b, len_b = next(runs_b)
+    except StopIteration:  # a mask has no run left to overlap the other's
+        pass
     return inter / (a.area + b.area - inter)
 
 
 def mask_to_bbox(m: BitMask) -> BBox | None:
     """Tightest axis-aligned box covering all foreground; None when empty."""
-    if m.is_empty:
+    runs = m.packed
+    if not runs:
         return None
-    x0, x1 = m._cols
-    y0 = m.runs[0][0]
-    y1 = m.runs[-1][0] + 1
+    x0, x1 = m._col0, m._col1
+    y0, y1 = runs[0], runs[-3] + 1
     return BBox(float(x0), float(y0), float(x1 - x0), float(y1 - y0))

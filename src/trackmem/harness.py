@@ -132,7 +132,8 @@ def _checked(cfg: dict, origin: str) -> dict:
     below take a config one of them returned. A run names at least one policy
     and one scene, each once, and each listed policy's :class:`TrackerConfig`
     is built, so its checks (the capacities among them) are the ones applied.
-    Raises ConfigError naming ``origin`` and the key or the policy.
+    Raises ConfigError naming ``origin`` and the key, and the first listed
+    policy that rejects the config unless every policy rejects it alike.
     """
     cfg = {**default_config(), **cfg}
     unknown = sorted(set(cfg) - set(default_config()))
@@ -160,10 +161,12 @@ def _checked(cfg: dict, origin: str) -> dict:
         except ValueError as exc:
             raise ConfigError(f"{origin}: bad {section!r} section: {exc}") from exc
     for name in policies:
-        try:
-            tracker_config_from(cfg, name)
-        except ValueError as exc:
-            raise ConfigError(f"{origin}: policy {name!r}: {exc}") from exc
+        message = _rejection(cfg, name)
+        if message is not None:
+            # a rule every policy has (the capacities' bounds) is no one policy's
+            if all(_rejection(cfg, other) == message for other in ALL_POLICY_NAMES):
+                raise ConfigError(f"{origin}: {message}")
+            raise ConfigError(f"{origin}: policy {name!r}: {message}")
     try:
         check_label(cfg["suite"], "'suite'")
     except ValueError as exc:
@@ -222,6 +225,15 @@ def scene_list(cfg: dict) -> list[SceneConfig]:
     if cfg["scenes"] is None:
         return suite_standard(n_seeds=cfg["n_seeds"])
     return [config_from_dict(d) for d in cfg["scenes"]]
+
+
+def _rejection(cfg: dict, policy_name: str) -> str | None:
+    """Why the policy's :class:`TrackerConfig` rejects ``cfg``; None if it accepts it."""
+    try:
+        tracker_config_from(cfg, policy_name)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def tracker_config_from(cfg: dict, policy_name: str) -> TrackerConfig:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import finite
+from .checks import finite, shown
 from .geometry import BBox, BitMask, mask_to_bbox
 
 __all__ = [
@@ -244,22 +244,25 @@ def covered_labels(f: FeatureGrid, m: BitMask) -> np.ndarray:
     The mask is resampled to the grid resolution by nearest neighbor, read
     straight from its runs: only the grid rows inside the mask's row span
     are visited, and each finds the runs of the mask row it samples by
-    bisection. Several grid rows may sample one mask row.
+    bisection in the packed runs' rows. Several grid rows may sample one
+    mask row.
     """
     labels = f.labels
-    runs = m.runs
-    if not runs:
+    packed = m.packed
+    if not packed:
         return labels.reshape(-1)[:0]
     height, width = labels.shape
     sample_rows, rows, cols = _cell_spans(height, width, m.height, m.width)
+    run_rows = packed[::3]
     cells: list[int] = []
-    for i in range(rows[runs[0][0]], rows[runs[-1][0] + 1]):
+    for i in range(rows[packed[0]], rows[packed[-3] + 1]):
         row = sample_rows[i]
-        lo = bisect.bisect_left(runs, (row,))
-        hi = bisect.bisect_left(runs, (row + 1,), lo)
+        lo = bisect.bisect_left(run_rows, row)
+        hi = bisect.bisect_left(run_rows, row + 1, lo)
         base = i * width
-        for _, start, length in runs[lo:hi]:
-            cells.extend(range(base + cols[start], base + cols[start + length]))
+        for k in range(3 * lo + 1, 3 * hi, 3):
+            start = packed[k]
+            cells.extend(range(base + cols[start], base + cols[start + packed[k + 1]]))
     return labels.take(cells)  # indexes the flattened grid
 
 
@@ -334,7 +337,7 @@ def _features_from(fobj) -> FeatureGrid:
             raise ValueError(f"features.{key} is missing")
         v = fobj[key]
         if type(v) is not int or v < 1:
-            raise ValueError(f"features.{key} must be an integer >= 1, got {v!r}")
+            raise ValueError(f"features.{key} must be an integer >= 1, got {shown(v)}")
         shape.append(v)
     if "values" not in fobj:
         raise ValueError("features.values is missing")
@@ -347,7 +350,8 @@ def _features_from(fobj) -> FeatureGrid:
     bad = next((i for i, v in enumerate(values)
                 if type(v) not in _NUMBER or not finite(v)), None)
     if bad is not None:
-        raise ValueError(f"features.values[{bad}] must be a finite number, got {values[bad]!r}")
+        raise ValueError(f"features.values[{bad}] must be a finite number,"
+                         f" got {shown(values[bad])}")
     return FeatureGrid(np.array(values, dtype=float).reshape(shape))
 
 
@@ -359,7 +363,7 @@ def _field(obj: dict, key: str, want: tuple[type, ...], what: str, prefix: str =
         raise ValueError(f"{name} is missing")
     v = obj[key]
     if type(v) not in want or (type(v) is int and not finite(v)):
-        raise ValueError(f"{name} must be {what}, got {v!r}")
+        raise ValueError(f"{name} must be {what}, got {shown(v)}")
     return v
 
 

@@ -49,10 +49,10 @@ runs alone, never on a (frames, rows) array. Every mask matches a
 full-grid render run for run, and the whole sequence matches a per-frame
 dense render (``tests/reference.py`` keeps both references). Only the
 masks a record exposes become :class:`~trackmem.geometry.BitMask`
-objects: the three proposals of every frame and the frame-0 prompt, and
-equal (row, start, length) triples within a scene are one tuple. The
-feature labels of all frames and each frame's nearest distractor are
-computed on (frames, ...) arrays too.
+objects: the three proposals of every frame and the frame-0 prompt, each
+kind's masks packed from one buffer of 16-bit run values. The feature
+labels of all frames and each frame's nearest distractor are computed on
+(frames, ...) arrays too.
 
 Randomness comes from a Philox counter-based generator keyed by the
 scene seed (no global RNG), and all draws happen in a fixed order up
@@ -69,8 +69,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import check_label, check_numbers, finite, from_json, to_json
-from .geometry import BBox, BitMask
+from .checks import check_label, check_numbers, finite, from_json, shown, to_json
+from .geometry import MAX_SIDE, BBox, BitMask
 # Generation no longer calls mask_iou, but the benchmark's instrumentation
 # (perfbench/workloads.py) wraps the name in this module's namespace.
 from .geometry import mask_iou  # noqa: F401
@@ -137,6 +137,9 @@ class SceneConfig:
             raise ValueError("need at least one frame")
         if min(self.grid) < 1:
             raise ValueError(f"grid must have sides >= 1, got {self.grid!r}")
+        if max(self.grid) > MAX_SIDE:
+            raise ValueError(f"grid must have sides <= {MAX_SIDE} (masks hold 16-bit runs),"
+                             f" got {shown(self.grid)}")
         # a side under 2 px can render an empty prompt (a 1 x 1 ellipse between
         # pixel centers)
         size = self.target_motion.size
@@ -325,19 +328,14 @@ def _union_runs(a: Runs, b: Runs, width: int, height: int) -> Runs:
     return masks[keep], rows[keep], start[keep], end[keep]
 
 
-def _masks(runs: Runs, n: int, width: int, height: int,
-           shared: dict[tuple[int, int, int], tuple[int, int, int]]) -> list[BitMask]:
-    """The first ``n`` masks of a batch, as BitMasks.
-
-    Equal (row, start, length) triples become one object through ``shared``,
-    one dict per scene: the union repeats its operands' runs, and a box that
-    moves less than a pixel covers the same runs in the next frame.
-    """
+def _masks(runs: Runs, n: int, width: int, height: int) -> list[BitMask]:
+    """The first ``n`` masks of a batch, as BitMasks packed from one buffer."""
     masks, rows, start, end = runs
-    triples = [shared.setdefault(t, t)
-               for t in zip(rows.tolist(), start.tolist(), (end - start).tolist())]
     cuts = np.searchsorted(masks, np.arange(n + 1)).tolist()
-    return [BitMask(width, height, tuple(triples[i:j])) for i, j in zip(cuts, cuts[1:])]
+    stop = cuts[-1]
+    return BitMask.batch(width, height,
+                         np.stack([rows[:stop], start[:stop], end[:stop] - start[:stop]], axis=1),
+                         cuts)
 
 
 def _clamp01(v: float) -> float:
@@ -567,9 +565,8 @@ def _render(cfg: SceneConfig, d: _SceneDraws, gt_x: np.ndarray, gt_y: np.ndarray
         w3, h3 = jit_w * 1.6, jit_h * 1.6
         runs3 = _ellipse_runs(jit_cx - w3 / 2.0, jit_cy - h3 / 2.0, w3, h3, gw, gh)
         iou3 = _iou(gt, runs3, frames, gh)
-    shared: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    masks = [_masks(runs, frames, gw, gh, shared) for runs in (runs1, runs2, runs3)]
-    return _masks(gt, 1, gw, gh, shared)[0], masks, iou1, iou3
+    masks = [_masks(runs, frames, gw, gh) for runs in (runs1, runs2, runs3)]
+    return _masks(gt, 1, gw, gh)[0], masks, iou1, iou3
 
 
 def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
@@ -724,19 +721,19 @@ def _gt_frame(d, frame: int) -> tuple[BBox | None, BitMask | None]:
     got = d["frame"]
     if type(got) is not int or got != frame:
         if frame == 0:
-            raise ValueError(f"no frame-0 line, so no prompt mask (got frame {got!r})")
-        raise ValueError(f"frame {got!r} out of order, expected {frame}")
+            raise ValueError(f"no frame-0 line, so no prompt mask (got frame {shown(got)})")
+        raise ValueError(f"frame {shown(got)} out of order, expected {frame}")
     visible = d["visible"]
     if not isinstance(visible, bool):
-        raise ValueError(f"'visible' must be true or false, got {visible!r}")
+        raise ValueError(f"'visible' must be true or false, got {shown(visible)}")
     box = d["box"]
     if box is not None:
         if not (isinstance(box, list) and len(box) == 4 and all(
                 type(v) in (int, float) and finite(v) for v in box)):
-            raise ValueError(f"'box' must be null or 4 finite numbers, got {box!r}")
+            raise ValueError(f"'box' must be null or 4 finite numbers, got {shown(box)}")
         box = BBox(*box)
         if box.w == 0 or box.h == 0:
-            raise ValueError(f"'box' must have positive width and height, got {d['box']!r}")
+            raise ValueError(f"'box' must have positive width and height, got {shown(d['box'])}")
     if visible != (box is not None):
         raise ValueError(f"'visible' is {'true' if visible else 'false'} but 'box' is "
                          f"{'null' if visible else 'not null'}")
@@ -745,7 +742,7 @@ def _gt_frame(d, frame: int) -> tuple[BBox | None, BitMask | None]:
         if "mask" not in d:
             raise ValueError("frame-0 line has no prompt mask")
         if not isinstance(d["mask"], str):
-            raise ValueError(f"'mask' must be RLE text, got {d['mask']!r}")
+            raise ValueError(f"'mask' must be RLE text, got {shown(d['mask'])}")
         mask = BitMask.from_text(d["mask"])
     return box, mask
 

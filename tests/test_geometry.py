@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, BitMask, box_iou, box_ious, mask_iou, mask_to_bbox
+from trackmem.simulator import MotionSpec, SceneConfig, gen_sequence
 
 from conftest import empty_mask, random_mask, rect_mask, rng_for
 from oracles import dense_box_iou, dense_mask_iou
@@ -164,6 +165,64 @@ def test_mask_runs_validation():
         BitMask(4, 4, runs=((1, 0, 1), (0, 0, 1)))  # rows out of order
 
 
+NOT_TRIPLES = "runs must be (row, start, length) triples of integers, got "
+BEYOND_16_BIT = "exceeds 65535, the largest side of 16-bit runs"
+
+
+@pytest.mark.parametrize("width, height, runs, message", [
+    (4, 4, ((0, 0, 3), (0, 2, 2)), "runs within a row must be sorted and disjoint"),
+    (4, 4, ((0, 2, 3),), "run [2, 5) outside width 4"),
+    (4, 4, ((4, 0, 1),), "run row 4 outside height 4"),
+    (4, 4, ((1, 0, 1), (0, 0, 1)), "runs must be sorted by row"),
+    (4, 4, ((0, 1, 0),), "run length must be >= 1, got 0"),
+    (4, 4, ((-1, 0, 1),), "run row -1 outside height 4"),
+    (4, 4, ((0, -2, 1),), "run [-2, -1) outside width 4"),
+    (4, 4, ((0, 0, -70000),), "run length must be >= 1, got -70000"),
+    (4, 4, ((70000, 0, 1),), "run row 70000 outside height 4"),
+    (4, 4, ((0, 65536, 1),), "run [65536, 65537) outside width 4"),
+    (4, 4, ((1, 0, 1), (0, 2 ** 70, 1)), f"run [{2 ** 70}, {2 ** 70 + 1}) outside width 4"),
+    (4, 4, ((0, 0, 10 ** 30),), f"run [0, {10 ** 30}) outside width 4"),
+    (4, 4, ((0, -10 ** 30, 1),), f"run [{-10 ** 30}, {1 - 10 ** 30}) outside width 4"),
+    (4, 4, ((0, 1.5, 1),), NOT_TRIPLES + "(0, 1.5, 1)"),
+    (4, 4, ((0, "1", 1),), NOT_TRIPLES + "(0, '1', 1)"),
+    (4, 4, ((0, 1),), NOT_TRIPLES + "(0, 1)"),
+    (-1, 4, (), "mask dimensions must be non-negative"),
+    (70000, 4, (), "mask width 70000 " + BEYOND_16_BIT),
+    (4, 65536, (), "mask height 65536 " + BEYOND_16_BIT),
+    (65535, 65535, ((0, 0, 65535), (65534, 65534, 1)), None),  # the largest sides
+])
+def test_mask_runs_are_checked_alike_by_every_constructor(width, height, runs, message):
+    def integers(run):
+        return len(run) == 3 and all(type(v) is int and abs(v) < 2 ** 63 for v in run)
+
+    makers = [lambda: BitMask(width, height, runs),
+              lambda: BitMask(width=width, height=height, runs=list(runs))]
+    if all(map(integers, runs)):
+        text = "".join(f"; {row}:{start}+{length}" for row, start, length in runs)
+        makers.append(lambda: BitMask.from_text(f"{width} {height}{text}"))
+        makers.append(lambda: BitMask.batch(width, height, np.array(runs, dtype=np.int64),
+                                            [0, len(runs)])[0])
+    if not runs and 0 <= width * height < 10 ** 6:
+        makers.append(lambda: BitMask.from_dense(np.zeros((height, width), dtype=bool)))
+    for make in makers:
+        if message is None:
+            assert make().runs == runs
+            continue
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+
+def test_batch_checks_the_order_of_runs_within_each_mask():
+    runs = np.array([[1, 0, 1], [0, 0, 1], [3, 2, 2]])
+    a, empty, b, c = BitMask.batch(4, 4, runs, [0, 1, 1, 2, 3])
+    assert (a.runs, empty.runs, b.runs, c.runs) == (((1, 0, 1),), (), ((0, 0, 1),), ((3, 2, 2),))
+    assert (a.area, empty.area, c.area) == (1, 0, 2) and empty.is_empty
+    assert mask_to_bbox(c) == BBox(2.0, 3.0, 2.0, 1.0)
+    with pytest.raises(ValueError, match="^runs must be sorted by row$"):
+        BitMask.batch(4, 4, runs, [0, 2, 3])
+
+
 def test_mask_iou_trivial():
     m = rect_mask(8, 8, 1, 1, 3, 3)
     assert mask_iou(m, m) == 1.0
@@ -242,18 +301,25 @@ def test_mask_to_bbox_tightness(rng):
         assert dense[:, x0].any() and dense[:, x0 + w - 1].any()
 
 
+def near_or_below(n: int) -> st.SearchStrategy[int]:
+    """A position in [0, n], often one of the last 12: on a side above 255
+    those are values that use both bytes of a packed run."""
+    return st.integers(0, n) | st.integers(max(0, n - 12), n)
+
+
 @st.composite
 def run_masks(draw, width: int, height: int) -> BitMask:
-    """Runs drawn directly (not via from_dense) inside a random band of rows.
+    """Runs drawn directly (not via from_dense) inside a random band of at
+    most 12 rows.
 
     Runs of a row may touch (gap 0) and may be a single pixel; the band
     may be empty, so empty masks and disjoint row ranges come up often.
     """
-    lo = draw(st.integers(0, height))
-    hi = draw(st.integers(lo, height))
+    lo = draw(near_or_below(height))
+    hi = draw(st.integers(lo, min(height, lo + 12)))
     runs = []
     for row in range(lo, hi):
-        col = draw(st.integers(0, width))
+        col = draw(near_or_below(width))
         while col < width and draw(st.booleans()):
             length = draw(st.integers(1, width - col))
             runs.append((row, col, length))
@@ -261,9 +327,14 @@ def run_masks(draw, width: int, height: int) -> BitMask:
     return BitMask(width, height, tuple(runs))
 
 
+# sides up to 12, and above 255, where runs hold values of both bytes
+SIDES = st.integers(1, 12) | st.integers(256, 700)
+MASKS = st.tuples(SIDES, SIDES).flatmap(lambda sides: run_masks(*sides))
+
+
 @st.composite
 def mask_pairs(draw) -> tuple[BitMask, BitMask]:
-    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    width, height = draw(SIDES), draw(SIDES)
     return draw(run_masks(width, height)), draw(run_masks(width, height))
 
 
@@ -280,12 +351,12 @@ def test_mask_iou_matches_dense_oracle_on_run_masks(pair):
     assert mask_iou(b, a) == want
 
 
-@given(st.integers(1, 12).flatmap(lambda w: run_masks(w, 9)))
+@given(MASKS)
 def test_area_counts_dense_pixels(m):
     assert m.area == int(m.to_dense().sum())
 
 
-@given(st.integers(1, 12).flatmap(lambda w: run_masks(w, 9)))
+@given(MASKS)
 def test_rle_text_round_trip_and_memo(m):
     text = m.to_text()
     assert BitMask.from_text(text) == m
@@ -293,7 +364,7 @@ def test_rle_text_round_trip_and_memo(m):
     assert BitMask(m.width, m.height, m.runs).to_text() == text  # a fresh encode
 
 
-@given(st.integers(1, 12).flatmap(lambda w: run_masks(w, 9)))
+@given(MASKS)
 def test_text_sha1_digests_the_text_and_memo(m):
     digest = m.text_sha1()
     assert digest == hashlib.sha1(m.to_text().encode()).hexdigest()
@@ -301,13 +372,50 @@ def test_text_sha1_digests_the_text_and_memo(m):
     assert BitMask(m.width, m.height, m.runs).text_sha1() == digest  # a fresh digest
 
 
-@given(st.integers(1, 12).flatmap(lambda w: run_masks(w, 9)))
+@given(MASKS)
 @example(BitMask(9, 3, ((1, 0, 2), (1, 3, 1), (1, 5, 4))))   # multi-run row
 @example(BitMask(9, 3, ((0, 4, 1), (2, 8, 1))))              # single-pixel runs
 @example(BitMask(9, 3))                                      # empty mask
 @example(BitMask(0, 0))
 def test_rle_text_matches_row_grouping_encoder(m):
     assert m.to_text() == rle_text_by_row(m.width, m.height, m.runs)
+
+
+@given(MASKS)
+@example(BitMask(300, 700, ((256, 0, 300), (699, 255, 2))))
+def test_masks_give_back_their_runs_and_equal_and_hash_by_value(m):
+    runs = m.runs
+    assert BitMask(m.width, m.height, runs).runs == runs
+    assert m.packed.tolist() == [v for run in runs for v in run]
+    dense = BitMask.from_dense(m.to_dense())  # maximal runs: touching runs merged
+    for mask in (m, dense):
+        twins = [BitMask(mask.width, mask.height, mask.runs), BitMask.from_text(mask.to_text()),
+                 pickle.loads(pickle.dumps(mask))]
+        if mask is dense:
+            twins.append(BitMask.from_dense(mask.to_dense()))
+        for twin in twins:
+            assert twin == mask and hash(twin) == hash(mask) and twin.runs == mask.runs
+    other = BitMask(m.width + 1, m.height, runs)
+    assert other != m and BitMask(m.width, m.height + 1, runs) != m
+    for name, value in (("width", 3), ("packed", m.packed), ("runs", ()), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+
+
+def test_simulated_masks_equal_and_hash_as_masks_built_otherwise():
+    cfg = SceneConfig(seed=3, frames=6, grid=(520, 300), n_distractors=2,
+                      distractor_similarity=0.5, target_motion=MotionSpec(size=(40.0, 30.0)),
+                      proto_dim=2)
+    record = gen_sequence(cfg)
+    masks = [record.init_mask] + [p.mask for obs in record.observations for p in obs.proposals]
+    assert any(max(mask.packed) > 255 for mask in masks)
+    for mask in masks:
+        for twin in (BitMask(520, 300, mask.runs), BitMask.from_text(mask.to_text()),
+                     BitMask.from_dense(mask.to_dense())):
+            assert twin == mask and hash(twin) == hash(mask)
+    assert len(set(masks)) == len({mask.to_text() for mask in masks})
 
 
 def dense_scan_bbox(m: BitMask) -> BBox | None:

@@ -102,7 +102,7 @@ def test_config_json_cannot_load_exits_2_naming_the_file(tmp_path, capsys, conte
 
 @pytest.mark.parametrize("item, message", [
     ("k_ram=1" + "0" * 5000,
-     "command-line override: policy 'sam2_fifo': k_ram must be an integer, got '10"),
+     "command-line override: k_ram must be an integer, got '10"),
     ("policy=" + "[" * 5000, "command-line override: bad 'policy' section: "),
 ], ids=["5000-digit-integer", "5000-brackets"])
 def test_set_value_json_cannot_load_is_text_and_exits_2_naming_the_key(tmp_path, capsys,
@@ -120,7 +120,7 @@ def test_set_value_json_cannot_load_is_text_and_exits_2_naming_the_key(tmp_path,
 def test_rejected_value_is_echoed_cut_to_a_bounded_length(tmp_path, capsys):
     assert cmd_run(tiny_config(tmp_path), tmp_path / "out", sets=["k_ram=1" + "0" * 5000]) == 2
     out = capsys.readouterr().out
-    assert out == ("error: command-line override: policy 'sam2_fifo': k_ram must be an"
+    assert out == ("error: command-line override: k_ram must be an"
                    " integer, got '1" + "0" * 78 + "... (5003 characters)\n")
     assert not (tmp_path / "out").exists()
 
@@ -159,16 +159,19 @@ def test_dotted_set_through_a_value_names_the_key():
 
 
 @pytest.mark.parametrize("item, message", [
-    ("k_ram=0", "policy 'sam2_fifo': k_ram must be >= 1"),
-    ("k_ram=2.5", "policy 'sam2_fifo': k_ram must be an integer, got 2.5"),
-    ("k_drm=-1", "policy 'sam2_fifo': k_drm must be >= 0"),
+    ("k_ram=0", "k_ram must be >= 1"),
+    ("k_ram=2.5", "k_ram must be an integer, got 2.5"),
+    ("k_drm=-1", "k_drm must be >= 0"),
     ('n_seeds="a"', "'n_seeds' must be an integer >= 1, got 'a'"),
     ("n_seeds=0", "'n_seeds' must be an integer >= 1, got 0"),
-    ("k_drm=true", "policy 'sam2_fifo': k_drm must be an integer, got True"),
+    ("k_drm=true", "k_drm must be an integer, got True"),
+    ("k_ram=1", "policy 'samite_drm': the prototype-calibrated policy needs k_ram >= 2"
+                " for its anchors"),
 ], ids=["k_ram=0-k_ram", "k_ram=2.5-k_ram", "k_drm=-1-k_drm", 'n_seeds="a"-n_seeds',
-        "n_seeds=0-n_seeds", "k_drm=true-k_drm"])
+        "n_seeds=0-n_seeds", "k_drm=true-k_drm", "k_ram=1-samite_drm"])
 def test_capacities_and_seed_count_are_validated(item, message):
-    # the capacities are checked by each listed policy's TrackerConfig, the first failing
+    # the capacities are checked by each listed policy's TrackerConfig; a rule
+    # every policy has names none
     with pytest.raises(ConfigError) as err:
         apply_overrides(default_config(), [item])
     assert str(err.value) == f"command-line override: {message}"
@@ -198,6 +201,14 @@ def test_load_config_checks_each_listed_policy_naming_the_file(tmp_path):
     assert str(err.value) == (f"{path}: policy 'samite_drm': the prototype-calibrated"
                               " policy needs k_ram >= 2 for its anchors")
     assert load_config(tiny_config(tmp_path, k_ram=1, policies=["dam4sam"]))["k_ram"] == 1
+    # whether a rule is one policy's is read off every policy, not the listed ones
+    for k_ram, policy, message in [(0, "dam4sam", "k_ram must be >= 1"),
+                                   (1, "samite_drm", "policy 'samite_drm': the prototype-"
+                                    "calibrated policy needs k_ram >= 2 for its anchors")]:
+        path = tiny_config(tmp_path, k_ram=k_ram, policies=[policy])
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: {message}"
 
 
 def test_policy_that_rejects_the_capacities_exits_2(tmp_path, capsys):
@@ -279,6 +290,7 @@ def test_float_fields_take_json_integers():
     ({"target_motion": {"size": [1.0, 8.0]}}, "target_motion.size"),
     ({"score_noise": BEYOND_FLOAT}, "score_noise"),
     ({"family": "../x"}, "family"), ({"family": 5}, "family"), ({"family": ""}, "family"),
+    ({"grid": [70000, 64]}, "grid"), ({"grid": [64, 65536]}, "grid"),
 ])
 def test_bad_scene_values_exit_2_naming_scene_and_key(tmp_path, capsys, change, key):
     scenes = [TINY_SCENES[0], dict(TINY_SCENES[1], **change)]

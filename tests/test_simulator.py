@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -186,7 +187,7 @@ boxes = st.builds(BBox, coords, coords, sizes, sizes)
 def render(kernel, batch, width, height):
     """A batch of boxes through a kernel, as BitMasks."""
     fields = [np.array([getattr(box, name) for box in batch], dtype=float) for name in "xywh"]
-    return _masks(kernel(*fields, width, height), len(batch), width, height, {})
+    return _masks(kernel(*fields, width, height), len(batch), width, height)
 
 
 @settings(max_examples=300, deadline=None)
@@ -273,7 +274,7 @@ def test_union_matches_dense_or(data, shape):
         pairs = [(data.draw(row_run_masks(n, width, height)), data.draw(row_run_masks(n, width, height)))]
     for a, b in pairs:
         n, height, width = a.shape
-        union = _masks(_union_runs(as_runs(a), as_runs(b), width, height), n, width, height, {})
+        union = _masks(_union_runs(as_runs(a), as_runs(b), width, height), n, width, height)
         assert union == [BitMask.from_dense(a[i] | b[i]) for i in range(n)]
 
 
@@ -282,7 +283,7 @@ def test_union_coalesces_touching_runs_and_keeps_empty_operands():
     empty = as_runs(np.zeros_like(TOUCH[:, :2]))
 
     def union(a, b):
-        return _masks(_union_runs(a, b, 8, 2), 1, 8, 2, {})[0]
+        return _masks(_union_runs(a, b, 8, 2), 1, 8, 2)[0]
 
     assert union(left, right).runs == ((0, 0, 5), (1, 1, 2), (1, 5, 2))
     assert union(left, empty) == BitMask.from_dense(TOUCH[0, :2])
@@ -398,16 +399,19 @@ def test_record_grids_share_one_label_array_and_one_palette():
     assert grids[0].palette.shape == (record.config.n_distractors + 2, record.config.proto_dim)
 
 
-def test_equal_run_triples_within_a_record_are_one_object():
-    record = gen_sequence(suite_standard(1)[2])
-    masks = [record.init_mask] + [p.mask for obs in record.observations for p in obs.proposals]
-    seen: dict = {}
-    repeats = 0
-    for mask in masks:
-        for run in mask.runs:
-            repeats += run in seen
-            assert seen.setdefault(run, run) is run
-    assert repeats > len(seen)  # the union alone repeats its operands' runs
+def test_a_generated_scene_retains_at_most_half_a_megabyte():
+    # each mask's runs are one packed 16-bit array; the feature grids share
+    # one label array and one palette
+    cfg = suite_standard(1)[2]  # 4 distractors, 110 frames
+    gen_sequence(cfg)  # fills the per-size caches
+    tracemalloc.start()
+    try:
+        record = gen_sequence(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(record.observations) == 110
+    assert held <= 500_000
 
 
 def test_nearest_distractor_matches_per_frame_argmin():
@@ -547,6 +551,10 @@ def test_read_record_rejects_gt_without_prompt_mask(tmp_path):
         read_record(obs_path, gt_path)
 
 
+LONG = "x" * 5000  # a rejected value is echoed cut to 80 characters
+LONG_SHOWN = "'" + "x" * 79 + "... (5002 characters)"
+
+
 @pytest.mark.parametrize("pattern, replacement, message", [
     (r'"o":[^,]+', '"o":NaN', "frame 2: o must be finite"),
     (r'"s_obj":[^,}]+', '"s_obj":Infinity', "proposals[0].s_obj must be finite, got inf"),
@@ -566,6 +574,24 @@ def test_read_record_rejects_gt_without_prompt_mask(tmp_path):
     (r'"mask":"[^"]*"', '"mask":5', "proposals[0].mask must be a mask string, got 5"),
     (r'"s_mask":[^,}]+', '"s_mask":"x"', "proposals[0].s_mask must be a number, got 'x'"),
     (r'"s_obj":[^,}]+', '"s_obj":true', "proposals[0].s_obj must be a number, got True"),
+    pytest.param(r'"s_mask":[^,}]+', f'"s_mask":"{LONG}"',
+                 f"proposals[0].s_mask must be a number, got {LONG_SHOWN}", id="s_mask-long"),
+    pytest.param(r'"s_obj":[^,}]+', '"s_obj":1' + "0" * 400,
+                 "proposals[0].s_obj must be a number, got 1" + "0" * 79 + "... (401 characters)",
+                 id="s_obj-401-digits"),
+    pytest.param(r'"mask":"[^"]*"', f'"mask":"{LONG}"',
+                 f"proposals[0].mask: bad mask header {LONG_SHOWN}", id="mask-long"),
+    pytest.param(r'"mask":"[^"]*"', '"mask":"4 4; 0:0+1; 7"',
+                 "proposals[0].mask: bad mask run group '7'", id="mask-bad-run-group"),
+    pytest.param(r'"mask":"[^"]*"', '"mask":"70000 32"',
+                 "proposals[0].mask: mask width 70000 exceeds 65535, the largest side of"
+                 " 16-bit runs", id="mask-beyond-16-bit"),
+    pytest.param(r'"mask":"[^"]*"', '"mask":"32 32; 0:0+1; 65536:0+1"',
+                 "proposals[0].mask: run row 65536 outside height 32", id="mask-row-beyond-16-bit"),
+    pytest.param(r'"height":\d+', f'"height":"{LONG}"',
+                 f"features.height must be an integer >= 1, got {LONG_SHOWN}", id="height-long"),
+    pytest.param(r'"values":\[[^,]+', f'"values":["{LONG}"',
+                 f"features.values[0] must be a finite number, got {LONG_SHOWN}", id="values-long"),
 ])
 def test_read_record_names_the_observation_line_it_rejects(tmp_path, pattern,
                                                            replacement, message):
@@ -647,10 +673,21 @@ def _swap_frames(lines):
     (_set_line(1, lambda d: d["config"].update(grid=5)), 1, "grid must be a pair of integers"),
     (_set_line(3, lambda d: d.update(visible=False)), 3, "'visible' is false but 'box' is not null"),
     (_set_line(4, lambda d: d.update(visible=True)), 4, "'visible' is true but 'box' is null"),
+    (_set_line(2, lambda d: d.update(mask="32 65536")), 2,
+     "mask height 65536 exceeds 65535, the largest side of 16-bit runs"),
+    (_set_line(2, lambda d: d.update(mask=LONG)), 2, f"bad mask header {LONG_SHOWN}"),
+    (_set_line(2, lambda d: d.update(mask="4 4; 0:0+1; 7")), 2, "bad mask run group '7'"),
+    (_set_line(3, lambda d: d.update(visible=LONG)), 3,
+     f"'visible' must be true or false, got {LONG_SHOWN}"),
+    (_set_line(3, lambda d: d.update(box=[LONG, 2.0, 3.0, 4.0])), 3,
+     "'box' must be null or 4 finite numbers, got ['" + "x" * 78 + "... (5019 characters)"),
+    (_set_line(3, lambda d: d.update(frame=LONG)), 3, f"frame {LONG_SHOWN} out of order"),
 ], ids=["not-json", "no-frame", "no-visible", "no-box", "visible-not-bool", "box-3-numbers",
         "box-string", "box-negative-size", "box-zero-size", "box-beyond-float", "frames-swapped", "frame-repeated", "frame-skipped",
         "mask-not-text", "header-not-json", "header-no-config", "config-no-seed",
-        "config-invalid", "config-bad-type", "invisible-with-box", "visible-without-box"])
+        "config-invalid", "config-bad-type", "invisible-with-box", "visible-without-box",
+        "mask-beyond-16-bit", "mask-long-header", "mask-bad-run-group", "visible-long",
+        "box-long", "frame-long"])
 def test_read_record_names_the_gt_line_it_rejects(tmp_path, edit, lineno, message):
     obs_path, gt_path = _edited_gt(tmp_path, edit)
     with pytest.raises(ValueError, match=re.escape(f"{gt_path}:{lineno}: ") + ".*"
