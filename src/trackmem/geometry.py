@@ -7,9 +7,10 @@ immutable tuple records (policies build several per frame), and
 their IoU is computed analytically: one pair at a time by ``box_iou``
 (the per-proposal gates) or a whole sequence's row pairs at once by
 ``box_ious`` (evaluation), with the same bits either way. Masks are
-stored as row-major RLE, each run three unsigned 16-bit values in one flat
-array per mask, so a generated scene's masks stay small; the dense-array
-conversion serves the benchmark's instrumentation, the demos and the tests.
+stored as row-major RLE, each run three unsigned 16-bit values in one
+``bytes`` string per mask, so a generated scene's masks stay small; the
+dense-array conversion serves the benchmark's instrumentation, the demos
+and the tests.
 
 A mask's area and its column bounds are taken once, at construction, in
 the same vectorized pass that validates its runs (one pass per batch of
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -168,7 +168,7 @@ def _run_error(width: int, height: int, run, prev: tuple[int, int]) -> str:
 
 
 def _packed(width: int, height: int, values: np.ndarray, cuts: list[int], given=None
-            ) -> tuple[array, list[int], list[int], list[int]]:
+            ) -> tuple[bytes, list[int], list[int], list[int]]:
     """Check the runs of a batch of masks and pack them: the one run validator.
 
     ``values`` is an (n, 3) int64 array of (row, start, length) runs, and
@@ -177,9 +177,9 @@ def _packed(width: int, height: int, values: np.ndarray, cuts: list[int], given=
     and follow its mask's previous run in row order, disjoint from it on a
     shared row. The first run that breaks a rule raises ValueError, worded
     from ``given[i]`` (the runs as the caller gave them) or else from
-    ``values[i]``. Returns the runs as one flat ``array('H')`` of row,
-    start and length values, and per mask its area, its first column and
-    the end of its last column (``width`` and 0 for an empty mask).
+    ``values[i]``. Returns the runs as one ``bytes`` string of native
+    16-bit row, start and length values, and per mask its area, its first
+    column and the end of its last column (``width`` and 0 for an empty mask).
     """
     if width < 0 or height < 0:
         raise ValueError("mask dimensions must be non-negative")
@@ -204,8 +204,7 @@ def _packed(width: int, height: int, values: np.ndarray, cuts: list[int], given=
             else (-1, -1)
         raise ValueError(_run_error(width, height, values[i].tolist() if given is None
                                     else given[i], prev))
-    packed = array("H")
-    packed.frombytes(values.astype(np.uint16).tobytes())
+    packed = values.astype(np.uint16).tobytes()
     n_masks = len(cuts) - 1
     areas = np.zeros(n_masks, dtype=np.int64)
     col0 = np.full(n_masks, width, dtype=np.int64)
@@ -244,13 +243,14 @@ def _triples(runs) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
 class BitMask:
     """Binary mask as row-major RLE runs.
 
-    ``packed`` holds the runs as one flat ``array('H')`` of (row, start,
-    length) values, 6 bytes a run, sorted by row; runs within a row never
-    touch or overlap (maximal runs), and all runs lie inside the width x
-    height grid. Treat it as read-only. ``runs`` gives the same runs as a
-    tuple of triples, built on each access, for tests and demos; a mask
-    with no runs is empty. 16-bit values bound a side at ``MAX_SIDE``
-    (65,535) px, and every constructor rejects a larger one.
+    ``packed`` holds the runs as one ``bytes`` string of native unsigned
+    16-bit (row, start, length) values, read as ``memoryview(packed).cast("H")``,
+    6 bytes a run, sorted by row; runs within a row never touch or overlap
+    (maximal runs), and all runs lie inside the width x height grid.
+    ``runs`` gives the same runs as a tuple of triples, built on each
+    access, for tests and demos; a mask with no runs is empty. 16-bit values
+    bound a side at ``MAX_SIDE`` (65,535) px, and every constructor rejects
+    a larger one.
 
     ``BitMask(width, height, runs)`` takes the triples; :meth:`batch`
     builds the masks of one (n, 3) run array, slicing one packed buffer.
@@ -266,7 +266,7 @@ class BitMask:
                                                    [0, len(values)], given)
         self._set(width, height, packed, area, col0, col1)
 
-    def _set(self, width: int, height: int, packed: array, area: int, col0: int,
+    def _set(self, width: int, height: int, packed: bytes, area: int, col0: int,
              col1: int) -> None:
         setattr_ = object.__setattr__
         setattr_(self, "width", width)
@@ -284,14 +284,14 @@ class BitMask:
         """The width x height masks whose runs are rows ``cuts[k]:cuts[k + 1]``
         of ``runs``, an (n, 3) integer array of (row, start, length) runs;
         ``cuts`` runs from 0 to n. One check covers the whole batch, and the
-        masks' packed runs are slices of one buffer."""
+        masks' packed runs are slices of one ``bytes`` string."""
         runs = np.asarray(runs, dtype=np.int64).reshape(-1, 3)
         packed, areas, col0s, col1s = _packed(width, height, runs, cuts)
         new = object.__new__
         masks = []
         for i, j, area, col0, col1 in zip(cuts, cuts[1:], areas, col0s, col1s):
             mask = new(cls)
-            mask._set(width, height, packed[3 * i:3 * j], area, col0, col1)
+            mask._set(width, height, packed[6 * i:6 * j], area, col0, col1)
             masks.append(mask)
         return masks
 
@@ -308,7 +308,7 @@ class BitMask:
                 and self.packed == other.packed)
 
     def __hash__(self) -> int:
-        return hash((self.width, self.height, self.packed.tobytes()))
+        return hash((self.width, self.height, self.packed))
 
     def __repr__(self) -> str:
         return f"BitMask.from_text({self.to_text()!r})"
@@ -319,7 +319,7 @@ class BitMask:
     @property
     def runs(self) -> tuple[tuple[int, int, int], ...]:
         """The (row, start, length) triples, built on each access."""
-        values = iter(self.packed)
+        values = iter(memoryview(self.packed).cast("H"))
         return tuple(zip(values, values, values))
 
     @property
@@ -352,7 +352,7 @@ class BitMask:
     def to_dense(self) -> np.ndarray:
         """Decode to a (height, width) boolean array."""
         out = np.zeros((self.height, self.width), dtype=bool)
-        values = iter(self.packed)
+        values = iter(memoryview(self.packed).cast("H"))
         for row, start, length in zip(values, values, values):
             out[row, start : start + length] = True
         return out
@@ -368,7 +368,7 @@ class BitMask:
         if text is None:
             parts = [f"{self.width} {self.height}"]
             last_row = -1
-            values = iter(self.packed)
+            values = iter(memoryview(self.packed).cast("H"))
             for row, start, length in zip(values, values, values):
                 if row == last_row:
                     parts.append(f",{start}+{length}")
@@ -429,7 +429,7 @@ def mask_iou(a: BitMask, b: BitMask) -> float:
         raise ValueError(
             f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    packed_a, packed_b = a.packed, b.packed
+    packed_a, packed_b = memoryview(a.packed).cast("H"), memoryview(b.packed).cast("H")
     if not packed_a or not packed_b or packed_a[-3] < packed_b[0] \
             or packed_b[-3] < packed_a[0]:
         return 0.0
@@ -464,9 +464,9 @@ def mask_iou(a: BitMask, b: BitMask) -> float:
 
 def mask_to_bbox(m: BitMask) -> BBox | None:
     """Tightest axis-aligned box covering all foreground; None when empty."""
-    runs = m.packed
-    if not runs:
+    values = memoryview(m.packed).cast("H")
+    if not values:
         return None
     x0, x1 = m._col0, m._col1
-    y0, y1 = runs[0], runs[-3] + 1
+    y0, y1 = values[0], values[-3] + 1
     return BBox(float(x0), float(y0), float(x1 - x0), float(y1 - y0))

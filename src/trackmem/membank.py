@@ -13,9 +13,9 @@ in play; those anchors are what a downstream reader would use to keep the
 target and the distractor apart.
 
 Entries are immutable :class:`MemoryEntry` NamedTuples, built by
-position on every admission: a copied bank shares them, and one entry may
-sit in several banks. The frames of the last RAM and DRM admissions are
-read off the lists, since both are chronological.
+position on every admission, held in RAM and DRM tuples that a copied
+bank shares; one entry may sit in several banks. The frames of the last
+RAM and DRM admissions are read off the tuples, which are chronological.
 
 DRM admission requires all four gates to pass:
 
@@ -135,11 +135,11 @@ def _min_pair_iou(obs: FrameObservation) -> float:
 
 
 class MemoryBank:
-    """Init slot plus bounded chronological RAM and DRM lists.
+    """Init slot plus bounded chronological RAM and DRM tuples.
 
-    The bank is a session-local mutable container; ``copy()`` produces an
-    independent bank sharing only the immutable entries, which is what
-    pathway branching needs.
+    The bank is a session-local container whose operations replace its
+    tuples; ``copy()`` gives an independent bank that starts out sharing
+    them, which is what pathway branching needs.
     """
 
     def __init__(self, init: MemoryEntry, k_ram: int, k_drm: int):
@@ -152,8 +152,8 @@ class MemoryBank:
         self.init = init
         self.k_ram = k_ram
         self.k_drm = k_drm
-        self.ram: list[MemoryEntry] = []
-        self.drm: list[MemoryEntry] = []
+        self.ram: tuple[MemoryEntry, ...] = ()
+        self.drm: tuple[MemoryEntry, ...] = ()
 
     @property
     def last_ram_frame(self) -> int:
@@ -174,8 +174,7 @@ class MemoryBank:
 
     def copy(self) -> "MemoryBank":
         dup = MemoryBank(self.init, self.k_ram, self.k_drm)
-        dup.ram = list(self.ram)
-        dup.drm = list(self.drm)
+        dup.ram, dup.drm = self.ram, self.drm
         return dup
 
     def insert_ram(self, entry: MemoryEntry) -> None:
@@ -185,15 +184,11 @@ class MemoryBank:
         else is a caller bug.
         """
         if self.ram and entry.frame_idx <= self.ram[-1].frame_idx:
-            raise ValueError(
-                f"out-of-order RAM insert: frame {entry.frame_idx} after "
-                f"{self.ram[-1].frame_idx}"
-            )
-        self.ram.append(entry)
-        if len(self.ram) > self.k_ram:
-            del self.ram[0]
+            raise ValueError(f"out-of-order RAM insert: frame {entry.frame_idx} after "
+                             f"{self.ram[-1].frame_idx}")
+        self.ram = (self.ram + (entry,))[-self.k_ram:]
 
-    def replace_ram(self, entries: list[MemoryEntry]) -> None:
+    def replace_ram(self, entries: Sequence[MemoryEntry]) -> None:
         """Set the whole RAM at once (rebuild-style policies).
 
         Entries must be chronological and within capacity.
@@ -203,7 +198,7 @@ class MemoryBank:
         for prev, cur in zip(entries, entries[1:]):
             if cur.frame_idx <= prev.frame_idx:
                 raise ValueError("RAM entries must be strictly increasing in frame")
-        self.ram = list(entries)
+        self.ram = tuple(entries)
 
     def consider_drm(self, obs: FrameObservation, chosen: Proposal, cfg: DrmConfig) -> bool:
         """Run the DRM gates; on admission store the chosen proposal.
@@ -217,9 +212,7 @@ class MemoryBank:
             return False
         if not drm_gates_pass(obs, chosen, self.ram, self.last_drm_frame, cfg):
             return False
-        self.drm.append(MemoryEntry.from_proposal(obs.frame_idx, chosen))
-        if len(self.drm) > self.k_drm:
-            del self.drm[0]
+        self.drm = (self.drm + (MemoryEntry.from_proposal(obs.frame_idx, chosen),))[-self.k_drm:]
         return True
 
     def compose(self) -> list[MemoryEntry]:

@@ -49,9 +49,9 @@ class Prototype:
     ``norm`` is the vector's Euclidean norm as a Python float, computed once
     here as ``math.sqrt(vec.dot(vec))``: for a 1-D real vector that is what
     ``np.linalg.norm`` computes, and both square roots are correctly
-    rounded, so the bits are the same. ``vec`` is held as a C-contiguous
-    float64 array, the order in which ``np.linalg.norm`` reads it (one
-    given as such is kept, not copied); treat it as read-only.
+    rounded, so the bits are the same. ``vec`` is a read-only C-contiguous
+    float64 copy of the input, the order in which ``np.linalg.norm`` reads
+    it. Prototypes compare and hash by the bits of ``vec``.
 
     A vector with a NaN or infinite element is rejected, and so is a finite
     one whose squared norm overflows: its norm would be ``inf`` and every
@@ -65,7 +65,8 @@ class Prototype:
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.vec, dtype=float, order="C")
+        vec = np.array(self.vec, dtype=float, order="C")
+        vec.flags.writeable = False
         object.__setattr__(self, "vec", vec)
         if vec.ndim != 1:
             raise ValueError("prototype must be a 1-D vector")
@@ -78,6 +79,14 @@ class Prototype:
                 raise ValueError("prototype must be finite")
             raise ValueError("prototype norm overflows: its squared norm exceeds the float64 range")
         object.__setattr__(self, "norm", math.sqrt(sq))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Prototype):
+            return NotImplemented
+        return self.vec.tobytes() == other.vec.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.vec.tobytes())
 
     @property
     def dim(self) -> int:
@@ -221,21 +230,20 @@ class FrameObservation:
 
 @functools.lru_cache(maxsize=None)
 def _cell_spans(grid_h: int, grid_w: int, mask_h: int, mask_w: int
-                ) -> tuple[list[int], list[int], list[int]]:
+                ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Where each grid cell samples the mask: the pixel nearest its center.
 
     Returns ``(sample_rows, rows, cols)``. Grid row i samples mask row
     ``sample_rows[i]``. Sample rows and columns never decrease along the
     grid, so the grid rows that sample mask row r are ``rows[r]:rows[r + 1]``,
     and the grid columns whose sample falls in mask columns [a, b) are
-    ``cols[a]:cols[b]``. Built once per (grid, mask) size and shared, so the
-    lists are read-only.
+    ``cols[a]:cols[b]``. Built once per (grid, mask) size and shared.
     """
     sample_rows = np.minimum((np.arange(grid_h) * 2 + 1) * mask_h // (2 * grid_h), mask_h - 1)
     sample_cols = np.minimum((np.arange(grid_w) * 2 + 1) * mask_w // (2 * grid_w), mask_w - 1)
-    return (sample_rows.tolist(),
-            np.searchsorted(sample_rows, np.arange(mask_h + 1)).tolist(),
-            np.searchsorted(sample_cols, np.arange(mask_w + 1)).tolist())
+    return (tuple(sample_rows.tolist()),
+            tuple(np.searchsorted(sample_rows, np.arange(mask_h + 1)).tolist()),
+            tuple(np.searchsorted(sample_cols, np.arange(mask_w + 1)).tolist()))
 
 
 def covered_labels(f: FeatureGrid, m: BitMask) -> np.ndarray:
@@ -248,7 +256,7 @@ def covered_labels(f: FeatureGrid, m: BitMask) -> np.ndarray:
     mask row.
     """
     labels = f.labels
-    packed = m.packed
+    packed = memoryview(m.packed).cast("H")
     if not packed:
         return labels.reshape(-1)[:0]
     height, width = labels.shape

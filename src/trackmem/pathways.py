@@ -23,13 +23,12 @@ walking the links.
 
 The quality-and-presence admission gate
 (:func:`trackmem.policies.sam2long_admit`) runs once per survivor, which
-keeps its decision. A survivor it admits advances its own fresh copy of
-the parent's bank; entries are immutable, so the copy shares them
-structurally. A survivor it rejects would hold a copy equal to the
-parent's bank, so it shares that bank instead. Either way a pathway's
-bank never changes once pruning returns it, so sharing is safe, and a
-caller may hold on to its RAM list. Beam collapse (every survivor sharing
-one parent) is allowed; no re-seeding or deduplication happens.
+keeps its decision. A survivor it admits advances its own copy of the
+parent's bank, which shares the parent's RAM and DRM tuples until the
+insert replaces its RAM. A survivor it rejects would hold a copy equal to
+the parent's bank, so it shares that bank instead: pruning changes no
+bank it is given. Beam collapse (every survivor sharing one parent) is
+allowed; no re-seeding or deduplication happens.
 
 :class:`Pathway` and :class:`PathwayCandidate` are immutable NamedTuples,
 built by position: several are made per frame.

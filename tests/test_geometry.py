@@ -386,7 +386,7 @@ def test_rle_text_matches_row_grouping_encoder(m):
 def test_masks_give_back_their_runs_and_equal_and_hash_by_value(m):
     runs = m.runs
     assert BitMask(m.width, m.height, runs).runs == runs
-    assert m.packed.tolist() == [v for run in runs for v in run]
+    assert memoryview(m.packed).cast("H").tolist() == [v for run in runs for v in run]
     dense = BitMask.from_dense(m.to_dense())  # maximal runs: touching runs merged
     for mask in (m, dense):
         twins = [BitMask(mask.width, mask.height, mask.runs), BitMask.from_text(mask.to_text()),
@@ -410,7 +410,7 @@ def test_simulated_masks_equal_and_hash_as_masks_built_otherwise():
                       proto_dim=2)
     record = gen_sequence(cfg)
     masks = [record.init_mask] + [p.mask for obs in record.observations for p in obs.proposals]
-    assert any(max(mask.packed) > 255 for mask in masks)
+    assert any(max(memoryview(mask.packed).cast("H")) > 255 for mask in masks)
     for mask in masks:
         for twin in (BitMask(520, 300, mask.runs), BitMask.from_text(mask.to_text()),
                      BitMask.from_dense(mask.to_dense())):

@@ -15,6 +15,7 @@ from trackmem.membank import (
     MemoryEntry,
     drm_gates_pass,
 )
+from trackmem.observation import Prototype, _cell_spans
 from trackmem.selection import PolicyKind, TrackerConfig, TrackerSession
 from trackmem.simulator import MotionSpec, SceneConfig, gen_sequence
 
@@ -123,7 +124,7 @@ def test_last_admission_frames_are_read_off_the_lists():
     assert bank.last_ram_frame == 8
     bank.replace_ram([entry(2)])
     assert bank.last_ram_frame == 2
-    bank.drm.append(entry(4))
+    bank.drm = (entry(4),)
     assert bank.last_drm_frame == 4
     for name in ("last_ram_frame", "last_drm_frame"):
         with pytest.raises(AttributeError):
@@ -142,7 +143,7 @@ def test_identical_proposals_never_admitted():
     m = rect_mask(32, 32, 5, 5, 8, 8)
     o = drm_obs(10, [m, m, m], [0.9, 0.9, 0.9])
     assert bank.consider_drm(o, o.proposals[0], DrmConfig()) is False
-    assert bank.drm == []
+    assert bank.drm == ()
 
 
 def test_disjoint_high_quality_admitted_on_empty_ram():
@@ -151,7 +152,7 @@ def test_disjoint_high_quality_admitted_on_empty_ram():
     b = rect_mask(32, 32, 20, 20, 6, 6)
     o = drm_obs(10, [a, b, a], [0.9, 0.8, 0.9])
     assert bank.consider_drm(o, o.proposals[0], DrmConfig()) is True
-    assert bank.drm == [MemoryEntry.from_proposal(10, o.proposals[0])]
+    assert bank.drm == (MemoryEntry.from_proposal(10, o.proposals[0]),)
     assert bank.last_drm_frame == 10
 
 
@@ -404,6 +405,73 @@ def test_bank_copy_is_independent():
     dup.insert_ram(entry(2))
     assert [e.frame_idx for e in bank.ram] == [1]
     assert [e.frame_idx for e in dup.ram] == [1, 2]
+
+
+# --- values that cannot change -------------------------------------------------
+
+RUNS = ((1, 2, 3), (2, 0, 8))
+
+
+def generated_mask() -> BitMask:
+    record = gen_sequence(SceneConfig(seed=4, frames=2, grid=(40, 30), proto_dim=2,
+                                      target_motion=MotionSpec(size=(12.0, 9.0))))
+    return record.observations[1].proposals[0].mask
+
+
+def packed_refuses_assignment(mask: BitMask) -> None:
+    assert mask.runs
+    with pytest.raises(TypeError):
+        mask.packed[2] = 6
+
+
+def prototype_vec_refuses_writes() -> None:
+    p = Prototype([3.0, 4.0])
+    with pytest.raises(ValueError, match="read-only"):
+        p.vec[0] = 0.0
+
+
+def prototype_keeps_its_values_when_the_input_changes() -> None:
+    v = np.array([4.0, 3.0])
+    p = Prototype(v)
+    v[0] = 0.0
+    assert p.vec.tolist() == [4.0, 3.0] and p.norm == 5.0
+
+
+def bank_holds_tuples() -> None:
+    bank = MemoryBank.new(INIT, 2, 1)
+    seen = [bank.ram, bank.drm]
+    bank.insert_ram(entry(1))
+    seen.append(bank.ram)
+    bank.replace_ram([entry(2)])
+    seen.append(bank.ram)
+    o = drm_obs(10, [rect_mask(32, 32, 1, 1, 6, 6), rect_mask(32, 32, 20, 20, 6, 6),
+                     rect_mask(32, 32, 1, 1, 6, 6)], [0.9, 0.8, 0.9])
+    assert bank.consider_drm(o, o.proposals[0], DrmConfig())
+    dup = bank.copy()
+    seen += [bank.drm, dup.ram, dup.drm]
+    assert all(type(value) is tuple for value in seen), seen
+
+
+def cell_spans_are_tuples() -> None:
+    assert [type(value) for value in _cell_spans(4, 5, 30, 40)] == [tuple] * 3
+
+
+IMMUTABLE = {
+    "packed_from_init": lambda: packed_refuses_assignment(BitMask(8, 4, RUNS)),
+    "packed_from_batch": lambda: packed_refuses_assignment(
+        BitMask.batch(8, 4, np.array(RUNS * 2), [0, 2, 4])[1]),
+    "packed_from_text": lambda: packed_refuses_assignment(BitMask.from_text("8 4; 1:2+3; 2:0+8")),
+    "packed_from_simulator": lambda: packed_refuses_assignment(generated_mask()),
+    "prototype_vec": prototype_vec_refuses_writes,
+    "prototype_input": prototype_keeps_its_values_when_the_input_changes,
+    "bank_ram_and_drm": bank_holds_tuples,
+    "cell_spans": cell_spans_are_tuples,
+}
+
+
+@pytest.mark.parametrize("check", IMMUTABLE.values(), ids=IMMUTABLE.keys())
+def test_shared_values_cannot_change(check):
+    check()
 
 
 # --- fuzzed invariants ---------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trackmem.geometry import BitMask
+from trackmem.membank import MemoryEntry
 from trackmem.observation import (
     FeatureGrid,
     FrameObservation,
@@ -363,6 +364,20 @@ def test_observations_with_feature_grids_compare():
     assert with_grid != obs(4, proposals)
     assert observation_from_line(observation_to_line(with_grid)) == with_grid
 
+
+
+def entry_with(vec) -> MemoryEntry:
+    return MemoryEntry(3, rect_mask(8, 8, 1, 1, 3, 3), 0.5, None, Prototype(vec))
+
+
+@pytest.mark.parametrize("build", [Prototype, entry_with], ids=["prototype", "memory_entry"])
+def test_prototypes_compare_and_hash_by_the_bits_of_their_vectors(build):
+    v = rng_for(38).normal(size=4)
+    value = build(v)
+    assert value == build(v.copy()) and hash(value) == hash(build(v.copy()))
+    assert value != build(v + 1.0) and value != build(v[:3])
+    assert build(np.zeros(2)) != build(np.array([0.0, -0.0]))
+    assert not value == "value"
 
 def test_observation_line_writes_the_dense_values():
     rng = rng_for(35)

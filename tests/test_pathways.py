@@ -135,7 +135,8 @@ def test_branching_does_not_leak_bank_state():
     beam = pathway_prune(beam, pathway_expand(beam, o, cfg.epsilon), o, cfg)
     banks = [p.bank for p in beam]
     assert banks[0] is not banks[1]
-    banks[0].ram.clear()
+    with pytest.raises(AttributeError):  # a tuple: no survivor can change the RAM it holds
+        banks[0].ram.clear()
     assert [e.frame_idx for e in banks[1].ram] == [1]
 
 
@@ -278,7 +279,7 @@ def test_beam_matches_the_copying_reference(rows, width, k_ram, tau_iou):
         reference = pathway_prune_copying(
             reference, pathway_expand_per_pair(reference, ob, cfg.epsilon), ob, cfg)
         assert [summary(p) for p in beam] == [summary(p) for p in reference], t
-        returned += [(p, list(p.bank.ram), p.bank.last_ram_frame) for p in beam]
+        returned += [(p, p.bank.ram, p.bank.last_ram_frame) for p in beam]
     for p, ram, last_ram_frame in returned:
         assert p.bank.ram == ram
         assert p.bank.last_ram_frame == last_ram_frame
@@ -298,8 +299,8 @@ def prune_cases(draw):
         bank = MemoryBank.new(INIT, k_ram, 2)
         for frame in sorted(draw(st.sets(st.integers(1, t - 1), max_size=5))):
             bank.insert_ram(MemoryEntry(frame, MASKS[frame % 3], 0.9))
-        bank.drm.extend(MemoryEntry(frame, MASKS[0], 0.8)
-                        for frame in sorted(draw(st.sets(st.integers(1, t - 1), max_size=2))))
+        bank.drm = tuple(MemoryEntry(frame, MASKS[0], 0.8)
+                         for frame in sorted(draw(st.sets(st.integers(1, t - 1), max_size=2))))
         beam.append(Pathway(bank, -float(parent_id), Choice(t - 1, 0, None), parent_id))
     pairs = [(parent_id, k) for parent_id in range(len(beam)) for k in range(3)]
     chosen_pairs = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
@@ -327,7 +328,7 @@ def test_prune_ranks_candidates_in_any_order(case):
 @given(prune_cases())
 def test_rejected_survivors_share_the_parent_bank_and_no_parent_bank_changes(case):
     beam, candidates, ob, cfg = case
-    before = [(list(p.bank.ram), list(p.bank.drm)) for p in beam]
+    before = [(p.bank.ram, p.bank.drm) for p in beam]
     survivors = pathway_prune(beam, candidates, ob, cfg)
     parent_banks = [p.bank for p in beam]
     new_banks = []
@@ -339,7 +340,7 @@ def test_rejected_survivors_share_the_parent_bank_and_no_parent_bank_changes(cas
         ram, drm = before[p.parent_id]
         if p.decision.admit:
             assert all(p.bank is not bank for bank in parent_banks)
-            assert p.bank.ram == (ram + [MemoryEntry.from_proposal(ob.frame_idx, chosen)]
+            assert p.bank.ram == (ram + (MemoryEntry.from_proposal(ob.frame_idx, chosen),)
                                   )[-p.bank.k_ram:]
             assert p.bank.drm == drm
             new_banks.append(p.bank)

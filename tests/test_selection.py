@@ -601,9 +601,9 @@ def test_sam2long_session_composes_shared_drm_with_best_ram():
     # the RAM view is the best pathway's; pathway banks never hold DRM entries
     pathways = session.policy.pathways
     assert session.bank.ram == pathways[0].bank.ram
-    assert entries[1 + len(session.bank.drm):] == session.bank.ram
+    assert tuple(entries[1 + len(session.bank.drm):]) == session.bank.ram
     for p in pathways:
-        assert p.bank.drm == []
+        assert p.bank.drm == ()
 
 
 def test_sam2long_gates_each_survivor_once_per_frame():

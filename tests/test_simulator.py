@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -413,6 +414,13 @@ def test_a_generated_scene_retains_at_most_half_a_megabyte():
     assert len(record.observations) == 110
     assert held <= 500_000
 
+
+
+def test_generated_masks_hold_their_runs_untracked_by_the_cycle_collector():
+    record = gen_sequence(suite_standard(1)[2])
+    masks = [record.init_mask] + [p.mask for obs in record.observations for p in obs.proposals]
+    assert all(type(mask.packed) is bytes for mask in masks)
+    assert not any(gc.is_tracked(mask.packed) for mask in masks)
 
 def test_nearest_distractor_matches_per_frame_argmin():
     rng = rng_for(77)
