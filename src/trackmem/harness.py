@@ -257,10 +257,7 @@ def run_scene(record, tracker_cfg: TrackerConfig):
     """
     session = TrackerSession(tracker_cfg, record.init_mask)
     results = session.run(record.observations)
-    pred = [
-        r.chosen.bbox if (r.present and r.chosen is not None) else None
-        for r in results
-    ]
+    pred = [r.chosen.bbox if r.chosen else None for r in results]
     present = [r.present for r in results]
     outcome = evaluate(pred, present, record.gt_boxes)
     curve = success_curve(pred, record.gt_boxes)

@@ -41,18 +41,19 @@ two per-axis tests. An ellipse row passes where the column term plus the
 row term is at most 1; that sum falls and then rises along the row (each
 float step is monotone on either side of the center), so the row's
 passing pixels form one run around its least column term, and a
-vectorized binary search finds both ends. The merged proposal is the
-union of two such masks, merged row by row, and both ground-truth IoUs
-count the pixels shared on each row where both masks have a run, then
-divide as :func:`trackmem.geometry.mask_iou` does. These steps work on the
-runs alone, never on a (frames, rows) array. Every mask matches a
-full-grid render run for run, and the whole sequence matches a per-frame
-dense render (``tests/reference.py`` keeps both references). Only the
-masks a record exposes become :class:`~trackmem.geometry.BitMask`
+vectorized binary search finds both ends. The merged proposal is the union
+of two such masks, merged row by row, and both ground-truth IoUs count the
+pixels the ground truth's run on each row shares with the other mask's
+runs there, then divide as :func:`trackmem.geometry.mask_iou` does. These
+steps work on the runs alone, never on a (frames, rows) array. Every mask
+matches a full-grid render run for run, and the whole sequence matches a
+per-frame dense render (``tests/reference.py`` keeps both references).
+Only the masks a record exposes become :class:`~trackmem.geometry.BitMask`
 objects: the three proposals of every frame and the frame-0 prompt, each
 kind's masks packed from one buffer of 16-bit run values. The feature
-labels of all frames and each frame's nearest distractor are computed on
-(frames, ...) arrays too.
+labels of all frames, each frame's nearest distractor and the decoder's
+scores are computed on (frames, ...) arrays too; the frame loop only
+builds the objects.
 
 Randomness comes from a Philox counter-based generator keyed by the
 scene seed (no global RNG), and all draws happen in a fixed order up
@@ -270,8 +271,9 @@ def _rect_runs(x: np.ndarray, y: np.ndarray, w: np.ndarray, h: np.ndarray,
 def _common(a: Runs, b: Runs, height: int) -> Runs:
     """The spans two batches share on each row where both have a run.
 
-    Each batch has at most one run per row. The result is in ``b``'s order
-    and has one span per such row, empty where the two runs miss each other.
+    ``a`` has at most one run per row; ``b`` may have several. The result is
+    in ``b``'s order and has one span per run of ``b`` on a row of ``a``,
+    empty where the two runs miss each other.
     """
     key_a, key_b = a[0] * height + a[1], b[0] * height + b[1]
     at = np.searchsorted(key_a, key_b)
@@ -293,22 +295,10 @@ def _ratio(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
 
 
 def _iou(a: Runs, b: Runs, n: int, height: int) -> np.ndarray:
-    """Per mask, the IoU of two batches of at most one run per row."""
+    """Per mask, the IoU of two batches: ``a`` of at most one run per row,
+    ``b`` of disjoint runs."""
     inter = _pixels(_common(a, b, height), n)
     return _ratio(inter, _pixels(a, n) + _pixels(b, n) - inter)
-
-
-def _union_iou(gt: Runs, a: Runs, b: Runs, n: int, height: int) -> np.ndarray:
-    """Per mask, the IoU of ``gt`` with the union of ``a`` and ``b``.
-
-    Per row, ``gt`` meets the union in what it shares with ``a``, plus what it
-    shares with ``b``, less what it shares with their common span.
-    """
-    shared = _common(a, b, height)
-    inter = (_pixels(_common(gt, a, height), n) + _pixels(_common(gt, b, height), n)
-             - _pixels(_common(gt, shared, height), n))
-    union_area = _pixels(a, n) + _pixels(b, n) - _pixels(shared, n)
-    return _ratio(inter, _pixels(gt, n) + union_area - inter)
 
 
 def _union_runs(a: Runs, b: Runs, width: int, height: int) -> Runs:
@@ -338,21 +328,8 @@ def _masks(runs: Runs, n: int, width: int, height: int) -> list[BitMask]:
                          cuts)
 
 
-def _clamp01(v: float) -> float:
-    return min(1.0, max(0.0, float(v)))
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
-
-
-def _clamp_center(cx: float, cy: float, size: tuple[float, float],
-                  grid: tuple[int, int]) -> tuple[float, float]:
-    w, h = size
-    gw, gh = grid
-    cx = min(max(cx, w / 2.0 + 1.0), gw - w / 2.0 - 1.0)
-    cy = min(max(cy, h / 2.0 + 1.0), gh - h / 2.0 - 1.0)
-    return cx, cy
 
 
 def _bounce(pos: np.ndarray, vel: np.ndarray, frames: int, size: tuple[float, float],
@@ -393,12 +370,16 @@ def _target_path(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
         centers[:, 1] = start[1] + 0.6 * spec.amplitude * np.sin(
             2.0 * np.pi * spec.frequency * 1.7 * t + phase[1])
     else:  # random_walk
-        steps = rng.normal(0.0, spec.step_sigma, size=(cfg.frames, 2))
+        # finite steps, since inf - inf is NaN; an overflowed sum is pinned below
+        top = np.finfo(np.float64).max
+        steps = np.clip(rng.normal(0.0, spec.step_sigma, size=(cfg.frames, 2)), -top, top)
         steps[0] = 0.0
-        centers = start[None, :] + np.cumsum(steps, axis=0)
-    for t in range(cfg.frames):
-        centers[t] = _clamp_center(centers[t, 0], centers[t, 1], spec.size, cfg.grid)
-    return centers
+        with np.errstate(over="ignore"):
+            centers = start[None, :] + np.cumsum(steps, axis=0)
+    w, h = spec.size
+    # np.minimum(np.maximum(...)) as min(max(...)): the bounds are positive
+    return np.minimum(np.maximum(centers, (w / 2.0 + 1.0, h / 2.0 + 1.0)),
+                      (gw - w / 2.0 - 1.0, gh - h / 2.0 - 1.0))
 
 
 def _distractor_paths(cfg: SceneConfig, rng: np.random.Generator
@@ -557,24 +538,48 @@ def _render(cfg: SceneConfig, d: _SceneDraws, gt_x: np.ndarray, gt_y: np.ndarray
         dw, dh = np.array([size for _, size in d.distractors])[nearest].T
         runs2 = _rect_runs(centers[:, 0] - dw / 2.0, centers[:, 1] - dh / 2.0, dw, dh, gw, gh)
         runs3 = _union_runs(runs1, runs2, gw, gh)
-        iou3 = _union_iou(gt, runs1, runs2, frames, gh)
     else:
         # proposal 2: a shifted off-target filler; proposal 3: an inflated target
         x2, y2 = (jit_cx + tw * 0.75) - tw / 2.0, (jit_cy + th * 0.5) - th / 2.0
         runs2 = _ellipse_runs(x2, y2, tws, ths, gw, gh)
         w3, h3 = jit_w * 1.6, jit_h * 1.6
         runs3 = _ellipse_runs(jit_cx - w3 / 2.0, jit_cy - h3 / 2.0, w3, h3, gw, gh)
-        iou3 = _iou(gt, runs3, frames, gh)
+    iou3 = _iou(gt, runs3, frames, gh)
     masks = [_masks(runs, frames, gw, gh) for runs in (runs1, runs2, runs3)]
     return _masks(gt, 1, gw, gh)[0], masks, iou1, iou3
+
+
+def _decoder_scores(cfg: SceneConfig, d: _SceneDraws, iou1: np.ndarray, iou3: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Each proposal's ``s_mask`` and object score, as two (3, frames) arrays;
+    proposal 1's object score is the frame presence score ``o``. While the
+    target is occluded, proposals 1 and 3 score low stand-in levels, and 0.85
+    stands in for proposal 1's IoU in proposal 2's pull."""
+    sigma = cfg.score_noise
+    sim = cfg.distractor_similarity
+    visible = ~d.occluded
+    eps = d.score_eps.T
+    s1 = np.where(visible, iou1 + eps[0] * sigma, 0.15 + eps[0] * max(sigma, 0.05))
+    if d.distractors:
+        pulled = np.clip(np.where(visible, iou1, 0.85) + eps[1] * sigma, 0.0, 1.0)
+        s2 = sim * pulled + (1.0 - sim) * 0.1
+        s_obj2 = 0.8 + d.sobj_eps[:, 0] * 0.2
+    else:
+        s2 = 0.1 + eps[1] * sigma
+        s_obj2 = -0.2 + d.sobj_eps[:, 0] * 0.1
+    s3 = np.where(visible, iou3, 0.2) + eps[2] * sigma
+    o = np.where(visible, 1.0 + d.o_eps * 0.25,
+                 np.where(d.occ_u < 0.8, -0.5 - np.abs(d.occ_eps[:, 0]) * 0.3,
+                          0.2 + np.abs(d.occ_eps[:, 1]) * 0.2))
+    s_obj3 = 0.3 + d.sobj_eps[:, 1] * 0.2
+    # np.clip as min(max(...)): each sum has at most one infinite term, so no NaN
+    return np.clip([s1, s2, s3], 0.0, 1.0), np.array([o, s_obj2, s_obj3])
 
 
 def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
     """Generate the full scenario; a pure function of the config."""
     d = _draw_scene(cfg)
     tw, th = cfg.target_motion.size
-    sigma = cfg.score_noise
-    sim = cfg.distractor_similarity
     gt_x = d.target_centers[:, 0] - tw / 2.0
     gt_y = d.target_centers[:, 1] - th / 2.0
     # the masks before the feature grids, so that the grids and the arrays
@@ -582,51 +587,16 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
     init_mask, masks, iou1, iou3 = _render(cfg, d, gt_x, gt_y)
     labels, palette = _feature_grids(cfg, d.target_centers, d.occluded, d.distractors,
                                      d.distractor_protos, d.target_proto, d.background)
+    s_mask, s_obj = _decoder_scores(cfg, d, iou1, iou3)
 
-    gt_boxes: list[BBox | None] = []
-    observations: list[FrameObservation] = []
-    for t, (x, y, mask1, mask2, mask3) in enumerate(zip(gt_x.tolist(), gt_y.tolist(), *masks)):
-        visible = not d.occluded[t]
-        gt_boxes.append(BBox(x, y, tw, th) if visible else None)
-        eps = d.score_eps[t]
-
-        if visible:
-            true_iou1 = iou1[t]
-            s1 = _clamp01(true_iou1 + eps[0] * sigma)
-        else:
-            true_iou1 = 0.85  # stand-in level for the distractor score pull
-            s1 = _clamp01(0.15 + eps[0] * max(sigma, 0.05))
-        if d.distractors:
-            s2 = _clamp01(sim * _clamp01(true_iou1 + eps[1] * sigma) + (1.0 - sim) * 0.1)
-        else:
-            s2 = _clamp01(0.1 + eps[1] * sigma)
-        if visible:
-            s3 = _clamp01(iou3[t] + eps[2] * sigma)
-        else:
-            s3 = _clamp01(0.2 + eps[2] * sigma)
-
-        # frame presence score and per-proposal object scores
-        if visible:
-            o = 1.0 + d.o_eps[t] * 0.25
-        elif d.occ_u[t] < 0.8:
-            o = -0.5 - abs(d.occ_eps[t, 0]) * 0.3
-        else:
-            o = 0.2 + abs(d.occ_eps[t, 1]) * 0.2
-        s_obj2 = 0.8 + d.sobj_eps[t, 0] * 0.2 if d.distractors \
-            else -0.2 + d.sobj_eps[t, 0] * 0.1
-        s_obj3 = 0.3 + d.sobj_eps[t, 1] * 0.2
-
-        observations.append(FrameObservation(
-            frame_idx=t,
-            proposals=(
-                Proposal.from_mask(mask1, s1, float(o)),
-                Proposal.from_mask(mask2, s2, float(s_obj2)),
-                Proposal.from_mask(mask3, s3, float(s_obj3)),
-            ),
-            o=float(o),
-            features=FeatureGrid.from_labels(palette, labels[t]),
-        ))
-
+    gt_boxes = [None if hidden else BBox(x, y, tw, th)
+                for hidden, x, y in zip(d.occluded.tolist(), gt_x.tolist(), gt_y.tolist())]
+    observations = [
+        FrameObservation(frame_idx=t, o=o, features=FeatureGrid.from_labels(palette, labels[t]),
+                         proposals=(Proposal.from_mask(m1, s1, o), Proposal.from_mask(m2, s2, o2),
+                                    Proposal.from_mask(m3, s3, o3)))
+        for t, (m1, m2, m3, s1, s2, s3, o, o2, o3)
+        in enumerate(zip(*masks, *s_mask.tolist(), *s_obj.tolist()))]
     return SequenceRecord(config=cfg, gt_boxes=gt_boxes, observations=observations,
                           init_mask=init_mask)
 

@@ -8,7 +8,10 @@ mask a dense grid (:func:`dense_ellipse`, :func:`dense_rect`, each shape
 from its per-pixel predicate evaluated on the whole grid) and every
 feature grid labeled cell by cell (:func:`feature_grid_labels`): it
 shares the scene's random draws with :mod:`trackmem.simulator`, so that
-it checks only what the simulator computes from them.
+it checks only what the simulator computes from them. Since it shares
+the draws, it shares the target's path as well; that path's clamp into
+the grid is held to :func:`target_path_clamped_per_frame`, which clamps
+one frame at a time.
 
 The rest are the library's own earlier, slower forms, kept so that a
 rewrite can be held to the same bits: the RLE text encoder that groups
@@ -120,19 +123,22 @@ def feature_grid_labels(
 def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
     """The simulator's scene, one frame at a time, every mask a dense grid.
 
-    Same draws and formulas as :func:`trackmem.simulator.gen_sequence`;
-    shapes come from :func:`dense_ellipse` and :func:`dense_rect`, the merged
-    proposal is a dense OR, scores use :func:`dense_mask_iou`, and feature
-    grids come from :func:`feature_grid_labels`.
+    Same draws and formulas as :func:`trackmem.simulator.gen_sequence`, but
+    only the draws come from the simulator: shapes come from
+    :func:`dense_ellipse` and :func:`dense_rect`, the nearest distractor from
+    one ``np.hypot`` per distractor, the merged proposal is a dense OR, scores
+    use :func:`dense_mask_iou` and a scalar clamp, and feature grids come from
+    :func:`feature_grid_labels`.
     """
     d = simulator._draw_scene(cfg)
-    clamp01 = simulator._clamp01
     gw, gh = cfg.grid
     tw, th = cfg.target_motion.size
     sigma = cfg.score_noise
     sim = cfg.distractor_similarity
-    nearest_idx = simulator._nearest_distractors(d.target_centers, d.distractors)
     cells = (max(4, gw // 16), max(4, gh // 16))
+
+    def clamp01(v):
+        return min(1.0, max(0.0, float(v)))
 
     def box(cx, cy, w, h):
         return (cx - w / 2.0, cy - h / 2.0, w, h)
@@ -160,7 +166,9 @@ def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
             s1 = clamp01(0.15 + d.score_eps[t, 0] * max(sigma, 0.05))
 
         if d.distractors:
-            d_centers, d_size = d.distractors[nearest_idx[t]]
+            # the distractor whose center is nearest the target's, the first on ties
+            dists = [np.hypot(c[t, 0] - cx, c[t, 1] - cy) for c, _ in d.distractors]
+            d_centers, d_size = d.distractors[int(np.argmin(dists))]
             mask2 = dense_rect(box(d_centers[t, 0], d_centers[t, 1], *d_size), gw, gh)
             s2 = clamp01(sim * clamp01(true_iou1 + d.score_eps[t, 1] * sigma)
                           + (1.0 - sim) * 0.1)
@@ -198,6 +206,52 @@ def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
         ))
     return simulator.SequenceRecord(config=cfg, gt_boxes=gt_boxes,
                                     observations=observations, init_mask=init_mask)
+
+
+def _clamp_center(cx: float, cy: float, size: tuple[float, float],
+                  grid: tuple[int, int]) -> tuple[float, float]:
+    w, h = size
+    gw, gh = grid
+    cx = min(max(cx, w / 2.0 + 1.0), gw - w / 2.0 - 1.0)
+    cy = min(max(cy, h / 2.0 + 1.0), gh - h / 2.0 - 1.0)
+    return cx, cy
+
+
+def target_path_clamped_per_frame(cfg: simulator.SceneConfig, rng: np.random.Generator
+                                  ) -> np.ndarray:
+    """:func:`trackmem.simulator._target_path` with each frame's center clamped
+    into the grid by a scalar ``min(max(...))``, one frame at a time.
+
+    Same draws in the same order; the random walk bounds its steps to the
+    float range and lets their sum overflow, as the simulator does.
+    """
+    gw, gh = cfg.grid
+    spec = cfg.target_motion
+    start = np.array([
+        gw * 0.5 + rng.uniform(-0.15, 0.15) * gw,
+        gh * 0.5 + rng.uniform(-0.15, 0.15) * gh,
+    ])
+    if spec.kind == "linear":
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        vel = spec.speed * np.array([np.cos(theta), np.sin(theta)])
+        centers = simulator._bounce(start, vel, cfg.frames, spec.size, cfg.grid)
+    elif spec.kind == "sinusoid":
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        t = np.arange(cfg.frames)
+        centers = np.zeros((cfg.frames, 2))
+        centers[:, 0] = start[0] + spec.amplitude * np.sin(
+            2.0 * np.pi * spec.frequency * t + phase[0])
+        centers[:, 1] = start[1] + 0.6 * spec.amplitude * np.sin(
+            2.0 * np.pi * spec.frequency * 1.7 * t + phase[1])
+    else:  # random_walk
+        top = np.finfo(np.float64).max
+        steps = np.clip(rng.normal(0.0, spec.step_sigma, size=(cfg.frames, 2)), -top, top)
+        steps[0] = 0.0
+        with np.errstate(over="ignore"):
+            centers = start[None, :] + np.cumsum(steps, axis=0)
+    for t in range(cfg.frames):
+        centers[t] = _clamp_center(centers[t, 0], centers[t, 1], spec.size, cfg.grid)
+    return centers
 
 
 def rle_text_by_row(width: int, height: int, runs) -> str:

@@ -299,6 +299,17 @@ def test_bad_scene_values_exit_2_naming_scene_and_key(tmp_path, capsys, change, 
     assert not (tmp_path / "out").exists()
 
 
+def test_random_walk_with_a_huge_sigma_runs(tmp_path, capsys):
+    # some of its steps draw as +-inf; RuntimeWarnings are errors under pytest
+    scene = {"seed": 1, "frames": 20, "grid": [64, 64],
+             "target_motion": {"kind": "random_walk", "step_sigma": 1e308, "size": [10, 8]}}
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--set", f"scenes={json.dumps([scene])}"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "out" / "metrics.csv").is_file()
+
+
 def test_config_whose_top_level_is_an_array_exits_2(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text('[{"k_ram": 3}]')

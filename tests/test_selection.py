@@ -779,6 +779,15 @@ def test_motion_session_reseeds_like_matrix_form_reference(policy):
     assert matrix_session_reseeds(record.init_mask, record.observations, config(policy)) == 0
 
 
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_a_result_is_absent_exactly_when_it_has_no_choice(policy):
+    record = scene_record(seed=314, frames=80)
+    results = TrackerSession(config(policy), record.init_mask).run(
+        lose_target(record.observations, 35, 45))
+    assert [r.present for r in results] == [r.chosen is not None for r in results]
+    assert [r.frame_idx for r in results if not r.present] == list(range(35, 45))
+
+
 def test_frame_result_line_is_stable():
     res = FrameResult(frame_idx=3, chosen=Proposal.from_mask(MASKS[0], 0.5, 1.0),
                       present=True, decision=RamPolicyDecision.admitted(),

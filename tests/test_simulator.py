@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, BitMask, mask_iou
@@ -20,7 +20,6 @@ from trackmem.simulator import (
     _masks,
     _iou,
     _rect_runs,
-    _union_iou,
     _union_runs,
     config_from_dict,
     config_to_dict,
@@ -32,7 +31,13 @@ from trackmem.simulator import (
 
 from conftest import FIXTURES, rng_for
 from oracles import dense_mask_iou
-from reference import dense_ellipse, dense_gen_sequence, dense_rect, feature_grid_labels
+from reference import (
+    dense_ellipse,
+    dense_gen_sequence,
+    dense_rect,
+    feature_grid_labels,
+    target_path_clamped_per_frame,
+)
 
 NOISELESS = SceneConfig(seed=42, frames=40, grid=(128, 128),
                         target_motion=MotionSpec(size=(24.0, 18.0)),
@@ -302,9 +307,11 @@ def test_row_overlap_iou_matches_dense_oracle(data, shape):
         n, width, height = shape
         triples = [tuple(data.draw(row_run_masks(n, width, height)) for _ in range(3))]
     for gt, a, b in triples:
-        n, height, _ = gt.shape
+        n, height, width = gt.shape
         ious = _iou(as_runs(gt), as_runs(a), n, height)
-        union_ious = _union_iou(as_runs(gt), as_runs(a), as_runs(b), n, height)
+        # the union may hold two runs on a row
+        union_ious = _iou(as_runs(gt), _union_runs(as_runs(a), as_runs(b), width, height),
+                          n, height)
         for i in range(n):
             assert ious[i] == dense_mask_iou(gt[i], a[i])
             assert union_ious[i] == dense_mask_iou(gt[i], a[i] | b[i])
@@ -361,6 +368,29 @@ def test_sequence_matches_per_frame_dense_generator(seed, n_distractors, occlude
     record, want = gen_sequence(cfg), dense_gen_sequence(cfg)
     assert serialize(record) == serialize(want)
     assert record.init_mask == want.init_mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["linear", "sinusoid", "random_walk"]),
+       size=st.tuples(st.floats(2.0, 40.0), st.floats(2.0, 40.0)),
+       extra=st.tuples(st.integers(2, 300), st.integers(2, 300)),
+       seed=st.integers(0, 2**64), frames=st.integers(1, 120),
+       # speed, amplitude and step_sigma: from a still target to one pinned
+       # to a border from frame 1, and a walk whose huge sigma draws infs
+       scale=st.sampled_from([0.0, 2.5, 60.0, 1e4, 1e100, 1e307, 1e308]))
+@example(kind="random_walk", size=(10.0, 8.0), extra=(54, 56), seed=1, frames=20, scale=1e308)
+def test_target_path_matches_per_frame_clamp(kind, size, extra, seed, frames, scale):
+    grid = tuple(math.ceil(side) + more for side, more in zip(size, extra))
+    cfg = SceneConfig(seed=seed, frames=frames, grid=grid, proto_dim=2,
+                      target_motion=MotionSpec(kind=kind, size=size, speed=scale,
+                                               amplitude=scale, step_sigma=scale))
+    got = simulator._target_path(cfg, rng_for(seed))
+    want = target_path_clamped_per_frame(cfg, rng_for(seed))
+    assert got.tobytes() == want.tobytes()
+    lo = np.array(size) / 2.0 + 1.0
+    hi = np.array(grid) - np.array(size) / 2.0 - 1.0
+    assert np.all((lo <= got) & (got <= hi))
+    event("pinned to a border" if np.any((got == lo) | (got == hi)) else "inside")
 
 
 def test_feature_grids_label_cells_on_shape_boundaries():
