@@ -34,7 +34,7 @@ print(f"{'policy':14s} {'AO':>6s} {'S':>6s} {'Q':>6s}   memory bank after the ru
 for policy in PolicyKind:
     session = TrackerSession(TrackerConfig(policy=policy), record.init_mask)
     results = session.run(record.observations)
-    pred = [r.chosen.bbox if r.chosen else None for r in results]
+    pred = [r.chosen.bbox if r.present else None for r in results]
     out = evaluate(pred, [r.present for r in results], record.gt_boxes)
     bank = session.bank
     held = " ".join([f"i{bank.init.frame_idx}", *(f"d{e.frame_idx}" for e in bank.drm),

@@ -43,7 +43,7 @@ beam = pathway_init(MemoryBank.new(MASKS[0], k_ram=4, k_drm=0))
 for t, row in enumerate(score_rows, start=1):
     o = FrameObservation(
         frame_idx=t,
-        proposals=tuple(Proposal.from_mask(m, s, 1.0) for m, s in zip(MASKS, row)),
+        proposals=tuple(Proposal(m, s, 1.0) for m, s in zip(MASKS, row)),
         o=1.0,
     )
     candidates = pathway_expand(beam, o, cfg.epsilon)

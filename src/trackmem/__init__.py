@@ -22,7 +22,7 @@ from .observation import (
     extract_prototypes,
 )
 from .pathways import Pathway, pathway_expand, pathway_init, pathway_prune
-from .policies import AdmissionReason, PolicyConfig, RamPolicyDecision
+from .policies import AdmissionReason, PolicyConfig
 from .selection import FrameResult, PolicyKind, TrackerConfig, TrackerSession
 from .simulator import MotionSpec, SceneConfig, SequenceRecord, gen_sequence, suite_standard
 
@@ -33,7 +33,7 @@ __all__ = [
     "Proposal", "FrameObservation", "FeatureGrid", "Prototype",
     "extract_prototypes", "cosine",
     "MemoryEntry", "MemoryBank", "DrmConfig",
-    "AdmissionReason", "RamPolicyDecision", "PolicyConfig",
+    "AdmissionReason", "PolicyConfig",
     "Pathway", "pathway_init", "pathway_expand", "pathway_prune",
     "PolicyKind", "TrackerConfig", "FrameResult", "TrackerSession",
     "SceneConfig", "MotionSpec", "SequenceRecord", "gen_sequence", "suite_standard",

@@ -64,18 +64,22 @@ NEVER = -1_000_000_000
 
 
 class MemoryEntry(NamedTuple):
-    """One stored frame: mask, cached box, quality score, prototype."""
+    """One stored frame: mask, quality score, prototype."""
 
     frame_idx: int
     mask: BitMask
     s_mask: float
-    bbox: BBox | None = None
     fg_prototype: Prototype | None = None
+
+    @property
+    def bbox(self) -> BBox | None:
+        """The mask's tightest box, computed on each read."""
+        return mask_to_bbox(self.mask)
 
     @classmethod
     def from_proposal(cls, frame_idx: int, p: Proposal,
                       fg_prototype: Prototype | None = None) -> "MemoryEntry":
-        return cls(frame_idx, p.mask, p.s_mask, p.bbox, fg_prototype)
+        return cls(frame_idx, p.mask, p.s_mask, fg_prototype)
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ class MemoryBank:
         """Fresh bank holding only the frame-0 initialization prompt."""
         if init_mask.is_empty:
             raise ValueError("initialization prompt requires a non-empty mask")
-        return cls(MemoryEntry(0, init_mask, 1.0, mask_to_bbox(init_mask)), k_ram, k_drm)
+        return cls(MemoryEntry(0, init_mask, 1.0), k_ram, k_drm)
 
     def copy(self) -> "MemoryBank":
         dup = MemoryBank(self.init, self.k_ram, self.k_drm)

@@ -173,22 +173,20 @@ class FeatureGrid:
 
 @dataclass(frozen=True)
 class Proposal:
-    """One candidate mask with its decoder scores and cached bbox."""
+    """One candidate mask with its decoder scores; ``bbox`` is the mask's
+    tightest box (None when empty), computed here from the mask."""
 
     mask: BitMask
     s_mask: float
     s_obj: float
-    bbox: BBox | None = None
+    bbox: BBox | None = field(init=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.s_mask <= 1.0):
             raise ValueError(f"s_mask must lie in [0, 1], got {self.s_mask}")
         if not finite(self.s_obj):
             raise ValueError(f"s_obj must be finite, got {self.s_obj}")
-
-    @classmethod
-    def from_mask(cls, mask: BitMask, s_mask: float, s_obj: float) -> "Proposal":
-        return cls(mask=mask, s_mask=s_mask, s_obj=s_obj, bbox=mask_to_bbox(mask))
+        object.__setattr__(self, "bbox", mask_to_bbox(self.mask))
 
 
 @dataclass(frozen=True)
@@ -388,7 +386,7 @@ def _proposal_from(pobj, i: int) -> Proposal:
     s_mask = _field(pobj, "s_mask", _NUMBER, "a number", prefix)
     s_obj = _field(pobj, "s_obj", _NUMBER, "a number", prefix)
     try:
-        return Proposal.from_mask(mask, s_mask, s_obj)
+        return Proposal(mask, s_mask, s_obj)
     except ValueError as exc:
         raise ValueError(f"{prefix}{exc}") from exc
 

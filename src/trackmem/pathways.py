@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .membank import MemoryBank, MemoryEntry
 from .observation import FrameObservation
-from .policies import PolicyConfig, RamPolicyDecision, sam2long_admit
+from .policies import AdmissionReason, PolicyConfig, sam2long_admit
 
 __all__ = ["Choice", "Pathway", "PathwayCandidate", "pathway_init", "pathway_expand",
            "pathway_prune"]
@@ -68,7 +68,7 @@ class Pathway(NamedTuple):
     score: float
     history: Choice | None
     parent_id: int
-    decision: RamPolicyDecision | None = None
+    decision: AdmissionReason | None = None
 
     @property
     def trajectory(self) -> tuple[tuple[int, int], ...]:

@@ -1,7 +1,7 @@
 """RAM admission policies: the pluggable short-term memory rules.
 
-Six policies share one decision contract. Each returns a
-:class:`RamPolicyDecision` whose reason names the first gate that failed,
+Six policies share one decision contract. Each returns an
+:class:`AdmissionReason`: ``ADMITTED`` or the first gate that failed,
 so traces are auditable after the fact (:mod:`trackmem.selection` holds
 the policy objects that apply these rules):
 
@@ -43,7 +43,6 @@ from .observation import FrameObservation, Proposal, Prototype, cosine
 
 __all__ = [
     "AdmissionReason",
-    "RamPolicyDecision",
     "PolicyConfig",
     "dam_admit",
     "motion_consistency",
@@ -57,6 +56,8 @@ __all__ = [
 
 
 class AdmissionReason(enum.Enum):
+    """A RAM admission decision: ``ADMITTED`` or the first gate that failed."""
+
     ADMITTED = "admitted"
     TARGET_ABSENT = "target_absent"
     BELOW_MASK_THR = "below_mask_thr"
@@ -66,34 +67,10 @@ class AdmissionReason(enum.Enum):
     BELOW_IOU_THR = "below_iou_thr"
     BELOW_CONF_THR = "below_conf_thr"
 
-
-@dataclass(frozen=True)
-class RamPolicyDecision:
-    """A RAM admission outcome: the reason, ``ADMITTED`` or the first gate that failed.
-
-    :meth:`admitted` and :meth:`rejected` return one shared instance per
-    reason.
-    """
-
-    reason: AdmissionReason
-
     @property
     def admit(self) -> bool:
         """Whether the frame was admitted: true exactly for ``ADMITTED``."""
-        return self.reason is AdmissionReason.ADMITTED
-
-    @classmethod
-    def admitted(cls) -> "RamPolicyDecision":
-        return _DECISIONS[AdmissionReason.ADMITTED]
-
-    @classmethod
-    def rejected(cls, reason: AdmissionReason) -> "RamPolicyDecision":
-        if reason is AdmissionReason.ADMITTED:
-            raise ValueError("a rejection needs a reason other than ADMITTED")
-        return _DECISIONS[reason]
-
-
-_DECISIONS = {reason: RamPolicyDecision(reason) for reason in AdmissionReason}
+        return self is AdmissionReason.ADMITTED
 
 
 @dataclass(frozen=True)
@@ -144,13 +121,13 @@ class PolicyConfig:
 
 
 def dam_admit(obs: FrameObservation, chosen: Proposal, last_ram_frame: int,
-              cfg: PolicyConfig) -> RamPolicyDecision:
+              cfg: PolicyConfig) -> AdmissionReason:
     """Gated-sparse: target present and the store gap elapsed."""
     if chosen.mask.is_empty or obs.o <= 0.0:
-        return RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
+        return AdmissionReason.TARGET_ABSENT
     if obs.frame_idx - last_ram_frame < cfg.delta_ram:
-        return RamPolicyDecision.rejected(AdmissionReason.GAP_NOT_ELAPSED)
-    return RamPolicyDecision.admitted()
+        return AdmissionReason.GAP_NOT_ELAPSED
+    return AdmissionReason.ADMITTED
 
 
 # --- motion-gated ----------------------------------------------------------
@@ -166,28 +143,28 @@ def motion_consistency(kf_pred: BBox | None, p: Proposal) -> float:
     return box_iou(kf_pred, p.bbox)
 
 
-def samurai_admit(chosen: Proposal, s_kf: float, cfg: PolicyConfig) -> RamPolicyDecision:
+def samurai_admit(chosen: Proposal, s_kf: float, cfg: PolicyConfig) -> AdmissionReason:
     """Three-threshold gate, checked in order mask, obj, kf."""
     if chosen.s_mask < cfg.tau_mask:
-        return RamPolicyDecision.rejected(AdmissionReason.BELOW_MASK_THR)
+        return AdmissionReason.BELOW_MASK_THR
     if chosen.s_obj < cfg.tau_obj:
-        return RamPolicyDecision.rejected(AdmissionReason.BELOW_OBJ_THR)
+        return AdmissionReason.BELOW_OBJ_THR
     if s_kf < cfg.tau_kf:
-        return RamPolicyDecision.rejected(AdmissionReason.BELOW_KF_THR)
-    return RamPolicyDecision.admitted()
+        return AdmissionReason.BELOW_KF_THR
+    return AdmissionReason.ADMITTED
 
 
 # --- best-pathway ------------------------------------------------------------
 
 
 def sam2long_admit(obs: FrameObservation, chosen: Proposal,
-                   cfg: PolicyConfig) -> RamPolicyDecision:
+                   cfg: PolicyConfig) -> AdmissionReason:
     """Quality and presence gate applied along a pathway's trajectory."""
     if obs.o <= 0.0:
-        return RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
+        return AdmissionReason.TARGET_ABSENT
     if chosen.s_mask < cfg.tau_iou:
-        return RamPolicyDecision.rejected(AdmissionReason.BELOW_IOU_THR)
-    return RamPolicyDecision.admitted()
+        return AdmissionReason.BELOW_IOU_THR
+    return AdmissionReason.ADMITTED
 
 
 # --- prototype-calibrated ----------------------------------------------------
@@ -263,10 +240,10 @@ def samite_select_ram(
 # --- two-stage motion confidence ---------------------------------------------
 
 
-def him_admit(chosen: Proposal, s_conf: float, cfg: PolicyConfig) -> RamPolicyDecision:
+def him_admit(chosen: Proposal, s_conf: float, cfg: PolicyConfig) -> AdmissionReason:
     """Store only non-empty, high-confidence selections."""
     if chosen.mask.is_empty:
-        return RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
+        return AdmissionReason.TARGET_ABSENT
     if s_conf < cfg.tau_mem:
-        return RamPolicyDecision.rejected(AdmissionReason.BELOW_CONF_THR)
-    return RamPolicyDecision.admitted()
+        return AdmissionReason.BELOW_CONF_THR
+    return AdmissionReason.ADMITTED

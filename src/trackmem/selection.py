@@ -24,9 +24,10 @@ frame per policy); a replayed (config, observation) pair reproduces the
 result sequence byte-for-byte in serialized form.
 
 Frame 0 is the prompt: the initialization mask is the output, lands in
-the reserved init slot, and seeds the policy's state. Target-absent
-frames report ``present=False`` and are fed to metrics as empty
-predictions; no policy admits them to RAM except the FIFO baseline.
+the reserved init slot, and seeds the policy's state. A target-absent
+frame's result holds no output (``chosen`` None, so ``present`` False)
+and is fed to metrics as an empty prediction; no policy admits such a
+frame to RAM except the FIFO baseline.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .pathways import pathway_expand, pathway_init, pathway_prune
 from .policies import (
     AdmissionReason,
     PolicyConfig,
-    RamPolicyDecision,
     dam_admit,
     him_admit,
     motion_consistency,
@@ -113,16 +113,20 @@ class TrackerConfig:
 
 
 class FrameResult(NamedTuple):
-    """Audited outcome of one step: output, presence, scores, decisions."""
+    """Audited outcome of one step: output, scores, decisions."""
 
     frame_idx: int
     chosen: Proposal | None
-    present: bool
-    decision: RamPolicyDecision
+    decision: AdmissionReason
     drm_admitted: bool
     s_kf: float | None = None
     s_conf: float | None = None
     used_fine: bool = False
+
+    @property
+    def present(self) -> bool:
+        """Whether the target was found: the step reports an output exactly then."""
+        return self.chosen is not None
 
 
 # one encoder for every line: json.dumps with separators builds a new one per call
@@ -148,7 +152,7 @@ def frame_result_to_line(res: FrameResult) -> str:
         "s_conf": res.s_conf,
         "used_fine": res.used_fine,
         "admit": res.decision.admit,
-        "reason": res.decision.reason.value,
+        "reason": res.decision.value,
         "drm": res.drm_admitted,
     }
     return _LINE_ENCODER.encode(payload)
@@ -239,9 +243,6 @@ def _prototype(obs: FrameObservation, mask: BitMask) -> Prototype | None:
     return extract_prototypes(obs.features, mask)
 
 
-_ABSENT = RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
-
-
 class Policy:
     """One memory policy: its state, its selection and its RAM rule.
 
@@ -266,7 +267,7 @@ class Policy:
         return select_default(obs)
 
     def admit(self, obs: FrameObservation, chosen: Proposal | None,
-              present: bool) -> RamPolicyDecision:
+              present: bool) -> AdmissionReason:
         """Insert the chosen proposal into RAM when :meth:`gate` admits it."""
         decision = self.gate(obs, chosen, present)
         if decision.admit:
@@ -274,7 +275,7 @@ class Policy:
         return decision
 
     def gate(self, obs: FrameObservation, chosen: Proposal | None,
-             present: bool) -> RamPolicyDecision:
+             present: bool) -> AdmissionReason:
         """The RAM rule: admit or reject this frame's chosen proposal."""
         raise NotImplementedError
 
@@ -284,14 +285,14 @@ class FifoPolicy(Policy):
 
     uses_drm = False
 
-    def gate(self, obs, chosen, present) -> RamPolicyDecision:
-        return RamPolicyDecision.admitted()
+    def gate(self, obs, chosen, present) -> AdmissionReason:
+        return AdmissionReason.ADMITTED
 
 
 class DamPolicy(Policy):
     """Gated-sparse: store a present target once the store gap has elapsed."""
 
-    def gate(self, obs, chosen, present) -> RamPolicyDecision:
+    def gate(self, obs, chosen, present) -> AdmissionReason:
         return dam_admit(obs, chosen, self.bank.last_ram_frame, self.cfg.policy_cfg)
 
 
@@ -311,7 +312,7 @@ class _MotionPolicy(Policy):
 
     def observe(self, chosen: Proposal | None) -> None:
         box = None if chosen is None else chosen.bbox
-        if box is None or box.area == 0.0:
+        if box is None:
             self.absent_streak += 1
             return
         if self.absent_streak >= self.cfg.motion_cfg.n_lost:
@@ -329,9 +330,9 @@ class SamuraiPolicy(_MotionPolicy):
         self.observe(chosen)
         return chosen, chosen is not None
 
-    def gate(self, obs, chosen, present) -> RamPolicyDecision:
+    def gate(self, obs, chosen, present) -> AdmissionReason:
         if not present:
-            return _ABSENT
+            return AdmissionReason.TARGET_ABSENT
         return samurai_admit(chosen, self.s_kf, self.cfg.policy_cfg)
 
 
@@ -352,7 +353,7 @@ class Sam2LongPolicy(Policy):
         chosen = obs.proposals[best.history.proposal_index]
         return chosen, not (obs.o <= 0.0 and chosen.mask.is_empty)
 
-    def admit(self, obs, chosen, present) -> RamPolicyDecision:
+    def admit(self, obs, chosen, present) -> AdmissionReason:
         # the survivors' banks were advanced while pruning; the best one's gate decided
         return self.pathways[0].decision
 
@@ -403,7 +404,7 @@ class SamitePolicy(Policy):
             self.interned[key] = item
         return item
 
-    def admit(self, obs, chosen, present) -> RamPolicyDecision:
+    def admit(self, obs, chosen, present) -> AdmissionReason:
         cfg = self.cfg.policy_cfg
         pool = self.pool
         item = self._interned(obs, chosen.mask) if present else None
@@ -411,9 +412,9 @@ class SamitePolicy(Policy):
             index, proto, cos_first = item
             entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, proto)
             pool.append((entry, index, cos_first))
-            decision = RamPolicyDecision.admitted()
+            decision = AdmissionReason.ADMITTED
         else:
-            decision = _ABSENT
+            decision = AdmissionReason.TARGET_ABSENT
         # the pool is chronological: entries older than the sliding window, which
         # can never be selected again, are all at its front
         horizon = obs.frame_idx - cfg.window_m
@@ -448,11 +449,11 @@ class HimPolicy(_MotionPolicy):
         self.observe(chosen)
         return chosen, chosen is not None
 
-    def gate(self, obs, chosen, present) -> RamPolicyDecision:
+    def gate(self, obs, chosen, present) -> AdmissionReason:
         if not present:
-            return _ABSENT
+            return AdmissionReason.TARGET_ABSENT
         decision = him_admit(chosen, self.s_conf, self.cfg.policy_cfg)
-        if decision.admit and chosen.bbox is not None:
+        if decision.admit:
             self.accepted_boxes = (self.accepted_boxes + [(obs.frame_idx, chosen.bbox)])[-2:]
         return decision
 
@@ -514,15 +515,14 @@ class TrackerSession:
 
         if obs.frame_idx == 0:
             policy.prompt(obs)
-            init = self.bank.init
-            return FrameResult(0, Proposal(init.mask, 1.0, 1.0, init.bbox), True,
-                               RamPolicyDecision.admitted(), False)
+            return FrameResult(0, Proposal(self.bank.init.mask, 1.0, 1.0),
+                               AdmissionReason.ADMITTED, False)
 
         chosen, present = policy.select(obs)
         drm_admitted = policy.uses_drm and present and self.bank.consider_drm(
             obs, chosen, self.cfg.drm_cfg)
         decision = policy.admit(obs, chosen, present)
-        return FrameResult(obs.frame_idx, chosen if present else None, present, decision,
+        return FrameResult(obs.frame_idx, chosen if present else None, decision,
                            drm_admitted, policy.s_kf, policy.s_conf, policy.used_fine)
 
     def run(self, observations) -> list[FrameResult]:

@@ -113,6 +113,10 @@ class MotionSpec:
             raise ValueError(f"unknown motion kind {self.kind!r}")
         if self.size[0] <= 0 or self.size[1] <= 0:
             raise ValueError("target size must be positive")
+        if self.step_sigma < 0:
+            raise ValueError(f"step_sigma must be >= 0, got {shown(self.step_sigma)}")
+        if not -1e100 <= self.frequency <= 1e100:  # the sinusoid's phase must stay finite
+            raise ValueError(f"frequency must lie in [-1e100, 1e100], got {shown(self.frequency)}")
 
 
 @dataclass(frozen=True)
@@ -155,8 +159,8 @@ class SceneConfig:
                 raise ValueError(
                     f"grid must exceed target_motion.size{' x 1.2' * (scale > 1.0)} by 2 px"
                     f" per side, got grid {self.grid!r} and target_motion.size {size!r}")
-        if self.score_noise < 0:
-            raise ValueError("score noise must be >= 0")
+        if not 0 <= self.score_noise <= 1e100:  # it scales the jitter: keep far from overflow
+            raise ValueError(f"score_noise must lie in [0, 1e100], got {shown(self.score_noise)}")
         if not (0.0 <= self.distractor_similarity <= 1.0):
             raise ValueError("distractor similarity must lie in [0, 1]")
         if self.n_distractors < 0:
@@ -370,9 +374,10 @@ def _target_path(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
         centers[:, 1] = start[1] + 0.6 * spec.amplitude * np.sin(
             2.0 * np.pi * spec.frequency * 1.7 * t + phase[1])
     else:  # random_walk
-        # finite steps, since inf - inf is NaN; an overflowed sum is pinned below
+        # finite steps, since inf - inf is NaN; an overflowed sum is pinned below.
+        # abs() only turns -0.0 into 0.0, a scale numpy refuses
         top = np.finfo(np.float64).max
-        steps = np.clip(rng.normal(0.0, spec.step_sigma, size=(cfg.frames, 2)), -top, top)
+        steps = np.clip(rng.normal(0.0, abs(spec.step_sigma), size=(cfg.frames, 2)), -top, top)
         steps[0] = 0.0
         with np.errstate(over="ignore"):
             centers = start[None, :] + np.cumsum(steps, axis=0)
@@ -592,9 +597,8 @@ def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
     gt_boxes = [None if hidden else BBox(x, y, tw, th)
                 for hidden, x, y in zip(d.occluded.tolist(), gt_x.tolist(), gt_y.tolist())]
     observations = [
-        FrameObservation(frame_idx=t, o=o, features=FeatureGrid.from_labels(palette, labels[t]),
-                         proposals=(Proposal.from_mask(m1, s1, o), Proposal.from_mask(m2, s2, o2),
-                                    Proposal.from_mask(m3, s3, o3)))
+        FrameObservation(t, (Proposal(m1, s1, o), Proposal(m2, s2, o2), Proposal(m3, s3, o3)), o,
+                         FeatureGrid.from_labels(palette, labels[t]))
         for t, (m1, m2, m3, s1, s2, s3, o, o2, o3)
         in enumerate(zip(*masks, *s_mask.tolist(), *s_obj.tolist()))]
     return SequenceRecord(config=cfg, gt_boxes=gt_boxes, observations=observations,

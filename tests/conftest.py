@@ -31,7 +31,7 @@ def empty_mask(w: int = 32, h: int = 32) -> BitMask:
 
 
 def prop(mask: BitMask, s_mask: float, s_obj: float = 1.0) -> Proposal:
-    return Proposal.from_mask(mask, s_mask, s_obj)
+    return Proposal(mask, s_mask, s_obj)
 
 
 def obs(frame_idx: int, proposals, o: float = 1.0, features=None) -> FrameObservation:

@@ -40,17 +40,17 @@ import numpy as np
 from trackmem import simulator
 from trackmem.geometry import BBox, BitMask
 from trackmem.membank import MemoryBank, MemoryEntry
-from trackmem.metrics import NORM_PRECISION_THRESHOLDS, SUCCESS_THRESHOLDS, EvalOutcome, vot_qar
+from trackmem.metrics import NORM_PRECISION_THRESHOLDS, SUCCESS_THRESHOLDS, EvalOutcome
 from trackmem.observation import FeatureGrid, FrameObservation, Proposal
 from trackmem.pathways import PathwayCandidate
 from trackmem.policies import (
+    AdmissionReason,
     PolicyConfig,
-    RamPolicyDecision,
     sam2long_admit,
     samite_calibrate,
     samite_select_ram,
 )
-from trackmem.selection import _ABSENT, SamitePolicy
+from trackmem.selection import SamitePolicy
 
 from oracles import dense_mask_iou
 
@@ -194,9 +194,9 @@ def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
         observations.append(FrameObservation(
             frame_idx=t,
             proposals=(
-                Proposal.from_mask(BitMask.from_dense(mask1), s1, float(o)),
-                Proposal.from_mask(BitMask.from_dense(mask2), s2, float(s_obj2)),
-                Proposal.from_mask(BitMask.from_dense(mask3), s3, float(s_obj3)),
+                Proposal(BitMask.from_dense(mask1), s1, float(o)),
+                Proposal(BitMask.from_dense(mask2), s2, float(s_obj2)),
+                Proposal(BitMask.from_dense(mask3), s3, float(s_obj3)),
             ),
             o=float(o),
             features=FeatureGrid(feature_grid_labels(
@@ -409,9 +409,10 @@ def per_frame_evaluate(
     """Every column of :func:`trackmem.metrics.evaluate`, scored frame by frame.
 
     ``gt_visible`` holds the flags ``evaluate`` derives from the GT boxes
-    (true where the box is not None). The quality terms come from the
-    library's own ``vot_qar``, which takes the per-frame IoU list either
-    way. Inputs are assumed valid: this loop does not check them.
+    (true where the box is not None). Each frame's quality, accuracy and
+    robustness term is built in the loop below and the terms are averaged
+    with numpy's mean, as ``vot_qar`` averages its arrays. Inputs are
+    assumed valid: this loop does not check them.
     """
     pred_iou = [
         per_frame_box_iou(p, g) if (p is not None and g is not None) else 0.0
@@ -425,7 +426,18 @@ def per_frame_evaluate(
         sr50, sr75 = float((visible_ious > 0.5).mean()), float((visible_ious > 0.75).mean())
     else:
         ao = sr50 = sr75 = 0.0
-    q, acc, rob = vot_qar(pred_present, pred_iou, gt_visible)
+    q_terms, acc_terms, rob_terms = [], [], []
+    for iou, present, visible in zip(pred_iou, pred_present, gt_visible):
+        if visible:
+            q_terms.append(iou)
+            rob_terms.append(iou > 0.0)
+            if present:
+                acc_terms.append(iou)
+        else:
+            q_terms.append(0.0 if present else 1.0)
+    q = float(np.mean(q_terms)) if q_terms else 0.0
+    acc = float(np.mean(acc_terms)) if acc_terms else 0.0
+    rob = float(np.mean(rob_terms)) if rob_terms else 0.0
     return EvalOutcome(
         success_auc=s, precision_at_20=p20, norm_precision_auc=np_auc,
         ao=ao, sr50=sr50, sr75=sr75, q=q, acc=acc, rob=rob,
@@ -436,16 +448,16 @@ class RebuildingSamite(SamitePolicy):
     """The prototype-calibrated RAM rule with its pool, window and unscored
     set rebuilt as new lists and a dict on every frame."""
 
-    def admit(self, obs, chosen, present) -> RamPolicyDecision:
+    def admit(self, obs, chosen, present) -> AdmissionReason:
         cfg = self.cfg.policy_cfg
         item = self._interned(obs, chosen.mask) if present else None
         if item is not None:
             index, proto, cos_first = item
             entry = MemoryEntry.from_proposal(obs.frame_idx, chosen, fg_prototype=proto)
             self.pool.append((entry, index, cos_first))
-            decision = RamPolicyDecision.admitted()
+            decision = AdmissionReason.ADMITTED
         else:
-            decision = _ABSENT
+            decision = AdmissionReason.TARGET_ABSENT
         # entries older than the sliding window can never be selected again
         horizon = obs.frame_idx - cfg.window_m
         self.pool = [item for item in self.pool if item[0].frame_idx >= horizon]
@@ -475,7 +487,7 @@ class CopiedPathway:
     score: float
     trajectory: tuple[tuple[int, int], ...]
     parent_id: int
-    decision: RamPolicyDecision | None = None
+    decision: AdmissionReason | None = None
 
 
 def copying_pathway_init(bank: MemoryBank) -> list[CopiedPathway]:

@@ -157,14 +157,14 @@ def test_criterion_4_selection_and_topk_equivalence():
         assert got == topk_window_oracle(list(zip(frames, scores)), k - 2)
 
     # motion-gated and two-stage choices vs 3-way brute force; integer
-    # boxes make the rasterized and analytic motion scores bit-identical
+    # boxes make the rasterized and analytic motion scores bit-identical.
+    # Each proposal's mask fills its box (an empty box draws an empty mask).
     cfg = PolicyConfig(alpha=0.25, alpha_him=0.4, beta=0.3, tau_conf=0.5)
     for _ in range(10_000):
         boxes = [int_box(rng, span=20, size=12) for _ in range(3)]
         props = tuple(
-            Proposal(mask=mask, s_mask=float(rng.random()),
-                     s_obj=float(rng.uniform(-1, 1)),
-                     bbox=None if b[2] == 0 or b[3] == 0 else BBox(*b))
+            Proposal(mask=rect_mask(32, 32, *b), s_mask=float(rng.random()),
+                     s_obj=float(rng.uniform(-1, 1)))
             for b in boxes
         )
         o = FrameObservation(frame_idx=1, proposals=props, o=1.0)

@@ -291,6 +291,11 @@ def test_float_fields_take_json_integers():
     ({"score_noise": BEYOND_FLOAT}, "score_noise"),
     ({"family": "../x"}, "family"), ({"family": 5}, "family"), ({"family": ""}, "family"),
     ({"grid": [70000, 64]}, "grid"), ({"grid": [64, 65536]}, "grid"),
+    ({"score_noise": 1e101}, "score_noise"), ({"score_noise": 1e300}, "score_noise"),
+    ({"score_noise": 1e308}, "score_noise"), ({"score_noise": -0.5}, "score_noise"),
+    ({"target_motion": {"frequency": 1e308}}, "target_motion: frequency"),
+    ({"target_motion": {"frequency": -1e101}}, "target_motion: frequency"),
+    ({"target_motion": {"step_sigma": -1.0}}, "target_motion: step_sigma"),
 ])
 def test_bad_scene_values_exit_2_naming_scene_and_key(tmp_path, capsys, change, key):
     scenes = [TINY_SCENES[0], dict(TINY_SCENES[1], **change)]
@@ -308,6 +313,19 @@ def test_random_walk_with_a_huge_sigma_runs(tmp_path, capsys):
                      "--set", f"scenes={json.dumps([scene])}"]) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert (tmp_path / "out" / "metrics.csv").is_file()
+
+
+def test_a_huge_score_noise_exits_2_naming_it(tmp_path, capsys):
+    # it once rendered proposals at overflowed centers; RuntimeWarnings are errors here
+    scene = {"seed": 1, "frames": 20, "grid": [64, 64], "score_noise": 1e300,
+             "n_distractors": 1, "target_motion": {"size": [10, 8]}}
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--set", f"scenes={json.dumps([scene])}"]) == 2
+    out, err = capsys.readouterr()
+    assert "bad scene 0: score_noise must lie in [0, 1e100], got 1e+300" in out
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_whose_top_level_is_an_array_exits_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from trackmem import membank
-from trackmem.geometry import BitMask, mask_iou
+from trackmem.geometry import BBox, BitMask, mask_iou
 from trackmem.membank import (
     NEVER,
     DrmConfig,
@@ -34,11 +34,12 @@ def entry(frame: int, mask=None, s_mask=0.9) -> MemoryEntry:
 
 
 def test_memory_entry_is_an_immutable_record():
-    assert MemoryEntry._fields == ("frame_idx", "mask", "s_mask", "bbox", "fg_prototype")
-    assert MemoryEntry._field_defaults == {"bbox": None, "fg_prototype": None}
+    assert MemoryEntry._fields == ("frame_idx", "mask", "s_mask", "fg_prototype")
+    assert MemoryEntry._field_defaults == {"fg_prototype": None}
     p = prop(rect_mask(32, 32, 4, 4, 5, 5), 0.75)
     e = MemoryEntry.from_proposal(5, p)
-    assert e == MemoryEntry(frame_idx=5, mask=p.mask, s_mask=0.75, bbox=p.bbox)
+    assert e == MemoryEntry(frame_idx=5, mask=p.mask, s_mask=0.75)
+    assert e.bbox == p.bbox == BBox(4.0, 4.0, 5.0, 5.0)
     for name in MemoryEntry._fields:
         with pytest.raises(AttributeError):
             setattr(e, name, None)
@@ -517,8 +518,7 @@ def assert_bank_invariants(bank: MemoryBank, init: MemoryEntry) -> None:
     for entries in (bank.ram, bank.drm):
         frames = [e.frame_idx for e in entries]
         assert all(b > a for a, b in zip(frames, frames[1:])), frames
-    assert bank.init is init and bank.init == MemoryEntry(
-        frame_idx=0, mask=INIT, s_mask=1.0, bbox=init.bbox)
+    assert bank.init is init and bank.init == MemoryEntry(frame_idx=0, mask=INIT, s_mask=1.0)
     assert bank.last_ram_frame == (bank.ram[-1].frame_idx if bank.ram else NEVER)
     assert bank.last_drm_frame == (bank.drm[-1].frame_idx if bank.drm else NEVER)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trackmem.geometry import BitMask
+from trackmem.geometry import BBox, BitMask, mask_to_bbox
 from trackmem.membank import MemoryEntry
 from trackmem.observation import (
     FeatureGrid,
@@ -20,6 +20,7 @@ from trackmem.observation import (
     observation_to_line,
     pooled_prototype,
 )
+from trackmem.simulator import MotionSpec, SceneConfig, gen_sequence
 
 from conftest import empty_mask, obs, prop, random_mask, rect_mask, rng_for
 from reference import numpy_cosine, numpy_mean
@@ -216,15 +217,43 @@ def test_cosine_symmetric_and_scale_invariant():
 # --- types and serialization ----------------------------------------------------
 
 
+def dense_box(mask: BitMask):
+    """The tightest box of the mask's dense pixels; None when it has none."""
+    dense = mask.to_dense()
+    if not dense.any():
+        return None
+    rows, cols = np.flatnonzero(dense.any(axis=1)), np.flatnonzero(dense.any(axis=0))
+    return BBox(float(cols[0]), float(rows[0]), float(cols[-1] + 1 - cols[0]),
+                float(rows[-1] + 1 - rows[0]))
+
+
+def test_a_proposals_box_is_its_masks_box():
+    rng = rng_for(35)
+    shaped = BitMask(9, 7, [(1, 2, 3), (2, 0, 4), (5, 6, 3)])
+    masks = [shaped, BitMask(9, 7, ()), random_mask(rng, 12, 10), BitMask.from_dense(
+        np.zeros((4, 5), dtype=bool)), BitMask.from_text(shaped.to_text()),
+        BitMask.from_text(empty_mask(6, 6).to_text())]
+    masks += BitMask.batch(9, 7, np.array([[0, 1, 2], [3, 4, 5], [6, 0, 9]]), [0, 2, 2, 3])
+    record = gen_sequence(SceneConfig(seed=35, frames=12, grid=(48, 40), n_distractors=1,
+                                      target_motion=MotionSpec(size=(12.0, 10.0)),
+                                      occlusions=((4, 8),)))
+    masks += [p.mask for o in record.observations for p in o.proposals]
+    assert any(m.is_empty for m in masks) and not all(m.is_empty for m in masks)
+    for mask in masks:
+        p = Proposal(mask, 0.5, 1.0)
+        assert p.bbox == mask_to_bbox(mask) == dense_box(mask)
+        assert observation_from_line(observation_to_line(obs(1, [p] * 3))).proposals[0] == p
+
+
 def test_proposal_validation():
     with pytest.raises(ValueError):
-        Proposal.from_mask(empty_mask(), s_mask=1.5, s_obj=0.0)
+        Proposal(empty_mask(), s_mask=1.5, s_obj=0.0)
 
 
 @pytest.mark.parametrize("s_obj", [float("nan"), float("inf"), -float("inf")])
 def test_proposal_rejects_non_finite_object_score(s_obj):
     with pytest.raises(ValueError, match="s_obj must be finite"):
-        Proposal.from_mask(empty_mask(), s_mask=0.5, s_obj=s_obj)
+        Proposal(empty_mask(), s_mask=0.5, s_obj=s_obj)
 
 
 def test_observation_rejects_mismatched_mask_sizes():
@@ -367,7 +396,7 @@ def test_observations_with_feature_grids_compare():
 
 
 def entry_with(vec) -> MemoryEntry:
-    return MemoryEntry(3, rect_mask(8, 8, 1, 1, 3, 3), 0.5, None, Prototype(vec))
+    return MemoryEntry(3, rect_mask(8, 8, 1, 1, 3, 3), 0.5, Prototype(vec))
 
 
 @pytest.mark.parametrize("build", [Prototype, entry_with], ids=["prototype", "memory_entry"])

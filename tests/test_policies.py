@@ -12,7 +12,6 @@ from trackmem.observation import Proposal, Prototype
 from trackmem.policies import (
     AdmissionReason,
     PolicyConfig,
-    RamPolicyDecision,
     dam_admit,
     him_admit,
     motion_consistency,
@@ -41,18 +40,10 @@ def frame(frame_idx=1, o=1.0, s=(0.9, 0.5, 0.2), masks=None):
 
 
 def test_decisions_are_shared_per_reason():
-    assert RamPolicyDecision.admitted() is RamPolicyDecision.admitted()
-    assert RamPolicyDecision.admitted() == RamPolicyDecision(AdmissionReason.ADMITTED)
-    assert RamPolicyDecision.admitted().admit is True
+    # a decision is its reason, one enum member per gate name
     for reason in AdmissionReason:
-        if reason is AdmissionReason.ADMITTED:
-            continue
-        decision = RamPolicyDecision.rejected(reason)
-        assert decision is RamPolicyDecision.rejected(reason)
-        assert decision == RamPolicyDecision(reason)
-        assert decision.admit is False
-    with pytest.raises(ValueError):
-        RamPolicyDecision.rejected(AdmissionReason.ADMITTED)
+        assert AdmissionReason(reason.value) is reason
+        assert reason.admit is (reason is AdmissionReason.ADMITTED)
 
 
 def test_policy_config_validation():
@@ -71,14 +62,14 @@ def test_policy_config_validation():
 
 def test_dam_gate_order_and_reasons():
     o = frame(frame_idx=9, o=1.0)
-    assert dam_admit(o, o.proposals[0], last_ram_frame=5, cfg=CFG).reason \
+    assert dam_admit(o, o.proposals[0], last_ram_frame=5, cfg=CFG) \
         is AdmissionReason.GAP_NOT_ELAPSED  # gap 4 < delta_ram 5
     assert dam_admit(o, o.proposals[0], last_ram_frame=4, cfg=CFG).admit
     o_absent = frame(frame_idx=9, o=-0.5)
-    assert dam_admit(o_absent, o_absent.proposals[0], 0, CFG).reason \
+    assert dam_admit(o_absent, o_absent.proposals[0], 0, CFG) \
         is AdmissionReason.TARGET_ABSENT
     o_empty = frame(frame_idx=9, masks=[empty_mask(16, 16)] * 3)
-    assert dam_admit(o_empty, o_empty.proposals[0], 0, CFG).reason \
+    assert dam_admit(o_empty, o_empty.proposals[0], 0, CFG) \
         is AdmissionReason.TARGET_ABSENT
     # sentinel start: the very first opportunity passes the gap gate
     assert dam_admit(frame(frame_idx=1), frame().proposals[0], NEVER, CFG).admit
@@ -107,8 +98,14 @@ def test_dam_trace_matches_predicate_replay(rng):
 FAR = BBox(12, 12, 2, 2)  # overlaps none of the predicted boxes below
 
 
+def drawn(box, s_mask):
+    """A proposal whose mask fills ``box`` on MASK's 16 x 16 grid, so its bbox is ``box``."""
+    x, y, w, h = (int(v) for v in box)
+    return Proposal(rect_mask(16, 16, x, y, w, h), s_mask, 1.0)
+
+
 def rival(s_mask, bbox=FAR):
-    return Proposal(mask=MASK, s_mask=s_mask, s_obj=1.0, bbox=bbox)
+    return drawn(bbox, s_mask)
 
 
 def samurai_rank(kf_pred, p, alpha, other):
@@ -124,7 +121,7 @@ def samurai_rank(kf_pred, p, alpha, other):
 
 
 def test_samurai_score_alpha_extremes():
-    p = Proposal(mask=MASK, s_mask=0.7, s_obj=1.0, bbox=BBox(1, 1, 2, 2))
+    p = drawn(BBox(1, 1, 2, 2), 0.7)
     # alpha 0: s_mask alone, 0.7, as a rival with no overlap and s_mask 0.7 scores
     assert samurai_rank(BBox(0, 0, 2, 2), p, 0.0, rival(0.7)) == 0
     # alpha 1: s_kf alone, 1.0, as a rival on the predicted box scores
@@ -133,7 +130,7 @@ def test_samurai_score_alpha_extremes():
 
 def test_samurai_score_exact_value():
     # alpha 1/4, s_kf = 1/7 (boxes (0,0,2,2) vs (1,1,2,2)), s_mask = 4/5
-    p = Proposal(mask=MASK, s_mask=0.8, s_obj=1.0, bbox=BBox(1, 1, 2, 2))
+    p = drawn(BBox(1, 1, 2, 2), 0.8)
     want = Fraction(1, 4) * Fraction(1, 7) + Fraction(3, 4) * Fraction(4, 5)
     assert want == Fraction(89, 140)  # 0.6357142857...
     # a rival with no overlap scores 3/4 of its s_mask: 1e-12 below want, then above
@@ -143,7 +140,8 @@ def test_samurai_score_exact_value():
 
 
 def test_samurai_score_absent_bbox_means_zero_motion():
-    p = Proposal(mask=empty_mask(16, 16), s_mask=0.6, s_obj=1.0, bbox=None)
+    p = Proposal(mask=empty_mask(16, 16), s_mask=0.6, s_obj=1.0)
+    assert p.bbox is None
     assert motion_consistency(BBox(0, 0, 2, 2), p) == 0.0
     # 0.5 * 0 + 0.5 * 0.6 = 0.3, the score of a rival with no overlap and s_mask 0.6
     assert samurai_rank(BBox(0, 0, 2, 2), p, 0.5, rival(0.6)) == 0
@@ -154,13 +152,13 @@ def test_samurai_admit_reason_order():
     cfg = PolicyConfig(tau_mask=0.5, tau_obj=0.0, tau_kf=0.3)
     good = prop(MASK, 0.9, s_obj=1.0)
     assert samurai_admit(good, s_kf=1.0, cfg=cfg).admit
-    assert samurai_admit(prop(MASK, 0.4, 1.0), 1.0, cfg).reason \
+    assert samurai_admit(prop(MASK, 0.4, 1.0), 1.0, cfg) \
         is AdmissionReason.BELOW_MASK_THR
-    assert samurai_admit(prop(MASK, 0.9, -0.1), 1.0, cfg).reason \
+    assert samurai_admit(prop(MASK, 0.9, -0.1), 1.0, cfg) \
         is AdmissionReason.BELOW_OBJ_THR
-    assert samurai_admit(good, 0.2, cfg).reason is AdmissionReason.BELOW_KF_THR
+    assert samurai_admit(good, 0.2, cfg) is AdmissionReason.BELOW_KF_THR
     # mask gate reported first even when several fail
-    assert samurai_admit(prop(MASK, 0.1, -1.0), 0.0, cfg).reason \
+    assert samurai_admit(prop(MASK, 0.1, -1.0), 0.0, cfg) \
         is AdmissionReason.BELOW_MASK_THR
 
 
@@ -180,10 +178,10 @@ def test_samurai_admit_matches_three_predicate_oracle(rng):
 def test_sam2long_admit_gates():
     assert sam2long_admit(frame(o=1.0, s=(0.9, 0.1, 0.1)),
                           frame(s=(0.9, 0.1, 0.1)).proposals[0], CFG).admit
-    assert sam2long_admit(frame(o=-1.0), frame().proposals[0], CFG).reason \
+    assert sam2long_admit(frame(o=-1.0), frame().proposals[0], CFG) \
         is AdmissionReason.TARGET_ABSENT
     assert sam2long_admit(frame(s=(0.4, 0.1, 0.1)),
-                          frame(s=(0.4, 0.1, 0.1)).proposals[0], CFG).reason \
+                          frame(s=(0.4, 0.1, 0.1)).proposals[0], CFG) \
         is AdmissionReason.BELOW_IOU_THR
 
 
@@ -308,8 +306,9 @@ def test_select_ram_matches_the_lambda_keyed_order(window, k_ram, first, prev):
 REF = BBox(0, 0, 20, 1)
 
 
-def boxed(width, s_iou=0.5):
-    return Proposal(mask=MASK, s_mask=s_iou, s_obj=1.0, bbox=BBox(0, 0, width, 1))
+def boxed(width, s_iou=0.5, side=20):
+    """A proposal whose mask fills the box (0, 0, width, 1) of a side x 1 grid."""
+    return Proposal(rect_mask(side, 1, 0, 0, width, 1), s_iou, 1.0)
 
 
 def him_choice(props, cfg, fine=lambda: FAR):
@@ -329,7 +328,7 @@ def test_him_alpha_one_is_pure_coarse():
 def test_him_stage1_used_verbatim_above_threshold():
     cfg = PolicyConfig(alpha_him=0.4, beta=0.3, tau_conf=0.5)
     s_coarse, s_iou = [0.9, 0.2, 0.1], [0.8, 0.3, 0.2]
-    props = [boxed(20 * c, i) for c, i in zip(s_coarse, s_iou)]
+    props = [boxed(round(20 * c), i) for c, i in zip(s_coarse, s_iou)]
     chosen, conf, used_fine = him_choice(props, cfg,
                                          fine=lambda: pytest.fail("fine stage evaluated"))
     assert not used_fine
@@ -354,9 +353,11 @@ def test_him_monotone_in_each_argument(rng):
     stage2 = PolicyConfig(alpha_him=0.4, beta=0.3, tau_conf=2.0)  # always refines
 
     def conf(c, f, i, cfg):
-        # three equal proposals: coarse score c, fine score f and s_iou i
-        return him_choice([boxed(20.0 * c, i)] * 3, cfg,
-                          fine=lambda: BBox(0, 0, 20.0 * c * f, 1))[1]
+        # three equal proposals: coarse score c to the nearest 1/1000, fine score f
+        # and s_iou i
+        width = round(1000 * c)
+        return select_him(obs(1, [boxed(width, i, side=1000)] * 3), BBox(0, 0, 1000, 1),
+                          lambda: BBox(0, 0, width * f, 1), cfg)[1]
 
     for _ in range(200):
         c, f, i = (float(v) for v in rng.random(3))
@@ -370,10 +371,10 @@ def test_him_monotone_in_each_argument(rng):
 
 def test_him_admit_examples():
     cfg = PolicyConfig(tau_mem=0.6)
-    assert him_admit(prop(empty_mask(16, 16), 0.9), 0.9, cfg).reason \
+    assert him_admit(prop(empty_mask(16, 16), 0.9), 0.9, cfg) \
         is AdmissionReason.TARGET_ABSENT
     assert him_admit(prop(MASK, 0.9), 0.6, cfg).admit  # threshold is inclusive
-    assert him_admit(prop(MASK, 0.9), 0.59, cfg).reason \
+    assert him_admit(prop(MASK, 0.9), 0.59, cfg) \
         is AdmissionReason.BELOW_CONF_THR
 
 

@@ -21,7 +21,6 @@ from trackmem.observation import (
 from trackmem.policies import (
     AdmissionReason,
     PolicyConfig,
-    RamPolicyDecision,
     motion_consistency,
     sam2long_admit,
     samite_calibrate,
@@ -61,7 +60,7 @@ MASKS = [rect_mask(32, 32, 2, 2, 6, 6),
 
 def frame(idx, s=(0.9, 0.5, 0.2), s_obj=(1.0, 1.0, 1.0), o=1.0, masks=None):
     masks = masks or MASKS
-    return obs(idx, [Proposal.from_mask(m, sm, so)
+    return obs(idx, [Proposal(m, sm, so)
                      for m, sm, so in zip(masks, s, s_obj)], o=o)
 
 
@@ -435,9 +434,9 @@ class RecomputingSamite(SamitePolicy):
                 same_dims(proto, first.fg_prototype)
             self.pool.append(MemoryEntry.from_proposal(
                 obs.frame_idx, chosen, fg_prototype=proto))
-            decision = RamPolicyDecision.admitted()
+            decision = AdmissionReason.ADMITTED
         else:
-            decision = RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT)
+            decision = AdmissionReason.TARGET_ABSENT
         horizon = obs.frame_idx - cfg.window_m
         self.pool = [e for e in self.pool if e.frame_idx >= horizon]
         prev = self.pool[-1] if self.pool else None
@@ -532,7 +531,7 @@ def test_samite_session_matches_recomputing_reference(
             o = dataclasses.replace(o, features=None)
         elif edits.get(i) == "no_cell":
             o = dataclasses.replace(o, proposals=tuple(
-                Proposal.from_mask(NO_CELL, p.s_mask, p.s_obj) for p in o.proposals))
+                Proposal(NO_CELL, p.s_mask, p.s_obj) for p in o.proposals))
         if via_jsonl:
             # each parsed line builds its own palette, in its own row order
             o = observation_from_line(observation_to_line(o))
@@ -721,7 +720,7 @@ def lose_target(observations, start, stop):
     object and presence score negative, so a motion policy loses the target."""
     def lost(o):
         empty = BitMask(o.proposals[0].mask.width, o.proposals[0].mask.height, ())
-        return dataclasses.replace(o, proposals=(Proposal.from_mask(empty, 0.0, -1.0),) * 3,
+        return dataclasses.replace(o, proposals=(Proposal(empty, 0.0, -1.0),) * 3,
                                    o=-1.0)
     return [lost(o) if start <= o.frame_idx < stop else o for o in observations]
 
@@ -788,23 +787,41 @@ def test_a_result_is_absent_exactly_when_it_has_no_choice(policy):
     assert [r.frame_idx for r in results if not r.present] == list(range(35, 45))
 
 
+def test_a_plain_proposal_is_scored_on_its_masks_box():
+    # the proposal lies on the prompt's box, where the motion filter predicts it
+    session = TrackerSession(config(PolicyKind.SAMURAI_DRM), INIT)
+    session.step(frame(0))
+    res = session.step(frame(1, masks=[INIT] * 3))
+    assert res.chosen.bbox == BBox(4.0, 4.0, 8.0, 8.0)
+    assert res.s_kf == 1.0 and res.decision is AdmissionReason.ADMITTED
+
+
+def test_derived_values_cannot_be_passed_in():
+    box = BBox(2.0, 2.0, 6.0, 6.0)
+    with pytest.raises(TypeError):
+        Proposal(MASKS[0], 0.5, 1.0, bbox=box)
+    with pytest.raises(TypeError):
+        MemoryEntry(1, MASKS[0], 0.5, bbox=box)
+    with pytest.raises(TypeError):
+        FrameResult(1, None, AdmissionReason.TARGET_ABSENT, False, present=False)
+
+
 def test_frame_result_line_is_stable():
-    res = FrameResult(frame_idx=3, chosen=Proposal.from_mask(MASKS[0], 0.5, 1.0),
-                      present=True, decision=RamPolicyDecision.admitted(),
-                      drm_admitted=False, s_kf=0.25)
+    res = FrameResult(frame_idx=3, chosen=Proposal(MASKS[0], 0.5, 1.0),
+                      decision=AdmissionReason.ADMITTED, drm_admitted=False, s_kf=0.25)
     line = frame_result_to_line(res)
     assert '"frame":3' in line and '"s_kf":0.25' in line
     assert frame_result_to_line(res) == line
 
 
 def test_frame_result_is_an_immutable_record_with_the_golden_line():
-    assert FrameResult._fields == ("frame_idx", "chosen", "present", "decision",
+    assert FrameResult._fields == ("frame_idx", "chosen", "decision",
                                    "drm_admitted", "s_kf", "s_conf", "used_fine")
     assert FrameResult._field_defaults == {"s_kf": None, "s_conf": None, "used_fine": False}
-    chosen = Proposal.from_mask(MASKS[0], 0.5, 1.0)
-    res = FrameResult(3, chosen, True, RamPolicyDecision.admitted(), False, 0.25)
-    assert res == FrameResult(frame_idx=3, chosen=chosen, present=True,
-                              decision=RamPolicyDecision.admitted(), drm_admitted=False,
+    chosen = Proposal(MASKS[0], 0.5, 1.0)
+    res = FrameResult(3, chosen, AdmissionReason.ADMITTED, False, 0.25)
+    assert res == FrameResult(frame_idx=3, chosen=chosen,
+                              decision=AdmissionReason.ADMITTED, drm_admitted=False,
                               s_kf=0.25)
     for name in FrameResult._fields:
         with pytest.raises(AttributeError):
@@ -814,8 +831,7 @@ def test_frame_result_is_an_immutable_record_with_the_golden_line():
         '"mask_sha1":"d8f2a667d29d157ed224a490ea313da70adaa45e","s_mask":0.5,"s_obj":1.0,'
         '"s_kf":0.25,"s_conf":null,"used_fine":false,"admit":true,"reason":"admitted",'
         '"drm":false}')
-    absent = FrameResult(7, None, False, RamPolicyDecision.rejected(AdmissionReason.TARGET_ABSENT),
-                         False, None, 0.125, True)
+    absent = FrameResult(7, None, AdmissionReason.TARGET_ABSENT, False, None, 0.125, True)
     assert frame_result_to_line(absent) == (
         '{"frame":7,"present":false,"bbox":null,"mask_sha1":null,"s_mask":null,"s_obj":null,'
         '"s_kf":null,"s_conf":0.125,"used_fine":true,"admit":false,"reason":"target_absent",'

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from trackmem.geometry import BBox, BitMask, mask_iou
 from trackmem.observation import extract_prototypes, cosine, observation_to_line
 from trackmem import simulator
+from trackmem.selection import PolicyKind, TrackerConfig, TrackerSession
 from trackmem.simulator import (
     MotionSpec,
     SceneConfig,
@@ -146,6 +147,57 @@ def test_every_accepted_small_scene_has_a_prompt(size, extra, kind, n_distractor
                       target_motion=MotionSpec(kind=kind, size=size),
                       n_distractors=n_distractors)
     assert not gen_sequence(cfg).init_mask.is_empty
+
+
+# extreme magnitudes next to ordinary ones, of either sign, for the fields that scale
+# a path or the noise
+EXTREMES = (0.0, 1e12, 1e100, 1e308)
+magnitudes = st.tuples(st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 100.0)),
+                       st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+@st.composite
+def scene_fields(draw):
+    """SceneConfig keyword arguments, ``target_motion`` as MotionSpec keywords: at
+    most 25 frames on grids of at most 96 px, every numeric field drawn."""
+    frames = draw(st.integers(1, 25))
+    starts = draw(st.lists(st.integers(1, 24), max_size=2))
+    return dict(
+        seed=draw(st.integers(0, 2**128 - 1)), frames=frames,
+        grid=(draw(st.integers(16, 96)), draw(st.integers(16, 96))),
+        target_motion=dict(
+            kind=draw(st.sampled_from(["linear", "sinusoid", "random_walk"])),
+            speed=draw(magnitudes), amplitude=draw(magnitudes),
+            frequency=draw(magnitudes), step_sigma=draw(magnitudes),
+            size=(draw(st.floats(2.0, 30.0)), draw(st.floats(2.0, 30.0)))),
+        n_distractors=draw(st.integers(0, 3)),
+        distractor_similarity=draw(st.floats(0.0, 1.0)),
+        occlusions=tuple((start, draw(st.integers(start + 1, frames)))
+                         for start in starts if start < frames),
+        score_noise=draw(magnitudes), proto_dim=draw(st.integers(2, 12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=scene_fields())
+@example(fields=dict(seed=1, frames=20, grid=(64, 64), target_motion=dict(size=(10.0, 8.0)),
+                     n_distractors=1, score_noise=1e300))
+def test_every_accepted_scene_generates_cleanly(fields):
+    # under the suite's warnings-as-errors, so an overflow warning fails it too
+    try:
+        cfg = SceneConfig(**dict(fields, target_motion=MotionSpec(**fields["target_motion"])))
+    except ValueError as exc:
+        event(f"rejected: {str(exc).split(' must')[0]}")
+        return
+    record = gen_sequence(cfg)
+    for o in record.observations:
+        assert math.isfinite(o.o)
+        for p in o.proposals:
+            assert 0.0 <= p.s_mask <= 1.0 and math.isfinite(p.s_obj)
+    assert all(math.isfinite(v) for box in record.gt_boxes if box is not None for v in box)
+    for policy in PolicyKind:
+        results = TrackerSession(TrackerConfig(policy=policy), record.init_mask).run(
+            record.observations)
+        assert len(results) == cfg.frames
 
 
 @pytest.mark.parametrize("grid, size, n_distractors, key", [
