@@ -55,10 +55,19 @@ labels of all frames, each frame's nearest distractor and the decoder's
 scores are computed on (frames, ...) arrays too; the frame loop only
 builds the objects.
 
-Randomness comes from a Philox counter-based generator keyed by the
-scene seed (no global RNG), and all draws happen in a fixed order up
-front, so a config is a pure function of its fields: the same config
-always yields a byte-identical sequence.
+A scene is a world and a decoder. The world (:func:`_world`) is the
+prototypes, the target's and distractors' paths and the occlusion flags;
+the ground truth and the feature grids depend on it alone. The decoder
+(:func:`_decode`) maps a world and its ground truth to the proposals and
+their scores. Randomness comes from one Philox counter-based generator
+keyed by the scene seed (no global RNG). The world draws from it first:
+the target prototype, each distractor's prototype, the background, the
+target's path, then each distractor's scale, start, heading and speed.
+The decoder draws next, whatever its branches take: per frame the jitter
+(4 values), the score noise (3), the presence noise, the occlusion coin,
+the absent-presence noise (2) and the object-score noise (2), each kind
+for all frames at once. So a config is a pure function of its fields:
+the same config always yields a byte-identical sequence.
 """
 
 from __future__ import annotations
@@ -140,11 +149,19 @@ class SceneConfig:
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed!r}")
         if self.frames < 1:
             raise ValueError("need at least one frame")
+        # the bounds below keep a scene's arrays within memory: its paths and
+        # masks grow with frames, its feature labels with frames x cells
+        if self.frames > 100_000:
+            raise ValueError(f"frames must be <= 100,000, got {self.frames!r}")
         if min(self.grid) < 1:
             raise ValueError(f"grid must have sides >= 1, got {self.grid!r}")
         if max(self.grid) > MAX_SIDE:
             raise ValueError(f"grid must have sides <= {MAX_SIDE} (masks hold 16-bit runs),"
                              f" got {shown(self.grid)}")
+        cells_w, cells_h = _feature_cells(self.grid)
+        if self.frames * cells_w * cells_h > 2 ** 25:
+            raise ValueError(f"frames and grid must give at most 2**25 feature cells in all,"
+                             f" got {self.frames!r} frames of {cells_w} x {cells_h} cells")
         # a side under 2 px can render an empty prompt (a 1 x 1 ellipse between
         # pixel centers)
         size = self.target_motion.size
@@ -165,8 +182,8 @@ class SceneConfig:
             raise ValueError("distractor similarity must lie in [0, 1]")
         if self.n_distractors < 0:
             raise ValueError("n_distractors must be >= 0")
-        if self.proto_dim < 2:
-            raise ValueError("proto_dim must be >= 2")
+        if not 2 <= self.proto_dim <= 1024:
+            raise ValueError(f"proto_dim must lie in [2, 1024], got {self.proto_dim!r}")
         # the harness names log files after the family
         check_label(self.family, "family")
         if not isinstance(self.occlusions, tuple):
@@ -459,143 +476,122 @@ def _feature_grids(cfg: SceneConfig, target_centers: np.ndarray, occluded: np.nd
 # --- generation ----------------------------------------------------------------
 
 
-class _SceneDraws(NamedTuple):
-    """Every random draw of a scene, made in a fixed order up front."""
+class _World(NamedTuple):
+    """What a scene is, whatever decodes it: appearance, paths and occlusion."""
 
     target_proto: np.ndarray
     distractor_protos: list[np.ndarray]
     background: np.ndarray
     target_centers: np.ndarray                                # (frames, 2)
     distractors: list[tuple[np.ndarray, tuple[float, float]]]  # (centers, size)
-    jitter: np.ndarray     # (frames, 4): dx, dy, dw, dh
-    score_eps: np.ndarray  # (frames, 3)
-    o_eps: np.ndarray      # (frames,)
-    occ_u: np.ndarray      # (frames,)
-    occ_eps: np.ndarray    # (frames, 2)
-    sobj_eps: np.ndarray   # (frames, 2)
-    occluded: np.ndarray   # (frames,) bool
+    occluded: np.ndarray                                      # (frames,) bool
 
 
-def _draw_scene(cfg: SceneConfig) -> _SceneDraws:
-    """The scene's draws from a Philox generator keyed by its seed."""
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+def _world(cfg: SceneConfig, rng: np.random.Generator) -> _World:
+    """The scene's world draws from ``rng``, in a fixed order, and its occlusion flags."""
     sim = cfg.distractor_similarity
-
     # appearance prototypes: target, per-distractor at the configured
     # cosine to the target, and a background vector
     u = _unit(rng.normal(size=cfg.proto_dim))
     distractor_protos = []
     for _ in range(cfg.n_distractors):
         w = rng.normal(size=cfg.proto_dim)
-        w = w - np.dot(w, u) * u
-        w = _unit(w)
+        w = _unit(w - np.dot(w, u) * u)
         distractor_protos.append(sim * u + np.sqrt(max(0.0, 1.0 - sim * sim)) * w)
     background = _unit(rng.normal(size=cfg.proto_dim))
-
     target_centers = _target_path(cfg, rng)
     distractors = _distractor_paths(cfg, rng)
-
-    # fixed-order noise draws so branches never shift the stream
-    jitter = rng.normal(0.0, 1.0, size=(cfg.frames, 4))
-    score_eps = rng.normal(0.0, 1.0, size=(cfg.frames, 3))
-    o_eps = rng.normal(0.0, 1.0, size=cfg.frames)
-    occ_u = rng.random(cfg.frames)
-    occ_eps = rng.normal(0.0, 1.0, size=(cfg.frames, 2))
-    sobj_eps = rng.normal(0.0, 1.0, size=(cfg.frames, 2))
-
     occluded = np.zeros(cfg.frames, dtype=bool)
     for start, end in cfg.occlusions:
         occluded[start:end] = True
-    return _SceneDraws(u, distractor_protos, background, target_centers, distractors,
-                       jitter, score_eps, o_eps, occ_u, occ_eps, sobj_eps, occluded)
+    return _World(u, distractor_protos, background, target_centers, distractors, occluded)
 
 
-def _render(cfg: SceneConfig, d: _SceneDraws, gt_x: np.ndarray, gt_y: np.ndarray
-            ) -> tuple[BitMask, list[list[BitMask]], np.ndarray, np.ndarray]:
-    """The prompt mask, each proposal's masks and proposals 1 and 3's true IoUs.
+def _decode(cfg: SceneConfig, world: _World, gt: Runs, rng: np.random.Generator
+            ) -> tuple[list[list[BitMask]], np.ndarray, np.ndarray]:
+    """The mock decoder's output for a world whose ground truth renders as ``gt``.
 
-    The IoUs are (frames,) arrays; the run arrays behind the masks die on return.
+    Returns each proposal's masks, and each proposal's ``s_mask`` and object
+    score as two (3, frames) arrays; proposal 1's object score is the frame
+    presence score ``o``. The decoder draws its noise from ``rng`` in a fixed
+    order, whatever the branches take, and the run arrays behind the masks
+    die on return.
     """
     frames = cfg.frames
     gw, gh = cfg.grid
     tw, th = cfg.target_motion.size
     sigma = cfg.score_noise
-    cx, cy = d.target_centers[:, 0], d.target_centers[:, 1]
-    jit_cx = cx + d.jitter[:, 0] * 40.0 * sigma
-    jit_cy = cy + d.jitter[:, 1] * 40.0 * sigma
+    sim = cfg.distractor_similarity
+    jitter = rng.normal(0.0, 1.0, size=(frames, 4)).T  # dx, dy, dw, dh
+    eps = rng.normal(0.0, 1.0, size=(frames, 3)).T
+    o_eps = rng.normal(0.0, 1.0, size=frames)
+    occ_u = rng.random(frames)
+    occ_eps = rng.normal(0.0, 1.0, size=(frames, 2)).T
+    sobj_eps = rng.normal(0.0, 1.0, size=(frames, 2)).T
+
+    visible = ~world.occluded
+    cx, cy = world.target_centers[:, 0], world.target_centers[:, 1]
+    jit_cx, jit_cy = cx + jitter[0] * 40.0 * sigma, cy + jitter[1] * 40.0 * sigma
     # np.maximum as max(): the jitter is finite, so no NaN reaches it
-    jit_w = np.maximum(tw * (1.0 + d.jitter[:, 2] * 0.5 * sigma), 2.0)
-    jit_h = np.maximum(th * (1.0 + d.jitter[:, 3] * 0.5 * sigma), 2.0)
+    jit_w = np.maximum(tw * (1.0 + jitter[2] * 0.5 * sigma), 2.0)
+    jit_h = np.maximum(th * (1.0 + jitter[3] * 0.5 * sigma), 2.0)
     # proposal 1: target-aligned, jitter scaled by the score noise; while
     # occluded, a shrunken footprint at the hidden position
-    w1 = np.where(d.occluded, jit_w * 0.4, jit_w)
-    h1 = np.where(d.occluded, jit_h * 0.4, jit_h)
-    tws, ths = np.full(frames, tw), np.full(frames, th)
-
-    gt = _ellipse_runs(gt_x, gt_y, tws, ths, gw, gh)
+    w1, h1 = np.where(visible, jit_w, jit_w * 0.4), np.where(visible, jit_h, jit_h * 0.4)
     runs1 = _ellipse_runs(jit_cx - w1 / 2.0, jit_cy - h1 / 2.0, w1, h1, gw, gh)
     iou1 = _iou(gt, runs1, frames, gh)
-    if d.distractors:
-        # proposal 2: the nearest distractor's box; proposal 3: its union
-        # with proposal 1
-        nearest = np.asarray(_nearest_distractors(d.target_centers, d.distractors))
-        centers = np.stack([c for c, _ in d.distractors])[nearest, np.arange(frames)]
-        dw, dh = np.array([size for _, size in d.distractors])[nearest].T
+    if world.distractors:
+        # proposal 2: the nearest distractor's box, its score pulled into the
+        # target's range by the similarity (0.85 stands in for proposal 1's
+        # IoU while occluded); proposal 3: its union with proposal 1
+        nearest = np.asarray(_nearest_distractors(world.target_centers, world.distractors))
+        centers = np.stack([c for c, _ in world.distractors])[nearest, np.arange(frames)]
+        dw, dh = np.array([size for _, size in world.distractors])[nearest].T
         runs2 = _rect_runs(centers[:, 0] - dw / 2.0, centers[:, 1] - dh / 2.0, dw, dh, gw, gh)
         runs3 = _union_runs(runs1, runs2, gw, gh)
+        pulled = np.clip(np.where(visible, iou1, 0.85) + eps[1] * sigma, 0.0, 1.0)
+        s2 = sim * pulled + (1.0 - sim) * 0.1
+        s_obj2 = 0.8 + sobj_eps[0] * 0.2
     else:
         # proposal 2: a shifted off-target filler; proposal 3: an inflated target
         x2, y2 = (jit_cx + tw * 0.75) - tw / 2.0, (jit_cy + th * 0.5) - th / 2.0
-        runs2 = _ellipse_runs(x2, y2, tws, ths, gw, gh)
+        runs2 = _ellipse_runs(x2, y2, np.full(frames, tw), np.full(frames, th), gw, gh)
         w3, h3 = jit_w * 1.6, jit_h * 1.6
         runs3 = _ellipse_runs(jit_cx - w3 / 2.0, jit_cy - h3 / 2.0, w3, h3, gw, gh)
-    iou3 = _iou(gt, runs3, frames, gh)
-    masks = [_masks(runs, frames, gw, gh) for runs in (runs1, runs2, runs3)]
-    return _masks(gt, 1, gw, gh)[0], masks, iou1, iou3
-
-
-def _decoder_scores(cfg: SceneConfig, d: _SceneDraws, iou1: np.ndarray, iou3: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Each proposal's ``s_mask`` and object score, as two (3, frames) arrays;
-    proposal 1's object score is the frame presence score ``o``. While the
-    target is occluded, proposals 1 and 3 score low stand-in levels, and 0.85
-    stands in for proposal 1's IoU in proposal 2's pull."""
-    sigma = cfg.score_noise
-    sim = cfg.distractor_similarity
-    visible = ~d.occluded
-    eps = d.score_eps.T
-    s1 = np.where(visible, iou1 + eps[0] * sigma, 0.15 + eps[0] * max(sigma, 0.05))
-    if d.distractors:
-        pulled = np.clip(np.where(visible, iou1, 0.85) + eps[1] * sigma, 0.0, 1.0)
-        s2 = sim * pulled + (1.0 - sim) * 0.1
-        s_obj2 = 0.8 + d.sobj_eps[:, 0] * 0.2
-    else:
         s2 = 0.1 + eps[1] * sigma
-        s_obj2 = -0.2 + d.sobj_eps[:, 0] * 0.1
-    s3 = np.where(visible, iou3, 0.2) + eps[2] * sigma
-    o = np.where(visible, 1.0 + d.o_eps * 0.25,
-                 np.where(d.occ_u < 0.8, -0.5 - np.abs(d.occ_eps[:, 0]) * 0.3,
-                          0.2 + np.abs(d.occ_eps[:, 1]) * 0.2))
-    s_obj3 = 0.3 + d.sobj_eps[:, 1] * 0.2
+        s_obj2 = -0.2 + sobj_eps[0] * 0.1
+    # while occluded, proposals 1 and 3 score low stand-in levels
+    s1 = np.where(visible, iou1 + eps[0] * sigma, 0.15 + eps[0] * max(sigma, 0.05))
+    s3 = np.where(visible, _iou(gt, runs3, frames, gh), 0.2) + eps[2] * sigma
+    o = np.where(visible, 1.0 + o_eps * 0.25,
+                 np.where(occ_u < 0.8, -0.5 - np.abs(occ_eps[0]) * 0.3,
+                          0.2 + np.abs(occ_eps[1]) * 0.2))
+    s_obj3 = 0.3 + sobj_eps[1] * 0.2
+    masks = [_masks(runs, frames, gw, gh) for runs in (runs1, runs2, runs3)]
     # np.clip as min(max(...)): each sum has at most one infinite term, so no NaN
-    return np.clip([s1, s2, s3], 0.0, 1.0), np.array([o, s_obj2, s_obj3])
+    return masks, np.clip([s1, s2, s3], 0.0, 1.0), np.array([o, s_obj2, s_obj3])
 
 
 def gen_sequence(cfg: SceneConfig) -> SequenceRecord:
     """Generate the full scenario; a pure function of the config."""
-    d = _draw_scene(cfg)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    world = _world(cfg, rng)
+    gw, gh = cfg.grid
     tw, th = cfg.target_motion.size
-    gt_x = d.target_centers[:, 0] - tw / 2.0
-    gt_y = d.target_centers[:, 1] - th / 2.0
+    gt_x = world.target_centers[:, 0] - tw / 2.0
+    gt_y = world.target_centers[:, 1] - th / 2.0
+    gt = _ellipse_runs(gt_x, gt_y, np.full(cfg.frames, tw), np.full(cfg.frames, th), gw, gh)
+    init_mask = _masks(gt, 1, gw, gh)[0]
     # the masks before the feature grids, so that the grids and the arrays
     # the masks are rendered from are never held at once
-    init_mask, masks, iou1, iou3 = _render(cfg, d, gt_x, gt_y)
-    labels, palette = _feature_grids(cfg, d.target_centers, d.occluded, d.distractors,
-                                     d.distractor_protos, d.target_proto, d.background)
-    s_mask, s_obj = _decoder_scores(cfg, d, iou1, iou3)
+    masks, s_mask, s_obj = _decode(cfg, world, gt, rng)
+    del gt
+    labels, palette = _feature_grids(cfg, world.target_centers, world.occluded,
+                                     world.distractors, world.distractor_protos,
+                                     world.target_proto, world.background)
 
     gt_boxes = [None if hidden else BBox(x, y, tw, th)
-                for hidden, x, y in zip(d.occluded.tolist(), gt_x.tolist(), gt_y.tolist())]
+                for hidden, x, y in zip(world.occluded.tolist(), gt_x.tolist(), gt_y.tolist())]
     observations = [
         FrameObservation(t, (Proposal(m1, s1, o), Proposal(m2, s2, o2), Proposal(m3, s3, o3)), o,
                          FeatureGrid.from_labels(palette, labels[t]))

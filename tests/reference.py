@@ -6,12 +6,13 @@ avoid the library's code paths, these hold the library to the same bits.
 :func:`dense_gen_sequence` is the simulator's per-frame loop with every
 mask a dense grid (:func:`dense_ellipse`, :func:`dense_rect`, each shape
 from its per-pixel predicate evaluated on the whole grid) and every
-feature grid labeled cell by cell (:func:`feature_grid_labels`): it
-shares the scene's random draws with :mod:`trackmem.simulator`, so that
-it checks only what the simulator computes from them. Since it shares
-the draws, it shares the target's path as well; that path's clamp into
-the grid is held to :func:`target_path_clamped_per_frame`, which clamps
-one frame at a time.
+feature grid labeled cell by cell (:func:`feature_grid_labels`). It
+shares the scene's world with :mod:`trackmem.simulator` (its draws,
+paths and occlusion flags) and makes the decoder's draws itself, in the
+order the simulator documents, so that it checks that order and what the
+simulator computes from the draws. Since it shares the world, it shares
+the target's path as well; that path's clamp into the grid is held to
+:func:`target_path_clamped_per_frame`, which clamps one frame at a time.
 
 The rest are the library's own earlier, slower forms, kept so that a
 rewrite can be held to the same bits: the RLE text encoder that groups
@@ -124,13 +125,22 @@ def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
     """The simulator's scene, one frame at a time, every mask a dense grid.
 
     Same draws and formulas as :func:`trackmem.simulator.gen_sequence`, but
-    only the draws come from the simulator: shapes come from
-    :func:`dense_ellipse` and :func:`dense_rect`, the nearest distractor from
-    one ``np.hypot`` per distractor, the merged proposal is a dense OR, scores
-    use :func:`dense_mask_iou` and a scalar clamp, and feature grids come from
+    only the world comes from the simulator: the decoder's noise is drawn
+    here after it, shapes come from :func:`dense_ellipse` and
+    :func:`dense_rect`, the nearest distractor from one ``np.hypot`` per
+    distractor, the merged proposal is a dense OR, scores use
+    :func:`dense_mask_iou` and a scalar clamp, and feature grids come from
     :func:`feature_grid_labels`.
     """
-    d = simulator._draw_scene(cfg)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    d = simulator._world(cfg, rng)
+    # the decoder's draws, in the documented order
+    jitter = rng.normal(0.0, 1.0, size=(cfg.frames, 4))
+    score_eps = rng.normal(0.0, 1.0, size=(cfg.frames, 3))
+    o_eps = rng.normal(0.0, 1.0, size=cfg.frames)
+    occ_u = rng.random(cfg.frames)
+    occ_eps = rng.normal(0.0, 1.0, size=(cfg.frames, 2))
+    sobj_eps = rng.normal(0.0, 1.0, size=(cfg.frames, 2))
     gw, gh = cfg.grid
     tw, th = cfg.target_motion.size
     sigma = cfg.score_noise
@@ -152,45 +162,45 @@ def dense_gen_sequence(cfg: simulator.SceneConfig) -> simulator.SequenceRecord:
         if t == 0:
             init_mask = BitMask.from_dense(gt)
 
-        jit_cx = cx + d.jitter[t, 0] * 40.0 * sigma
-        jit_cy = cy + d.jitter[t, 1] * 40.0 * sigma
-        jit_w = max(tw * (1.0 + d.jitter[t, 2] * 0.5 * sigma), 2.0)
-        jit_h = max(th * (1.0 + d.jitter[t, 3] * 0.5 * sigma), 2.0)
+        jit_cx = cx + jitter[t, 0] * 40.0 * sigma
+        jit_cy = cy + jitter[t, 1] * 40.0 * sigma
+        jit_w = max(tw * (1.0 + jitter[t, 2] * 0.5 * sigma), 2.0)
+        jit_h = max(th * (1.0 + jitter[t, 3] * 0.5 * sigma), 2.0)
         if visible:
             mask1 = dense_ellipse(box(jit_cx, jit_cy, jit_w, jit_h), gw, gh)
             true_iou1 = dense_mask_iou(mask1, gt)
-            s1 = clamp01(true_iou1 + d.score_eps[t, 0] * sigma)
+            s1 = clamp01(true_iou1 + score_eps[t, 0] * sigma)
         else:
             mask1 = dense_ellipse(box(jit_cx, jit_cy, jit_w * 0.4, jit_h * 0.4), gw, gh)
             true_iou1 = 0.85
-            s1 = clamp01(0.15 + d.score_eps[t, 0] * max(sigma, 0.05))
+            s1 = clamp01(0.15 + score_eps[t, 0] * max(sigma, 0.05))
 
         if d.distractors:
             # the distractor whose center is nearest the target's, the first on ties
             dists = [np.hypot(c[t, 0] - cx, c[t, 1] - cy) for c, _ in d.distractors]
             d_centers, d_size = d.distractors[int(np.argmin(dists))]
             mask2 = dense_rect(box(d_centers[t, 0], d_centers[t, 1], *d_size), gw, gh)
-            s2 = clamp01(sim * clamp01(true_iou1 + d.score_eps[t, 1] * sigma)
+            s2 = clamp01(sim * clamp01(true_iou1 + score_eps[t, 1] * sigma)
                           + (1.0 - sim) * 0.1)
             mask3 = mask1 | mask2
         else:
             mask2 = dense_ellipse(box(jit_cx + tw * 0.75, jit_cy + th * 0.5, tw, th), gw, gh)
-            s2 = clamp01(0.1 + d.score_eps[t, 1] * sigma)
+            s2 = clamp01(0.1 + score_eps[t, 1] * sigma)
             mask3 = dense_ellipse(box(jit_cx, jit_cy, jit_w * 1.6, jit_h * 1.6), gw, gh)
         if visible:
-            s3 = clamp01(dense_mask_iou(mask3, gt) + d.score_eps[t, 2] * sigma)
+            s3 = clamp01(dense_mask_iou(mask3, gt) + score_eps[t, 2] * sigma)
         else:
-            s3 = clamp01(0.2 + d.score_eps[t, 2] * sigma)
+            s3 = clamp01(0.2 + score_eps[t, 2] * sigma)
 
         if visible:
-            o = 1.0 + d.o_eps[t] * 0.25
-        elif d.occ_u[t] < 0.8:
-            o = -0.5 - abs(d.occ_eps[t, 0]) * 0.3
+            o = 1.0 + o_eps[t] * 0.25
+        elif occ_u[t] < 0.8:
+            o = -0.5 - abs(occ_eps[t, 0]) * 0.3
         else:
-            o = 0.2 + abs(d.occ_eps[t, 1]) * 0.2
-        s_obj2 = 0.8 + d.sobj_eps[t, 0] * 0.2 if d.distractors \
-            else -0.2 + d.sobj_eps[t, 0] * 0.1
-        s_obj3 = 0.3 + d.sobj_eps[t, 1] * 0.2
+            o = 0.2 + abs(occ_eps[t, 1]) * 0.2
+        s_obj2 = 0.8 + sobj_eps[t, 0] * 0.2 if d.distractors \
+            else -0.2 + sobj_eps[t, 0] * 0.1
+        s_obj3 = 0.3 + sobj_eps[t, 1] * 0.2
         observations.append(FrameObservation(
             frame_idx=t,
             proposals=(

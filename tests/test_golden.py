@@ -8,9 +8,13 @@ fixtures to match.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+from numpy._core import _multiarray_umath as umath
 
 from trackmem.geometry import BitMask
 from trackmem import harness
@@ -146,16 +150,18 @@ def test_golden_trace_replays_byte_identically():
     assert got == want
 
 
+ROOT = Path(__file__).resolve().parent.parent
 # the benchmark's recorded sha256 of every default-run file (read here, never written)
-BENCH_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+BENCH_EXPECTED = ROOT / "perfbench" / "expected.json"
+# one scene of each family
+JOB_SCENES = ("occlusion_101", "fast_motion_201", "distractor_301")
 
 
 def test_scene_job_logs_match_the_recorded_default_run():
     """All six policies' logs on one scene of each of three families, byte for byte."""
     recorded = json.loads(BENCH_EXPECTED.read_text())["files"]
-    wanted = {"occlusion_101", "fast_motion_201", "distractor_301"}
-    scenes = [s for s in suite_standard() if f"{s.family}_{s.seed}" in wanted]
-    assert len(scenes) == len(wanted)
+    scenes = [s for s in suite_standard() if f"{s.family}_{s.seed}" in JOB_SCENES]
+    assert len(scenes) == len(JOB_SCENES)
     for scene in scenes:
         family, seed, _, _, logs = harness._scene_job(
             (config_to_dict(scene), default_config(), ALL_POLICY_NAMES))
@@ -163,6 +169,44 @@ def test_scene_job_logs_match_the_recorded_default_run():
         for name, text in logs.items():
             rel = f"logs/{name}/{family}_{seed}.jsonl"
             assert hashlib.sha256(text.encode()).hexdigest() == recorded[rel], rel
+
+
+# run by a child process with the scene names as arguments: prints each log's
+# sha256 by its path in a default run, and the dispatch targets left enabled
+_ENVELOPE_CHILD = """
+import hashlib, json, sys
+from numpy._core import _multiarray_umath as umath
+from trackmem import harness
+from trackmem.simulator import config_to_dict, suite_standard
+digests = {}
+for scene in suite_standard():
+    if f"{scene.family}_{scene.seed}" in sys.argv[1:]:
+        family, seed, _, _, logs = harness._scene_job(
+            (config_to_dict(scene), harness.default_config(), harness.ALL_POLICY_NAMES))
+        for name, text in logs.items():
+            digests[f"logs/{name}/{family}_{seed}.jsonl"] = hashlib.sha256(text.encode()).hexdigest()
+print(json.dumps({"digests": digests, "enabled": [
+    target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]}))
+"""
+
+
+def test_scene_job_logs_hold_under_another_hash_seed_and_the_simd_baseline():
+    """The determinism envelope: the same logs with ``PYTHONHASHSEED`` set and
+    every numpy SIMD dispatch target above the build's baseline disabled."""
+    recorded = json.loads(BENCH_EXPECTED.read_text())["files"]
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # the suite's warning filters (pyproject.toml) do not reach a subprocess
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-W", "error::DeprecationWarning", "-c", _ENVELOPE_CHILD, *JOB_SCENES],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["enabled"] == []
+    assert len(out["digests"]) == len(JOB_SCENES) * len(ALL_POLICY_NAMES)
+    for rel, digest in out["digests"].items():
+        assert digest == recorded[rel], rel
 
 
 def test_distractor_baseline_structure():

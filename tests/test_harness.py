@@ -296,6 +296,11 @@ def test_float_fields_take_json_integers():
     ({"target_motion": {"frequency": 1e308}}, "target_motion: frequency"),
     ({"target_motion": {"frequency": -1e101}}, "target_motion: frequency"),
     ({"target_motion": {"step_sigma": -1.0}}, "target_motion: step_sigma"),
+    # scenes too large to generate: each once ended in a MemoryError
+    ({"frames": 10 ** 12, "grid": [64, 64], "target_motion": {"size": [10, 8]}}, "frames"),
+    ({"frames": 20, "proto_dim": 10 ** 12, "grid": [64, 64],
+      "target_motion": {"size": [10, 8]}}, "proto_dim"),
+    ({"frames": 110, "grid": [65535, 65535]}, "frames and grid"),
 ])
 def test_bad_scene_values_exit_2_naming_scene_and_key(tmp_path, capsys, change, key):
     scenes = [TINY_SCENES[0], dict(TINY_SCENES[1], **change)]

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -198,6 +199,37 @@ def test_every_accepted_scene_generates_cleanly(fields):
         results = TrackerSession(TrackerConfig(policy=policy), record.init_mask).run(
             record.observations)
         assert len(results) == cfg.frames
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=scene_fields())
+def test_the_world_does_not_depend_on_the_decoder(fields):
+    # two scenes that differ only in the decoder's score noise
+    try:
+        cfg = SceneConfig(**dict(fields, target_motion=MotionSpec(**fields["target_motion"])))
+    except ValueError:
+        return
+    a = gen_sequence(cfg)
+    b = gen_sequence(replace(cfg, score_noise=0.0 if cfg.score_noise >= 0.25 else 0.5))
+    assert a.gt_boxes == b.gt_boxes and a.init_mask == b.init_mask
+    for obs_a, obs_b in zip(a.observations, b.observations):
+        assert obs_a.features == obs_b.features
+    assert [o.proposals for o in a.observations] != [o.proposals for o in b.observations]
+
+
+@pytest.mark.parametrize("fields, key", [
+    (dict(frames=100_000), None), (dict(frames=100_001), "frames"),
+    (dict(proto_dim=1024), None), (dict(proto_dim=1025), "proto_dim"),
+    # 4,095 x 4,095 feature cells a frame
+    (dict(frames=2, grid=(65535, 65535)), None),
+    (dict(frames=3, grid=(65535, 65535)), "frames and grid"),
+])
+def test_scene_size_bounds_keep_generation_within_memory(fields, key):
+    if key is None:
+        SceneConfig(seed=1, **fields)
+        return
+    with pytest.raises(ValueError, match=key + " must "):
+        SceneConfig(seed=1, **fields)
 
 
 @pytest.mark.parametrize("grid, size, n_distractors, key", [
