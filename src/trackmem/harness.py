@@ -15,11 +15,15 @@ All outputs are deterministic functions of the config: rows are sorted
 before writing, floats are serialized with ``repr``, and files land via
 temp-then-rename so partially written output never survives.
 
-Each scene's logs land as soon as that scene finishes, so a run holds one
-scene's logs at a time. ``metrics.csv``, ``aggregate.json`` and ``plots/``
-follow the last scene, and ``manifest.json`` is written last: its presence
-marks a complete run. A run that fails part-way can leave the logs of the
-scenes that finished, as an earlier run in the same directory can.
+Each scene's logs are built once, by the worker that ran it: every line
+comes from :func:`~trackmem.selection.result_line`'s one template, and each
+chosen proposal's fragment of it (``present`` through ``s_obj``) is written
+once and shared by all the scene's runs that chose it. The logs land as
+soon as that scene finishes, so a run holds one scene's logs at a time.
+``metrics.csv``, ``aggregate.json`` and ``plots/`` follow the last scene,
+and ``manifest.json`` is written last: its presence marks a complete run.
+A run that fails part-way can leave the logs of the scenes that finished,
+as an earlier run in the same directory can.
 
 Config files are JSON with this key tree (every leaf optional)::
 
@@ -61,7 +65,7 @@ from .membank import DrmConfig
 from .metrics import SUCCESS_THRESHOLDS, evaluate, success_curve
 from .motion import MotionConfig
 from .policies import PolicyConfig
-from .selection import PolicyKind, TrackerConfig, TrackerSession, frame_result_to_line
+from .selection import PolicyKind, TrackerConfig, TrackerSession, proposal_fragment, result_line
 from .simulator import SceneConfig, config_from_dict, config_to_dict, gen_sequence, suite_standard
 
 __all__ = [
@@ -265,19 +269,32 @@ def run_scene(record, tracker_cfg: TrackerConfig):
 
 
 def _scene_job(args: tuple[dict, dict, list[str]]):
-    """Worker-pool unit: one scene against every requested policy."""
+    """Worker-pool unit: one scene against every requested policy.
+
+    The memo of proposal fragments is keyed by identity, never by value
+    (equal proposals can write different bytes, as ``0.0`` and ``-0.0``
+    do), and holds each proposal so that no id is reused while it lives.
+    """
     scene_dict, run_cfg, policy_names = args
     scene = config_from_dict(scene_dict)
     record = gen_sequence(scene)
     rows = []
     curves = {}
     logs = {}
+    fragments: dict[int, tuple] = {}  # id(chosen) -> (chosen, its fragment)
     for name in policy_names:
         outcome, curve, results = run_scene(record, tracker_config_from(run_cfg, name))
         rows.append({"suite": run_cfg["suite"], "family": scene.family,
                      "seed": scene.seed, "policy": name, "outcome": outcome})
         curves[name] = curve
-        logs[name] = "".join(frame_result_to_line(r) + "\n" for r in results)
+        lines = []
+        for r in results:
+            chosen = r.chosen
+            held = fragments.get(id(chosen))
+            if held is None:
+                held = fragments[id(chosen)] = (chosen, proposal_fragment(chosen))
+            lines.append(result_line(r, held[1]))
+        logs[name] = "\n".join(lines) + "\n"
     return scene.family, scene.seed, rows, curves, logs
 
 

@@ -33,7 +33,6 @@ frame to RAM except the FIFO baseline.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -75,6 +74,8 @@ __all__ = [
     "select_samurai",
     "select_him",
     "frame_result_to_line",
+    "proposal_fragment",
+    "result_line",
 ]
 
 
@@ -129,33 +130,75 @@ class FrameResult(NamedTuple):
         return self.chosen is not None
 
 
-# one encoder for every line: json.dumps with separators builds a new one per call
-_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_FLOAT_REPR = float.__repr__
+_INT_REPR = int.__repr__
+_INF = float("inf")
+
+
+def _json_value(x) -> str:
+    """``x`` as ``json`` writes it: null, a bool, an int, or a float by
+    ``float.__repr__`` (also for a subclass such as ``np.float64``), with
+    ``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == _INF:
+            return "Infinity"
+        if x == -_INF:
+            return "-Infinity"
+        return _FLOAT_REPR(x)
+    if isinstance(x, int):
+        return _INT_REPR(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+_ABSENT = '"present":false,"bbox":null,"mask_sha1":null,"s_mask":null,"s_obj":null'
+
+
+def proposal_fragment(chosen: Proposal | None) -> str:
+    """The chosen proposal's part of a result's line: ``present`` through ``s_obj``."""
+    if chosen is None:
+        return _ABSENT
+    box = chosen.bbox
+    bbox = "null" if box is None else f"[{','.join(map(_json_value, box))}]"
+    return (f'"present":true,"bbox":{bbox},"mask_sha1":"{chosen.mask.text_sha1()}",'
+            f'"s_mask":{_json_value(chosen.s_mask)},"s_obj":{_json_value(chosen.s_obj)}')
+
+
+# each decision's "admit" and "reason" fields
+_DECISION = {d: f'"admit":{_json_value(d.admit)},"reason":"{d.value}"' for d in AdmissionReason}
+
+
+def result_line(res: FrameResult, fragment: str) -> str:
+    """The line of ``res`` whose chosen proposal's part is ``fragment``:
+    the one template every log line is written from."""
+    frame_idx, _, decision, drm_admitted, s_kf, s_conf, used_fine = res
+    return (f'{{"frame":{_json_value(frame_idx)},{fragment},"s_kf":{_json_value(s_kf)},'
+            f'"s_conf":{_json_value(s_conf)},"used_fine":{_json_value(used_fine)},'
+            f'{_DECISION[decision]},"drm":{_json_value(drm_admitted)}}}')
 
 
 def frame_result_to_line(res: FrameResult) -> str:
     """Serialize a result to one JSON line (the golden-trace format).
 
     Masks are reduced to a digest of their RLE text; everything else is
-    carried verbatim so reruns must match byte-for-byte.
+    carried verbatim so reruns must match byte-for-byte. The keys are
+    ``frame``, the chosen proposal's ``present``, ``bbox``, ``mask_sha1``,
+    ``s_mask`` and ``s_obj`` (:func:`proposal_fragment`), then ``s_kf``,
+    ``s_conf``, ``used_fine``, ``admit``, ``reason`` and ``drm``, with no
+    spaces. Values are written as ``json`` writes them: ``null`` for None,
+    ``true``/``false``, an int as an int (scores read from a JSONL file can
+    be ints), a float, or a float subclass such as ``np.float64``, by
+    ``float.__repr__``, and ``NaN``, ``Infinity`` and ``-Infinity`` for the
+    non-finite. A present proposal with an empty mask has ``"bbox":null``.
     """
-    chosen = res.chosen
-    payload = {
-        "frame": res.frame_idx,
-        "present": res.present,
-        "bbox": None if chosen is None or chosen.bbox is None
-        else list(chosen.bbox),
-        "mask_sha1": None if chosen is None else chosen.mask.text_sha1(),
-        "s_mask": None if chosen is None else chosen.s_mask,
-        "s_obj": None if chosen is None else chosen.s_obj,
-        "s_kf": res.s_kf,
-        "s_conf": res.s_conf,
-        "used_fine": res.used_fine,
-        "admit": res.decision.admit,
-        "reason": res.decision.value,
-        "drm": res.drm_admitted,
-    }
-    return _LINE_ENCODER.encode(payload)
+    return result_line(res, proposal_fragment(res.chosen))
 
 
 # --- per-frame choice rules --------------------------------------------------

@@ -149,8 +149,10 @@ class SceneConfig:
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed!r}")
         if self.frames < 1:
             raise ValueError("need at least one frame")
-        # the bounds below keep a scene's arrays within memory: its paths and
-        # masks grow with frames, its feature labels with frames x cells
+        # the bounds below keep a scene's arrays within memory and its generation
+        # within seconds: its paths and masks grow with frames, its feature labels
+        # with frames x cells, and its distractors' paths and labeling, one Python
+        # pass each, with distractors x frames x cells
         if self.frames > 100_000:
             raise ValueError(f"frames must be <= 100,000, got {self.frames!r}")
         if min(self.grid) < 1:
@@ -162,6 +164,10 @@ class SceneConfig:
         if self.frames * cells_w * cells_h > 2 ** 25:
             raise ValueError(f"frames and grid must give at most 2**25 feature cells in all,"
                              f" got {self.frames!r} frames of {cells_w} x {cells_h} cells")
+        if self.n_distractors * self.frames * cells_w * cells_h > 2 ** 25:
+            raise ValueError(f"n_distractors must give at most 2**25 distractor feature cells"
+                             f" in all, got {self.n_distractors!r} distractors on {self.frames!r}"
+                             f" frames of {cells_w} x {cells_h} cells")
         # a side under 2 px can render an empty prompt (a 1 x 1 ellipse between
         # pixel centers)
         size = self.target_motion.size

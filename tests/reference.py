@@ -27,12 +27,15 @@ that whole-sequence array scoring must match, the prototype-calibrated
 admission that rebuilds its pool, window and unscored set every frame
 (:class:`RebuildingSamite`), and the beam that takes one log per
 (pathway, proposal) pair and copies every survivor's whole trajectory
-(:func:`pathway_expand_per_pair`, :func:`pathway_prune_copying`).
+(:func:`pathway_expand_per_pair`, :func:`pathway_prune_copying`), and
+the golden-trace line built as a dict and encoded by ``json``
+(:func:`json_frame_result_line`), which the one line template must match.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -51,7 +54,7 @@ from trackmem.policies import (
     samite_calibrate,
     samite_select_ram,
 )
-from trackmem.selection import SamitePolicy
+from trackmem.selection import FrameResult, SamitePolicy
 
 from oracles import dense_mask_iou
 
@@ -544,3 +547,28 @@ def pathway_prune_copying(
             decision=decision,
         ))
     return survivors
+
+
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def json_frame_result_line(res: FrameResult) -> str:
+    """The golden-trace line as a 12-key dict encoded by ``json``: the earlier
+    serializer, and the oracle of ``selection.frame_result_to_line``."""
+    chosen = res.chosen
+    payload = {
+        "frame": res.frame_idx,
+        "present": res.present,
+        "bbox": None if chosen is None or chosen.bbox is None
+        else list(chosen.bbox),
+        "mask_sha1": None if chosen is None else chosen.mask.text_sha1(),
+        "s_mask": None if chosen is None else chosen.s_mask,
+        "s_obj": None if chosen is None else chosen.s_obj,
+        "s_kf": res.s_kf,
+        "s_conf": res.s_conf,
+        "used_fine": res.used_fine,
+        "admit": res.decision.admit,
+        "reason": res.decision.value,
+        "drm": res.drm_admitted,
+    }
+    return _LINE_ENCODER.encode(payload)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -16,13 +17,16 @@ from trackmem.harness import (
     default_config,
     load_config,
     run_benchmark,
+    run_scene,
     scene_list,
     tracker_config_from,
 )
 from trackmem.checks import shown
 from trackmem.cli import main as cli_main
+from trackmem.observation import FrameObservation, Proposal
 from trackmem.policies import PolicyConfig
-from trackmem.simulator import MotionSpec, SceneConfig, config_to_dict
+from trackmem.selection import frame_result_to_line
+from trackmem.simulator import MotionSpec, SceneConfig, config_to_dict, gen_sequence
 
 from conftest import FIXTURES
 from oracles import materialize
@@ -301,6 +305,9 @@ def test_float_fields_take_json_integers():
     ({"frames": 20, "proto_dim": 10 ** 12, "grid": [64, 64],
       "target_motion": {"size": [10, 8]}}, "proto_dim"),
     ({"frames": 110, "grid": [65535, 65535]}, "frames and grid"),
+    # one still generating after 8 s
+    ({"frames": 2, "grid": [64, 64], "target_motion": {"size": [10, 8]},
+      "n_distractors": 10 ** 12}, "n_distractors"),
 ])
 def test_bad_scene_values_exit_2_naming_scene_and_key(tmp_path, capsys, change, key):
     scenes = [TINY_SCENES[0], dict(TINY_SCENES[1], **change)]
@@ -571,6 +578,27 @@ def test_a_failing_scene_leaves_only_the_finished_scenes_logs(tmp_path, monkeypa
     assert [p.name for p in out.iterdir()] == ["logs"]  # no metrics, aggregate, plots, manifest
     assert log_files(out) == logs_of(FOUR_SCENES[:2])
     assert not list(out.rglob("*.tmp"))
+
+
+def test_scene_job_writes_each_proposals_own_fragment_even_when_another_equals_it(
+        monkeypatch):
+    """The scene's runs choose distinct proposals equal under ``==`` (``s_mask``
+    ``0.0`` and ``-0.0``); each run's log is still its own results' lines."""
+    scene = SceneConfig(seed=5, frames=12, grid=(64, 64),
+                        target_motion=MotionSpec(size=(14.0, 10.0)))
+    record = gen_sequence(scene)
+    prompt = record.init_mask
+    twins = dataclasses.replace(record, observations=[record.observations[0]] + [
+        FrameObservation(t, tuple(Proposal(prompt, -0.0 if t % 2 else 0.0, 1.0)
+                                  for _ in range(3)), 1.0)
+        for t in range(1, scene.frames)])
+    assert twins.observations[1].proposals[0] == twins.observations[2].proposals[0]
+    monkeypatch.setattr(harness, "gen_sequence", lambda cfg: twins)
+    *_, logs = harness._scene_job((config_to_dict(scene), default_config(), ALL_POLICY_NAMES))
+    for name in ALL_POLICY_NAMES:
+        _, _, results = run_scene(twins, tracker_config_from(default_config(), name))
+        assert logs[name] == "".join(frame_result_to_line(r) + "\n" for r in results), name
+        assert '"s_mask":0.0,' in logs[name] and '"s_mask":-0.0,' in logs[name], name
 
 
 def test_run_worker_pool_matches_sequential(tmp_path):

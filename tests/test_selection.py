@@ -46,6 +46,7 @@ from conftest import empty_mask, obs, rect_mask
 from oracles import him_choice_oracle, samurai_choice_oracle
 from reference import (
     RebuildingSamite,
+    json_frame_result_line,
     matrix_kf_box,
     matrix_kf_predict,
     matrix_kf_update,
@@ -836,3 +837,24 @@ def test_frame_result_is_an_immutable_record_with_the_golden_line():
         '{"frame":7,"present":false,"bbox":null,"mask_sha1":null,"s_mask":null,"s_obj":null,'
         '"s_kf":null,"s_conf":0.125,"used_fine":true,"admit":false,"reason":"target_absent",'
         '"drm":false}')
+
+
+# s_mask values whose json text differs from a naive str() or repr(), or from another
+# value equal under ==: signed zero, the least subnormal, ints, and a numpy float
+_S_MASKS = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 0, 1]) | st.floats(0.0, 1.0).map(np.float64)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2 ** 64, 2 ** 64)
+_SCORES = st.none() | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf")])
+
+
+@given(mask=st.none() | st.sampled_from([*MASKS, empty_mask()]), s_mask=_S_MASKS,
+       s_obj=_FINITE, s_kf=_SCORES, s_conf=_SCORES, decision=st.sampled_from(AdmissionReason),
+       drm=st.booleans(), used_fine=st.booleans(), frame_idx=st.integers(0, 2 ** 63))
+@example(mask=MASKS[0], s_mask=np.float64(0.5), s_obj=1, s_kf=float("nan"),
+         s_conf=float("-inf"), decision=AdmissionReason.ADMITTED, drm=True, used_fine=True,
+         frame_idx=2 ** 63)
+def test_the_line_template_writes_the_json_encoders_bytes(
+        mask, s_mask, s_obj, s_kf, s_conf, decision, drm, used_fine, frame_idx):
+    chosen = None if mask is None else Proposal(mask, s_mask, s_obj)
+    res = FrameResult(frame_idx, chosen, decision, drm, s_kf, s_conf, used_fine)
+    assert frame_result_to_line(res) == json_frame_result_line(res)

@@ -223,6 +223,9 @@ def test_the_world_does_not_depend_on_the_decoder(fields):
     # 4,095 x 4,095 feature cells a frame
     (dict(frames=2, grid=(65535, 65535)), None),
     (dict(frames=3, grid=(65535, 65535)), "frames and grid"),
+    # 4 x 4 feature cells a frame
+    (dict(frames=1024, grid=(64, 64), n_distractors=2048), None),
+    (dict(frames=1024, grid=(64, 64), n_distractors=2049), "n_distractors"),
 ])
 def test_scene_size_bounds_keep_generation_within_memory(fields, key):
     if key is None:
