@@ -258,7 +258,7 @@ class BitMask:
     A mask's area and its column bounds are taken once, when it is built.
     """
 
-    __slots__ = ("width", "height", "packed", "_area", "_col0", "_col1", "_text", "_sha1")
+    __slots__ = ("width", "height", "packed", "_area", "_col0", "_col1", "_sha1")
 
     def __init__(self, width: int, height: int, runs=()) -> None:
         values, given = _triples(runs)
@@ -275,7 +275,6 @@ class BitMask:
         setattr_(self, "_area", area)
         setattr_(self, "_col0", col0)
         setattr_(self, "_col1", col1)
-        setattr_(self, "_text", None)
         setattr_(self, "_sha1", None)
 
     @classmethod
@@ -362,22 +361,18 @@ class BitMask:
     def to_text(self) -> str:
         """Serialize to the ``W H; row:start+len,...`` text form.
 
-        The text is encoded on the first call and kept on the mask.
+        The text is encoded on each call and not kept.
         """
-        text = self._text
-        if text is None:
-            parts = [f"{self.width} {self.height}"]
-            last_row = -1
-            values = iter(memoryview(self.packed).cast("H"))
-            for row, start, length in zip(values, values, values):
-                if row == last_row:
-                    parts.append(f",{start}+{length}")
-                else:
-                    parts.append(f"; {row}:{start}+{length}")
-                    last_row = row
-            text = "".join(parts)
-            object.__setattr__(self, "_text", text)
-        return text
+        parts = [f"{self.width} {self.height}"]
+        last_row = -1
+        values = iter(memoryview(self.packed).cast("H"))
+        for row, start, length in zip(values, values, values):
+            if row == last_row:
+                parts.append(f",{start}+{length}")
+            else:
+                parts.append(f"; {row}:{start}+{length}")
+                last_row = row
+        return "".join(parts)
 
     def text_sha1(self) -> str:
         """The sha1 hex digest of :meth:`to_text`, computed once and kept on the mask."""

@@ -19,6 +19,8 @@ ground-truth box or absent) pairs:
   with any overlap at all; quality averages, over all frames, the IoU on
   visible frames and the absence-prediction correctness on invisible
   ones. These are deliberately not the anchor-based toolkit protocol.
+  :func:`evaluate` computes all three; robustness is the success rate
+  at threshold 0.
 
 A frame's ground truth is visible exactly when its GT box is present, so
 the GT boxes are the only GT input. Frames whose ground truth is absent
@@ -54,7 +56,6 @@ from .geometry import box_iou  # noqa: F401
 __all__ = [
     "EvalOutcome",
     "success_curve",
-    "vot_qar",
     "evaluate",
     "SUCCESS_THRESHOLDS",
     "NORM_PRECISION_THRESHOLDS",
@@ -67,7 +68,7 @@ _ABSENT = (0.0, 0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class EvalOutcome:
-    """All reported columns for one sequence (or an aggregate)."""
+    """All reported columns for one sequence."""
 
     success_auc: float
     precision_at_20: float
@@ -154,25 +155,6 @@ def success_curve(pred: list[BBox | None], gt: list[BBox | None]) -> np.ndarray:
     return _score(pred, gt).success_rates
 
 
-def vot_qar(
-    pred_present: list[bool],
-    pred_iou: list[float],
-    gt_visible: list[bool],
-) -> tuple[float, float, float]:
-    """(quality, accuracy, robustness) surrogates; see module docs."""
-    if not (len(pred_present) == len(pred_iou) == len(gt_visible)):
-        raise ValueError("vot_qar inputs must have equal lengths")
-    present = np.asarray(pred_present, dtype=bool)
-    iou = np.asarray(pred_iou, dtype=float)
-    visible = np.asarray(gt_visible, dtype=bool)
-    both = visible & present
-    acc = float(iou[both].mean()) if both.any() else 0.0
-    rob = float((iou[visible] > 0.0).mean()) if visible.any() else 0.0
-    q_terms = np.where(visible, iou, np.where(present, 0.0, 1.0))
-    q = float(q_terms.mean()) if q_terms.size else 0.0
-    return q, acc, rob
-
-
 def evaluate(
     pred: list[BBox | None],
     pred_present: list[bool],
@@ -198,8 +180,13 @@ def evaluate(
         np_auc = float(np.count_nonzero(within) / within.size)
         ao = float(ious.mean())
         sr50, sr75 = float((ious > 0.5).mean()), float((ious > 0.75).mean())
-    q, acc, rob = vot_qar(pred_present, scores.ious, scores.visible)
+    present, visible = np.asarray(pred_present, dtype=bool), scores.visible
+    both = visible & present
+    acc = float(scores.ious[both].mean()) if both.any() else 0.0
+    q_terms = np.where(visible, scores.ious, np.where(present, 0.0, 1.0))
+    q = float(q_terms.mean()) if q_terms.size else 0.0
     return EvalOutcome(
         success_auc=float(scores.success_rates.mean()), precision_at_20=p20,
-        norm_precision_auc=np_auc, ao=ao, sr50=sr50, sr75=sr75, q=q, acc=acc, rob=rob,
+        norm_precision_auc=np_auc, ao=ao, sr50=sr50, sr75=sr75,
+        q=q, acc=acc, rob=float(scores.success_rates[0]),
     )

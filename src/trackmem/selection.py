@@ -469,11 +469,11 @@ class SamitePolicy(Policy):
         window = pool[1:-1] if pool and pool[0][0].frame_idx == horizon else pool[:-1]
         scores = self.scores.setdefault(prev_index, {})
         # its prototypes not yet scored against prev's, once each
-        unscored = {index: (e.frame_idx, e.fg_prototype, cos_first)
+        unscored = {index: (e.fg_prototype, cos_first)
                     for e, index, cos_first in window if index not in scores}
         if unscored:
-            scored = samite_calibrate(list(unscored.values()), prev.fg_prototype, cfg.alpha)
-            scores.update(zip(unscored, [score for _, score in scored]))
+            scores.update(zip(unscored, samite_calibrate(
+                list(unscored.values()), prev.fg_prototype, cfg.alpha)))
         self.bank.replace_ram(samite_select_ram(
             [(e, scores[index]) for e, index, _ in window], self.cfg.k_ram, self.first, prev))
         return decision

@@ -424,7 +424,7 @@ def per_frame_evaluate(
     ``gt_visible`` holds the flags ``evaluate`` derives from the GT boxes
     (true where the box is not None). Each frame's quality, accuracy and
     robustness term is built in the loop below and the terms are averaged
-    with numpy's mean, as ``vot_qar`` averages its arrays. Inputs are
+    with numpy's mean, as ``evaluate`` averages its arrays. Inputs are
     assumed valid: this loop does not check them.
     """
     pred_iou = [
@@ -479,10 +479,10 @@ class RebuildingSamite(SamitePolicy):
                   if e is not prev and e.frame_idx > horizon]
         scores = self.scores.setdefault(prev_index, {})
         if window:
-            unscored = {index: (e.frame_idx, e.fg_prototype, cos_first)
+            unscored = {index: (e.fg_prototype, cos_first)
                         for e, index, cos_first in window if index not in scores}
             scored = samite_calibrate(list(unscored.values()), prev.fg_prototype, cfg.alpha)
-            for index, (_, score) in zip(unscored, scored):
+            for index, score in zip(unscored, scored):
                 scores[index] = score
         self.bank.replace_ram(samite_select_ram(
             [(e, scores[index]) for e, index, _ in window],

@@ -24,7 +24,7 @@ from trackmem.harness import (
 from trackmem.checks import shown
 from trackmem.cli import main as cli_main
 from trackmem.observation import FrameObservation, Proposal
-from trackmem.policies import PolicyConfig
+from trackmem.policies import MAX_BEAM_WIDTH, PolicyConfig
 from trackmem.selection import frame_result_to_line
 from trackmem.simulator import MotionSpec, SceneConfig, config_to_dict, gen_sequence
 
@@ -243,6 +243,27 @@ def test_integer_fields_exit_2_naming_the_key(tmp_path, capsys, section, key, va
     out = capsys.readouterr().out
     assert f"{path}: bad {section!r} section: {key} must be an integer, got {value!r}" in out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("beam_width", MAX_BEAM_WIDTH + 1, f"beam_width must lie in [1, {MAX_BEAM_WIDTH}]"),
+    ("alpha_him", 0.8, "alpha_him + beta must not exceed 1"),
+])
+def test_policy_values_out_of_range_exit_2_naming_the_key(tmp_path, capsys, key, value,
+                                                          message):
+    path = tiny_config(tmp_path, policy={key: value})
+    assert cmd_run(path, tmp_path / "out") == 2
+    assert f"{path}: bad 'policy' section: {message}" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("policy, item", [
+    ("samurai_drm", "policy.alpha=0.8"),  # no formula weighs alpha against beta
+    ("sam2long_drm", f"policy.beam_width={MAX_BEAM_WIDTH}"),
+])
+def test_policy_values_at_their_bounds_run(tmp_path, policy, item):
+    assert cli_main(["run", "--config", str(tiny_config(tmp_path)), "--out",
+                     str(tmp_path / "out"), "--policy", policy, "--set", item]) == 0
 
 
 @pytest.mark.parametrize("item, section, key, value", [

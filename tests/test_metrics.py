@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trackmem.geometry import BBox, box_iou
-from trackmem.metrics import NORM_PRECISION_THRESHOLDS, evaluate, success_curve, vot_qar
+from trackmem.metrics import NORM_PRECISION_THRESHOLDS, evaluate, success_curve
 
 from reference import per_frame_evaluate, per_frame_precision, per_frame_success_curve
 
@@ -18,6 +18,8 @@ def boxes(n, rng, lo=0.0, hi=50.0):
 B = BBox(10, 10, 8, 6)
 IOU_06_A, IOU_06_B = BBox(0, 0, 4, 1), BBox(1, 0, 4, 1)  # inter 3, union 5
 IOU_08_A, IOU_08_B = BBox(0, 0, 9, 1), BBox(1, 0, 9, 1)  # inter 8, union 10
+IOU_05_A, IOU_05_B = BBox(0, 0, 3, 1), BBox(1, 0, 3, 1)  # inter 2, union 4
+APART = BBox(40, 40, 8, 6)  # no overlap with B
 
 
 def scored(pred, gt):
@@ -29,6 +31,8 @@ def scored(pred, gt):
 def test_exact_iou_constructions():
     assert box_iou(IOU_06_A, IOU_06_B) == 0.6
     assert box_iou(IOU_08_A, IOU_08_B) == 0.8
+    assert box_iou(IOU_05_A, IOU_05_B) == 0.5
+    assert box_iou(APART, B) == 0.0
 
 
 # --- success -----------------------------------------------------------------
@@ -145,38 +149,31 @@ def test_ao_sr_matches_naive_oracle(rng):
 # --- VOT surrogates ---------------------------------------------------------------------
 
 
+def qar(out):
+    return out.q, out.acc, out.rob
+
+
 def test_vot_perfect_with_absence_prediction():
     # visible frames tracked perfectly, invisible frames predicted absent
-    present = [True, True, False, True]
-    iou = [1.0, 1.0, 0.0, 1.0]
-    visible = [True, True, False, True]
-    assert vot_qar(present, iou, visible) == (1.0, 1.0, 1.0)
+    gt = [B, B, None, B]
+    assert qar(evaluate(gt, [True, True, False, True], gt)) == (1.0, 1.0, 1.0)
 
 
 def test_vot_never_absent_tracker():
-    present = [True] * 5
-    iou = [0.8] * 5
-    visible = [True] * 5
-    q, acc, rob = vot_qar(present, iou, visible)
-    assert (q, acc, rob) == (0.8, 0.8, 1.0)
+    out = evaluate([IOU_05_A] * 5, [True] * 5, [IOU_05_B] * 5)
+    assert qar(out) == (0.5, 0.5, 1.0)
 
 
 def test_vot_mixed_trace_hand_enumerated():
-    present = [True, True, False, True, False]
-    iou =     [0.5,  0.0,  0.0,  0.9,  0.0]
-    visible = [True, True, True, False, False]
-    q, acc, rob = vot_qar(present, iou, visible)
+    pred = [IOU_05_A, APART, None, B, None]
+    gt = [IOU_05_B, B, B, None, None]  # IoU 0.5, 0.0, 0.0 on the visible frames
+    q, acc, rob = qar(evaluate(pred, [p is not None for p in pred], gt))
     # acc: frames 0,1 visible+present -> mean(0.5, 0.0) = 0.25
     # rob: visible frames 0,1,2 with iou>0 -> 1/3
     # q: visible -> iou (0.5, 0.0, 0.0); invisible -> present? 0 : 1 -> (0, 1)
     assert acc == 0.25
-    assert rob == pytest.approx(1 / 3, abs=1e-12)
-    assert q == pytest.approx((0.5 + 0.0 + 0.0 + 0.0 + 1.0) / 5, abs=1e-12)
-
-
-def test_vot_length_mismatch():
-    with pytest.raises(ValueError):
-        vot_qar([True], [0.5, 0.5], [True, True])
+    assert rob == 1 / 3
+    assert q == (0.5 + 0.0 + 0.0 + 0.0 + 1.0) / 5
 
 
 # --- cross-metric properties -------------------------------------------------------------
@@ -223,8 +220,8 @@ def test_outcome_fields_bounded(rng):
 def test_evaluate_equals_the_separate_metrics_bit_for_bit(rng):
     # one IoU pass inside evaluate; each column must still equal the metric
     # computed on its own (the success curve's mean, AO and success rates over
-    # per-frame box_iou calls, the per-frame precision loop, vot_qar), including
-    # occluded and absent frames
+    # per-frame box_iou calls, the per-frame precision loop, the per-frame
+    # quality, accuracy and robustness terms), including occluded and absent frames
     for n in (0, 1, 7, 60):
         gt = [b if rng.random() < 0.75 else None for b in boxes(n, rng)]
         pred = [BBox(b.x + float(rng.normal(0, 3)), b.y, b.w, b.h)
@@ -237,7 +234,7 @@ def test_evaluate_equals_the_separate_metrics_bit_for_bit(rng):
         ious = np.array([v for v, g in zip(pred_iou, gt) if g is not None])
         ao, sr50, sr75 = ((float(ious.mean()), float((ious > 0.5).mean()),
                            float((ious > 0.75).mean())) if ious.size else (0.0, 0.0, 0.0))
-        q, acc, rob = vot_qar(present, pred_iou, visible)
+        q, acc, rob = qar(per_frame_evaluate(pred, present, gt, visible))
         assert (out.success_auc, out.ao, out.sr50, out.sr75) == \
             (float(success_curve(pred, gt).mean()), ao, sr50, sr75)
         assert (out.precision_at_20, out.norm_precision_auc, out.q, out.acc, out.rob) == \

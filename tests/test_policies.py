@@ -10,6 +10,7 @@ from trackmem.geometry import BBox
 from trackmem.membank import NEVER, MemoryEntry
 from trackmem.observation import Proposal, Prototype
 from trackmem.policies import (
+    MAX_BEAM_WIDTH,
     AdmissionReason,
     PolicyConfig,
     dam_admit,
@@ -47,14 +48,18 @@ def test_decisions_are_shared_per_reason():
 
 
 def test_policy_config_validation():
-    with pytest.raises(ValueError):
-        PolicyConfig(alpha=0.8, beta=0.4)
+    with pytest.raises(ValueError, match="alpha_him"):
+        PolicyConfig(alpha_him=0.8, beta=0.4)
+    PolicyConfig(alpha=0.8, beta=0.4)  # no formula weighs alpha against beta
     with pytest.raises(ValueError):
         PolicyConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         PolicyConfig(window_m=2)
     with pytest.raises(ValueError):
         PolicyConfig(beam_width=0)
+    PolicyConfig(beam_width=MAX_BEAM_WIDTH)
+    with pytest.raises(ValueError, match="beam_width"):
+        PolicyConfig(beam_width=MAX_BEAM_WIDTH + 1)
 
 
 # --- gated-sparse ----------------------------------------------------------------
@@ -190,9 +195,9 @@ def test_sam2long_admit_gates():
 
 def test_calibrate_equal_prototypes_score_one():
     p = Prototype([1.0, 2.0, 3.0])
-    scores = samite_calibrate([(3, p, samite_anchor_first(p, p)),
-                               (4, p, samite_anchor_first(p, p))], p, alpha=0.3)
-    assert scores == [(3, 1.0), (4, 1.0)]
+    scores = samite_calibrate([(p, samite_anchor_first(p, p)),
+                               (p, samite_anchor_first(p, p))], p, alpha=0.3)
+    assert scores == [1.0, 1.0]
 
 
 def test_calibrate_alpha_zero_ranks_by_first_anchor():
@@ -200,23 +205,22 @@ def test_calibrate_alpha_zero_ranks_by_first_anchor():
     prev = Prototype([0.0, 1.0])
     close_to_first = Prototype([0.9, 0.1])
     close_to_prev = Prototype([0.1, 0.9])
-    scores = dict(samite_calibrate(
-        [(3, close_to_first, samite_anchor_first(close_to_first, first)),
-         (4, close_to_prev, samite_anchor_first(close_to_prev, first))], prev, alpha=0.0))
-    assert scores[3] > scores[4]
+    score_first, score_prev = samite_calibrate(
+        [(close_to_first, samite_anchor_first(close_to_first, first)),
+         (close_to_prev, samite_anchor_first(close_to_prev, first))], prev, alpha=0.0)
+    assert score_first > score_prev
 
 
 def test_calibrate_matches_high_precision_oracle(rng):
     mpmath.mp.dps = 50
     for _ in range(50):
         dim = 6
-        window = [(i, Prototype(rng.normal(size=dim))) for i in range(2, 8)]
+        window = [Prototype(rng.normal(size=dim)) for _ in range(6)]
         first = Prototype(rng.normal(size=dim))
         prev = Prototype(rng.normal(size=dim))
         alpha = float(rng.uniform(0, 1))
         got = samite_calibrate(
-            [(f, proto, samite_anchor_first(proto, first)) for f, proto in window],
-            prev, alpha)
+            [(proto, samite_anchor_first(proto, first)) for proto in window], prev, alpha)
 
         def mp_cos(a, b):
             a = [mpmath.mpf(float(v)) for v in a]
@@ -226,11 +230,11 @@ def test_calibrate_matches_high_precision_oracle(rng):
             nb = mpmath.sqrt(mpmath.fsum(x * x for x in b))
             return dot / (na * nb)
 
-        for (f, proto), (fg, sg) in zip(window, got):
+        assert len(got) == len(window)
+        for proto, score in zip(window, got):
             want = (1 - mpmath.mpf(alpha)) * mp_cos(proto.vec, first.vec) \
                 + mpmath.mpf(alpha) * mp_cos(proto.vec, prev.vec)
-            assert fg == f
-            assert abs(sg - float(want)) < 1e-12
+            assert abs(score - float(want)) < 1e-12
 
 
 def test_anchor_first_without_prototype_is_zero():

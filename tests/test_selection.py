@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from trackmem import observation, selection
+from trackmem import geometry, observation, selection
 from trackmem.geometry import BBox, BitMask, box_iou
 from trackmem.membank import MemoryEntry
 from trackmem.motion import MotionConfig
@@ -40,7 +42,7 @@ from trackmem.selection import (
     select_him,
     select_samurai,
 )
-from trackmem.simulator import MotionSpec, SceneConfig, gen_sequence
+from trackmem.simulator import MotionSpec, SceneConfig, gen_sequence, suite_standard
 
 from conftest import empty_mask, obs, rect_mask
 from oracles import him_choice_oracle, samurai_choice_oracle
@@ -374,7 +376,7 @@ def test_samite_calibrates_only_unscored_prototypes(monkeypatch):
     calls = []
 
     def calibrate(window, anchor_prev, alpha):
-        calls.append([(proto, anchor_prev) for _, proto, _ in window])
+        calls.append([(proto, anchor_prev) for proto, _ in window])
         return samite_calibrate(window, anchor_prev, alpha)
 
     monkeypatch.setattr(selection, "samite_calibrate", calibrate)
@@ -813,6 +815,27 @@ def test_frame_result_line_is_stable():
     line = frame_result_to_line(res)
     assert '"frame":3' in line and '"s_kf":0.25' in line
     assert frame_result_to_line(res) == line
+
+
+def test_a_records_masks_keep_only_their_digests_once_its_logs_are_written():
+    # a log line reads a mask's digest; its RLE text is encoded to hash it and dropped
+    record = gen_sequence(suite_standard(1)[0])  # 110 frames with occlusions
+    tracemalloc.start()
+    try:
+        for kind in PolicyKind:
+            results = TrackerSession(config(kind), record.init_mask).run(record.observations)
+            lines = [frame_result_to_line(r) for r in results]
+        del results, lines
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    masks = [record.init_mask] + [p.mask for o in record.observations for p in o.proposals]
+    digests = [m._sha1 for m in masks if m._sha1 is not None]
+    by_geometry = snapshot.filter_traces([tracemalloc.Filter(True, geometry.__file__)])
+    held = sum(stat.size for stat in by_geometry.statistics("filename"))
+    # the texts would add about 60 kB; 4 kB leaves room for geometry's small allocations
+    assert digests and held <= sum(sys.getsizeof(d) for d in digests) + 4_096
 
 
 def test_frame_result_is_an_immutable_record_with_the_golden_line():
